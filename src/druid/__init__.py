@@ -3,22 +3,15 @@
 A network of agents minimizes a sum of local smooth costs plus a shared
 (possibly nonsmooth) regularizer held at one designated agent.  Agents
 keep edge-decoupled curvature blocks, so gradient, Newton, and BFGS
-updates all run with a single broadcast per iteration, synchronously or
+updates all run with one exchange of iterates per iteration, synchronously or
 under randomized activation.  The analysis layer provides the centralized
 reference, an unreduced three-block oracle, optimality residuals, and
 theoretical rate constants for verification at desk scale.
 """
 
 from .activation import ActivationRecord, ActivationSampler, async_step, sample_activation
-from .curvature import BFGS, GRADIENT, NEWTON, SCHEMES, CurvatureState, Hyperparams
-from .network import (
-    AgentState,
-    ConsensusProblem,
-    NetworkState,
-    init_network,
-    local_gradient,
-    sync_step,
-)
+from .curvature import BFGS, GRADIENT, NEWTON, SCHEMES, Hyperparams
+from .network import ConsensusProblem, NetworkState, init_network, local_gradient, sync_step
 from .problems import (
     L1,
     LEAST_SQUARES,
@@ -47,8 +40,8 @@ from .topology import (
 
 __all__ = [
     "ActivationRecord", "ActivationSampler", "async_step", "sample_activation",
-    "BFGS", "GRADIENT", "NEWTON", "SCHEMES", "CurvatureState", "Hyperparams",
-    "AgentState", "ConsensusProblem", "NetworkState", "init_network",
+    "BFGS", "GRADIENT", "NEWTON", "SCHEMES", "Hyperparams",
+    "ConsensusProblem", "NetworkState", "init_network",
     "local_gradient", "sync_step",
     "L1", "LEAST_SQUARES", "LOGISTIC", "SQUARED_L2", "ZERO",
     "LocalObjective", "Regularizer", "SmoothnessConstants",

@@ -1,8 +1,8 @@
 """Randomized agent activation for asynchronous execution.
 
 An activation record names the agents that participate in one iteration;
-everyone else keeps their variables and only their buffers may change
-(when an active neighbor broadcasts).  Sampling is deterministic given
+everyone else keeps their variables, and only the duals of edges with an
+active endpoint move.  Sampling is deterministic given
 the sampler seed and the iteration index, so traces are reproducible
 regardless of how many iterations were drawn before.
 """
@@ -44,8 +44,8 @@ class ActivationSampler:
     def __post_init__(self):
         if self.mode == BERNOULLI:
             p = np.broadcast_to(np.asarray(self.probabilities, dtype=float), (self.m,)).copy()
-            if np.any(p <= 0.0) or np.any(p > 1.0):
-                raise ValueError("activation probabilities must lie in (0, 1]")
+            if not np.all((p > 0.0) & (p <= 1.0)):
+                raise ValueError(f"activation probabilities must lie in (0, 1], got {p}")
             self.probabilities = p
         elif self.mode == FIXED_COUNT:
             if not (1 <= int(self.count) <= self.m):
@@ -76,8 +76,10 @@ def sample_activation(sampler: ActivationSampler, t: int) -> ActivationRecord:
 def async_step(ns: NetworkState, record: ActivationRecord, hp: Hyperparams) -> NetworkState:
     """One asynchronous iteration: only the recorded agents update.
 
-    Active agents read possibly stale neighbor values from their buffers;
-    theta and lambda move only when the leader is active.  Full activation
-    reproduces the synchronous step exactly.
+    Theta and lambda move only when the leader is active; an empty record
+    only advances the iteration counter.  Full activation reproduces the
+    synchronous step exactly.
     """
-    return apply_step(ns, hp, record.active)
+    active = np.zeros(ns.graph.m, dtype=bool)
+    active[np.asarray(record.active, dtype=np.intp)] = True
+    return apply_step(ns, hp, active)

@@ -31,14 +31,14 @@ def kkt_residuals(ns: NetworkState):
     gap between the leader's iterate and the regularizer variable.
     """
     g = ns.graph
-    X = ns.stack_x()
+    X = ns.X
     grads = np.stack([obj.gradient(X[i]) for i, obj in enumerate(ns.problem.objectives)])
-    stat = grads + ns.stack_phi()
+    stat = grads + ns.Phi
     leader = ns.leader
-    stat[leader] += ns.agents[leader].lam
+    stat[leader] += ns.lam
     r_opt = float(np.linalg.norm(stat))
     r_cons = float(np.linalg.norm(edge_differences(g, X)))
-    r_reg = float(np.linalg.norm(X[leader] - ns.agents[leader].theta))
+    r_reg = float(np.linalg.norm(X[leader] - ns.theta))
     return r_opt, r_cons, r_reg
 
 
@@ -212,11 +212,10 @@ def v_alpha_state(ns: NetworkState, alpha: np.ndarray) -> VAlpha:
     """Analysis snapshot of a network state; requires tracked edge duals."""
     if alpha is None:
         raise DiagnosticError("edge duals were not tracked alongside this run")
-    X = ns.stack_x()
-    leader = ns.leader
+    X = ns.X.copy()
     return VAlpha(
         x=X, z=0.5 * edge_sums(ns.graph, X), alpha=np.asarray(alpha, dtype=float),
-        theta=ns.agents[leader].theta.copy(), lam=ns.agents[leader].lam.copy(),
+        theta=ns.theta.copy(), lam=ns.lam.copy(),
     )
 
 

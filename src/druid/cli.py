@@ -5,17 +5,18 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .experiment import ExperimentConfig, load_config, run_experiment
+from .curvature import SCHEMES
+from .experiment import PROBLEM_KINDS, ExperimentConfig, load_config, run_experiment
 from .topology import random_connected_graph, write_edge_list
 
 
 def _run_parser(sub):
     p = sub.add_parser("run", help="run a configured experiment and write its trace CSV")
     p.add_argument("--config", help="JSON config file; flags below override its keys")
-    p.add_argument("--problem", choices=("lasso", "logistic_l1", "ridge"))
+    p.add_argument("--problem", choices=PROBLEM_KINDS)
     p.add_argument("--dataset", help="sparse text dataset path")
     p.add_argument("--gamma", type=float)
-    p.add_argument("--scheme", choices=("gradient", "newton", "bfgs"))
+    p.add_argument("--scheme", choices=SCHEMES)
     p.add_argument("--mu-z", dest="mu_z", type=float)
     p.add_argument("--mu-theta", dest="mu_theta", type=float)
     p.add_argument("--epsilon", type=float)

@@ -12,7 +12,7 @@ agent i's block is J_ii plus the constant shift
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -47,10 +47,10 @@ class Hyperparams:
     bfgs_bounding: bool = False
 
     def __post_init__(self):
-        if self.mu_z <= 0 or self.mu_theta <= 0 or self.epsilon <= 0:
-            raise ValueError("mu_z, mu_theta, and epsilon must be positive")
-        if self.psi <= 0:
-            raise ValueError("psi must be positive")
+        for name in ("mu_z", "mu_theta", "epsilon", "psi"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite, got {value}")
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.leader < 0:
@@ -71,48 +71,17 @@ def newton_block(obj: LocalObjective, x: np.ndarray, hp: Hyperparams,
     return block
 
 
-@dataclass
-class CurvatureState:
-    """Curvature information owned by one agent.
-
-    ``shift`` is the constant diagonal; ``block`` holds the Newton block
-    (refreshed every update), ``inv_estimate`` the BFGS inverse model.
-    ``x_prev``/``grad_prev`` are the iterate and local gradient at the
-    agent's last completed update.  ``last_pair`` records the most recent
-    (s, q, accepted) triple for diagnostics.
-    """
-
-    scheme: str
-    shift: float
-    block: np.ndarray = None
-    inv_estimate: np.ndarray = None
-    x_prev: np.ndarray = None
-    grad_prev: np.ndarray = None
-    last_pair: tuple = field(default=None, repr=False)
-
-
-def init_curvature(scheme: str, d: int, shift: float, grad0: np.ndarray = None) -> CurvatureState:
-    """State at the zero initial iterate.
-
-    The BFGS inverse starts at I/shift, the exact inverse of the curvature
-    block when the local Hessian vanishes.
-    """
-    st = CurvatureState(scheme=scheme, shift=shift)
-    if scheme == BFGS:
-        st.inv_estimate = np.eye(d) / shift
-        st.x_prev = np.zeros(d)
-        st.grad_prev = np.asarray(grad0, dtype=float).copy()
-    return st
-
-
-def bfgs_pair(state: CurvatureState, x_new: np.ndarray, grad_new: np.ndarray):
-    """Iterate/gradient difference pair against the agent's last update.
+def bfgs_pair(x_prev: np.ndarray, x_new: np.ndarray, grad_prev: np.ndarray,
+              grad_new: np.ndarray, shift):
+    """Iterate/gradient difference pair between two updates of an agent.
 
     The gradient difference is shifted by the constant diagonal so that
     the pair models the full curvature block, not just the local Hessian.
+    Applies row-wise to stacked (k, d) arrays with ``shift`` of shape
+    (k, 1).
     """
-    s = x_new - state.x_prev
-    q = grad_new - state.grad_prev + state.shift * s
+    s = x_new - x_prev
+    q = grad_new - grad_prev + shift * s
     return s, q
 
 
@@ -138,15 +107,20 @@ def bfgs_inverse_update(B: np.ndarray, s: np.ndarray, q: np.ndarray,
     return out
 
 
-def solve_direction(state: CurvatureState, h: np.ndarray) -> np.ndarray:
-    """Update direction u with curvature_block @ u = h.
+def solve_direction(scheme: str, curvature: np.ndarray, H: np.ndarray) -> np.ndarray:
+    """Update directions U with curvature_block_k @ U[k] = H[k] for each row k.
 
-    Scalar division for the gradient scheme, a Cholesky solve for Newton,
-    and a plain matrix-vector product for BFGS.
+    ``curvature`` holds one entry per row of H: the constant shift (k,)
+    for the gradient scheme (a scalar division), the Newton block
+    (k, d, d) (a Cholesky solve), or the BFGS inverse model (k, d, d)
+    (a plain matrix-vector product).
     """
-    if state.scheme == GRADIENT:
-        return h / state.shift
-    if state.scheme == NEWTON:
-        c, low = scipy.linalg.cho_factor(state.block)
-        return scipy.linalg.cho_solve((c, low), h)
-    return state.inv_estimate @ h
+    if scheme == GRADIENT:
+        return H / curvature[:, None]
+    if scheme == NEWTON:
+        U = np.empty_like(H)
+        for k, block in enumerate(curvature):
+            c, low = scipy.linalg.cho_factor(block)
+            U[k] = scipy.linalg.cho_solve((c, low), H[k])
+        return U
+    return np.einsum("kij,kj->ki", curvature, H)

@@ -141,7 +141,7 @@ class TraceRecord:
 
 def _metrics(ns: NetworkState, cfg: ExperimentConfig, ref, cost0: float,
              dist0: float) -> TraceRecord:
-    X = ns.stack_x()
+    X = ns.X
     point = X[cfg.leader] if cfg.cost_iterate == "leader" else X.mean(axis=0)
     cost = ns.problem.total_value(point)
     dist = float(np.linalg.norm(X - ref.x_star[None, :]))

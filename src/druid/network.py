@@ -1,13 +1,16 @@
 """Simulated multi-agent network and the primal-dual iteration.
 
-Each agent holds its primal variable x_i, a dual variable phi_i, and a
-buffer of the last value received from every neighbor.  The leader agent
+The network state is stacked: row i of ``X`` and ``Phi`` holds agent i's
+primal variable and aggregate consensus dual, and the leader agent
 additionally holds the pair (theta, lambda) coupling the shared variable
-to the regularizer.  One iteration runs, for each participating agent and
-in this order: curvature refresh, primal update from buffered neighbor
-values, broadcast of the new iterate, dual updates, and (for BFGS) the
-curvature-pair update.  Broadcasts complete before any dual update so the
-full-participation case is exactly the synchronous algorithm.
+to the regularizer.  One iteration runs on the rows of the participating
+agents, in this order: curvature refresh and primal step from the
+start-of-step iterates, dual ascent on every edge with a participating
+endpoint, the leader's proximal step, and (for BFGS) the curvature-pair
+update.  Each agent reads its neighbors' current iterates, since every
+update is sent to the neighbors as it happens.  Synchronous and asynchronous
+iterations are the same step with a full or a partial activation mask,
+so full participation is exactly the synchronous algorithm.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import curvature as cv
-from .curvature import CurvatureState, Hyperparams
+from .curvature import Hyperparams
 from .errors import ConfigurationError
 from .problems import Regularizer, prox
 from .topology import Graph
@@ -54,159 +57,134 @@ class ConsensusProblem:
 
 
 @dataclass
-class AgentState:
-    """Variables owned by one agent; theta/lam are None except at the leader."""
-
-    x: np.ndarray
-    phi: np.ndarray
-    buffer: dict
-    curvature: CurvatureState
-    theta: np.ndarray = None
-    lam: np.ndarray = None
-
-
-@dataclass
 class NetworkState:
+    """Stacked state of the whole network.
+
+    ``X``/``Phi`` are (m, d); ``theta``/``lam`` are the leader's (d,)
+    regularizer copy and multiplier; ``shift`` (m,) is the constant
+    diagonal of every agent's curvature block.  Under BFGS, ``B`` (m, d, d)
+    holds the inverse models and ``G`` (m, d) the local gradients at
+    ``X``; both are None under the other schemes.
+    """
+
     graph: Graph
     problem: ConsensusProblem
-    agents: list
+    X: np.ndarray
+    Phi: np.ndarray
+    theta: np.ndarray
+    lam: np.ndarray
+    shift: np.ndarray
+    B: np.ndarray = None
+    G: np.ndarray = None
     leader: int = 0
     t: int = 0
     comm_scalars: int = 0
 
-    def stack_x(self) -> np.ndarray:
-        return np.stack([ag.x for ag in self.agents])
 
-    def stack_phi(self) -> np.ndarray:
-        return np.stack([ag.phi for ag in self.agents])
+def _gradients(problem: ConsensusProblem, X: np.ndarray, rows) -> np.ndarray:
+    """Local-objective gradients of the listed agents at their rows of X.
+
+    The explicit shape makes an empty row list (an empty activation) a
+    (0, d) array.
+    """
+    grads = [problem.objectives[i].gradient(X[i]) for i in rows]
+    return np.array(grads, dtype=float).reshape(len(rows), problem.d)
 
 
 def init_network(problem: ConsensusProblem, graph: Graph, hp: Hyperparams) -> NetworkState:
-    """Zero-initialized network; curvature state per the chosen scheme."""
+    """Zero-initialized network; curvature state per the chosen scheme.
+
+    The BFGS inverse models start at I/shift, the exact inverse of the
+    curvature block when the local Hessian vanishes.
+    """
     if problem.m != graph.m:
         raise ConfigurationError(
             f"{problem.m} objectives for {graph.m} agents"
         )
     if not (0 <= hp.leader < graph.m):
         raise ConfigurationError(f"leader {hp.leader} out of range for m={graph.m}")
-    d = problem.d
-    agents = []
-    zero = np.zeros(d)
-    for i in range(graph.m):
-        shift = cv.block_diag_value(hp, graph.degree(i), i == hp.leader)
-        grad0 = problem.objectives[i].gradient(zero) if hp.scheme == cv.BFGS else None
-        state = AgentState(
-            x=np.zeros(d),
-            phi=np.zeros(d),
-            buffer={j: np.zeros(d) for j in graph.neighbors(i)},
-            curvature=cv.init_curvature(hp.scheme, d, shift, grad0),
-        )
-        if i == hp.leader:
-            state.theta = np.zeros(d)
-            state.lam = np.zeros(d)
-        agents.append(state)
-    return NetworkState(graph=graph, problem=problem, agents=agents, leader=hp.leader)
-
-
-def local_gradient(i: int, ns: NetworkState, hp: Hyperparams) -> np.ndarray:
-    """Gradient of the augmented Lagrangian with respect to x_i.
-
-    Neighbor values are read from agent i's buffer, so the result is well
-    defined under stale information.  For BFGS the local-objective gradient
-    stored at the agent's last update is reused (it was evaluated at the
-    same iterate).
-    """
-    ag = ns.agents[i]
-    st = ag.curvature
+    m, d = graph.m, problem.d
+    shift = np.array([cv.block_diag_value(hp, graph.degree(i), i == hp.leader) for i in range(m)])
+    ns = NetworkState(
+        graph=graph, problem=problem, X=np.zeros((m, d)), Phi=np.zeros((m, d)),
+        theta=np.zeros(d), lam=np.zeros(d), shift=shift, leader=hp.leader,
+    )
     if hp.scheme == cv.BFGS:
-        grad = st.grad_prev
-    else:
-        grad = ns.problem.objectives[i].gradient(ag.x)
-    h = grad + ag.phi
-    coupling = len(ag.buffer) * ag.x - sum(ag.buffer.values())
-    h = h + 0.5 * hp.mu_z * coupling
-    if i == hp.leader:
-        h = h + hp.mu_theta * (ag.x - ag.theta) + ag.lam
-    return h
+        ns.B = np.eye(d) / shift[:, None, None]
+        ns.G = _gradients(problem, ns.X, range(m))
+    return ns
 
 
-def primal_update(i: int, ns: NetworkState, hp: Hyperparams) -> np.ndarray:
-    """Refresh agent i's curvature, step x_i along the solved direction."""
-    ag = ns.agents[i]
-    if hp.scheme == cv.NEWTON:
-        ag.curvature.block = cv.newton_block(
-            ns.problem.objectives[i], ag.x, hp, ns.graph.degree(i), i == hp.leader
-        )
-    h = local_gradient(i, ns, hp)
-    ag.x = ag.x - cv.solve_direction(ag.curvature, h)
-    return ag.x
+def local_gradient(ns: NetworkState, hp: Hyperparams, rows) -> np.ndarray:
+    """Gradient of the augmented Lagrangian with respect to the listed rows of X.
+
+    Under BFGS the cached local gradients ``G`` are reused (they were
+    evaluated at the same iterates).
+    """
+    rows = np.asarray(rows, dtype=np.intp)
+    X = ns.X
+    grad = ns.G[rows] if hp.scheme == cv.BFGS else _gradients(ns.problem, X, rows)
+    adjacency = ns.graph.adjacency[rows]
+    coupling = adjacency.sum(axis=1)[:, None] * X[rows] - adjacency @ X
+    H = grad + ns.Phi[rows] + 0.5 * hp.mu_z * coupling
+    lead = np.flatnonzero(rows == ns.leader)
+    H[lead] = H[lead] + hp.mu_theta * (X[ns.leader] - ns.theta) + ns.lam
+    return H
 
 
-def broadcast(i: int, ns: NetworkState) -> None:
-    """Deposit agent i's current iterate in every neighbor's buffer."""
-    x = ns.agents[i].x
-    for j in ns.graph.neighbors(i):
-        ns.agents[j].buffer[i] = x.copy()
-
-
-def dual_updates(ns: NetworkState, hp: Hyperparams, active=None) -> None:
+def dual_updates(ns: NetworkState, hp: Hyperparams, active: np.ndarray) -> None:
     """Dual ascent along every edge with a participating endpoint.
 
     The consensus duals live on edges; an edge whose source or destination
     participated moves by half the penalty times the disagreement, entering
-    both endpoints' phi with opposite signs (so the aggregate dual stays in
-    the range of the signed incidence even under partial participation).
-    Endpoints read each other through buffers, which the preceding
-    broadcast has refreshed.  The participating leader then applies the
-    proximal map and its multiplier step.
+    both endpoints' rows of Phi with opposite signs (so the aggregate dual
+    stays in the range of the signed incidence even under partial
+    participation).  The participating leader then applies the proximal
+    map and its multiplier step.
     """
-    if active is None:
-        active = range(ns.graph.m)
-    active_set = set(active)
-    for i, j in ns.graph.edges:
-        if i in active_set or j in active_set:
-            delta = 0.5 * hp.mu_z * (ns.agents[i].x - ns.agents[i].buffer[j])
-            ns.agents[i].phi = ns.agents[i].phi + delta
-            ns.agents[j].phi = ns.agents[j].phi - delta
-    if hp.leader in active_set:
-        ag = ns.agents[hp.leader]
-        theta_new = prox(ns.problem.regularizer, hp.mu_theta, ag.x + ag.lam / hp.mu_theta)
-        ag.lam = ag.lam + hp.mu_theta * (ag.x - theta_new)
-        ag.theta = theta_new
+    touched = ns.graph.adjacency * (active[:, None] | active[None, :])
+    ns.Phi += 0.5 * hp.mu_z * (touched.sum(axis=1)[:, None] * ns.X - touched @ ns.X)
+    if active[ns.leader]:
+        x_lead = ns.X[ns.leader]
+        theta_new = prox(ns.problem.regularizer, hp.mu_theta, x_lead + ns.lam / hp.mu_theta)
+        ns.lam = ns.lam + hp.mu_theta * (x_lead - theta_new)
+        ns.theta = theta_new
 
 
-def _bfgs_refresh(i: int, ns: NetworkState, hp: Hyperparams) -> None:
-    """End-of-iteration curvature-pair update; the fresh gradient becomes
-    the next iteration's stored local gradient."""
-    ag = ns.agents[i]
-    st = ag.curvature
-    grad_new = ns.problem.objectives[i].gradient(ag.x)
-    s, q = cv.bfgs_pair(st, ag.x, grad_new)
-    updated = cv.bfgs_inverse_update(
-        st.inv_estimate, s, q, psi=hp.psi if hp.bfgs_bounding else None
-    )
-    st.last_pair = (s, q, updated is not st.inv_estimate)
-    st.inv_estimate = updated
-    st.x_prev = ag.x.copy()
-    st.grad_prev = grad_new
+def apply_step(ns: NetworkState, hp: Hyperparams, active: np.ndarray) -> NetworkState:
+    """Advance the network one iteration; ``active`` is a boolean mask over agents."""
+    active = np.asarray(active, dtype=bool)
+    rows = np.flatnonzero(active)
+    d = ns.problem.d
+    if hp.scheme == cv.NEWTON:
+        blocks = [
+            cv.newton_block(ns.problem.objectives[i], ns.X[i], hp, ns.graph.degree(i),
+                            i == ns.leader)
+            for i in rows
+        ]
+        curvature = np.array(blocks, dtype=float).reshape(len(rows), d, d)
+    elif hp.scheme == cv.BFGS:
+        curvature = ns.B[rows]
+    else:
+        curvature = ns.shift[rows]
+    H = local_gradient(ns, hp, rows)
+    x_old = ns.X[rows]
+    x_new = x_old - cv.solve_direction(hp.scheme, curvature, H)
+    ns.X[rows] = x_new
+    ns.comm_scalars += int(ns.graph.adjacency[rows].sum()) * d
 
-
-def apply_step(ns: NetworkState, hp: Hyperparams, active) -> NetworkState:
-    """Advance the network one iteration with the given participant set."""
-    active = sorted(active)
-    for i in active:
-        primal_update(i, ns, hp)
-    for i in active:
-        broadcast(i, ns)
-        ns.comm_scalars += ns.graph.degree(i) * ns.problem.d
     dual_updates(ns, hp, active)
     if hp.scheme == cv.BFGS:
-        for i in active:
-            _bfgs_refresh(i, ns, hp)
+        grad_new = _gradients(ns.problem, ns.X, rows)
+        s, q = cv.bfgs_pair(x_old, x_new, ns.G[rows], grad_new, ns.shift[rows, None])
+        psi = hp.psi if hp.bfgs_bounding else None
+        for k, i in enumerate(rows):
+            ns.B[i] = cv.bfgs_inverse_update(ns.B[i], s[k], q[k], psi=psi)
+        ns.G[rows] = grad_new
     ns.t += 1
     return ns
 
 
 def sync_step(ns: NetworkState, hp: Hyperparams) -> NetworkState:
     """One synchronous iteration: every agent participates."""
-    return apply_step(ns, hp, range(ns.graph.m))
+    return apply_step(ns, hp, np.ones(ns.graph.m, dtype=bool))

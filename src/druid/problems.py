@@ -91,10 +91,6 @@ class LocalObjective:
         s = _sigmoid(self.features @ x)
         return (self.features * (s * (1.0 - s))[:, None]).T @ self.features
 
-    def evaluate(self, x: np.ndarray):
-        """Value, gradient, and Hessian at x in one call."""
-        return self.value(x), self.gradient(x), self.hessian(x)
-
 
 @dataclass(frozen=True)
 class SmoothnessConstants:
@@ -154,8 +150,8 @@ class Regularizer:
     def __post_init__(self):
         if self.kind not in _REGULARIZER_KINDS:
             raise ValueError(f"unknown regularizer kind {self.kind!r}")
-        if self.gamma < 0:
-            raise ValueError(f"gamma must be nonnegative, got {self.gamma}")
+        if not (np.isfinite(self.gamma) and self.gamma >= 0):
+            raise ValueError(f"gamma must be nonnegative and finite, got {self.gamma}")
 
     def value(self, x: np.ndarray) -> float:
         if self.kind == ZERO:

@@ -30,6 +30,9 @@ class Graph:
     edges : sequence of (int, int)
         Edge list with 0-based endpoints i < j.  Order is normalized to
         lexicographic regardless of the order given.
+
+    ``src``/``dst`` hold the edge endpoints and ``adjacency`` the dense
+    symmetric 0/1 (m, m) adjacency matrix, all cached at construction.
     """
 
     m: int
@@ -37,6 +40,7 @@ class Graph:
     neighbor_lists: tuple = field(init=False, repr=False)
     src: np.ndarray = field(init=False, repr=False)
     dst: np.ndarray = field(init=False, repr=False)
+    adjacency: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         edges = tuple(sorted((int(i), int(j)) for i, j in self.edges))
@@ -59,6 +63,9 @@ class Graph:
         self.neighbor_lists = tuple(tuple(sorted(ns)) for ns in nbrs)
         self.src = np.array([e[0] for e in edges], dtype=np.intp)
         self.dst = np.array([e[1] for e in edges], dtype=np.intp)
+        self.adjacency = np.zeros((self.m, self.m))
+        self.adjacency[self.src, self.dst] = 1.0
+        self.adjacency[self.dst, self.src] = 1.0
         if not _connected(self.m, self.neighbor_lists):
             raise ValueError("graph is not connected")
 
@@ -212,14 +219,6 @@ def signed_scatter(g: Graph, A: np.ndarray) -> np.ndarray:
     out = np.zeros((g.m,) + A.shape[1:])
     np.add.at(out, g.src, A)
     np.subtract.at(out, g.dst, A)
-    return out
-
-
-def unsigned_scatter(g: Graph, A: np.ndarray) -> np.ndarray:
-    """Transpose of the unsigned incidence applied to edge values."""
-    out = np.zeros((g.m,) + A.shape[1:])
-    np.add.at(out, g.src, A)
-    np.add.at(out, g.dst, A)
     return out
 
 

@@ -12,6 +12,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from conftest import (
+    install_fixed_point,
     make_lasso_instance,
     make_logistic_instance,
     make_rank_deficient_instance,
@@ -29,7 +30,7 @@ from druid.analysis import (
     v_alpha_reference,
     v_alpha_state,
 )
-from druid.curvature import BFGS, GRADIENT, NEWTON, SCHEMES, Hyperparams, init_curvature
+from druid.curvature import BFGS, GRADIENT, NEWTON, SCHEMES, Hyperparams, bfgs_pair
 from druid.experiment import ExperimentConfig, run_experiment
 from druid.network import init_network, sync_step
 from druid.problems import aggregate_smoothness, subgradient_membership
@@ -61,22 +62,6 @@ def practical_hp(scheme, problem):
                        scheme=scheme, psi=sm.M_f)
 
 
-def install_fixed_point(ns, graph, problem, hp, x_star, lam_star):
-    for i, ag in enumerate(ns.agents):
-        ag.x = x_star.copy()
-        ag.phi = -problem.objectives[i].gradient(x_star)
-        if i == hp.leader:
-            ag.phi = ag.phi - lam_star
-            ag.theta = x_star.copy()
-            ag.lam = lam_star.copy()
-        ag.buffer = {j: x_star.copy() for j in graph.neighbors(i)}
-        if hp.scheme == BFGS:
-            ag.curvature = init_curvature(
-                BFGS, problem.d, ag.curvature.shift, problem.objectives[i].gradient(x_star)
-            )
-            ag.curvature.x_prev = x_star.copy()
-
-
 def fit_line(xs, ys):
     """Least-squares slope and R^2 of ys against xs."""
     A = np.vstack([xs, np.ones(len(xs))]).T
@@ -99,11 +84,11 @@ def test_criterion_1_reduction_matches_unreduced_recursion():
                 st = full_admm_oracle_step(st, problem, graph, hp)
                 X = st.x.reshape(graph.m, problem.d)
                 deviation = max(
-                    np.abs(X - ns.stack_x()).max(),
+                    np.abs(X - ns.X).max(),
                     np.abs(signed_scatter(graph, st.alpha.reshape(graph.n, -1))
-                           - ns.stack_phi()).max(),
-                    np.abs(st.theta - ns.agents[hp.leader].theta).max(),
-                    np.abs(st.lam - ns.agents[hp.leader].lam).max(),
+                           - ns.Phi).max(),
+                    np.abs(st.theta - ns.theta).max(),
+                    np.abs(st.lam - ns.lam).max(),
                 )
                 assert deviation <= 1e-10
                 assert np.abs(st.alpha + st.beta).max() <= 1e-12
@@ -120,15 +105,14 @@ def test_criterion_2_constructed_fixed_point_is_stationary():
         for scheme in SCHEMES:
             hp = practical_hp(scheme, problem)
             ns = init_network(problem, graph, hp)
-            install_fixed_point(ns, graph, problem, hp, ref.x_star, lam)
-            x0, phi0 = ns.stack_x().copy(), ns.stack_phi().copy()
-            theta0 = ns.agents[hp.leader].theta.copy()
-            lam0 = ns.agents[hp.leader].lam.copy()
+            install_fixed_point(ns, problem, ref.x_star, lam)
+            x0, phi0 = ns.X.copy(), ns.Phi.copy()
+            theta0, lam0 = ns.theta.copy(), ns.lam.copy()
             sync_step(ns, hp)
-            assert np.abs(ns.stack_x() - x0).max() <= 1e-9
-            assert np.abs(ns.stack_phi() - phi0).max() <= 1e-9
-            assert np.abs(ns.agents[hp.leader].theta - theta0).max() <= 1e-9
-            assert np.abs(ns.agents[hp.leader].lam - lam0).max() <= 1e-9
+            assert np.abs(ns.X - x0).max() <= 1e-9
+            assert np.abs(ns.Phi - phi0).max() <= 1e-9
+            assert np.abs(ns.theta - theta0).max() <= 1e-9
+            assert np.abs(ns.lam - lam0).max() <= 1e-9
 
 
 def test_criterion_3_linear_convergence_with_certified_rate():
@@ -150,13 +134,13 @@ def test_criterion_3_linear_convergence_with_certified_rate():
             errors = []
             for _ in range(10_000):
                 sync_step(ns, hp)
-                tracker.update(ns.stack_x())
+                tracker.update(ns.X)
                 h_cur = lyapunov_distance(v_alpha_state(ns, tracker.alpha), va_star, hp)
                 if h_prev > 1e-20:
                     # measured only above the reference-accuracy floor
                     assert h_cur <= bound * h_prev
                 h_prev = h_cur
-                errors.append(np.linalg.norm(ns.stack_x() - ref.x_star) / dist0)
+                errors.append(np.linalg.norm(ns.X - ref.x_star) / dist0)
                 if errors[-1] <= 1e-8:
                     break
             assert errors[-1] <= 1e-8 and len(errors) <= 10_000
@@ -202,7 +186,7 @@ def test_criterion_5_curvature_schemes_accelerate():
             counts[scheme] = None
             for t in range(1, 2001):
                 sync_step(ns, hp)
-                average = ns.stack_x().mean(axis=0)
+                average = ns.X.mean(axis=0)
                 if (problem.total_value(average) - ref.cost_star) / cost0 <= 1e-5:
                     counts[scheme] = t
                     break
@@ -254,7 +238,7 @@ def test_criterion_6_async_degenerate_and_expected_progress(tmp_path):
             for t in range(horizon):
                 async_step(ns, sample_activation(sampler, ns.t), hp)
                 if (t + 1) % cadence == 0:
-                    err = np.linalg.norm(ns.stack_x() - ref.x_star) / dist0
+                    err = np.linalg.norm(ns.X - ref.x_star) / dist0
                     mean_curve[t // cadence] += err / 20.0
         assert mean_curve[-1] <= 1e-3
         ts = np.arange(cadence, horizon + 1, cadence)
@@ -271,13 +255,13 @@ def test_criterion_7_bfgs_secant_and_positive_definiteness():
         ns = init_network(problem, graph, hp)
         accepted = 0
         for _ in range(1000):
+            X0, G0, B0 = ns.X.copy(), ns.G.copy(), ns.B.copy()
             sync_step(ns, hp)
-            for ag in ns.agents:
-                s, q, was_accepted = ag.curvature.last_pair
-                if not was_accepted:
+            S, Q = bfgs_pair(X0, ns.X, G0, ns.G, ns.shift[:, None])
+            for B, B_prev, s, q in zip(ns.B, B0, S, Q):
+                if np.array_equal(B, B_prev):
                     continue
                 accepted += 1
-                B = ag.curvature.inv_estimate
                 assert np.linalg.norm(B @ q - s) <= 1e-9 * max(np.linalg.norm(s), 1e-300)
                 assert np.linalg.eigvalsh(B)[0] > 0.0
         assert accepted > 900 * graph.m
@@ -287,11 +271,11 @@ def test_criterion_7_bfgs_secant_and_positive_definiteness():
                            scheme=BFGS, psi=1000.0, bfgs_bounding=True)
         ns = init_network(problem, graph, hp_b)
         for _ in range(1000):
+            B0 = ns.B.copy()
             sync_step(ns, hp_b)
-            for ag in ns.agents:
-                if ag.curvature.last_pair[2]:
-                    eig_min = np.linalg.eigvalsh(ag.curvature.inv_estimate)[0]
-                    assert eig_min >= 1.0 / hp_b.psi - 1e-12
+            for B, B_prev in zip(ns.B, B0):
+                if not np.array_equal(B, B_prev):
+                    assert np.linalg.eigvalsh(B)[0] >= 1.0 / hp_b.psi - 1e-12
 
 
 def test_criterion_8_inexactness_bounds_hold_along_runs():
@@ -302,14 +286,12 @@ def test_criterion_8_inexactness_bounds_hold_along_runs():
             for scheme in SCHEMES:
                 hp = practical_hp(scheme, problem)
                 ns = init_network(problem, graph, hp)
-                x_prev = ns.stack_x().copy()
-                bfgs_prev = [ag.curvature.inv_estimate.copy() for ag in ns.agents] \
-                    if scheme == BFGS else None
+                x_prev = ns.X.copy()
+                bfgs_prev = ns.B.copy() if scheme == BFGS else None
                 for _ in range(200):
                     sync_step(ns, hp)
-                    x_cur = ns.stack_x().copy()
-                    bfgs_cur = [ag.curvature.inv_estimate.copy() for ag in ns.agents] \
-                        if scheme == BFGS else None
+                    x_cur = ns.X.copy()
+                    bfgs_cur = ns.B.copy() if scheme == BFGS else None
                     report = error_term(problem, graph, hp, x_prev, x_cur,
                                         bfgs_prev=bfgs_prev, bfgs_next=bfgs_cur)
                     assert report.bound_satisfied
@@ -333,7 +315,7 @@ def test_criterion_9_lyapunov_monotone_for_gradient_scheme():
                                      g_weighted=True)
         for _ in range(600):
             sync_step(ns, hp)
-            tracker.update(ns.stack_x())
+            tracker.update(ns.X)
             current = lyapunov_distance(v_alpha_state(ns, tracker.alpha), va_star, hp,
                                         g_weighted=True)
             assert current <= previous * (1.0 + 1e-12) + 1e-15
@@ -351,5 +333,4 @@ def test_criterion_10_multiplier_stays_in_subdifferential():
             ns = init_network(problem, graph, hp)
             for _ in range(500):
                 sync_step(ns, hp)
-                lead = ns.agents[hp.leader]
-                assert subgradient_membership(problem.regularizer, lead.theta, lead.lam, 1e-9)
+                assert subgradient_membership(problem.regularizer, ns.theta, ns.lam, 1e-9)

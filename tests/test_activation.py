@@ -2,12 +2,17 @@ import copy
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import make_lasso_instance
-from druid.activation import ActivationSampler, async_step, sample_activation
+from conftest import install_fixed_point, make_lasso_instance
+from druid.activation import ActivationRecord, ActivationSampler, async_step, sample_activation
+from druid.analysis import project_dual
 from druid.curvature import SCHEMES, Hyperparams
-from druid.network import init_network, sync_step
-from druid.problems import aggregate_smoothness
+from druid.network import ConsensusProblem, apply_step, init_network, sync_step
+from druid.problems import LEAST_SQUARES, L1, LocalObjective, Regularizer, aggregate_smoothness
+from druid.reference import centralized_reference
+from druid.topology import Graph
 
 
 def hp_for(scheme, problem, leader=0):
@@ -66,22 +71,24 @@ def test_sampler_validation():
         ActivationSampler.fixed_count(5, 4, seed=0)
     with pytest.raises(ValueError):
         ActivationSampler(mode="poisson", m=4, seed=0)
+    for bad in (np.nan, np.inf, [0.5, np.nan, 0.5, 0.5]):
+        with pytest.raises(ValueError, match="probabilities"):
+            ActivationSampler.bernoulli(bad, 4, seed=0)
 
 
-def test_empty_activation_is_noop():
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_empty_activation_is_noop(scheme):
     graph, problem = make_lasso_instance()
-    hp = hp_for("gradient", problem)
+    hp = hp_for(scheme, problem)
     ns = init_network(problem, graph, hp)
     for _ in range(3):
         sync_step(ns, hp)
     frozen = copy.deepcopy(ns)
-    from druid.activation import ActivationRecord
     async_step(ns, ActivationRecord(t=ns.t, active=()), hp)
     assert ns.t == frozen.t + 1
     assert ns.comm_scalars == frozen.comm_scalars
-    for a, b in zip(ns.agents, frozen.agents):
-        assert np.array_equal(a.x, b.x) and np.array_equal(a.phi, b.phi)
-        assert all(np.array_equal(a.buffer[j], b.buffer[j]) for j in a.buffer)
+    for name in ("X", "Phi", "theta", "lam", "B", "G"):
+        assert np.array_equal(getattr(ns, name), getattr(frozen, name))
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
@@ -95,12 +102,10 @@ def test_full_activation_reproduces_sync_bitwise(scheme):
         sync_step(ns_sync, hp)
         async_step(ns_async, sample_activation(sampler, ns_async.t), hp)
     assert ns_sync.comm_scalars == ns_async.comm_scalars
-    for a, b in zip(ns_sync.agents, ns_async.agents):
-        assert np.array_equal(a.x, b.x)
-        assert np.array_equal(a.phi, b.phi)
-    lead_s, lead_a = ns_sync.agents[hp.leader], ns_async.agents[hp.leader]
-    assert np.array_equal(lead_s.theta, lead_a.theta)
-    assert np.array_equal(lead_s.lam, lead_a.lam)
+    assert np.array_equal(ns_sync.X, ns_async.X)
+    assert np.array_equal(ns_sync.Phi, ns_async.Phi)
+    assert np.array_equal(ns_sync.theta, ns_async.theta)
+    assert np.array_equal(ns_sync.lam, ns_async.lam)
 
 
 def test_single_active_agent_masks_everything_else():
@@ -112,22 +117,22 @@ def test_single_active_agent_masks_everything_else():
     active_agent = 2
     assert active_agent != hp.leader
     frozen = copy.deepcopy(ns)
-    from druid.activation import ActivationRecord
     async_step(ns, ActivationRecord(t=ns.t, active=(active_agent,)), hp)
-    lead = ns.agents[hp.leader]
-    assert np.array_equal(lead.theta, frozen.agents[hp.leader].theta)
-    assert np.array_equal(lead.lam, frozen.agents[hp.leader].lam)
+    assert np.array_equal(ns.theta, frozen.theta)
+    assert np.array_equal(ns.lam, frozen.lam)
     for i in range(graph.m):
         if i != active_agent:
-            assert np.array_equal(ns.agents[i].x, frozen.agents[i].x)
-    # the active agent moved its own x and broadcast it
-    assert not np.array_equal(ns.agents[active_agent].x, frozen.agents[active_agent].x)
+            assert np.array_equal(ns.X[i], frozen.X[i])
+    # the active agent moved its own x, and its neighbors read the new value
+    assert not np.array_equal(ns.X[active_agent], frozen.X[active_agent])
+    coupling = graph.adjacency @ ns.X
     for j in graph.neighbors(active_agent):
-        assert np.array_equal(ns.agents[j].buffer[active_agent], ns.agents[active_agent].x)
+        others = sum(ns.X[k] for k in graph.neighbors(j) if k != active_agent)
+        assert np.abs(coupling[j] - others - ns.X[active_agent]).max() <= 1e-12
     # dual contributions move only on edges touching the active agent
     for i in range(graph.m):
         if i != active_agent and active_agent not in graph.neighbors(i):
-            assert np.array_equal(ns.agents[i].phi, frozen.agents[i].phi)
+            assert np.array_equal(ns.Phi[i], frozen.Phi[i])
     assert ns.comm_scalars == frozen.comm_scalars + graph.degree(active_agent) * problem.d
 
 
@@ -138,4 +143,54 @@ def test_partial_activation_keeps_dual_sum_zero():
     sampler = ActivationSampler.bernoulli(0.4, graph.m, seed=6)
     for _ in range(80):
         async_step(ns, sample_activation(sampler, ns.t), hp)
-        assert np.linalg.norm(ns.stack_phi().sum(axis=0)) <= 1e-12
+        assert np.linalg.norm(ns.Phi.sum(axis=0)) <= 1e-12
+
+
+@st.composite
+def networks_and_masks(draw):
+    """A connected graph (random spanning tree plus extra edges), a small
+    lasso instance on it, and an activation sequence that contains an
+    empty and a full mask."""
+    m = draw(st.integers(2, 8))
+    edges = {(draw(st.integers(0, k - 1)), k) for k in range(1, m)}
+    extra = [(i, j) for i in range(m) for j in range(i + 1, m) if (i, j) not in edges]
+    edges |= {e for e in extra if draw(st.booleans())}
+    graph = Graph(m, sorted(edges))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    objectives = [
+        LocalObjective(LEAST_SQUARES, rng.normal(size=(3, 2)) / np.sqrt(3), rng.normal(size=3))
+        for _ in range(m)
+    ]
+    problem = ConsensusProblem(objectives, Regularizer(L1, 0.05))
+    mask = st.lists(st.booleans(), min_size=m, max_size=m).map(np.array)
+    masks = draw(st.lists(mask, max_size=4)) + [np.zeros(m, bool), np.ones(m, bool)]
+    return graph, problem, draw(st.permutations(masks))
+
+
+@settings(max_examples=30, deadline=None)
+@given(networks_and_masks())
+def test_invariants_on_random_graphs_and_activations(case):
+    graph, problem, masks = case
+    m = graph.m
+    ref = centralized_reference(problem, tol=1e-13)
+    _, lam = project_dual(ref.x_star, problem, graph, leader=0)
+    for scheme in SCHEMES:
+        hp = hp_for(scheme, problem)
+        ns = init_network(problem, graph, hp)
+        for active in masks:
+            apply_step(ns, hp, active)
+            assert np.linalg.norm(ns.Phi.sum(axis=0)) <= 1e-12
+        # full activation reproduces the synchronous step bit for bit
+        ns_async = copy.deepcopy(ns)
+        sync_step(ns, hp)
+        async_step(ns_async, ActivationRecord(t=ns_async.t, active=tuple(range(m))), hp)
+        for name in ("X", "Phi", "theta", "lam", "B", "G", "t", "comm_scalars"):
+            assert np.array_equal(getattr(ns, name), getattr(ns_async, name))
+        # the constructed fixed point is invariant under any activation
+        ns = init_network(problem, graph, hp)
+        install_fixed_point(ns, problem, ref.x_star, lam)
+        start = (ns.X.copy(), ns.Phi.copy(), ns.theta.copy(), ns.lam.copy())
+        for active in masks:
+            apply_step(ns, hp, active)
+            for before, now in zip(start, (ns.X, ns.Phi, ns.theta, ns.lam)):
+                assert np.abs(now - before).max() <= 1e-9

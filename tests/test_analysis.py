@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import make_lasso_instance, make_ridge_instance
+from conftest import install_fixed_point, make_lasso_instance, make_ridge_instance
 from druid.analysis import (
     AlphaTracker,
     error_term,
@@ -112,12 +112,7 @@ def test_kkt_residuals_vanish_at_fixed_point():
     ns = init_network(problem, graph, hp)
     ref = centralized_reference(problem, tol=1e-13)
     alpha, lam = project_dual(ref.x_star, problem, graph, hp.leader)
-    for i, ag in enumerate(ns.agents):
-        ag.x = ref.x_star.copy()
-        ag.phi = -problem.objectives[i].gradient(ref.x_star)
-        if i == hp.leader:
-            ag.phi -= lam
-            ag.theta, ag.lam = ref.x_star.copy(), lam.copy()
+    install_fixed_point(ns, problem, ref.x_star, lam)
     assert max(kkt_residuals(ns)) <= 1e-10
 
 
@@ -138,11 +133,11 @@ def test_oracle_matches_network_on_two_agents(scheme):
     for _ in range(2):
         sync_step(ns, hp)
         st = full_admm_oracle_step(st, problem, graph, hp)
-        assert np.abs(st.x.reshape(2, 2) - ns.stack_x()).max() <= 1e-12
+        assert np.abs(st.x.reshape(2, 2) - ns.X).max() <= 1e-12
         phi_from_alpha = signed_scatter(graph, st.alpha.reshape(graph.n, 2))
-        assert np.abs(phi_from_alpha - ns.stack_phi()).max() <= 1e-12
-        assert np.abs(st.theta - ns.agents[0].theta).max() <= 1e-12
-        assert np.abs(st.lam - ns.agents[0].lam).max() <= 1e-12
+        assert np.abs(phi_from_alpha - ns.Phi).max() <= 1e-12
+        assert np.abs(st.theta - ns.theta).max() <= 1e-12
+        assert np.abs(st.lam - ns.lam).max() <= 1e-12
 
 
 def test_oracle_invariants_over_long_run():
@@ -216,7 +211,7 @@ def test_lyapunov_identity_weights_is_plain_distance():
     ns = init_network(problem, graph, hp)
     tracker = AlphaTracker(graph, hp.mu_z, problem.d)
     sync_step(ns, hp)
-    tracker.update(ns.stack_x())
+    tracker.update(ns.X)
     va = v_alpha_state(ns, tracker.alpha)
     ref = centralized_reference(problem, tol=1e-13)
     alpha, lam = project_dual(ref.x_star, problem, graph, leader=0)
@@ -258,8 +253,8 @@ def test_tracked_edge_duals_reproduce_phi(scheme):
     tracker = AlphaTracker(graph, hp.mu_z, problem.d)
     for _ in range(50):
         sync_step(ns, hp)
-        tracker.update(ns.stack_x())
-        assert np.abs(signed_scatter(graph, tracker.alpha) - ns.stack_phi()).max() <= 1e-12
+        tracker.update(ns.X)
+        assert np.abs(signed_scatter(graph, tracker.alpha) - ns.Phi).max() <= 1e-12
 
 
 # --- inexactness term --------------------------------------------------------

@@ -5,16 +5,16 @@ from druid.curvature import (
     BFGS,
     GRADIENT,
     NEWTON,
-    CurvatureState,
     Hyperparams,
     bfgs_inverse_update,
     bfgs_pair,
     block_diag_value,
-    init_curvature,
     newton_block,
     solve_direction,
 )
+from druid.network import ConsensusProblem, init_network
 from druid.problems import LEAST_SQUARES, LOGISTIC, LocalObjective
+from druid.topology import Graph
 
 
 def random_spd(rng, d):
@@ -29,6 +29,11 @@ def test_hyperparams_validation():
         Hyperparams(mu_z=1.0, mu_theta=1.0, epsilon=1.0, scheme="secant")
     with pytest.raises(ValueError):
         Hyperparams(mu_z=1.0, mu_theta=1.0, epsilon=1.0, psi=-2.0)
+    base = dict(mu_z=1.0, mu_theta=1.0, epsilon=1.0, psi=1.0)
+    for name in base:
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match=name):
+                Hyperparams(**{**base, name: bad})
 
 
 def test_block_diag_value_hand_cases():
@@ -72,16 +77,15 @@ def test_newton_block_smallest_eigenvalue_at_least_epsilon():
 
 
 def test_bfgs_pair_zero_step():
-    st = init_curvature(BFGS, 2, shift=1.5, grad0=np.array([1.0, -1.0]))
-    s, q = bfgs_pair(st, np.zeros(2), np.array([1.0, -1.0]))
+    grad0 = np.array([1.0, -1.0])
+    s, q = bfgs_pair(np.zeros(2), np.zeros(2), grad0, np.array([1.0, -1.0]), 1.5)
     assert np.array_equal(s, np.zeros(2))
     assert np.array_equal(q, np.zeros(2))
 
 
 def test_bfgs_pair_scalar_hand_case():
     # f(x) = x^2 / 2, x moving 0 -> 1, shift mu_z * 1 + epsilon = 1.1
-    st = init_curvature(BFGS, 1, shift=1.1, grad0=np.array([0.0]))
-    s, q = bfgs_pair(st, np.array([1.0]), np.array([1.0]))
+    s, q = bfgs_pair(np.zeros(1), np.array([1.0]), np.array([0.0]), np.array([1.0]), 1.1)
     assert s == pytest.approx([1.0])
     assert q == pytest.approx([2.1])
 
@@ -92,8 +96,7 @@ def test_bfgs_pair_curvature_lower_bound():
     for _ in range(100):
         obj = LocalObjective(LEAST_SQUARES, rng.normal(size=(5, 3)), rng.normal(size=5))
         x0, x1 = rng.normal(size=3), rng.normal(size=3)
-        st = CurvatureState(scheme=BFGS, shift=shift, x_prev=x0, grad_prev=obj.gradient(x0))
-        s, q = bfgs_pair(st, x1, obj.gradient(x1))
+        s, q = bfgs_pair(x0, x1, obj.gradient(x0), obj.gradient(x1), shift)
         assert q @ s >= shift * (s @ s) - 1e-10
 
 
@@ -157,21 +160,20 @@ def test_bfgs_stays_positive_definite_over_many_updates():
 
 
 def test_solve_direction_gradient():
-    st = CurvatureState(scheme=GRADIENT, shift=2.6)
-    assert solve_direction(st, np.array([2.6, 0.0])) == pytest.approx([1.0, 0.0])
+    u = solve_direction(GRADIENT, np.array([2.6]), np.array([[2.6, 0.0]]))
+    assert u[0] == pytest.approx([1.0, 0.0])
 
 
 def test_solve_direction_newton():
-    st = CurvatureState(scheme=NEWTON, shift=0.0, block=np.diag([2.0, 4.0]))
-    assert solve_direction(st, np.array([2.0, 4.0])) == pytest.approx([1.0, 1.0])
+    u = solve_direction(NEWTON, np.diag([2.0, 4.0])[None], np.array([[2.0, 4.0]]))
+    assert u[0] == pytest.approx([1.0, 1.0])
 
 
 def test_solve_direction_newton_residual():
     rng = np.random.default_rng(6)
     H = random_spd(rng, 5)
-    st = CurvatureState(scheme=NEWTON, shift=0.0, block=H)
     h = rng.normal(size=5)
-    u = solve_direction(st, h)
+    u = solve_direction(NEWTON, H[None], h[None])[0]
     assert np.linalg.norm(H @ u - h) <= 1e-10 * np.linalg.norm(h)
 
 
@@ -179,14 +181,17 @@ def test_solve_direction_bfgs_matches_newton_with_exact_inverse():
     rng = np.random.default_rng(7)
     H = random_spd(rng, 3)
     h = rng.normal(size=3)
-    newton = solve_direction(CurvatureState(scheme=NEWTON, shift=0.0, block=H), h)
-    bfgs = solve_direction(
-        CurvatureState(scheme=BFGS, shift=0.0, inv_estimate=np.linalg.inv(H)), h
-    )
+    newton = solve_direction(NEWTON, H[None], h[None])[0]
+    bfgs = solve_direction(BFGS, np.linalg.inv(H)[None], h[None])[0]
     assert np.linalg.norm(bfgs - newton) <= 1e-12 * max(1.0, np.linalg.norm(newton))
 
 
 def test_init_curvature_bfgs_matches_constant_inverse():
-    st = init_curvature(BFGS, 3, shift=2.0, grad0=np.zeros(3))
-    assert np.allclose(st.inv_estimate, np.eye(3) / 2.0)
-    assert np.array_equal(st.x_prev, np.zeros(3))
+    # agent 1 of a 3-path: degree 2, not the leader, shift mu_z * 2 + epsilon = 2.0
+    objs = [LocalObjective(LEAST_SQUARES, np.eye(3), np.zeros(3)) for _ in range(3)]
+    hp = Hyperparams(mu_z=0.5, mu_theta=0.5, epsilon=1.0, scheme=BFGS)
+    ns = init_network(ConsensusProblem(objs), Graph(3, [(0, 1), (1, 2)]), hp)
+    assert ns.shift[1] == 2.0
+    assert np.allclose(ns.B[1], np.eye(3) / 2.0)
+    assert np.array_equal(ns.X[1], np.zeros(3))
+    assert np.array_equal(ns.G[1], np.zeros(3))

@@ -1,16 +1,16 @@
 import numpy as np
 import pytest
 
-from conftest import make_lasso_instance, make_ridge_instance
+from conftest import install_fixed_point, make_lasso_instance, make_ridge_instance
 from druid.analysis import project_dual
-from druid.curvature import BFGS, GRADIENT, NEWTON, SCHEMES, Hyperparams, init_curvature
+from druid.curvature import GRADIENT, NEWTON, SCHEMES, Hyperparams, block_diag_value
 from druid.errors import ConfigurationError
 from druid.network import (
     ConsensusProblem,
+    apply_step,
     dual_updates,
     init_network,
     local_gradient,
-    primal_update,
     sync_step,
 )
 from druid.problems import (
@@ -42,14 +42,13 @@ def test_init_network_zero_state():
     hp = default_hp()
     ns = init_network(problem, graph, hp)
     assert ns.t == 0 and ns.comm_scalars == 0
-    for i, ag in enumerate(ns.agents):
-        assert not ag.x.any() and not ag.phi.any()
-        assert set(ag.buffer) == set(graph.neighbors(i))
-        assert all(not v.any() for v in ag.buffer.values())
-        if i == hp.leader:
-            assert not ag.theta.any() and not ag.lam.any()
-        else:
-            assert ag.theta is None and ag.lam is None
+    assert ns.X.shape == ns.Phi.shape == (graph.m, problem.d)
+    assert not ns.X.any() and not ns.Phi.any()
+    assert not ns.theta.any() and not ns.lam.any()
+    assert ns.B is None and ns.G is None
+    for i in range(graph.m):
+        assert tuple(np.flatnonzero(graph.adjacency[i])) == graph.neighbors(i)
+        assert ns.shift[i] == block_diag_value(hp, graph.degree(i), i == hp.leader)
 
 
 def test_init_network_validation():
@@ -66,9 +65,10 @@ def test_first_local_gradient_is_plain_gradient():
     for scheme in SCHEMES:
         hp = default_hp(scheme=scheme)
         ns = init_network(problem, graph, hp)
+        grads = local_gradient(ns, hp, range(graph.m))
         for i in range(graph.m):
             expected = problem.objectives[i].gradient(np.zeros(problem.d))
-            assert np.allclose(local_gradient(i, ns, hp), expected)
+            assert np.allclose(grads[i], expected)
 
 
 def test_local_gradient_scalar_case():
@@ -76,7 +76,7 @@ def test_local_gradient_scalar_case():
     problem = scalar_problem([0.0, 2.0])
     hp = default_hp(leader=0)
     ns = init_network(problem, graph, hp)
-    assert local_gradient(1, ns, hp) == pytest.approx([-2.0])
+    assert local_gradient(ns, hp, [1])[0] == pytest.approx([-2.0])
 
 
 def test_local_gradient_vanishes_at_kkt_point():
@@ -86,25 +86,9 @@ def test_local_gradient_vanishes_at_kkt_point():
     ns = init_network(problem, graph, hp)
     ref = centralized_reference(problem, tol=1e-13)
     alpha, lam = project_dual(ref.x_star, problem, graph, hp.leader)
-    _install_fixed_point(ns, graph, problem, hp, ref.x_star, lam)
-    for i in range(graph.m):
-        assert np.linalg.norm(local_gradient(i, ns, hp)) <= 1e-9
-
-
-def _install_fixed_point(ns, graph, problem, hp, x_star, lam_star):
-    for i, ag in enumerate(ns.agents):
-        ag.x = x_star.copy()
-        ag.phi = -problem.objectives[i].gradient(x_star)
-        if i == hp.leader:
-            ag.phi = ag.phi - lam_star
-            ag.theta = x_star.copy()
-            ag.lam = lam_star.copy()
-        ag.buffer = {j: x_star.copy() for j in graph.neighbors(i)}
-        if hp.scheme == BFGS:
-            ag.curvature = init_curvature(
-                BFGS, problem.d, ag.curvature.shift, problem.objectives[i].gradient(x_star)
-            )
-            ag.curvature.x_prev = x_star.copy()
+    install_fixed_point(ns, problem, ref.x_star, lam)
+    for h in local_gradient(ns, hp, range(graph.m)):
+        assert np.linalg.norm(h) <= 1e-9
 
 
 def dense_augmented_lagrangian(problem, graph, hp, X, theta, alpha, lam, Z):
@@ -134,26 +118,23 @@ def test_local_gradient_matches_finite_differences_of_lagrangian():
         sync_step(ns, hp)
     # perturb the state away from anything structured
     alpha = rng.normal(size=(graph.n, problem.d))
-    for i, ag in enumerate(ns.agents):
-        ag.x = rng.normal(size=problem.d)
-        ag.phi = (build_matrices(graph).E_s.T @ alpha)[i]
-    lead = ns.agents[hp.leader]
-    lead.theta = rng.normal(size=problem.d)
-    lead.lam = rng.normal(size=problem.d)
-    for i, ag in enumerate(ns.agents):
-        ag.buffer = {j: ns.agents[j].x.copy() for j in graph.neighbors(i)}
-    X = ns.stack_x()
+    ns.X = rng.normal(size=(graph.m, problem.d))
+    ns.Phi = build_matrices(graph).E_s.T @ alpha
+    ns.theta = rng.normal(size=problem.d)
+    ns.lam = rng.normal(size=problem.d)
+    X = ns.X.copy()
     Z = 0.5 * (build_matrices(graph).E_u @ X)
     h = 1e-6
+    grads = local_gradient(ns, hp, range(graph.m))
     for i in range(graph.m):
-        grad = local_gradient(i, ns, hp)
+        grad = grads[i]
         for k in range(problem.d):
             Xp, Xm = X.copy(), X.copy()
             Xp[i, k] += h
             Xm[i, k] -= h
             fd = (
-                dense_augmented_lagrangian(problem, graph, hp, Xp, lead.theta, alpha, lead.lam, Z)
-                - dense_augmented_lagrangian(problem, graph, hp, Xm, lead.theta, alpha, lead.lam, Z)
+                dense_augmented_lagrangian(problem, graph, hp, Xp, ns.theta, alpha, ns.lam, Z)
+                - dense_augmented_lagrangian(problem, graph, hp, Xm, ns.theta, alpha, ns.lam, Z)
             ) / (2 * h)
             assert grad[k] == pytest.approx(fd, rel=1e-5, abs=1e-6)
 
@@ -164,7 +145,8 @@ def test_primal_update_hand_case():
     problem = scalar_problem([1.0, 0.0])
     hp = default_hp(leader=1, epsilon=1.0)
     ns = init_network(problem, graph, hp)
-    assert primal_update(0, ns, hp) == pytest.approx([0.5])
+    apply_step(ns, hp, np.array([True, False]))
+    assert ns.X[0] == pytest.approx([0.5])
 
 
 def test_primal_update_no_move_on_zero_gradient():
@@ -175,21 +157,18 @@ def test_primal_update_no_move_on_zero_gradient():
     for scheme in SCHEMES:
         hp_s = default_hp(scheme=scheme, leader=1)
         ns = init_network(problem, graph, hp_s)
-        primal_update(0, ns, hp_s)
-        assert ns.agents[0].x == pytest.approx([0.0])
+        apply_step(ns, hp_s, np.array([True, False]))
+        assert ns.X[0] == pytest.approx([0.0])
 
 
 def test_dual_updates_unchanged_at_consensus():
     graph, problem = make_lasso_instance()
     hp = default_hp()
     ns = init_network(problem, graph, hp)
-    point = np.full(problem.d, 0.7)
-    for i, ag in enumerate(ns.agents):
-        ag.x = point.copy()
-        ag.buffer = {j: point.copy() for j in graph.neighbors(i)}
-    phis = ns.stack_phi()
-    dual_updates(ns, hp)
-    assert np.array_equal(ns.stack_phi(), phis)
+    ns.X = np.full((graph.m, problem.d), 0.7)
+    phis = ns.Phi.copy()
+    dual_updates(ns, hp, np.ones(graph.m, dtype=bool))
+    assert np.array_equal(ns.Phi, phis)
 
 
 def test_dual_sum_conserved_and_inclusion_holds():
@@ -198,9 +177,8 @@ def test_dual_sum_conserved_and_inclusion_holds():
     ns = init_network(problem, graph, hp)
     for _ in range(40):
         sync_step(ns, hp)
-        assert np.linalg.norm(ns.stack_phi().sum(axis=0)) <= 1e-12
-        lead = ns.agents[hp.leader]
-        assert subgradient_membership(problem.regularizer, lead.theta, lead.lam, 1e-9)
+        assert np.linalg.norm(ns.Phi.sum(axis=0)) <= 1e-12
+        assert subgradient_membership(problem.regularizer, ns.theta, ns.lam, 1e-9)
 
 
 def test_zero_regularizer_lambda_identity():
@@ -209,10 +187,9 @@ def test_zero_regularizer_lambda_identity():
     hp = default_hp(epsilon=3.0)
     ns = init_network(problem, graph, hp)
     for _ in range(10):
-        lam_old = ns.agents[hp.leader].lam.copy()
+        lam_old = ns.lam.copy()
         sync_step(ns, hp)
-        lead = ns.agents[hp.leader]
-        residual = lead.lam + hp.mu_theta * lead.theta - hp.mu_theta * lead.x - lam_old
+        residual = ns.lam + hp.mu_theta * ns.theta - hp.mu_theta * ns.X[hp.leader] - lam_old
         assert np.linalg.norm(residual) <= 1e-12
 
 
@@ -222,9 +199,16 @@ def test_buffer_consistency_after_sync_step():
     ns = init_network(problem, graph, hp)
     for _ in range(5):
         sync_step(ns, hp)
+        # every agent reads its neighbors' current iterates: the coupling
+        # part of its local gradient is sum_j (x_i - x_j) over neighbors
+        grads = local_gradient(ns, hp, range(graph.m))
         for i in range(graph.m):
-            for j in graph.neighbors(i):
-                assert np.array_equal(ns.agents[i].buffer[j], ns.agents[j].x)
+            coupling = sum(ns.X[i] - ns.X[j] for j in graph.neighbors(i))
+            expected = problem.objectives[i].gradient(ns.X[i]) + ns.Phi[i]
+            expected = expected + 0.5 * hp.mu_z * coupling
+            if i == hp.leader:
+                expected = expected + hp.mu_theta * (ns.X[i] - ns.theta) + ns.lam
+            assert np.abs(grads[i] - expected).max() <= 1e-12
 
 
 def test_communication_count_closed_form():
@@ -245,16 +229,13 @@ def test_constructed_fixed_point_is_invariant(scheme):
     ref = centralized_reference(problem, tol=1e-13)
     alpha, lam = project_dual(ref.x_star, problem, graph, hp.leader)
     ns = init_network(problem, graph, hp)
-    _install_fixed_point(ns, graph, problem, hp, ref.x_star, lam)
-    before = (
-        ns.stack_x().copy(), ns.stack_phi().copy(),
-        ns.agents[hp.leader].theta.copy(), ns.agents[hp.leader].lam.copy(),
-    )
+    install_fixed_point(ns, problem, ref.x_star, lam)
+    before = (ns.X.copy(), ns.Phi.copy(), ns.theta.copy(), ns.lam.copy())
     sync_step(ns, hp)
-    assert np.abs(ns.stack_x() - before[0]).max() <= 1e-11
-    assert np.abs(ns.stack_phi() - before[1]).max() <= 1e-11
-    assert np.abs(ns.agents[hp.leader].theta - before[2]).max() <= 1e-11
-    assert np.abs(ns.agents[hp.leader].lam - before[3]).max() <= 1e-11
+    assert np.abs(ns.X - before[0]).max() <= 1e-11
+    assert np.abs(ns.Phi - before[1]).max() <= 1e-11
+    assert np.abs(ns.theta - before[2]).max() <= 1e-11
+    assert np.abs(ns.lam - before[3]).max() <= 1e-11
 
 
 def test_symmetric_problem_stays_symmetric():
@@ -268,5 +249,5 @@ def test_symmetric_problem_stays_symmetric():
     ns = init_network(problem, graph, hp)
     for _ in range(20):
         sync_step(ns, hp)
-        X = ns.stack_x()
+        X = ns.X
         assert np.abs(X - X[0]).max() <= 1e-6

@@ -37,7 +37,8 @@ def finite_difference_gradient(f, x, h=1e-6):
 
 def test_least_squares_hand_example():
     obj = LocalObjective(LEAST_SQUARES, [[1.0, 0.0]], [2.0])
-    value, grad, hess = obj.evaluate(np.zeros(2))
+    x = np.zeros(2)
+    value, grad, hess = obj.value(x), obj.gradient(x), obj.hessian(x)
     assert value == pytest.approx(2.0)
     assert grad == pytest.approx([-2.0, 0.0])
     assert np.allclose(hess, [[1.0, 0.0], [0.0, 0.0]])
@@ -45,7 +46,8 @@ def test_least_squares_hand_example():
 
 def test_logistic_hand_example():
     obj = LocalObjective(LOGISTIC, [[1.0]], [1.0])
-    value, grad, hess = obj.evaluate(np.zeros(1))
+    x = np.zeros(1)
+    value, grad, hess = obj.value(x), obj.gradient(x), obj.hessian(x)
     assert value == pytest.approx(np.log(2.0))
     assert grad == pytest.approx([-0.5])
     assert np.allclose(hess, [[0.25]])
@@ -72,7 +74,7 @@ def test_gradient_and_hessian_match_finite_differences(kind):
 def test_logistic_is_overflow_safe():
     obj = LocalObjective(LOGISTIC, [[1.0], [-1.0]], [1.0, 0.0])
     for x in (np.array([1e3]), np.array([-1e3])):
-        value, grad, hess = obj.evaluate(x)
+        value, grad, hess = obj.value(x), obj.gradient(x), obj.hessian(x)
         assert np.isfinite(value) and np.all(np.isfinite(grad)) and np.all(np.isfinite(hess))
 
 
@@ -175,3 +177,6 @@ def test_objective_validation():
         LocalObjective(LEAST_SQUARES, [[1.0], [2.0]], [0.0])
     with pytest.raises(ValueError):
         Regularizer(L1, -0.1)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="gamma"):
+            Regularizer(L1, bad)
