@@ -8,11 +8,14 @@ agent i's block is J_ii plus the constant shift
 * J_ii = local Hessian for the Newton scheme,
 * the BFGS scheme tracks the block's inverse directly from
   iterate/gradient difference pairs, so no linear system is solved.
+
+``KERNELS`` is the one place that maps a scheme to its behaviour.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 import scipy.linalg
@@ -22,8 +25,6 @@ from .problems import LocalObjective
 GRADIENT = "gradient"
 NEWTON = "newton"
 BFGS = "bfgs"
-
-SCHEMES = (GRADIENT, NEWTON, BFGS)
 
 #: Curvature pairs with q^T s at or below this (relative) level are skipped.
 BFGS_SKIP_TOL = 1e-12
@@ -86,17 +87,17 @@ def bfgs_pair(x_prev: np.ndarray, x_new: np.ndarray, grad_prev: np.ndarray,
 
 
 def bfgs_inverse_update(B: np.ndarray, s: np.ndarray, q: np.ndarray,
-                        skip_tol: float = BFGS_SKIP_TOL, psi: float = None) -> np.ndarray:
+                        psi: float = None) -> np.ndarray:
     """Rank-two secant update of the inverse estimate.
 
-    Returns B unchanged when the pair's curvature q^T s is not safely
-    positive (skip rule).  With ``psi`` given, adds I/psi afterwards to
-    keep the modeled curvature below psi.
+    Returns B itself when the pair's curvature q^T s is not safely
+    positive (skip rule, relative level ``BFGS_SKIP_TOL``).  With ``psi``
+    given, adds I/psi afterwards to keep the modeled curvature below psi.
     """
     if not (np.all(np.isfinite(s)) and np.all(np.isfinite(q)) and np.all(np.isfinite(B))):
         raise FloatingPointError("non-finite input to curvature update")
     qs = float(q @ s)
-    if qs <= skip_tol * np.linalg.norm(q) * np.linalg.norm(s) or not np.any(s):
+    if qs <= BFGS_SKIP_TOL * np.linalg.norm(q) * np.linalg.norm(s) or not np.any(s):
         return B
     rho = 1.0 / qs
     V = np.eye(len(s)) - rho * np.outer(s, q)
@@ -107,20 +108,68 @@ def bfgs_inverse_update(B: np.ndarray, s: np.ndarray, q: np.ndarray,
     return out
 
 
+# --- per-scheme kernels: ``ns`` is a network.NetworkState, ``rows`` the active agents
+
+def _newton_rows(ns, hp, rows):
+    blocks = [
+        newton_block(ns.problem.objectives[i], ns.X[i], hp, ns.graph.degree(i), i == ns.leader)
+        for i in rows
+    ]
+    d = ns.problem.d
+    return np.array(blocks, dtype=float).reshape(len(rows), d, d)
+
+
+def _cholesky(curvature, H):
+    U = np.empty_like(H)
+    for k, block in enumerate(curvature):
+        c, low = scipy.linalg.cho_factor(block)
+        U[k] = scipy.linalg.cho_solve((c, low), H[k])
+    return U
+
+
+def _secant_refresh(ns, hp, rows, x_old, g_old):
+    s, q = bfgs_pair(x_old, ns.X[rows], g_old, ns.G[rows], ns.shift[rows, None])
+    psi = hp.psi if hp.bfgs_bounding else None
+    for k, i in enumerate(rows):
+        ns.B[i] = bfgs_inverse_update(ns.B[i], s[k], q[k], psi=psi)
+
+
+@dataclass(frozen=True)
+class Kernel:
+    """What the network step does differently under one scheme: ``build``
+    the active rows' curvature, ``solve`` for their directions, ``init`` the
+    model ``NetworkState.B``, and ``refresh`` it once the rows have moved from
+    ``x_old`` (local gradients ``g_old``) and their ``G`` is current."""
+
+    build: Callable
+    solve: Callable
+    init: Callable = lambda shift, d: None
+    refresh: Callable = lambda ns, hp, rows, x_old, g_old: None
+
+
+KERNELS = {
+    GRADIENT: Kernel(
+        build=lambda ns, hp, rows: ns.shift[rows],
+        solve=lambda curvature, H: H / curvature[:, None],
+    ),
+    NEWTON: Kernel(build=_newton_rows, solve=_cholesky),
+    # the inverse models start at I/shift, the exact inverse of the block
+    # when the local Hessian vanishes
+    BFGS: Kernel(
+        build=lambda ns, hp, rows: ns.B[rows],
+        solve=lambda curvature, H: np.einsum("kij,kj->ki", curvature, H),
+        init=lambda shift, d: np.eye(d) / shift[:, None, None],
+        refresh=_secant_refresh,
+    ),
+}
+
+SCHEMES = tuple(KERNELS)
+
+
 def solve_direction(scheme: str, curvature: np.ndarray, H: np.ndarray) -> np.ndarray:
     """Update directions U with curvature_block_k @ U[k] = H[k] for each row k.
 
-    ``curvature`` holds one entry per row of H: the constant shift (k,)
-    for the gradient scheme (a scalar division), the Newton block
-    (k, d, d) (a Cholesky solve), or the BFGS inverse model (k, d, d)
-    (a plain matrix-vector product).
+    ``curvature`` is what the scheme's kernel builds: shifts (k,), Newton
+    blocks (k, d, d) or BFGS inverse models (k, d, d).
     """
-    if scheme == GRADIENT:
-        return H / curvature[:, None]
-    if scheme == NEWTON:
-        U = np.empty_like(H)
-        for k, block in enumerate(curvature):
-            c, low = scipy.linalg.cho_factor(block)
-            U[k] = scipy.linalg.cho_solve((c, low), H[k])
-        return U
-    return np.einsum("kij,kj->ki", curvature, H)
+    return KERNELS[scheme].solve(curvature, H)

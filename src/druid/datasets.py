@@ -1,13 +1,15 @@
 """Sparse text-format dataset ingestion and partitioning across agents.
 
 The accepted grammar is one sample per line, ``<label> <idx>:<val> ...``
-with 1-based strictly increasing indices per line; blank lines are
-skipped and ``#`` starts a comment running to the end of the line.
+with 1-based strictly increasing indices per line and finite labels and
+values; blank lines are skipped and ``#`` starts a comment running to the
+end of the line.
 """
 
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +46,8 @@ def parse_libsvm(source) -> Dataset:
             label = float(tokens[0])
         except ValueError:
             raise ParseError(f"bad label {tokens[0]!r}", lineno) from None
+        if not math.isfinite(label):
+            raise ParseError(f"non-finite label {tokens[0]!r}", lineno)
         features = {}
         prev_idx = 0
         for tok in tokens[1:]:
@@ -53,6 +57,8 @@ def parse_libsvm(source) -> Dataset:
                 val = float(val_s)
             except ValueError:
                 raise ParseError(f"bad feature token {tok!r}", lineno) from None
+            if not math.isfinite(val):
+                raise ParseError(f"non-finite feature value {tok!r}", lineno)
             if idx < 1:
                 raise ParseError(f"feature index {idx} below 1", lineno)
             if idx <= prev_idx:

@@ -25,6 +25,14 @@ class ParseError(ValueError):
         self.line = line
 
 
+class DivergenceError(RuntimeError):
+    """A run's state turned non-finite; carries the iteration ``t`` where it was seen."""
+
+    def __init__(self, message: str, t: int):
+        super().__init__(message)
+        self.t = t
+
+
 class DiagnosticError(RuntimeError):
     """A diagnostic was requested without the state it needs."""
 

@@ -19,7 +19,7 @@ from .activation import ActivationSampler, async_step, sample_activation
 from .analysis import kkt_residuals
 from .curvature import SCHEMES, Hyperparams
 from .datasets import Dataset, binarize_labels, dense_features, parse_libsvm, partition
-from .errors import ConfigurationError
+from .errors import ConfigurationError, DivergenceError
 from .network import ConsensusProblem, NetworkState, init_network, sync_step
 from .problems import (
     L1,
@@ -79,6 +79,24 @@ class ExperimentConfig:
             raise ConfigurationError("cadence must be at least 1")
         if self.cost_iterate not in ("average", "leader"):
             raise ConfigurationError(f"unknown cost iterate {self.cost_iterate!r}")
+        # the rules of Hyperparams, Regularizer, random_connected_graph,
+        # ActivationSampler and init_network, checked before any data is read
+        positive = ["mu_z", "mu_theta", "psi", "ref_tol"]
+        if self.epsilon is not None:
+            positive.append("epsilon")
+        for name in positive:
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value > 0):
+                raise ConfigurationError(f"{name} must be positive and finite, got {value}")
+        if not (np.isfinite(self.gamma) and self.gamma >= 0):
+            raise ConfigurationError(f"gamma must be nonnegative and finite, got {self.gamma}")
+        for name in ("edge_prob", "activation_p"):
+            if not (0.0 < getattr(self, name) <= 1.0):
+                raise ConfigurationError(f"{name} must lie in (0, 1], got {getattr(self, name)}")
+        if self.agents < 2:
+            raise ConfigurationError(f"agents must be at least 2, got {self.agents}")
+        if not (0 <= self.leader < self.agents):
+            raise ConfigurationError(f"leader {self.leader} out of range for agents={self.agents}")
 
     def hyperparams(self, measured_M_f: float = None) -> Hyperparams:
         epsilon = self.epsilon
@@ -155,7 +173,7 @@ def _metrics(ns: NetworkState, cfg: ExperimentConfig, ref, cost0: float,
     )
     for value in (rec.cost_err, rec.dist_err, rec.r_opt, rec.r_cons, rec.r_reg):
         if not np.isfinite(value):
-            raise ConfigurationError(f"non-finite trace metric at t={ns.t}")
+            raise DivergenceError(f"non-finite trace metric at t={ns.t}", ns.t)
     return rec
 
 
@@ -188,6 +206,8 @@ def run_experiment(cfg: ExperimentConfig) -> Path:
                 async_step(ns, sample_activation(sampler, ns.t), hp)
             if ns.t % cfg.cadence == 0 or ns.t == cfg.iterations:
                 records.append(_metrics(ns, cfg, ref, cost0, dist0))
+    except DivergenceError:
+        raise
     except Exception as exc:
         raise RuntimeError(
             f"{cfg.problem} run aborted at iteration {ns.t}: {exc}"

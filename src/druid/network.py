@@ -4,13 +4,13 @@ The network state is stacked: row i of ``X`` and ``Phi`` holds agent i's
 primal variable and aggregate consensus dual, and the leader agent
 additionally holds the pair (theta, lambda) coupling the shared variable
 to the regularizer.  One iteration runs on the rows of the participating
-agents, in this order: curvature refresh and primal step from the
-start-of-step iterates, dual ascent on every edge with a participating
-endpoint, the leader's proximal step, and (for BFGS) the curvature-pair
-update.  Each agent reads its neighbors' current iterates, since every
-update is sent to the neighbors as it happens.  Synchronous and asynchronous
-iterations are the same step with a full or a partial activation mask,
-so full participation is exactly the synchronous algorithm.
+agents, in this order: curvature and primal step from the start-of-step
+iterates, dual ascent on every edge with a participating endpoint, the
+leader's proximal step, then the local gradients and the scheme's model
+(``curvature.KERNELS``).  Each agent reads its neighbors' current iterates,
+since every update is sent to the neighbors as it happens.  Synchronous and
+asynchronous iterations are the same step with a full or a partial
+activation mask, so full participation is exactly the synchronous algorithm.
 """
 
 from __future__ import annotations
@@ -52,8 +52,10 @@ class ConsensusProblem:
         """Centralized composite cost at a single shared point."""
         return sum(obj.value(x) for obj in self.objectives) + self.regularizer.value(x)
 
-    def total_gradient(self, x: np.ndarray) -> np.ndarray:
-        return sum(obj.gradient(x) for obj in self.objectives)
+    def gradients(self, X: np.ndarray, rows) -> np.ndarray:
+        """Local-objective gradients at the listed rows of X, (len(rows), d) even for no rows."""
+        grads = [self.objectives[i].gradient(X[i]) for i in rows]
+        return np.array(grads, dtype=float).reshape(len(rows), self.d)
 
 
 @dataclass
@@ -62,9 +64,9 @@ class NetworkState:
 
     ``X``/``Phi`` are (m, d); ``theta``/``lam`` are the leader's (d,)
     regularizer copy and multiplier; ``shift`` (m,) is the constant
-    diagonal of every agent's curvature block.  Under BFGS, ``B`` (m, d, d)
-    holds the inverse models and ``G`` (m, d) the local gradients at
-    ``X``; both are None under the other schemes.
+    diagonal of every agent's curvature block; ``G`` (m, d) the local
+    gradients at ``X`` (refresh it when writing ``X`` by hand); ``B``
+    (m, d, d) the BFGS inverse models, None under the other schemes.
     """
 
     graph: Graph
@@ -74,29 +76,16 @@ class NetworkState:
     theta: np.ndarray
     lam: np.ndarray
     shift: np.ndarray
+    G: np.ndarray
     B: np.ndarray = None
-    G: np.ndarray = None
     leader: int = 0
     t: int = 0
     comm_scalars: int = 0
 
 
-def _gradients(problem: ConsensusProblem, X: np.ndarray, rows) -> np.ndarray:
-    """Local-objective gradients of the listed agents at their rows of X.
-
-    The explicit shape makes an empty row list (an empty activation) a
-    (0, d) array.
-    """
-    grads = [problem.objectives[i].gradient(X[i]) for i in rows]
-    return np.array(grads, dtype=float).reshape(len(rows), problem.d)
-
-
 def init_network(problem: ConsensusProblem, graph: Graph, hp: Hyperparams) -> NetworkState:
-    """Zero-initialized network; curvature state per the chosen scheme.
-
-    The BFGS inverse models start at I/shift, the exact inverse of the
-    curvature block when the local Hessian vanishes.
-    """
+    """Zero-initialized network with the local gradients at zero and the
+    scheme's initial curvature model."""
     if problem.m != graph.m:
         raise ConfigurationError(
             f"{problem.m} objectives for {graph.m} agents"
@@ -105,28 +94,21 @@ def init_network(problem: ConsensusProblem, graph: Graph, hp: Hyperparams) -> Ne
         raise ConfigurationError(f"leader {hp.leader} out of range for m={graph.m}")
     m, d = graph.m, problem.d
     shift = np.array([cv.block_diag_value(hp, graph.degree(i), i == hp.leader) for i in range(m)])
-    ns = NetworkState(
-        graph=graph, problem=problem, X=np.zeros((m, d)), Phi=np.zeros((m, d)),
-        theta=np.zeros(d), lam=np.zeros(d), shift=shift, leader=hp.leader,
+    X = np.zeros((m, d))
+    return NetworkState(
+        graph=graph, problem=problem, X=X, Phi=np.zeros((m, d)),
+        theta=np.zeros(d), lam=np.zeros(d), shift=shift, G=problem.gradients(X, range(m)),
+        B=cv.KERNELS[hp.scheme].init(shift, d), leader=hp.leader,
     )
-    if hp.scheme == cv.BFGS:
-        ns.B = np.eye(d) / shift[:, None, None]
-        ns.G = _gradients(problem, ns.X, range(m))
-    return ns
 
 
 def local_gradient(ns: NetworkState, hp: Hyperparams, rows) -> np.ndarray:
-    """Gradient of the augmented Lagrangian with respect to the listed rows of X.
-
-    Under BFGS the cached local gradients ``G`` are reused (they were
-    evaluated at the same iterates).
-    """
+    """Augmented-Lagrangian gradient at the listed rows of X; the local part is the cached ``G``."""
     rows = np.asarray(rows, dtype=np.intp)
     X = ns.X
-    grad = ns.G[rows] if hp.scheme == cv.BFGS else _gradients(ns.problem, X, rows)
     adjacency = ns.graph.adjacency[rows]
     coupling = adjacency.sum(axis=1)[:, None] * X[rows] - adjacency @ X
-    H = grad + ns.Phi[rows] + 0.5 * hp.mu_z * coupling
+    H = ns.G[rows] + ns.Phi[rows] + 0.5 * hp.mu_z * coupling
     lead = np.flatnonzero(rows == ns.leader)
     H[lead] = H[lead] + hp.mu_theta * (X[ns.leader] - ns.theta) + ns.lam
     return H
@@ -155,32 +137,16 @@ def apply_step(ns: NetworkState, hp: Hyperparams, active: np.ndarray) -> Network
     """Advance the network one iteration; ``active`` is a boolean mask over agents."""
     active = np.asarray(active, dtype=bool)
     rows = np.flatnonzero(active)
-    d = ns.problem.d
-    if hp.scheme == cv.NEWTON:
-        blocks = [
-            cv.newton_block(ns.problem.objectives[i], ns.X[i], hp, ns.graph.degree(i),
-                            i == ns.leader)
-            for i in rows
-        ]
-        curvature = np.array(blocks, dtype=float).reshape(len(rows), d, d)
-    elif hp.scheme == cv.BFGS:
-        curvature = ns.B[rows]
-    else:
-        curvature = ns.shift[rows]
+    kernel = cv.KERNELS[hp.scheme]
+    curvature = kernel.build(ns, hp, rows)
     H = local_gradient(ns, hp, rows)
-    x_old = ns.X[rows]
-    x_new = x_old - cv.solve_direction(hp.scheme, curvature, H)
-    ns.X[rows] = x_new
-    ns.comm_scalars += int(ns.graph.adjacency[rows].sum()) * d
+    x_old, g_old = ns.X[rows], ns.G[rows]
+    ns.X[rows] = x_old - cv.solve_direction(hp.scheme, curvature, H)
+    ns.comm_scalars += int(ns.graph.adjacency[rows].sum()) * ns.problem.d
 
     dual_updates(ns, hp, active)
-    if hp.scheme == cv.BFGS:
-        grad_new = _gradients(ns.problem, ns.X, rows)
-        s, q = cv.bfgs_pair(x_old, x_new, ns.G[rows], grad_new, ns.shift[rows, None])
-        psi = hp.psi if hp.bfgs_bounding else None
-        for k, i in enumerate(rows):
-            ns.B[i] = cv.bfgs_inverse_update(ns.B[i], s[k], q[k], psi=psi)
-        ns.G[rows] = grad_new
+    ns.G[rows] = ns.problem.gradients(ns.X, rows)
+    kernel.refresh(ns, hp, rows, x_old, g_old)
     ns.t += 1
     return ns
 

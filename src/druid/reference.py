@@ -38,9 +38,14 @@ def total_curvature_bound(problem: ConsensusProblem) -> float:
     return float(np.linalg.eigvalsh(bound)[-1])
 
 
+def _total_gradient(problem: ConsensusProblem, x: np.ndarray) -> np.ndarray:
+    """Gradient of the summed local costs at one shared point."""
+    return sum(obj.gradient(x) for obj in problem.objectives)
+
+
 def fixed_point_residual(problem: ConsensusProblem, x: np.ndarray, lip: float) -> float:
     """Distance from x to one prox-gradient step of itself."""
-    step = prox(problem.regularizer, lip, x - problem.total_gradient(x) / lip)
+    step = prox(problem.regularizer, lip, x - _total_gradient(problem, x) / lip)
     return float(np.linalg.norm(x - step))
 
 
@@ -57,7 +62,7 @@ def centralized_reference(problem: ConsensusProblem, tol: float = 1e-12,
     y = x.copy()
     t_momentum = 1.0
     for k in range(1, max_iter + 1):
-        x_new = prox(g, lip, y - problem.total_gradient(y) / lip)
+        x_new = prox(g, lip, y - _total_gradient(problem, y) / lip)
         if not accelerated or float((y - x_new) @ (x_new - x)) > 0.0:
             # momentum points against the step: drop it and restart
             t_momentum = 1.0

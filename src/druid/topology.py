@@ -4,8 +4,9 @@ Agents are indexed 0..m-1 internally; the edge-list text format is 1-based.
 Every stored edge (i, j) satisfies i < j, with i the source and j the
 destination, and edges are enumerated in lexicographic order so that runs
 are reproducible.  Block (Kronecker-with-identity) versions of the matrices
-are never materialized: the helpers at the bottom apply them to (m, d)
-arrays directly.
+are never materialized: ``edge_differences``/``edge_sums`` apply the
+incidences to (m, d) arrays directly, and the network iteration works
+with the cached dense ``Graph.adjacency``.
 """
 
 from __future__ import annotations
@@ -208,23 +209,6 @@ def edge_differences(g: Graph, X: np.ndarray) -> np.ndarray:
 def edge_sums(g: Graph, X: np.ndarray) -> np.ndarray:
     """Unsigned incidence applied to agent states: row k is x_src + x_dst."""
     return X[g.src] + X[g.dst]
-
-
-def signed_scatter(g: Graph, A: np.ndarray) -> np.ndarray:
-    """Transpose of the signed incidence applied to edge values.
-
-    Agent i accumulates +a_k over edges where it is the source and -a_k
-    where it is the destination.
-    """
-    out = np.zeros((g.m,) + A.shape[1:])
-    np.add.at(out, g.src, A)
-    np.subtract.at(out, g.dst, A)
-    return out
-
-
-def laplacian_apply(g: Graph, X: np.ndarray) -> np.ndarray:
-    """Signed Laplacian action: row i is sum over neighbors of x_i - x_j."""
-    return signed_scatter(g, edge_differences(g, X))
 
 
 # Edge-list text format: first line "m n", then n lines "i j" (1-based, i < j).

@@ -70,18 +70,18 @@ def make_rank_deficient_instance(m=5, d=3, gamma=0.05, seed=19, edge_prob=0.7, g
 
 def install_fixed_point(ns, problem, x_star, lam_star):
     """Put a network at the stacked fixed point built from an optimum and
-    its multiplier: consensus iterates, duals balancing the local
-    gradients, and theta at the optimum.  BFGS models restart at I/shift
-    with the cached gradients taken at the optimum."""
+    its multiplier: consensus iterates with their cached local gradients,
+    duals balancing those gradients, and theta at the optimum.  BFGS models
+    restart at I/shift."""
     grads = np.stack([obj.gradient(x_star) for obj in problem.objectives])
     ns.X = np.tile(x_star, (problem.m, 1))
     ns.Phi = -grads
     ns.Phi[ns.leader] -= lam_star
     ns.theta = x_star.copy()
     ns.lam = lam_star.copy()
+    ns.G = grads.copy()
     if ns.B is not None:
         ns.B = np.eye(problem.d) / ns.shift[:, None, None]
-        ns.G = grads.copy()
 
 
 @pytest.fixture(scope="session")

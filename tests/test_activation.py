@@ -167,6 +167,12 @@ def networks_and_masks(draw):
     return graph, problem, draw(st.permutations(masks))
 
 
+def assert_gradients_cached(ns, problem):
+    """The cached local gradients are exactly those recomputed at X."""
+    for i, obj in enumerate(problem.objectives):
+        assert np.array_equal(ns.G[i], obj.gradient(ns.X[i]))
+
+
 @settings(max_examples=30, deadline=None)
 @given(networks_and_masks())
 def test_invariants_on_random_graphs_and_activations(case):
@@ -177,15 +183,18 @@ def test_invariants_on_random_graphs_and_activations(case):
     for scheme in SCHEMES:
         hp = hp_for(scheme, problem)
         ns = init_network(problem, graph, hp)
+        assert_gradients_cached(ns, problem)
         for active in masks:
             apply_step(ns, hp, active)
             assert np.linalg.norm(ns.Phi.sum(axis=0)) <= 1e-12
+            assert_gradients_cached(ns, problem)
         # full activation reproduces the synchronous step bit for bit
         ns_async = copy.deepcopy(ns)
         sync_step(ns, hp)
         async_step(ns_async, ActivationRecord(t=ns_async.t, active=tuple(range(m))), hp)
         for name in ("X", "Phi", "theta", "lam", "B", "G", "t", "comm_scalars"):
             assert np.array_equal(getattr(ns, name), getattr(ns_async, name))
+        assert_gradients_cached(ns, problem)
         # the constructed fixed point is invariant under any activation
         ns = init_network(problem, graph, hp)
         install_fixed_point(ns, problem, ref.x_star, lam)
@@ -194,3 +203,4 @@ def test_invariants_on_random_graphs_and_activations(case):
             apply_step(ns, hp, active)
             for before, now in zip(start, (ns.X, ns.Phi, ns.theta, ns.lam)):
                 assert np.abs(now - before).max() <= 1e-9
+            assert_gradients_cached(ns, problem)

@@ -25,7 +25,7 @@ from druid.problems import (
     aggregate_smoothness,
 )
 from druid.reference import centralized_reference
-from druid.topology import Graph, build_matrices, signed_scatter
+from druid.topology import Graph, build_matrices
 
 
 def hp_for(scheme, problem, **kw):
@@ -134,7 +134,7 @@ def test_oracle_matches_network_on_two_agents(scheme):
         sync_step(ns, hp)
         st = full_admm_oracle_step(st, problem, graph, hp)
         assert np.abs(st.x.reshape(2, 2) - ns.X).max() <= 1e-12
-        phi_from_alpha = signed_scatter(graph, st.alpha.reshape(graph.n, 2))
+        phi_from_alpha = build_matrices(graph).E_s.T @ st.alpha.reshape(graph.n, 2)
         assert np.abs(phi_from_alpha - ns.Phi).max() <= 1e-12
         assert np.abs(st.theta - ns.theta).max() <= 1e-12
         assert np.abs(st.lam - ns.lam).max() <= 1e-12
@@ -251,10 +251,11 @@ def test_tracked_edge_duals_reproduce_phi(scheme):
     hp = hp_for(scheme, problem)
     ns = init_network(problem, graph, hp)
     tracker = AlphaTracker(graph, hp.mu_z, problem.d)
+    E_s = build_matrices(graph).E_s
     for _ in range(50):
         sync_step(ns, hp)
         tracker.update(ns.X)
-        assert np.abs(signed_scatter(graph, tracker.alpha) - ns.Phi).max() <= 1e-12
+        assert np.abs(E_s.T @ tracker.alpha - ns.Phi).max() <= 1e-12
 
 
 # --- inexactness term --------------------------------------------------------

@@ -51,6 +51,11 @@ def test_parse_errors_carry_line_numbers():
         parse_libsvm("1 0:1\n")  # index below 1
     with pytest.raises(ParseError):
         parse_libsvm("1 1:abc\n")
+    for text, line in (("1 1:nan 2:inf\nnan 1:1\n", 1), ("1 1:1\nnan 1:1\n", 2),
+                       ("1 1:1\n-inf 2:1\n", 2), ("1 1:1 2:-inf\n", 1), ("1 1:1e400\n", 1)):
+        with pytest.raises(ParseError, match="non-finite") as err:
+            parse_libsvm(text)
+        assert err.value.line == line
 
 
 def test_round_trip_random_sparse_data():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from druid.cli import main
-from druid.errors import ConfigurationError
+from druid.errors import ConfigurationError, DivergenceError
 from druid.experiment import ExperimentConfig, load_config, run_experiment
 from druid.topology import read_edge_list
 
@@ -205,3 +205,22 @@ def test_cli_reports_errors_with_nonzero_exit(tmp_path, capsys):
     code = main(["run", "--config", str(tmp_path / "missing.json")])
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, value", [
+    ("mu_z", np.nan), ("agents", 1), ("edge_prob", 2.0), ("activation_p", np.nan),
+    ("leader", 50), ("epsilon", -1.0), ("gamma", np.inf), ("ref_tol", -1.0),
+])
+def test_config_rejects_bad_values_before_reading_data(tmp_path, field, value):
+    with pytest.raises(ConfigurationError, match=field):
+        ExperimentConfig(problem="ridge", dataset=str(tmp_path / "missing.txt"),
+                         **{field: value})
+
+
+def test_diverging_run_raises_divergence_error(tmp_path):
+    # epsilon far below M_f / 2: the gradient step overshoots and blows up
+    cfg = base_config(tmp_path, scheme="gradient", epsilon=1e-3, iterations=2000, cadence=1)
+    with pytest.raises(DivergenceError) as err, np.errstate(all="ignore"):
+        run_experiment(cfg)
+    assert 0 < err.value.t < cfg.iterations
+    assert f"t={err.value.t}" in str(err.value)

@@ -45,7 +45,9 @@ def test_init_network_zero_state():
     assert ns.X.shape == ns.Phi.shape == (graph.m, problem.d)
     assert not ns.X.any() and not ns.Phi.any()
     assert not ns.theta.any() and not ns.lam.any()
-    assert ns.B is None and ns.G is None
+    assert ns.B is None
+    assert np.array_equal(ns.G, np.stack([obj.gradient(np.zeros(problem.d))
+                                          for obj in problem.objectives]))
     for i in range(graph.m):
         assert tuple(np.flatnonzero(graph.adjacency[i])) == graph.neighbors(i)
         assert ns.shift[i] == block_diag_value(hp, graph.degree(i), i == hp.leader)
@@ -119,6 +121,7 @@ def test_local_gradient_matches_finite_differences_of_lagrangian():
     # perturb the state away from anything structured
     alpha = rng.normal(size=(graph.n, problem.d))
     ns.X = rng.normal(size=(graph.m, problem.d))
+    ns.G = np.stack([obj.gradient(x) for obj, x in zip(problem.objectives, ns.X)])
     ns.Phi = build_matrices(graph).E_s.T @ alpha
     ns.theta = rng.normal(size=problem.d)
     ns.lam = rng.normal(size=problem.d)
