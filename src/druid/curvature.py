@@ -5,11 +5,14 @@ agent i's block is J_ii plus the constant shift
 (mu_z * |N_i| + mu_theta * [i == leader] + epsilon) * I with
 
 * J_ii = 0 for the gradient scheme (the block is a scalar),
-* J_ii = local Hessian for the Newton scheme,
+* J_ii = local Hessian for the Newton scheme; when every local Hessian is
+  constant the block's inverse is computed once and no system is solved,
 * the BFGS scheme tracks the block's inverse directly from
   iterate/gradient difference pairs, so no linear system is solved.
 
-``KERNELS`` is the one place that maps a scheme to its behaviour.
+``KERNELS`` is the one place that maps a scheme to its behaviour, and
+``kernel`` picks the entry a network runs.  Every kernel works on the
+stacked rows of the active agents at once.
 """
 
 from __future__ import annotations
@@ -88,62 +91,102 @@ def bfgs_pair(x_prev: np.ndarray, x_new: np.ndarray, grad_prev: np.ndarray,
 
 def bfgs_inverse_update(B: np.ndarray, s: np.ndarray, q: np.ndarray,
                         psi: float = None) -> np.ndarray:
-    """Rank-two secant update of the inverse estimate.
+    """Rank-two secant update of symmetric inverse estimates, O(d^2) per model.
 
-    Returns B itself when the pair's curvature q^T s is not safely
-    positive (skip rule, relative level ``BFGS_SKIP_TOL``).  With ``psi``
-    given, adds I/psi afterwards to keep the modeled curvature below psi.
+    Takes one model ``B`` (d, d) with its pair ``s``, ``q`` (d,), or a stack
+    (k, d, d) with pairs (k, d).  A row whose curvature q^T s is not safely
+    positive (skip rule, relative level ``BFGS_SKIP_TOL``) or whose step is
+    zero keeps its model bit for bit; when every row is skipped, B itself is
+    returned.  With ``psi`` given, updated models get I/psi added to keep the
+    modeled curvature below psi.
     """
-    if not (np.all(np.isfinite(s)) and np.all(np.isfinite(q)) and np.all(np.isfinite(B))):
+    if not (np.isfinite(s).all() and np.isfinite(q).all() and np.isfinite(B).all()):
         raise FloatingPointError("non-finite input to curvature update")
-    qs = float(q @ s)
-    if qs <= BFGS_SKIP_TOL * np.linalg.norm(q) * np.linalg.norm(s) or not np.any(s):
+    single = B.ndim == 2
+    stack, s, q = (B[None], s[None], q[None]) if single else (B, s, q)
+    qs = np.einsum("ki,ki->k", q, s)
+    accept = (qs > BFGS_SKIP_TOL * np.linalg.norm(q, axis=1) * np.linalg.norm(s, axis=1)) \
+        & s.any(axis=1)
+    if not accept.any():
         return B
+    every = accept.all()
+    models, s, q, qs = (stack, s, q, qs) if every else \
+        (stack[accept], s[accept], q[accept], qs[accept])
     rho = 1.0 / qs
-    V = np.eye(len(s)) - rho * np.outer(s, q)
-    out = V @ B @ V.T + rho * np.outer(s, s)
-    out = 0.5 * (out + out.T)
+    Bq = (models @ q[:, :, None])[:, :, 0]
+    # B - rho (s Bq^T + Bq s^T) + (rho^2 q^T B q + rho) s s^T written as
+    # B + (s v^T + v s^T): both products of an entry and its mirror are the
+    # same floats, so a symmetric model stays exactly symmetric
+    v = (0.5 * (rho * rho * np.einsum("ki,ki->k", q, Bq) + rho))[:, None] * s \
+        - rho[:, None] * Bq
+    outer = np.einsum("ki,kj->kij", s, v)
+    new = models + (outer + outer.transpose(0, 2, 1))
     if psi is not None:
-        out[np.diag_indices_from(out)] += 1.0 / psi
-    return out
+        diag = np.arange(B.shape[-1])
+        new[:, diag, diag] += 1.0 / psi
+    if every:
+        out = new
+    else:
+        out = stack.copy()
+        out[accept] = new
+    return out[0] if single else out
 
 
 # --- per-scheme kernels: ``ns`` is a network.NetworkState, ``rows`` the active agents
 
+def _shifted(hessians, shift, d):
+    """Stacked Newton blocks: each local Hessian plus its row's shift on the diagonal."""
+    blocks = np.array(hessians, dtype=float).reshape(len(shift), d, d)
+    blocks[:, np.arange(d), np.arange(d)] += shift[:, None]
+    return blocks
+
+
 def _newton_rows(ns, hp, rows):
-    blocks = [
-        newton_block(ns.problem.objectives[i], ns.X[i], hp, ns.graph.degree(i), i == ns.leader)
-        for i in rows
-    ]
-    d = ns.problem.d
-    return np.array(blocks, dtype=float).reshape(len(rows), d, d)
+    hessians = [ns.problem.objectives[i].hessian(ns.X[i]) for i in rows]
+    return _shifted(hessians, ns.shift[rows], ns.problem.d)
 
 
 def _cholesky(curvature, H):
-    U = np.empty_like(H)
-    for k, block in enumerate(curvature):
-        c, low = scipy.linalg.cho_factor(block)
-        U[k] = scipy.linalg.cho_solve((c, low), H[k])
-    return U
+    if not len(H):
+        return np.empty_like(H)
+    factor = scipy.linalg.cho_factor(curvature)
+    return scipy.linalg.cho_solve(factor, H[..., None])[..., 0]
+
+
+def _model_rows(ns, hp, rows):
+    # every row active: read the stack in place instead of gathering a copy
+    return ns.B if len(rows) == len(ns.B) else ns.B[rows]
+
+
+def _apply_model(curvature, H):
+    return np.einsum("kij,kj->ki", curvature, H)
+
+
+def _inverse_newton_blocks(problem, shift):
+    zero = np.zeros(problem.d)
+    return np.linalg.inv(_shifted([obj.hessian(zero) for obj in problem.objectives], shift, problem.d))
 
 
 def _secant_refresh(ns, hp, rows, x_old, g_old):
     s, q = bfgs_pair(x_old, ns.X[rows], g_old, ns.G[rows], ns.shift[rows, None])
     psi = hp.psi if hp.bfgs_bounding else None
-    for k, i in enumerate(rows):
-        ns.B[i] = bfgs_inverse_update(ns.B[i], s[k], q[k], psi=psi)
+    ns.B[rows] = models = bfgs_inverse_update(ns.B[rows], s, q, psi=psi)
+    return models
 
 
 @dataclass(frozen=True)
 class Kernel:
     """What the network step does differently under one scheme: ``build``
-    the active rows' curvature, ``solve`` for their directions, ``init`` the
-    model ``NetworkState.B``, and ``refresh`` it once the rows have moved from
-    ``x_old`` (local gradients ``g_old``) and their ``G`` is current."""
+    the active rows' curvature, ``solve`` for their directions, and
+    ``refresh`` the model ``NetworkState.B`` once the rows have moved from
+    ``x_old`` (local gradients ``g_old``) and their ``G`` is current,
+    returning the refreshed rows (None when nothing changed).
+    ``init(problem, shift)`` gives the initial ``NetworkState.B``: an
+    (m, d, d) stack of inverse models, or None when the scheme keeps none."""
 
     build: Callable
     solve: Callable
-    init: Callable = lambda shift, d: None
+    init: Callable = lambda problem, shift: None
     refresh: Callable = lambda ns, hp, rows, x_old, g_old: None
 
 
@@ -156,20 +199,35 @@ KERNELS = {
     # the inverse models start at I/shift, the exact inverse of the block
     # when the local Hessian vanishes
     BFGS: Kernel(
-        build=lambda ns, hp, rows: ns.B[rows],
-        solve=lambda curvature, H: np.einsum("kij,kj->ki", curvature, H),
-        init=lambda shift, d: np.eye(d) / shift[:, None, None],
+        build=_model_rows,
+        solve=_apply_model,
+        init=lambda problem, shift: np.eye(problem.d) / shift[:, None, None],
         refresh=_secant_refresh,
     ),
 }
 
+#: Newton when every local Hessian is constant: the block never changes, so
+#: its inverse is computed once and applied like a BFGS model.  The block's
+#: condition number is at most 1 + M_f / epsilon, so the explicit inverse is
+#: accurate.
+CONSTANT_NEWTON = Kernel(build=_model_rows, solve=_apply_model, init=_inverse_newton_blocks)
+
+
+def kernel(hp: Hyperparams, problem) -> Kernel:
+    """The table entry a network with ``problem`` runs under ``hp``."""
+    if hp.scheme == NEWTON and all(obj.constant_hessian for obj in problem.objectives):
+        return CONSTANT_NEWTON
+    return KERNELS[hp.scheme]
+
+
 SCHEMES = tuple(KERNELS)
 
 
-def solve_direction(scheme: str, curvature: np.ndarray, H: np.ndarray) -> np.ndarray:
+def solve_direction(scheme, curvature: np.ndarray, H: np.ndarray) -> np.ndarray:
     """Update directions U with curvature_block_k @ U[k] = H[k] for each row k.
 
-    ``curvature`` is what the scheme's kernel builds: shifts (k,), Newton
-    blocks (k, d, d) or BFGS inverse models (k, d, d).
+    ``scheme`` is a name in ``SCHEMES`` or a ``Kernel``; ``curvature`` is
+    what that kernel builds: shifts (k,), Newton blocks (k, d, d) or
+    inverse models (k, d, d).
     """
-    return KERNELS[scheme].solve(curvature, H)
+    return (scheme if isinstance(scheme, Kernel) else KERNELS[scheme]).solve(curvature, H)

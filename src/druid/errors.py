@@ -26,11 +26,16 @@ class ParseError(ValueError):
 
 
 class DivergenceError(RuntimeError):
-    """A run's state turned non-finite; carries the iteration ``t`` where it was seen."""
+    """A run's state turned non-finite; carries the iteration ``t`` where it
+    was seen and, when a step caught it, the first non-finite ``agent`` and
+    the step ``phase`` that produced it."""
 
-    def __init__(self, message: str, t: int):
+    def __init__(self, message: str, t: int, agent: int | None = None,
+                 phase: str | None = None):
         super().__init__(message)
         self.t = t
+        self.agent = agent
+        self.phase = phase
 
 
 class DiagnosticError(RuntimeError):

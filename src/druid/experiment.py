@@ -80,7 +80,8 @@ class ExperimentConfig:
         if self.cost_iterate not in ("average", "leader"):
             raise ConfigurationError(f"unknown cost iterate {self.cost_iterate!r}")
         # the rules of Hyperparams, Regularizer, random_connected_graph,
-        # ActivationSampler and init_network, checked before any data is read
+        # ActivationSampler, init_network and the reference solver, checked
+        # before any data is read
         positive = ["mu_z", "mu_theta", "psi", "ref_tol"]
         if self.epsilon is not None:
             positive.append("epsilon")
@@ -97,6 +98,11 @@ class ExperimentConfig:
             raise ConfigurationError(f"agents must be at least 2, got {self.agents}")
         if not (0 <= self.leader < self.agents):
             raise ConfigurationError(f"leader {self.leader} out of range for agents={self.agents}")
+        if self.activation == "fixed_count" and not (1 <= self.activation_count <= self.agents):
+            raise ConfigurationError(
+                f"activation_count must lie in [1, {self.agents}], got {self.activation_count}")
+        if self.ref_max_iter < 1:
+            raise ConfigurationError(f"ref_max_iter must be at least 1, got {self.ref_max_iter}")
 
     def hyperparams(self, measured_M_f: float = None) -> Hyperparams:
         epsilon = self.epsilon

@@ -7,10 +7,12 @@ to the regularizer.  One iteration runs on the rows of the participating
 agents, in this order: curvature and primal step from the start-of-step
 iterates, dual ascent on every edge with a participating endpoint, the
 leader's proximal step, then the local gradients and the scheme's model
-(``curvature.KERNELS``).  Each agent reads its neighbors' current iterates,
+(``curvature.kernel``).  Each agent reads its neighbors' current iterates,
 since every update is sent to the neighbors as it happens.  Synchronous and
 asynchronous iterations are the same step with a full or a partial
 activation mask, so full participation is exactly the synchronous algorithm.
+The rows every phase wrote are checked before the step returns, so a
+diverging run stops on the step that first produces a non-finite value.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 
 from . import curvature as cv
 from .curvature import Hyperparams
-from .errors import ConfigurationError
+from .errors import ConfigurationError, DivergenceError
 from .problems import Regularizer, prox
 from .topology import Graph
 
@@ -66,7 +68,9 @@ class NetworkState:
     regularizer copy and multiplier; ``shift`` (m,) is the constant
     diagonal of every agent's curvature block; ``G`` (m, d) the local
     gradients at ``X`` (refresh it when writing ``X`` by hand); ``B``
-    (m, d, d) the BFGS inverse models, None under the other schemes.
+    (m, d, d) the inverse models of the curvature blocks: the BFGS
+    estimates, or under Newton with constant local Hessians the exact
+    inverses computed once at init; None otherwise.
     """
 
     graph: Graph
@@ -85,7 +89,7 @@ class NetworkState:
 
 def init_network(problem: ConsensusProblem, graph: Graph, hp: Hyperparams) -> NetworkState:
     """Zero-initialized network with the local gradients at zero and the
-    scheme's initial curvature model."""
+    initial curvature model of the scheme's kernel."""
     if problem.m != graph.m:
         raise ConfigurationError(
             f"{problem.m} objectives for {graph.m} agents"
@@ -98,7 +102,7 @@ def init_network(problem: ConsensusProblem, graph: Graph, hp: Hyperparams) -> Ne
     return NetworkState(
         graph=graph, problem=problem, X=X, Phi=np.zeros((m, d)),
         theta=np.zeros(d), lam=np.zeros(d), shift=shift, G=problem.gradients(X, range(m)),
-        B=cv.KERNELS[hp.scheme].init(shift, d), leader=hp.leader,
+        B=cv.kernel(hp, problem).init(problem, shift), leader=hp.leader,
     )
 
 
@@ -110,7 +114,8 @@ def local_gradient(ns: NetworkState, hp: Hyperparams, rows) -> np.ndarray:
     coupling = adjacency.sum(axis=1)[:, None] * X[rows] - adjacency @ X
     H = ns.G[rows] + ns.Phi[rows] + 0.5 * hp.mu_z * coupling
     lead = np.flatnonzero(rows == ns.leader)
-    H[lead] = H[lead] + hp.mu_theta * (X[ns.leader] - ns.theta) + ns.lam
+    if lead.size:
+        H[lead] = H[lead] + hp.mu_theta * (X[ns.leader] - ns.theta) + ns.lam
     return H
 
 
@@ -133,20 +138,46 @@ def dual_updates(ns: NetworkState, hp: Hyperparams, active: np.ndarray) -> None:
         ns.theta = theta_new
 
 
+def _require_finite(ns: NetworkState, *phases) -> None:
+    """Raise ``DivergenceError`` for the first of ``phases``, each (name, rows,
+    values) in step order, whose values hold a non-finite number, naming the
+    agent of its first such row; one ``isfinite`` pass when all are finite."""
+    if np.isfinite(np.concatenate([values.ravel() for _, _, values in phases])).all():
+        return
+    for phase, rows, values in phases:
+        bad = ~np.isfinite(values).reshape(len(values), -1).all(axis=1)
+        if bad.any():
+            agent = int(rows[np.flatnonzero(bad)[0]])
+            t = ns.t + 1
+            raise DivergenceError(f"non-finite {phase} update at t={t}, agent {agent}",
+                                  t, agent, phase)
+
+
 def apply_step(ns: NetworkState, hp: Hyperparams, active: np.ndarray) -> NetworkState:
-    """Advance the network one iteration; ``active`` is a boolean mask over agents."""
+    """Advance the network one iteration; ``active`` is a boolean mask over agents.
+
+    Raises ``DivergenceError`` naming the agent and the phase ("primal",
+    "dual", "prox", "gradient" or "model") that first wrote a non-finite
+    value; the state is then left mid-step.
+    """
     active = np.asarray(active, dtype=bool)
     rows = np.flatnonzero(active)
-    kernel = cv.KERNELS[hp.scheme]
+    kernel = cv.kernel(hp, ns.problem)
     curvature = kernel.build(ns, hp, rows)
     H = local_gradient(ns, hp, rows)
     x_old, g_old = ns.X[rows], ns.G[rows]
-    ns.X[rows] = x_old - cv.solve_direction(hp.scheme, curvature, H)
+    ns.X[rows] = x_new = x_old - cv.solve_direction(kernel, curvature, H)
     ns.comm_scalars += int(ns.graph.adjacency[rows].sum()) * ns.problem.d
 
     dual_updates(ns, hp, active)
-    ns.G[rows] = ns.problem.gradients(ns.X, rows)
-    kernel.refresh(ns, hp, rows, x_old, g_old)
+    ns.G[rows] = g_new = ns.problem.gradients(ns.X, rows)
+    # checked before the model refresh, which rejects non-finite pairs; the
+    # prox never enlarges its argument, so a non-finite theta shows in lam too
+    _require_finite(ns, ("primal", rows, x_new), ("dual", range(ns.graph.m), ns.Phi),
+                    ("prox", [ns.leader], ns.lam[None]), ("gradient", rows, g_new))
+    models = kernel.refresh(ns, hp, rows, x_old, g_old)
+    if models is not None:
+        _require_finite(ns, ("model", rows, models))
     ns.t += 1
     return ns
 

@@ -71,6 +71,11 @@ class LocalObjective:
     def d(self) -> int:
         return self.features.shape[1]
 
+    @property
+    def constant_hessian(self) -> bool:
+        """Whether the Hessian is the same at every point (least squares)."""
+        return self.kind == LEAST_SQUARES
+
     def value(self, x: np.ndarray) -> float:
         if self.kind == LEAST_SQUARES:
             r = self.features @ x - self.targets

@@ -105,7 +105,7 @@ def test_criterion_2_constructed_fixed_point_is_stationary():
         for scheme in SCHEMES:
             hp = practical_hp(scheme, problem)
             ns = init_network(problem, graph, hp)
-            install_fixed_point(ns, problem, ref.x_star, lam)
+            install_fixed_point(ns, problem, ref.x_star, lam, hp)
             x0, phi0 = ns.X.copy(), ns.Phi.copy()
             theta0, lam0 = ns.theta.copy(), ns.lam.copy()
             sync_step(ns, hp)

@@ -197,7 +197,7 @@ def test_invariants_on_random_graphs_and_activations(case):
         assert_gradients_cached(ns, problem)
         # the constructed fixed point is invariant under any activation
         ns = init_network(problem, graph, hp)
-        install_fixed_point(ns, problem, ref.x_star, lam)
+        install_fixed_point(ns, problem, ref.x_star, lam, hp)
         start = (ns.X.copy(), ns.Phi.copy(), ns.theta.copy(), ns.lam.copy())
         for active in masks:
             apply_step(ns, hp, active)

@@ -112,7 +112,7 @@ def test_kkt_residuals_vanish_at_fixed_point():
     ns = init_network(problem, graph, hp)
     ref = centralized_reference(problem, tol=1e-13)
     alpha, lam = project_dual(ref.x_star, problem, graph, hp.leader)
-    install_fixed_point(ns, problem, ref.x_star, lam)
+    install_fixed_point(ns, problem, ref.x_star, lam, hp)
     assert max(kkt_residuals(ns)) <= 1e-10
 
 

@@ -1,6 +1,10 @@
+import copy
+
 import numpy as np
 import pytest
+import scipy.linalg
 
+from conftest import make_lasso_instance, make_logistic_instance
 from druid.curvature import (
     BFGS,
     GRADIENT,
@@ -12,7 +16,7 @@ from druid.curvature import (
     newton_block,
     solve_direction,
 )
-from druid.network import ConsensusProblem, init_network
+from druid.network import ConsensusProblem, apply_step, init_network, local_gradient, sync_step
 from druid.problems import LEAST_SQUARES, LOGISTIC, LocalObjective
 from druid.topology import Graph
 
@@ -195,3 +199,130 @@ def test_init_curvature_bfgs_matches_constant_inverse():
     assert np.allclose(ns.B[1], np.eye(3) / 2.0)
     assert np.array_equal(ns.X[1], np.zeros(3))
     assert np.array_equal(ns.G[1], np.zeros(3))
+
+
+def product_form_update(B, s, q, psi=None):
+    """Textbook inverse update (I - rho s q^T) B (I - rho q s^T) + rho s s^T, one model."""
+    qs = q @ s
+    if qs <= 1e-12 * np.linalg.norm(q) * np.linalg.norm(s) or not np.any(s):
+        return B
+    rho = 1.0 / qs
+    V = np.eye(len(s)) - rho * np.outer(s, q)
+    out = V @ B @ V.T + rho * np.outer(s, s)
+    return out if psi is None else out + np.eye(len(s)) / psi
+
+
+def mixed_pairs(rng, k=9, d=4):
+    """Symmetric positive definite models with accepted pairs, zero steps and
+    negative-curvature pairs interleaved."""
+    B = np.stack([random_spd(rng, d) / d for _ in range(k)])
+    s = rng.normal(size=(k, d))
+    q = np.stack([random_spd(rng, d) @ si for si in s])
+    s[1::3] = 0.0
+    q[2::3] = -s[2::3]
+    return B, s, q
+
+
+@pytest.mark.parametrize("psi", [None, 3.0])
+def test_bfgs_update_stacked_equals_per_row(psi):
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        B, s, q = mixed_pairs(rng)
+        before = B.copy()
+        out = bfgs_inverse_update(B, s, q, psi=psi)
+        assert np.array_equal(B, before)  # the input stack is not written
+        for k in range(len(B)):
+            expected = product_form_update(B[k], s[k], q[k], psi)
+            assert np.abs(out[k] - expected).max() <= 1e-12 * max(1.0, np.abs(expected).max())
+            assert np.array_equal(out[k], bfgs_inverse_update(B[k], s[k], q[k], psi=psi))
+            if k % 3:  # zero step or negative curvature: skipped, bit for bit
+                assert np.array_equal(out[k], B[k])
+            assert np.array_equal(out[k], out[k].T)
+
+
+def test_bfgs_update_all_skipped_stack_is_returned_itself():
+    rng = np.random.default_rng(12)
+    B, s, q = mixed_pairs(rng)
+    s[0::3] = 0.0
+    assert bfgs_inverse_update(B, s, q) is B
+    assert bfgs_inverse_update(B, s, q, psi=2.0) is B
+
+
+def test_bfgs_update_stacked_rejects_non_finite_in_any_row():
+    rng = np.random.default_rng(13)
+    for name in ("B", "s", "q"):
+        for bad in (np.nan, np.inf):
+            B, s, q = mixed_pairs(rng)
+            arrays = {"B": B, "s": s, "q": q}
+            arrays[name][4].flat[1] = bad
+            with pytest.raises(FloatingPointError):
+                bfgs_inverse_update(B, s, q)
+
+
+NEWTON_HP = Hyperparams(mu_z=1.0, mu_theta=0.5, epsilon=1.5, scheme=NEWTON, leader=0)
+
+
+def test_newton_least_squares_inverts_constant_block_once(monkeypatch):
+    graph, problem = make_lasso_instance()
+    hp = NEWTON_HP
+    ns = init_network(problem, graph, hp)
+    d = problem.d
+    for i, obj in enumerate(problem.objectives):
+        expected = np.linalg.inv(obj.features.T @ obj.features + ns.shift[i] * np.eye(d))
+        assert np.abs(ns.B[i] - expected).max() <= 1e-12 * np.abs(expected).max()
+    for _ in range(3):
+        sync_step(ns, hp)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("least-squares Newton step evaluated a Hessian or factorized")
+
+    monkeypatch.setattr(LocalObjective, "hessian", forbidden)
+    monkeypatch.setattr(scipy.linalg, "cho_factor", forbidden)
+    B0 = ns.B.copy()
+    x_old, H = ns.X.copy(), local_gradient(ns, hp, np.arange(graph.m))
+    sync_step(ns, hp)
+    x_new = ns.X.copy()
+    apply_step(ns, hp, np.arange(graph.m) % 2 == 0)
+    assert np.array_equal(ns.B, B0)  # the model never changes
+    monkeypatch.undo()
+    for i, obj in enumerate(problem.objectives):
+        block = newton_block(obj, x_old[i], hp, graph.degree(i), i == hp.leader)
+        step = x_old[i] - scipy.linalg.cho_solve(scipy.linalg.cho_factor(block), H[i])
+        assert np.abs(x_new[i] - step).max() <= 1e-12 * max(1.0, np.abs(step).max())
+
+
+def test_newton_logistic_batched_solve_is_bitwise_the_per_row_loop():
+    graph, problem = make_logistic_instance()
+    hp = NEWTON_HP
+    ns = init_network(problem, graph, hp)
+    assert ns.B is None
+    rng = np.random.default_rng(14)
+    for _ in range(3):
+        sync_step(ns, hp)
+        blocks = np.stack([
+            newton_block(obj, x, hp, graph.degree(i), i == hp.leader)
+            for i, (obj, x) in enumerate(zip(problem.objectives, ns.X))
+        ])
+        H = rng.normal(size=ns.X.shape)
+        loop = np.stack([
+            scipy.linalg.cho_solve(scipy.linalg.cho_factor(block), h) for block, h in zip(blocks, H)
+        ])
+        assert np.array_equal(solve_direction(NEWTON, blocks, H), loop)
+    empty = solve_direction(NEWTON, np.empty((0, problem.d, problem.d)), np.empty((0, problem.d)))
+    assert empty.shape == (0, problem.d)
+
+
+def test_newton_logistic_empty_and_full_masks():
+    graph, problem = make_logistic_instance()
+    hp = NEWTON_HP
+    ns = init_network(problem, graph, hp)
+    for _ in range(3):
+        sync_step(ns, hp)
+    frozen = copy.deepcopy(ns)
+    apply_step(ns, hp, np.zeros(graph.m, dtype=bool))
+    for name in ("X", "Phi", "theta", "lam", "G"):
+        assert np.array_equal(getattr(ns, name), getattr(frozen, name))
+    sync_step(ns, hp)
+    apply_step(frozen, hp, np.ones(graph.m, dtype=bool))
+    for name in ("X", "Phi", "theta", "lam", "G"):
+        assert np.array_equal(getattr(ns, name), getattr(frozen, name))

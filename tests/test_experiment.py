@@ -210,11 +210,14 @@ def test_cli_reports_errors_with_nonzero_exit(tmp_path, capsys):
 @pytest.mark.parametrize("field, value", [
     ("mu_z", np.nan), ("agents", 1), ("edge_prob", 2.0), ("activation_p", np.nan),
     ("leader", 50), ("epsilon", -1.0), ("gamma", np.inf), ("ref_tol", -1.0),
+    ("activation_count", 0), ("activation_count", 11), ("ref_max_iter", 0),
 ])
 def test_config_rejects_bad_values_before_reading_data(tmp_path, field, value):
+    # activation_count only applies to fixed-count activation (agents=10 by default)
+    extra = {"activation": "fixed_count"} if field == "activation_count" else {}
     with pytest.raises(ConfigurationError, match=field):
         ExperimentConfig(problem="ridge", dataset=str(tmp_path / "missing.txt"),
-                         **{field: value})
+                         **{field: value}, **extra)
 
 
 def test_diverging_run_raises_divergence_error(tmp_path):
@@ -224,3 +227,18 @@ def test_diverging_run_raises_divergence_error(tmp_path):
         run_experiment(cfg)
     assert 0 < err.value.t < cfg.iterations
     assert f"t={err.value.t}" in str(err.value)
+
+
+def test_divergence_is_caught_on_the_step_that_causes_it(tmp_path):
+    # the same run with no metric step before the end: the step that first
+    # writes a non-finite value raises, naming the agent and the phase
+    cfg = base_config(tmp_path, scheme="gradient", epsilon=1e-3, iterations=2000, cadence=2000)
+    with pytest.raises(DivergenceError) as err, np.errstate(all="ignore"):
+        run_experiment(cfg)
+    assert (err.value.t, err.value.agent, err.value.phase) == (434, 2, "gradient")
+    assert "t=434" in str(err.value) and "agent 2" in str(err.value)
+    # at cadence 1 the trace metrics overflow first, long before the state does
+    cfg = base_config(tmp_path, scheme="gradient", epsilon=1e-3, iterations=2000, cadence=1)
+    with pytest.raises(DivergenceError) as err, np.errstate(all="ignore"):
+        run_experiment(cfg)
+    assert (err.value.t, err.value.agent, err.value.phase) == (217, None, None)

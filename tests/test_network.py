@@ -4,7 +4,7 @@ import pytest
 from conftest import install_fixed_point, make_lasso_instance, make_ridge_instance
 from druid.analysis import project_dual
 from druid.curvature import GRADIENT, NEWTON, SCHEMES, Hyperparams, block_diag_value
-from druid.errors import ConfigurationError
+from druid.errors import ConfigurationError, DivergenceError
 from druid.network import (
     ConsensusProblem,
     apply_step,
@@ -88,7 +88,7 @@ def test_local_gradient_vanishes_at_kkt_point():
     ns = init_network(problem, graph, hp)
     ref = centralized_reference(problem, tol=1e-13)
     alpha, lam = project_dual(ref.x_star, problem, graph, hp.leader)
-    install_fixed_point(ns, problem, ref.x_star, lam)
+    install_fixed_point(ns, problem, ref.x_star, lam, hp)
     for h in local_gradient(ns, hp, range(graph.m)):
         assert np.linalg.norm(h) <= 1e-9
 
@@ -232,7 +232,7 @@ def test_constructed_fixed_point_is_invariant(scheme):
     ref = centralized_reference(problem, tol=1e-13)
     alpha, lam = project_dual(ref.x_star, problem, graph, hp.leader)
     ns = init_network(problem, graph, hp)
-    install_fixed_point(ns, problem, ref.x_star, lam)
+    install_fixed_point(ns, problem, ref.x_star, lam, hp)
     before = (ns.X.copy(), ns.Phi.copy(), ns.theta.copy(), ns.lam.copy())
     sync_step(ns, hp)
     assert np.abs(ns.X - before[0]).max() <= 1e-11
@@ -254,3 +254,15 @@ def test_symmetric_problem_stays_symmetric():
         sync_step(ns, hp)
         X = ns.X
         assert np.abs(X - X[0]).max() <= 1e-6
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_non_finite_primal_update_names_agent_and_phase(scheme):
+    graph, problem = make_lasso_instance()
+    hp = default_hp(scheme=scheme)
+    ns = init_network(problem, graph, hp)
+    sync_step(ns, hp)
+    ns.Phi[3] = np.inf
+    with pytest.raises(DivergenceError) as err, np.errstate(all="ignore"):
+        apply_step(ns, hp, np.arange(graph.m) >= 2)
+    assert (err.value.t, err.value.agent, err.value.phase) == (2, 3, "primal")
