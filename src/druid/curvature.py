@@ -134,16 +134,16 @@ def bfgs_inverse_update(B: np.ndarray, s: np.ndarray, q: np.ndarray,
 
 # --- per-scheme kernels: ``ns`` is a network.NetworkState, ``rows`` the active agents
 
-def _shifted(hessians, shift, d):
-    """Stacked Newton blocks: each local Hessian plus its row's shift on the diagonal."""
-    blocks = np.array(hessians, dtype=float).reshape(len(shift), d, d)
-    blocks[:, np.arange(d), np.arange(d)] += shift[:, None]
+def _shifted(blocks, shift):
+    """Newton blocks from a new (k, d, d) stack of local Hessians: each row's
+    shift is added to its diagonal, in place."""
+    diag = np.arange(blocks.shape[-1])
+    blocks[:, diag, diag] += shift[:, None]
     return blocks
 
 
 def _newton_rows(ns, hp, rows):
-    hessians = [ns.problem.objectives[i].hessian(ns.X[i]) for i in rows]
-    return _shifted(hessians, ns.shift[rows], ns.problem.d)
+    return _shifted(ns.problem.hessians(ns.X, rows), ns.shift[rows])
 
 
 def _cholesky(curvature, H):
@@ -163,8 +163,8 @@ def _apply_model(curvature, H):
 
 
 def _inverse_newton_blocks(problem, shift):
-    zero = np.zeros(problem.d)
-    return np.linalg.inv(_shifted([obj.hessian(zero) for obj in problem.objectives], shift, problem.d))
+    zero = np.zeros((problem.m, problem.d))
+    return np.linalg.inv(_shifted(problem.hessians(zero, range(problem.m)), shift))
 
 
 def _secant_refresh(ns, hp, rows, x_old, g_old):
@@ -215,7 +215,7 @@ CONSTANT_NEWTON = Kernel(build=_model_rows, solve=_apply_model, init=_inverse_ne
 
 def kernel(hp: Hyperparams, problem) -> Kernel:
     """The table entry a network with ``problem`` runs under ``hp``."""
-    if hp.scheme == NEWTON and all(obj.constant_hessian for obj in problem.objectives):
+    if hp.scheme == NEWTON and problem.constant_hessian:
         return CONSTANT_NEWTON
     return KERNELS[hp.scheme]
 

@@ -10,6 +10,7 @@ seeded, so identical configurations produce byte-identical traces.
 from __future__ import annotations
 
 import json
+import logging
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -34,6 +35,8 @@ from .reference import centralized_reference
 from .topology import random_connected_graph
 
 PROBLEM_KINDS = ("lasso", "logistic_l1", "ridge")
+
+logger = logging.getLogger("druid")
 
 
 @dataclass
@@ -195,7 +198,11 @@ def run_experiment(cfg: ExperimentConfig) -> Path:
     dist0 = float(np.linalg.norm(np.tile(ref.x_star, (cfg.agents, 1))))
     if cost0 <= 0 or dist0 == 0:
         raise ConfigurationError("zero initial suboptimality; nothing to normalize by")
-    hp = cfg.hyperparams(aggregate_smoothness(problem.objectives).M_f)
+    M_f = aggregate_smoothness(problem.objectives).M_f
+    if cfg.epsilon is not None and cfg.epsilon <= M_f / 2:
+        logger.warning("epsilon=%r is at or below M_f/2=%r: the rate condition "
+                       "epsilon > M_f/2 does not hold", cfg.epsilon, M_f / 2)
+    hp = cfg.hyperparams(M_f)
     ns = init_network(problem, graph, hp)
     sampler = None
     if cfg.mode == "async":

@@ -11,7 +11,9 @@ and three regularizers: zero, gamma * ||x||_1, and gamma * ||x||^2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -48,8 +50,6 @@ class LocalObjective:
     kind: str
     features: np.ndarray
     targets: np.ndarray
-    _gram: np.ndarray = field(init=False, repr=False)
-    _atb: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.kind not in _OBJECTIVE_KINDS:
@@ -60,12 +60,17 @@ class LocalObjective:
             raise ValueError("feature/target row counts differ")
         if self.kind == LOGISTIC and not np.all(np.isin(self.targets, (0.0, 1.0))):
             raise ValueError("logistic labels must be in {0, 1}")
-        if self.kind == LEAST_SQUARES:
-            self._gram = self.features.T @ self.features
-            self._atb = self.features.T @ self.targets
-        else:
-            self._gram = np.empty(0)
-            self._atb = np.empty(0)
+
+    # The least-squares Gram matrix and A^T b are computed on first use, so
+    # that a ConsensusProblem, which replaces them with views into its
+    # stacks, leaves no per-objective copy behind.
+    @cached_property
+    def _gram(self) -> np.ndarray:
+        return self.features.T @ self.features
+
+    @cached_property
+    def _atb(self) -> np.ndarray:
+        return self.features.T @ self.targets
 
     @property
     def d(self) -> int:
@@ -95,6 +100,50 @@ class LocalObjective:
             return self._gram.copy()
         s = _sigmoid(self.features @ x)
         return (self.features * (s * (1.0 - s))[:, None]).T @ self.features
+
+
+# Batched forms of ``LocalObjective.gradient``/``hessian`` for k objectives
+# of one kind whose arrays have equal shapes, stacked along a leading axis,
+# at the points X (k, d).  Each product runs slice by slice, so row k is the
+# per-objective result bit for bit; zero-padding unequal data would not be.
+
+def _least_squares_gradients(gram, atb, X):
+    return (gram @ X[:, :, None])[:, :, 0] - atb
+
+
+def _least_squares_hessians(gram, atb, X):
+    return gram.copy()
+
+
+def _logistic_gradients(features, targets, X):
+    r = _sigmoid((features @ X[:, :, None])[:, :, 0]) - targets
+    return (r[:, None, :] @ features)[:, 0, :]
+
+
+def _logistic_hessians(features, targets, X):
+    s = _sigmoid((features @ X[:, :, None])[:, :, 0])
+    return (features * (s * (1.0 - s))[:, :, None]).transpose(0, 2, 1) @ features
+
+
+@dataclass(frozen=True)
+class StackedForm:
+    """How objectives of one kind are evaluated together: objectives with
+    equal ``group(obj)`` keys have equal-shaped arrays ``fields``, which are
+    stacked, and the batched ``gradients`` and ``hessians`` take those
+    stacks and X (k, d) and return a new array."""
+
+    group: Callable
+    fields: tuple
+    gradients: Callable
+    hessians: Callable
+
+
+STACKED = {
+    LEAST_SQUARES: StackedForm(lambda obj: None, ("_gram", "_atb"), _least_squares_gradients,
+                               _least_squares_hessians),
+    LOGISTIC: StackedForm(lambda obj: len(obj.targets), ("features", "targets"),
+                          _logistic_gradients, _logistic_hessians),
+}
 
 
 @dataclass(frozen=True)

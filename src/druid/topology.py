@@ -32,8 +32,9 @@ class Graph:
         Edge list with 0-based endpoints i < j.  Order is normalized to
         lexicographic regardless of the order given.
 
-    ``src``/``dst`` hold the edge endpoints and ``adjacency`` the dense
-    symmetric 0/1 (m, m) adjacency matrix, all cached at construction.
+    ``src``/``dst`` hold the edge endpoints, ``adjacency`` the dense
+    symmetric 0/1 (m, m) adjacency matrix and ``degrees`` (m,) the agents'
+    neighbor counts, all cached at construction.
     """
 
     m: int
@@ -42,6 +43,7 @@ class Graph:
     src: np.ndarray = field(init=False, repr=False)
     dst: np.ndarray = field(init=False, repr=False)
     adjacency: np.ndarray = field(init=False, repr=False)
+    degrees: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         edges = tuple(sorted((int(i), int(j)) for i, j in self.edges))
@@ -67,6 +69,7 @@ class Graph:
         self.adjacency = np.zeros((self.m, self.m))
         self.adjacency[self.src, self.dst] = 1.0
         self.adjacency[self.dst, self.src] = 1.0
+        self.degrees = np.array([len(ns) for ns in self.neighbor_lists])
         if not _connected(self.m, self.neighbor_lists):
             raise ValueError("graph is not connected")
 
@@ -80,10 +83,6 @@ class Graph:
 
     def degree(self, i: int) -> int:
         return len(self.neighbor_lists[i])
-
-    @property
-    def degrees(self) -> np.ndarray:
-        return np.array([len(ns) for ns in self.neighbor_lists])
 
 
 @dataclass(frozen=True)

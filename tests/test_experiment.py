@@ -1,11 +1,14 @@
 import json
+import logging
 
 import numpy as np
 import pytest
 
 from druid.cli import main
 from druid.errors import ConfigurationError, DivergenceError
-from druid.experiment import ExperimentConfig, load_config, run_experiment
+from druid.datasets import parse_libsvm
+from druid.experiment import ExperimentConfig, build_problem, load_config, run_experiment
+from druid.problems import aggregate_smoothness
 from druid.topology import read_edge_list
 
 HEADER = "t,cost_err,dist_err,r_opt,r_cons,r_reg,comm_scalars"
@@ -242,3 +245,30 @@ def test_divergence_is_caught_on_the_step_that_causes_it(tmp_path):
     with pytest.raises(DivergenceError) as err, np.errstate(all="ignore"):
         run_experiment(cfg)
     assert (err.value.t, err.value.agent, err.value.phase) == (217, None, None)
+
+
+def test_epsilon_at_or_below_half_M_f_logs_a_warning(tmp_path, caplog):
+    cfg = base_config(tmp_path, iterations=3, cadence=1)
+    with open(cfg.dataset) as fh:
+        problem = build_problem(cfg, parse_libsvm(fh), None)
+    half = aggregate_smoothness(problem.objectives).M_f / 2
+
+    def run(epsilon, level, name):
+        caplog.clear()
+        cfg = base_config(tmp_path, iterations=3, cadence=1, epsilon=epsilon,
+                          output=str(tmp_path / name))
+        with caplog.at_level(level, logger="druid"):
+            trace = run_experiment(cfg).read_bytes()
+        return trace, [r for r in caplog.records if r.name == "druid"]
+
+    for epsilon in (half, 0.5 * half):
+        warned, records = run(epsilon, logging.WARNING, "warned.csv")
+        assert len(records) == 1 and records[0].levelno == logging.WARNING
+        assert "epsilon > M_f/2" in records[0].getMessage()
+        quiet, records = run(epsilon, logging.ERROR, "quiet.csv")
+        assert not records
+        assert warned == quiet  # the warning changes no trace byte
+    _, records = run(np.nextafter(half, np.inf), logging.WARNING, "safe.csv")
+    assert not records
+    _, records = run(None, logging.WARNING, "derived.csv")  # 0.55 M_f
+    assert not records

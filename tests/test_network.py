@@ -1,9 +1,16 @@
 import numpy as np
 import pytest
 
-from conftest import install_fixed_point, make_lasso_instance, make_ridge_instance
+from conftest import (
+    install_fixed_point,
+    make_lasso_instance,
+    make_logistic_instance,
+    make_ridge_instance,
+)
+from druid import curvature as cv
+from druid.activation import ActivationSampler, async_step, sample_activation
 from druid.analysis import project_dual
-from druid.curvature import GRADIENT, NEWTON, SCHEMES, Hyperparams, block_diag_value
+from druid.curvature import GRADIENT, NEWTON, SCHEMES, Hyperparams, block_diag_value, newton_block
 from druid.errors import ConfigurationError, DivergenceError
 from druid.network import (
     ConsensusProblem,
@@ -14,7 +21,9 @@ from druid.network import (
     sync_step,
 )
 from druid.problems import (
+    L1,
     LEAST_SQUARES,
+    LOGISTIC,
     ZERO,
     LocalObjective,
     Regularizer,
@@ -222,6 +231,11 @@ def test_communication_count_closed_form():
         sync_step(ns, hp)
     assert ns.comm_scalars == 7 * 2 * graph.n * problem.d
     assert ns.t == 7
+    # a partial step counts one iterate per neighbor of each active agent
+    active = np.arange(graph.m) % 2 == 1
+    apply_step(ns, hp, active)
+    sent = sum(graph.degree(i) for i in np.flatnonzero(active)) * problem.d
+    assert ns.comm_scalars == 7 * 2 * graph.n * problem.d + sent
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
@@ -266,3 +280,77 @@ def test_non_finite_primal_update_names_agent_and_phase(scheme):
     with pytest.raises(DivergenceError) as err, np.errstate(all="ignore"):
         apply_step(ns, hp, np.arange(graph.m) >= 2)
     assert (err.value.t, err.value.agent, err.value.phase) == (2, 3, "primal")
+
+
+def test_problem_rejects_mixed_objective_kinds():
+    objs = [LocalObjective(LEAST_SQUARES, [[1.0, 0.0]], [1.0]),
+            LocalObjective(LOGISTIC, [[0.0, 1.0]], [1.0])]
+    with pytest.raises(ConfigurationError, match="least_squares.*logistic"):
+        ConsensusProblem(objs)
+
+
+def test_objective_arrays_are_views_into_the_stacks():
+    for make, names in ((make_lasso_instance, ("_gram", "_atb")),
+                        (make_logistic_instance, ("features", "targets"))):
+        _, problem = make()
+        for name in names:
+            arrays = [getattr(obj, name) for obj in problem.objectives]
+            base = arrays[0].base
+            assert base is not None and all(a.base is base for a in arrays)
+            assert base.shape == (problem.m,) + arrays[0].shape
+
+
+def unequal_logistic_problem(rng, m=7, d=4):
+    """Logistic agents holding base or base + 1 points in a shuffled order,
+    as ``datasets.partition`` splits a row count that m does not divide."""
+    base, extra = int(rng.integers(3, 6)), int(rng.integers(1, m))
+    counts = rng.permutation([base + (i < extra) for i in range(m)])
+    truth = rng.normal(size=d)
+    objectives = []
+    for n in counts:
+        W = rng.normal(size=(n, d))
+        objectives.append(LocalObjective(LOGISTIC, W, (W @ truth + rng.normal(size=n) > 0) * 1.0))
+    return ConsensusProblem(objectives, Regularizer(L1, 0.05))
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_stacked_logistic_with_unequal_row_counts_is_bitwise_per_agent(scheme, seed):
+    rng = np.random.default_rng(seed)
+    problem = unequal_logistic_problem(rng)
+    m, d = problem.m, problem.d
+    assert len({obj.features.shape[0] for obj in problem.objectives}) == 2
+    graph = random_connected_graph(m, 0.5, seed)
+    hp = default_hp(scheme=scheme, epsilon=2.0)
+    ns = init_network(problem, graph, hp)
+    masks = [rng.random(m) < 0.5 for _ in range(6)] + [np.zeros(m, bool), np.ones(m, bool)]
+    for k in rng.permutation(len(masks)):
+        rows = np.flatnonzero(masks[k])
+        if scheme == NEWTON:
+            blocks = cv.kernel(hp, problem).build(ns, hp, rows)
+            for block, i in zip(blocks, rows):
+                expected = newton_block(problem.objectives[i], ns.X[i], hp,
+                                        graph.degree(i), i == hp.leader)
+                assert np.array_equal(block, expected)
+        apply_step(ns, hp, masks[k])
+        for i, obj in enumerate(problem.objectives):
+            assert np.array_equal(ns.G[i], obj.gradient(ns.X[i]))
+
+
+@pytest.mark.parametrize("make", [make_lasso_instance, make_logistic_instance])
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_steps_evaluate_the_objectives_only_in_batches(scheme, make, monkeypatch):
+    graph, problem = make()
+    hp = default_hp(scheme=scheme, epsilon=2.0)
+    ns = init_network(problem, graph, hp)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a step called a per-agent objective method")
+
+    monkeypatch.setattr(LocalObjective, "gradient", forbidden)
+    monkeypatch.setattr(LocalObjective, "hessian", forbidden)
+    sampler = ActivationSampler.bernoulli(0.5, graph.m, seed=3)
+    for _ in range(3):
+        sync_step(ns, hp)
+        async_step(ns, sample_activation(sampler, ns.t), hp)
+    assert ns.t == 6 and np.isfinite(ns.X).all()
