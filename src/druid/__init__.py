@@ -11,13 +11,14 @@ theoretical rate constants for verification at desk scale.
 
 from .activation import ActivationRecord, ActivationSampler, async_step, sample_activation
 from .curvature import BFGS, GRADIENT, NEWTON, SCHEMES, Hyperparams
-from .network import ConsensusProblem, NetworkState, init_network, local_gradient, sync_step
+from .network import NetworkState, init_network, local_gradient, sync_step
 from .problems import (
     L1,
     LEAST_SQUARES,
     LOGISTIC,
     SQUARED_L2,
     ZERO,
+    ConsensusProblem,
     LocalObjective,
     Regularizer,
     SmoothnessConstants,
@@ -41,10 +42,9 @@ from .topology import (
 __all__ = [
     "ActivationRecord", "ActivationSampler", "async_step", "sample_activation",
     "BFGS", "GRADIENT", "NEWTON", "SCHEMES", "Hyperparams",
-    "ConsensusProblem", "NetworkState", "init_network",
-    "local_gradient", "sync_step",
+    "NetworkState", "init_network", "local_gradient", "sync_step",
     "L1", "LEAST_SQUARES", "LOGISTIC", "SQUARED_L2", "ZERO",
-    "LocalObjective", "Regularizer", "SmoothnessConstants",
+    "ConsensusProblem", "LocalObjective", "Regularizer", "SmoothnessConstants",
     "aggregate_smoothness", "prox", "smoothness_constants", "subgradient_membership",
     "ReferenceSolution", "centralized_reference",
     "Graph", "SpectralConstants", "TopologyMatrices", "build_matrices",

@@ -1,6 +1,6 @@
 """Randomized agent activation for asynchronous execution.
 
-An activation record names the agents that participate in one iteration;
+An activation record masks the agents that participate in one iteration;
 everyone else keeps their variables, and only the duals of edges with an
 active endpoint move.  Sampling is deterministic given
 the sampler seed and the iteration index, so traces are reproducible
@@ -20,10 +20,15 @@ BERNOULLI = "bernoulli"
 FIXED_COUNT = "fixed_count"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # eq would compare the mask arrays by truth value
 class ActivationRecord:
     t: int
-    active: tuple
+    mask: np.ndarray  # (m,) bool, True for the agents that participate
+
+    @property
+    def active(self) -> tuple:
+        """The active agents' indices, increasing."""
+        return tuple(int(i) for i in np.flatnonzero(self.mask))
 
 
 @dataclass
@@ -67,10 +72,10 @@ def sample_activation(sampler: ActivationSampler, t: int) -> ActivationRecord:
     """Draw the active set for iteration t; deterministic in (seed, t)."""
     rng = np.random.default_rng((sampler.seed, t))
     if sampler.mode == BERNOULLI:
-        active = np.flatnonzero(rng.random(sampler.m) < sampler.probabilities)
-    else:
-        active = np.sort(rng.choice(sampler.m, size=sampler.count, replace=False))
-    return ActivationRecord(t=t, active=tuple(int(i) for i in active))
+        return ActivationRecord(t=t, mask=rng.random(sampler.m) < sampler.probabilities)
+    mask = np.zeros(sampler.m, dtype=bool)
+    mask[rng.choice(sampler.m, size=sampler.count, replace=False)] = True
+    return ActivationRecord(t=t, mask=mask)
 
 
 def async_step(ns: NetworkState, record: ActivationRecord, hp: Hyperparams) -> NetworkState:
@@ -80,6 +85,4 @@ def async_step(ns: NetworkState, record: ActivationRecord, hp: Hyperparams) -> N
     only advances the iteration counter.  Full activation reproduces the
     synchronous step exactly.
     """
-    active = np.zeros(ns.graph.m, dtype=bool)
-    active[np.asarray(record.active, dtype=np.intp)] = True
-    return apply_step(ns, hp, active)
+    return apply_step(ns, hp, record.mask)

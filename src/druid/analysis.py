@@ -18,8 +18,9 @@ import numpy as np
 from . import curvature as cv
 from .curvature import Hyperparams
 from .errors import DiagnosticError, InconsistentReferenceError
-from .network import ConsensusProblem, NetworkState
-from .problems import aggregate_smoothness, prox, subgradient_membership
+from .network import NetworkState
+from .problems import ConsensusProblem, aggregate_smoothness, prox, subgradient_membership
+from .rates import THEORY
 from .topology import Graph, build_matrices, edge_differences, edge_sums
 
 
@@ -284,11 +285,11 @@ def error_term(problem: ConsensusProblem, graph: Graph, hp: Hyperparams,
     e = grads_t - grads_t1
     norm_dx = float(np.linalg.norm(dx))
     if hp.scheme == cv.GRADIENT:
-        tau = sm.M_f
+        tau = THEORY[hp.scheme].tau(hp, sm)
     elif hp.scheme == cv.NEWTON:
         for i in range(m):
             e[i] += problem.objectives[i].hessian(x_t[i]) @ dx[i]
-        tau = min(2.0 * sm.M_f, 0.5 * sm.L_f * norm_dx)
+        tau = min(THEORY[hp.scheme].tau(hp, sm), 0.5 * sm.L_f * norm_dx)
     else:
         if bfgs_prev is None or bfgs_next is None:
             raise DiagnosticError("BFGS error term needs inverse estimates at both iterates")

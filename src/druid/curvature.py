@@ -61,10 +61,11 @@ class Hyperparams:
             raise ValueError("leader index must be nonnegative")
 
 
-def block_diag_value(hp: Hyperparams, degree: int, is_leader: bool) -> float:
+def block_diag_value(hp: Hyperparams, degree, is_leader):
     """Constant diagonal of agent i's curvature block (the whole block
-    under the gradient scheme); independent of the iterate."""
-    return hp.mu_z * degree + (hp.mu_theta if is_leader else 0.0) + hp.epsilon
+    under the gradient scheme); independent of the iterate.  Takes one
+    agent's degree and leader flag, or arrays of them for every agent."""
+    return hp.mu_z * degree + hp.mu_theta * is_leader + hp.epsilon
 
 
 def newton_block(obj: LocalObjective, x: np.ndarray, hp: Hyperparams,
@@ -223,11 +224,10 @@ def kernel(hp: Hyperparams, problem) -> Kernel:
 SCHEMES = tuple(KERNELS)
 
 
-def solve_direction(scheme, curvature: np.ndarray, H: np.ndarray) -> np.ndarray:
+def solve_direction(kern: Kernel, curvature: np.ndarray, H: np.ndarray) -> np.ndarray:
     """Update directions U with curvature_block_k @ U[k] = H[k] for each row k.
 
-    ``scheme`` is a name in ``SCHEMES`` or a ``Kernel``; ``curvature`` is
-    what that kernel builds: shifts (k,), Newton blocks (k, d, d) or
-    inverse models (k, d, d).
+    ``curvature`` is what the kernel builds: shifts (k,), Newton blocks
+    (k, d, d) or inverse models (k, d, d).
     """
-    return (scheme if isinstance(scheme, Kernel) else KERNELS[scheme]).solve(curvature, H)
+    return kern.solve(curvature, H)

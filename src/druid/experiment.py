@@ -21,12 +21,13 @@ from .analysis import kkt_residuals
 from .curvature import SCHEMES, Hyperparams
 from .datasets import Dataset, binarize_labels, dense_features, parse_libsvm, partition
 from .errors import ConfigurationError, DivergenceError
-from .network import ConsensusProblem, NetworkState, init_network, sync_step
+from .network import NetworkState, init_network, sync_step
 from .problems import (
     L1,
     LEAST_SQUARES,
     LOGISTIC,
     SQUARED_L2,
+    ConsensusProblem,
     LocalObjective,
     Regularizer,
     aggregate_smoothness,
@@ -34,7 +35,13 @@ from .problems import (
 from .reference import centralized_reference
 from .topology import random_connected_graph
 
-PROBLEM_KINDS = ("lasso", "logistic_l1", "ridge")
+#: problem name -> (local objective kind, regularizer kind)
+PROBLEMS = {
+    "lasso": (LEAST_SQUARES, L1),
+    "logistic_l1": (LOGISTIC, L1),
+    "ridge": (LEAST_SQUARES, SQUARED_L2),
+}
+PROBLEM_KINDS = tuple(PROBLEMS)
 
 logger = logging.getLogger("druid")
 
@@ -133,18 +140,10 @@ def load_config(path, overrides: dict = None) -> ExperimentConfig:
     return ExperimentConfig(**data)
 
 
-def build_problem(cfg: ExperimentConfig, ds: Dataset, graph) -> ConsensusProblem:
+def build_problem(cfg: ExperimentConfig, ds: Dataset) -> ConsensusProblem:
     """Per-agent objectives from a seeded even partition of the dataset."""
     parts = partition(ds, cfg.agents, cfg.partition_seed)
-    if cfg.problem == "logistic_l1":
-        kind = LOGISTIC
-        regularizer = Regularizer(L1, cfg.gamma)
-    elif cfg.problem == "lasso":
-        kind = LEAST_SQUARES
-        regularizer = Regularizer(L1, cfg.gamma)
-    else:
-        kind = LEAST_SQUARES
-        regularizer = Regularizer(SQUARED_L2, cfg.gamma)
+    kind, regularizer = PROBLEMS[cfg.problem]
     all_labels = np.array([row[0] for row in ds.rows])
     objectives = []
     for rows in parts:
@@ -152,7 +151,7 @@ def build_problem(cfg: ExperimentConfig, ds: Dataset, graph) -> ConsensusProblem
         if kind == LOGISTIC:
             y = binarize_labels(y, reference=all_labels)
         objectives.append(LocalObjective(kind, X, y))
-    return ConsensusProblem(objectives=objectives, regularizer=regularizer)
+    return ConsensusProblem(objectives, Regularizer(regularizer, cfg.gamma))
 
 
 @dataclass(frozen=True)
@@ -191,7 +190,7 @@ def run_experiment(cfg: ExperimentConfig) -> Path:
     with open(cfg.dataset) as fh:
         ds = parse_libsvm(fh)
     graph = random_connected_graph(cfg.agents, cfg.edge_prob, cfg.graph_seed)
-    problem = build_problem(cfg, ds, graph)
+    problem = build_problem(cfg, ds)
     ref = centralized_reference(problem, tol=cfg.ref_tol, max_iter=cfg.ref_max_iter)
     zero = np.zeros(problem.d)
     cost0 = problem.total_value(zero) - ref.cost_star

@@ -17,107 +17,15 @@ diverging run stops on the step that first produces a non-finite value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import curvature as cv
 from .curvature import Hyperparams
 from .errors import ConfigurationError, DivergenceError
-from .problems import STACKED, Regularizer, prox
+from .problems import ConsensusProblem, prox
 from .topology import Graph
-
-
-@dataclass
-class ConsensusProblem:
-    """One local objective per agent plus the shared regularizer.
-
-    All objectives have one kind and one dimension.  Construction stacks
-    the data a step reads (``problems.STACKED``): the Gram matrices
-    (m, d, d) and ``A^T b`` vectors (m, d) for least squares; the features
-    (k, n, d) and labels (k, n) for logistic, one stack per group of the k
-    agents that hold n data points each (grouped, not zero-padded, so that
-    the batched products equal the per-objective ones bit for bit).  Each
-    objective's arrays become views into the stacks, so the data is held
-    once; change it in place, not by rebinding the arrays.  ``gradients``
-    and ``hessians`` evaluate the listed agents with one batched product
-    per group, while the reference solver, the smoothness constants and
-    the analysis oracles call the objectives.
-    """
-
-    objectives: list
-    regularizer: Regularizer = Regularizer()
-    kind: str = field(init=False)
-    _groups: list = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if not self.objectives:
-            raise ConfigurationError("need at least one local objective")
-        dims = {obj.d for obj in self.objectives}
-        if len(dims) != 1:
-            raise ConfigurationError(f"objective dimensions differ: {sorted(dims)}")
-        kinds = {obj.kind for obj in self.objectives}
-        if len(kinds) != 1:
-            raise ConfigurationError(f"objective kinds differ: {sorted(kinds)}")
-        self.kind = kinds.pop()
-        form = STACKED[self.kind]
-        members = {}
-        for i, obj in enumerate(self.objectives):
-            members.setdefault(form.group(obj), []).append(i)
-        self._groups = []  # (agents in increasing order, their stacks)
-        for agents in members.values():
-            stacks = []
-            for name in form.fields:
-                # one objective's array at a time: each is freed once its view replaces it
-                shape = getattr(self.objectives[agents[0]], name).shape
-                stack = np.empty((len(agents),) + shape)
-                for slot, i in enumerate(agents):
-                    stack[slot] = getattr(self.objectives[i], name)
-                    setattr(self.objectives[i], name, stack[slot])
-                stacks.append(stack)
-            self._groups.append((np.array(agents, dtype=np.intp), tuple(stacks)))
-
-    @property
-    def m(self) -> int:
-        return len(self.objectives)
-
-    @property
-    def d(self) -> int:
-        return self.objectives[0].d
-
-    @property
-    def constant_hessian(self) -> bool:
-        """Whether every local Hessian is the same at every point."""
-        return self.objectives[0].constant_hessian
-
-    def total_value(self, x: np.ndarray) -> float:
-        """Centralized composite cost at a single shared point."""
-        return sum(obj.value(x) for obj in self.objectives) + self.regularizer.value(x)
-
-    def gradients(self, X: np.ndarray, rows) -> np.ndarray:
-        """Local-objective gradients at the listed rows of X (distinct agents in
-        increasing order), (len(rows), d) even for no rows."""
-        return self._batched(STACKED[self.kind].gradients, X, rows, (self.d,))
-
-    def hessians(self, X: np.ndarray, rows) -> np.ndarray:
-        """Local Hessians at the listed rows of X, as ``gradients``; (len(rows), d, d)."""
-        return self._batched(STACKED[self.kind].hessians, X, rows, (self.d, self.d))
-
-    def _batched(self, evaluate, X, rows, shape):
-        rows = np.asarray(rows, dtype=np.intp)
-        full = len(rows) == self.m  # every agent: read the stacks in place
-        if len(self._groups) == 1:
-            stacks = self._groups[0][1]
-            return evaluate(*stacks, X) if full else evaluate(*(s[rows] for s in stacks), X[rows])
-        out = np.empty((len(rows),) + shape)
-        for agents, stacks in self._groups:
-            if full:
-                at, slots = agents, slice(None)
-            else:
-                at = np.flatnonzero(np.isin(rows, agents))
-                slots = np.searchsorted(agents, rows[at])
-            out[at] = evaluate(*(s[slots] for s in stacks), X[rows[at]])
-        return out
 
 
 @dataclass
@@ -157,7 +65,7 @@ def init_network(problem: ConsensusProblem, graph: Graph, hp: Hyperparams) -> Ne
     if not (0 <= hp.leader < graph.m):
         raise ConfigurationError(f"leader {hp.leader} out of range for m={graph.m}")
     m, d = graph.m, problem.d
-    shift = np.array([cv.block_diag_value(hp, graph.degree(i), i == hp.leader) for i in range(m)])
+    shift = cv.block_diag_value(hp, graph.degrees, np.arange(m) == hp.leader)
     X = np.zeros((m, d))
     return NetworkState(
         graph=graph, problem=problem, X=X, Phi=np.zeros((m, d)),

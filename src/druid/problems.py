@@ -7,20 +7,23 @@ Two smooth local objectives are supported:
   with labels y_j in {0, 1}
 
 and three regularizers: zero, gamma * ||x||_1, and gamma * ||x||^2.
+A ``ConsensusProblem`` holds one objective per agent and the shared
+regularizer; ``STACKED`` says how it stacks and evaluates objectives of
+one kind together.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
+from .errors import ConfigurationError
+
 LEAST_SQUARES = "least_squares"
 LOGISTIC = "logistic"
-
-_OBJECTIVE_KINDS = (LEAST_SQUARES, LOGISTIC)
 
 
 def _sigmoid(u: np.ndarray) -> np.ndarray:
@@ -52,7 +55,7 @@ class LocalObjective:
     targets: np.ndarray
 
     def __post_init__(self):
-        if self.kind not in _OBJECTIVE_KINDS:
+        if self.kind not in STACKED:
             raise ValueError(f"unknown objective kind {self.kind!r}")
         self.features = np.atleast_2d(np.asarray(self.features, dtype=float))
         self.targets = np.asarray(self.targets, dtype=float).ravel()
@@ -76,11 +79,6 @@ class LocalObjective:
     def d(self) -> int:
         return self.features.shape[1]
 
-    @property
-    def constant_hessian(self) -> bool:
-        """Whether the Hessian is the same at every point (least squares)."""
-        return self.kind == LEAST_SQUARES
-
     def value(self, x: np.ndarray) -> float:
         if self.kind == LEAST_SQUARES:
             r = self.features @ x - self.targets
@@ -100,6 +98,13 @@ class LocalObjective:
             return self._gram.copy()
         s = _sigmoid(self.features @ x)
         return (self.features * (s * (1.0 - s))[:, None]).T @ self.features
+
+    def hessian_bound(self) -> np.ndarray:
+        """A matrix above the Hessian at every point: the Gram matrix (not a
+        copy) for least squares, a quarter of the feature Gram for logistic."""
+        if self.kind == LEAST_SQUARES:
+            return self._gram
+        return 0.25 * (self.features.T @ self.features)
 
 
 # Batched forms of ``LocalObjective.gradient``/``hessian`` for k objectives
@@ -130,17 +135,19 @@ class StackedForm:
     """How objectives of one kind are evaluated together: objectives with
     equal ``group(obj)`` keys have equal-shaped arrays ``fields``, which are
     stacked, and the batched ``gradients`` and ``hessians`` take those
-    stacks and X (k, d) and return a new array."""
+    stacks and X (k, d) and return a new array.  ``constant_hessian`` says
+    whether the Hessian is the same at every point."""
 
     group: Callable
     fields: tuple
     gradients: Callable
     hessians: Callable
+    constant_hessian: bool = False
 
 
 STACKED = {
     LEAST_SQUARES: StackedForm(lambda obj: None, ("_gram", "_atb"), _least_squares_gradients,
-                               _least_squares_hessians),
+                               _least_squares_hessians, constant_hessian=True),
     LOGISTIC: StackedForm(lambda obj: len(obj.targets), ("features", "targets"),
                           _logistic_gradients, _logistic_hessians),
 }
@@ -158,21 +165,20 @@ class SmoothnessConstants:
 def smoothness_constants(obj: LocalObjective) -> SmoothnessConstants:
     """Strong convexity / smoothness / Hessian-Lipschitz constants.
 
-    Least squares: extreme eigenvalues of the Gram matrix, L_f = 0.
-    Logistic: the Hessian is bounded above by a quarter of the feature
-    Gram, and its Lipschitz constant by the peak of the sigmoid's second
-    derivative (1 / (6 sqrt 3)) times the cubed feature norms.
+    M_f is the largest eigenvalue of ``hessian_bound``.  Least squares:
+    m_f is the smallest one, L_f = 0.  Logistic: m_f = 0, and the Hessian's
+    Lipschitz constant is the peak of the sigmoid's second derivative
+    (1 / (6 sqrt 3)) times the cubed feature norms.
     """
     if obj.features.shape[0] == 0:
         raise ValueError("objective has no data")
+    eig = np.linalg.eigvalsh(obj.hessian_bound())
     if obj.kind == LEAST_SQUARES:
-        eig = np.linalg.eigvalsh(obj._gram)
         return SmoothnessConstants(m_f=float(max(eig[0], 0.0)), M_f=float(eig[-1]), L_f=0.0)
-    eig = np.linalg.eigvalsh(obj.features.T @ obj.features)
     norms = np.linalg.norm(obj.features, axis=1)
     return SmoothnessConstants(
         m_f=0.0,
-        M_f=0.25 * float(eig[-1]),
+        M_f=float(eig[-1]),
         L_f=float(np.sum(norms**3)) / (6.0 * np.sqrt(3.0)),
     )
 
@@ -245,3 +251,92 @@ def subgradient_membership(g: Regularizer, theta: np.ndarray, lam: np.ndarray, t
             return False
         return bool(np.all(np.abs(lam[~active]) <= g.gamma + tol))
     return bool(np.linalg.norm(lam - 2.0 * g.gamma * theta) <= tol)
+
+
+@dataclass
+class ConsensusProblem:
+    """One local objective per agent plus the shared regularizer.
+
+    All objectives have one kind and one dimension.  Construction stacks
+    the arrays ``STACKED[kind].fields`` of each group of agents with equal
+    ``group`` key (for logistic, equal row counts) and makes each
+    objective's arrays views into the stacks, so the data is held once;
+    change it in place, not by rebinding the arrays.  ``gradients`` and
+    ``hessians`` evaluate the listed agents with one batched product per
+    group, while the reference solver, the smoothness constants and the
+    analysis oracles call the objectives.
+    """
+
+    objectives: list
+    regularizer: Regularizer = Regularizer()
+    kind: str = field(init=False)
+    _groups: list = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if not self.objectives:
+            raise ConfigurationError("need at least one local objective")
+        dims = {obj.d for obj in self.objectives}
+        if len(dims) != 1:
+            raise ConfigurationError(f"objective dimensions differ: {sorted(dims)}")
+        kinds = {obj.kind for obj in self.objectives}
+        if len(kinds) != 1:
+            raise ConfigurationError(f"objective kinds differ: {sorted(kinds)}")
+        self.kind = kinds.pop()
+        form = STACKED[self.kind]
+        members = {}
+        for i, obj in enumerate(self.objectives):
+            members.setdefault(form.group(obj), []).append(i)
+        self._groups = []  # (agents in increasing order, their stacks)
+        for agents in members.values():
+            stacks = []
+            for name in form.fields:
+                # one objective's array at a time: each is freed once its view replaces it
+                shape = getattr(self.objectives[agents[0]], name).shape
+                stack = np.empty((len(agents),) + shape)
+                for slot, i in enumerate(agents):
+                    stack[slot] = getattr(self.objectives[i], name)
+                    setattr(self.objectives[i], name, stack[slot])
+                stacks.append(stack)
+            self._groups.append((np.array(agents, dtype=np.intp), tuple(stacks)))
+
+    @property
+    def m(self) -> int:
+        return len(self.objectives)
+
+    @property
+    def d(self) -> int:
+        return self.objectives[0].d
+
+    @property
+    def constant_hessian(self) -> bool:
+        """Whether every local Hessian is the same at every point."""
+        return STACKED[self.kind].constant_hessian
+
+    def total_value(self, x: np.ndarray) -> float:
+        """Centralized composite cost at a single shared point."""
+        return sum(obj.value(x) for obj in self.objectives) + self.regularizer.value(x)
+
+    def gradients(self, X: np.ndarray, rows) -> np.ndarray:
+        """Local-objective gradients at the listed rows of X (distinct agents in
+        increasing order), (len(rows), d) even for no rows."""
+        return self._batched(STACKED[self.kind].gradients, X, rows, (self.d,))
+
+    def hessians(self, X: np.ndarray, rows) -> np.ndarray:
+        """Local Hessians at the listed rows of X, as ``gradients``; (len(rows), d, d)."""
+        return self._batched(STACKED[self.kind].hessians, X, rows, (self.d, self.d))
+
+    def _batched(self, evaluate, X, rows, shape):
+        rows = np.asarray(rows, dtype=np.intp)
+        full = len(rows) == self.m  # every agent: read the stacks in place
+        if len(self._groups) == 1:
+            stacks = self._groups[0][1]
+            return evaluate(*stacks, X) if full else evaluate(*(s[rows] for s in stacks), X[rows])
+        out = np.empty((len(rows),) + shape)
+        for agents, stacks in self._groups:
+            if full:
+                at, slots = agents, slice(None)
+            else:
+                at = np.flatnonzero(np.isin(rows, agents))
+                slots = np.searchsorted(agents, rows[at])
+            out[at] = evaluate(*(s[slots] for s in stacks), X[rows[at]])
+        return out

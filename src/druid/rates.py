@@ -3,23 +3,22 @@
 Evaluates, for a concrete problem/graph/hyperparameter triple: the uniform
 curvature-block bound of each scheme, the free constant of the sublinear
 running-average bound, and the linear contraction rate (both the
-inexact-update rate and its exact-minimization limit).  Scheme-specific
-worst-case values are used for the per-step inexactness bound: M_f for
-gradient updates, 2 M_f for Newton (zero when the local Hessians are
-constant), and 2 psi for BFGS.
+inexact-update rate and its exact-minimization limit).  ``THEORY`` is the
+one place that maps a scheme to its worst-case constants, keyed like
+``curvature.KERNELS``; the run path never reads it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from . import curvature as cv
 from .curvature import Hyperparams
 from .errors import InapplicableTheoremError
-from .network import ConsensusProblem
-from .problems import aggregate_smoothness
+from .problems import ConsensusProblem, aggregate_smoothness
 from .topology import Graph, SpectralConstants, build_matrices, spectral_constants
 
 
@@ -40,26 +39,39 @@ class RateConstants:
     cond_epsilon_sublinear: bool   # epsilon > M_f / 2
     cond_epsilon_linear: bool      # epsilon > c_max^2 (m_f + M_f) / (2 m_f M_f)
     cond_mu_ratio: bool            # mu_z = 2 mu_theta
-    cond_muz_eps_psi: bool = None  # mu_z epsilon < psi^2, BFGS only
+    cond_muz_eps_psi: bool = None  # mu_z epsilon < psi^2, where THEORY applies it (BFGS)
 
 
-def scheme_m_bar(hp: Hyperparams, M_f: float, d_max: int) -> float:
-    """Uniform upper bound on the curvature blocks."""
-    base = hp.mu_z * d_max + hp.epsilon + hp.mu_theta
-    if hp.scheme == cv.GRADIENT:
-        return base
-    if hp.scheme == cv.NEWTON:
-        return M_f + base
-    return hp.psi
+@dataclass(frozen=True)
+class SchemeTheory:
+    """Worst-case constants of one scheme, from the hyperparameters ``hp``
+    and the network-wide ``SmoothnessConstants`` ``sm``."""
+
+    m_bar: Callable              # (hp, sm, largest block shift) -> bound on the blocks
+    tau: Callable                # (hp, sm) -> per-step inexactness coefficient
+    c_max: Callable              # (hp, sm) -> constant of the linear-rate epsilon condition
+    psi_condition: bool = False  # whether mu_z epsilon < psi^2 applies
 
 
-def scheme_tau_bound(hp: Hyperparams, M_f: float, L_f: float) -> float:
-    """Worst-case per-step inexactness coefficient of the scheme."""
-    if hp.scheme == cv.GRADIENT:
-        return M_f
-    if hp.scheme == cv.NEWTON:
-        return 0.0 if L_f == 0.0 else 2.0 * M_f
-    return 2.0 * hp.psi
+THEORY = {
+    cv.GRADIENT: SchemeTheory(
+        m_bar=lambda hp, sm, shift: shift,
+        tau=lambda hp, sm: sm.M_f,
+        c_max=lambda hp, sm: 2.0 * sm.M_f,
+    ),
+    # no inexactness when the local Hessians are constant (L_f = 0)
+    cv.NEWTON: SchemeTheory(
+        m_bar=lambda hp, sm, shift: sm.M_f + shift,
+        tau=lambda hp, sm: 0.0 if sm.L_f == 0.0 else 2.0 * sm.M_f,
+        c_max=lambda hp, sm: 2.0 * sm.M_f,
+    ),
+    cv.BFGS: SchemeTheory(
+        m_bar=lambda hp, sm, shift: hp.psi,
+        tau=lambda hp, sm: 2.0 * hp.psi,
+        c_max=lambda hp, sm: 2.0 * max(sm.M_f, hp.psi),
+        psi_condition=True,
+    ),
+}
 
 
 def linear_rate(m_f: float, M_f: float, mu_theta: float, epsilon: float,
@@ -93,21 +105,25 @@ def rate_constants(problem: ConsensusProblem, graph: Graph, hp: Hyperparams,
 
     ``zeta`` defaults to the midpoint of its admissible interval
     ((m_f + M_f) / (2 m_f M_f), epsilon / tau^2); pass a value to
-    override.  Raises when the objectives are not strongly convex.
+    override.  Raises when the objectives are not strongly convex or the
+    scheme has no ``THEORY`` entry.
     """
     sm = aggregate_smoothness(problem.objectives)
     if sm.m_f <= 0.0:
         raise InapplicableTheoremError(
             "linear-rate constants need strongly convex local objectives (m_f > 0)"
         )
+    if hp.scheme not in THEORY:
+        raise InapplicableTheoremError(f"no rate theory for scheme {hp.scheme!r}")
+    theory = THEORY[hp.scheme]
     spectra = spectral_constants(build_matrices(graph), hp.leader)
-    M_bar = scheme_m_bar(hp, sm.M_f, spectra.d_max)
+    M_bar = theory.m_bar(hp, sm, hp.mu_z * spectra.d_max + hp.epsilon + hp.mu_theta)
     rho = max(2.0 * hp.epsilon * hp.mu_theta / M_bar**2, spectra.sigma_max_Ls) + 2.0
-    tau = scheme_tau_bound(hp, sm.M_f, sm.L_f)
+    tau = theory.tau(hp, sm)
     zeta_lo = (sm.m_f + sm.M_f) / (2.0 * sm.m_f * sm.M_f)
     if zeta is None:
         zeta = 0.5 * (zeta_lo + hp.epsilon / tau**2) if tau > 0.0 else np.inf
-    c_max = 2.0 * max(sm.M_f, hp.psi) if hp.scheme == cv.BFGS else 2.0 * sm.M_f
+    c_max = theory.c_max(hp, sm)
     eta = linear_rate(sm.m_f, sm.M_f, hp.mu_theta, hp.epsilon, tau, zeta, spectra)
     eta_exact = linear_rate(sm.m_f, sm.M_f, hp.mu_theta, 0.0, 0.0, np.inf, spectra)
     return RateConstants(
@@ -120,6 +136,6 @@ def rate_constants(problem: ConsensusProblem, graph: Graph, hp: Hyperparams,
         ),
         cond_mu_ratio=bool(hp.mu_z == 2.0 * hp.mu_theta),
         cond_muz_eps_psi=(
-            bool(hp.mu_z * hp.epsilon < hp.psi**2) if hp.scheme == cv.BFGS else None
+            bool(hp.mu_z * hp.epsilon < hp.psi**2) if theory.psi_condition else None
         ),
     )

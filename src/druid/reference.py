@@ -14,8 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError
-from .network import ConsensusProblem
-from .problems import LEAST_SQUARES, prox
+from .problems import ConsensusProblem, prox
 
 
 @dataclass(frozen=True)
@@ -28,13 +27,7 @@ class ReferenceSolution:
 
 def total_curvature_bound(problem: ConsensusProblem) -> float:
     """Largest eigenvalue of an upper bound on the summed Hessians."""
-    d = problem.d
-    bound = np.zeros((d, d))
-    for obj in problem.objectives:
-        if obj.kind == LEAST_SQUARES:
-            bound += obj._gram
-        else:
-            bound += 0.25 * (obj.features.T @ obj.features)
+    bound = sum(obj.hessian_bound() for obj in problem.objectives)  # in agent order
     return float(np.linalg.eigvalsh(bound)[-1])
 
 

@@ -9,8 +9,15 @@ from conftest import install_fixed_point, make_lasso_instance
 from druid.activation import ActivationRecord, ActivationSampler, async_step, sample_activation
 from druid.analysis import project_dual
 from druid.curvature import SCHEMES, Hyperparams
-from druid.network import ConsensusProblem, apply_step, init_network, sync_step
-from druid.problems import LEAST_SQUARES, L1, LocalObjective, Regularizer, aggregate_smoothness
+from druid.network import apply_step, init_network, sync_step
+from druid.problems import (
+    L1,
+    LEAST_SQUARES,
+    ConsensusProblem,
+    LocalObjective,
+    Regularizer,
+    aggregate_smoothness,
+)
 from druid.reference import centralized_reference
 from druid.topology import Graph
 
@@ -51,6 +58,31 @@ def test_bernoulli_empirical_frequency():
     assert np.all(np.abs(counts / draws - 0.5) <= 0.02)
 
 
+@pytest.mark.parametrize("sampler", [ActivationSampler.bernoulli(0.3, 7, seed=5),
+                                     ActivationSampler.fixed_count(3, 7, seed=5)],
+                         ids=["bernoulli", "fixed_count"])
+def test_record_mask_and_active_agree(sampler):
+    for t in range(40):
+        record = sample_activation(sampler, t)
+        rng = np.random.default_rng((sampler.seed, t))
+        if sampler.mode == "bernoulli":
+            drawn = np.flatnonzero(rng.random(sampler.m) < sampler.probabilities)
+        else:
+            drawn = np.sort(rng.choice(sampler.m, size=sampler.count, replace=False))
+        assert record.t == t
+        assert record.mask.dtype == bool and record.mask.shape == (sampler.m,)
+        assert record.active == tuple(drawn.tolist())
+        assert np.array_equal(np.flatnonzero(record.mask), drawn)
+
+
+def test_empty_draw_has_all_false_mask():
+    sampler = ActivationSampler.bernoulli(0.05, 3, seed=1)
+    records = (sample_activation(sampler, t) for t in range(100))
+    record = next(r for r in records if not r.mask.any())
+    assert record.active == ()
+    assert np.array_equal(record.mask, np.zeros(3, dtype=bool))
+
+
 def test_sampling_deterministic_in_seed_and_iteration():
     a = ActivationSampler.bernoulli(0.4, 10, seed=3)
     b = ActivationSampler.bernoulli(0.4, 10, seed=3)
@@ -84,7 +116,7 @@ def test_empty_activation_is_noop(scheme):
     for _ in range(3):
         sync_step(ns, hp)
     frozen = copy.deepcopy(ns)
-    async_step(ns, ActivationRecord(t=ns.t, active=()), hp)
+    async_step(ns, ActivationRecord(t=ns.t, mask=np.zeros(graph.m, dtype=bool)), hp)
     assert ns.t == frozen.t + 1
     assert ns.comm_scalars == frozen.comm_scalars
     for name in ("X", "Phi", "theta", "lam", "B", "G"):
@@ -117,7 +149,7 @@ def test_single_active_agent_masks_everything_else():
     active_agent = 2
     assert active_agent != hp.leader
     frozen = copy.deepcopy(ns)
-    async_step(ns, ActivationRecord(t=ns.t, active=(active_agent,)), hp)
+    async_step(ns, ActivationRecord(t=ns.t, mask=np.arange(graph.m) == active_agent), hp)
     assert np.array_equal(ns.theta, frozen.theta)
     assert np.array_equal(ns.lam, frozen.lam)
     for i in range(graph.m):
@@ -191,7 +223,7 @@ def test_invariants_on_random_graphs_and_activations(case):
         # full activation reproduces the synchronous step bit for bit
         ns_async = copy.deepcopy(ns)
         sync_step(ns, hp)
-        async_step(ns_async, ActivationRecord(t=ns_async.t, active=tuple(range(m))), hp)
+        async_step(ns_async, ActivationRecord(t=ns_async.t, mask=np.ones(m, dtype=bool)), hp)
         for name in ("X", "Phi", "theta", "lam", "B", "G", "t", "comm_scalars"):
             assert np.array_equal(getattr(ns, name), getattr(ns_async, name))
         assert_gradients_cached(ns, problem)

@@ -15,11 +15,12 @@ from druid.analysis import (
 )
 from druid.curvature import BFGS, GRADIENT, NEWTON, SCHEMES, Hyperparams
 from druid.errors import ConvergenceError, DiagnosticError, InconsistentReferenceError
-from druid.network import ConsensusProblem, init_network, sync_step
+from druid.network import init_network, sync_step
 from druid.problems import (
     L1,
     LEAST_SQUARES,
     ZERO,
+    ConsensusProblem,
     LocalObjective,
     Regularizer,
     aggregate_smoothness,

@@ -8,6 +8,7 @@ from conftest import make_lasso_instance, make_logistic_instance
 from druid.curvature import (
     BFGS,
     GRADIENT,
+    KERNELS,
     NEWTON,
     Hyperparams,
     bfgs_inverse_update,
@@ -16,8 +17,8 @@ from druid.curvature import (
     newton_block,
     solve_direction,
 )
-from druid.network import ConsensusProblem, apply_step, init_network, local_gradient, sync_step
-from druid.problems import LEAST_SQUARES, LOGISTIC, LocalObjective
+from druid.network import apply_step, init_network, local_gradient, sync_step
+from druid.problems import LEAST_SQUARES, LOGISTIC, ConsensusProblem, LocalObjective
 from druid.topology import Graph
 
 
@@ -164,12 +165,12 @@ def test_bfgs_stays_positive_definite_over_many_updates():
 
 
 def test_solve_direction_gradient():
-    u = solve_direction(GRADIENT, np.array([2.6]), np.array([[2.6, 0.0]]))
+    u = solve_direction(KERNELS[GRADIENT], np.array([2.6]), np.array([[2.6, 0.0]]))
     assert u[0] == pytest.approx([1.0, 0.0])
 
 
 def test_solve_direction_newton():
-    u = solve_direction(NEWTON, np.diag([2.0, 4.0])[None], np.array([[2.0, 4.0]]))
+    u = solve_direction(KERNELS[NEWTON], np.diag([2.0, 4.0])[None], np.array([[2.0, 4.0]]))
     assert u[0] == pytest.approx([1.0, 1.0])
 
 
@@ -177,7 +178,7 @@ def test_solve_direction_newton_residual():
     rng = np.random.default_rng(6)
     H = random_spd(rng, 5)
     h = rng.normal(size=5)
-    u = solve_direction(NEWTON, H[None], h[None])[0]
+    u = solve_direction(KERNELS[NEWTON], H[None], h[None])[0]
     assert np.linalg.norm(H @ u - h) <= 1e-10 * np.linalg.norm(h)
 
 
@@ -185,8 +186,8 @@ def test_solve_direction_bfgs_matches_newton_with_exact_inverse():
     rng = np.random.default_rng(7)
     H = random_spd(rng, 3)
     h = rng.normal(size=3)
-    newton = solve_direction(NEWTON, H[None], h[None])[0]
-    bfgs = solve_direction(BFGS, np.linalg.inv(H)[None], h[None])[0]
+    newton = solve_direction(KERNELS[NEWTON], H[None], h[None])[0]
+    bfgs = solve_direction(KERNELS[BFGS], np.linalg.inv(H)[None], h[None])[0]
     assert np.linalg.norm(bfgs - newton) <= 1e-12 * max(1.0, np.linalg.norm(newton))
 
 
@@ -307,8 +308,9 @@ def test_newton_logistic_batched_solve_is_bitwise_the_per_row_loop():
         loop = np.stack([
             scipy.linalg.cho_solve(scipy.linalg.cho_factor(block), h) for block, h in zip(blocks, H)
         ])
-        assert np.array_equal(solve_direction(NEWTON, blocks, H), loop)
-    empty = solve_direction(NEWTON, np.empty((0, problem.d, problem.d)), np.empty((0, problem.d)))
+        assert np.array_equal(solve_direction(KERNELS[NEWTON], blocks, H), loop)
+    empty = solve_direction(KERNELS[NEWTON], np.empty((0, problem.d, problem.d)),
+                            np.empty((0, problem.d)))
     assert empty.shape == (0, problem.d)
 
 

@@ -250,7 +250,7 @@ def test_divergence_is_caught_on_the_step_that_causes_it(tmp_path):
 def test_epsilon_at_or_below_half_M_f_logs_a_warning(tmp_path, caplog):
     cfg = base_config(tmp_path, iterations=3, cadence=1)
     with open(cfg.dataset) as fh:
-        problem = build_problem(cfg, parse_libsvm(fh), None)
+        problem = build_problem(cfg, parse_libsvm(fh))
     half = aggregate_smoothness(problem.objectives).M_f / 2
 
     def run(epsilon, level, name):

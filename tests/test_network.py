@@ -13,7 +13,6 @@ from druid.analysis import project_dual
 from druid.curvature import GRADIENT, NEWTON, SCHEMES, Hyperparams, block_diag_value, newton_block
 from druid.errors import ConfigurationError, DivergenceError
 from druid.network import (
-    ConsensusProblem,
     apply_step,
     dual_updates,
     init_network,
@@ -25,6 +24,7 @@ from druid.problems import (
     LEAST_SQUARES,
     LOGISTIC,
     ZERO,
+    ConsensusProblem,
     LocalObjective,
     Regularizer,
     aggregate_smoothness,

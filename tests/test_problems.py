@@ -7,6 +7,7 @@ from druid.problems import (
     LOGISTIC,
     SQUARED_L2,
     ZERO,
+    ConsensusProblem,
     LocalObjective,
     Regularizer,
     aggregate_smoothness,
@@ -14,6 +15,7 @@ from druid.problems import (
     smoothness_constants,
     subgradient_membership,
 )
+from druid.reference import total_curvature_bound
 
 
 def random_objective(kind, seed, rows=6, d=4):
@@ -108,6 +110,25 @@ def test_smoothness_bounds_gradient_differences(kind):
         x, y = rng.normal(size=obj.d), rng.normal(size=obj.d)
         lhs = np.linalg.norm(obj.gradient(x) - obj.gradient(y))
         assert lhs <= sm.M_f * np.linalg.norm(x - y) * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("kind", [LEAST_SQUARES, LOGISTIC])
+def test_hessian_bound_is_above_the_hessian_and_sets_M_f(kind):
+    objs = [random_objective(kind, seed=s) for s in range(6)]
+    gram = [obj.features.T @ obj.features for obj in objs]
+    scale = 1.0 if kind == LEAST_SQUARES else 0.25
+    rng = np.random.default_rng(8)
+    for obj, g in zip(objs, gram):
+        bound = obj.hessian_bound()
+        assert np.array_equal(bound, scale * g)
+        assert np.linalg.eigvalsh(bound - obj.hessian(rng.normal(size=obj.d)))[0] >= -1e-12
+        # scaling by a power of two is exact, so M_f is the former per-kind value bit for bit
+        assert smoothness_constants(obj).M_f == scale * float(np.linalg.eigvalsh(g)[-1])
+    total = np.zeros_like(gram[0])
+    for g in gram:
+        total += scale * g
+    problem = ConsensusProblem(objs)
+    assert total_curvature_bound(problem) == float(np.linalg.eigvalsh(total)[-1])
 
 
 def test_aggregate_smoothness_extremes():

@@ -1,11 +1,15 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from conftest import make_rank_deficient_instance, make_ridge_instance
+from druid import curvature as cv
 from druid.curvature import BFGS, GRADIENT, NEWTON, Hyperparams
 from druid.errors import InapplicableTheoremError
-from druid.problems import aggregate_smoothness
-from druid.rates import linear_rate, rate_constants, scheme_m_bar, scheme_tau_bound
+from druid.network import init_network, sync_step
+from druid.problems import SmoothnessConstants, aggregate_smoothness
+from druid.rates import THEORY, linear_rate, rate_constants
 from druid.topology import build_matrices, spectral_constants
 
 
@@ -16,26 +20,56 @@ def certified_hp(problem, scheme, factor=1.02):
     return Hyperparams(mu_z=2.0, mu_theta=1.0, epsilon=eps, scheme=scheme, psi=sm.M_f)
 
 
+def test_theory_table_covers_every_scheme():
+    assert tuple(THEORY) == cv.SCHEMES
+
+
 def test_m_bar_newton_exceeds_gradient_by_M_f():
     graph, problem = make_ridge_instance()
     sm = aggregate_smoothness(problem.objectives)
     hp_g = certified_hp(problem, GRADIENT)
     hp_n = certified_hp(problem, NEWTON)
-    d_max = int(graph.degrees.max())
-    assert scheme_m_bar(hp_n, sm.M_f, d_max) - scheme_m_bar(hp_g, sm.M_f, d_max) == pytest.approx(sm.M_f)
+    m_g = rate_constants(problem, graph, hp_g).M_bar
+    m_n = rate_constants(problem, graph, hp_n).M_bar
+    assert m_n - m_g == pytest.approx(sm.M_f)
+    shift_max = hp_g.mu_z * int(graph.degrees.max()) + hp_g.epsilon + hp_g.mu_theta
+    assert m_g == THEORY[GRADIENT].m_bar(hp_g, sm, shift_max) == shift_max
 
 
 def test_m_bar_bfgs_is_psi():
     hp = Hyperparams(mu_z=1.0, mu_theta=0.5, epsilon=1.0, scheme=BFGS, psi=7.5)
-    assert scheme_m_bar(hp, 99.0, 5) == 7.5
+    sm = SmoothnessConstants(m_f=1.0, M_f=99.0, L_f=1.0)
+    assert THEORY[BFGS].m_bar(hp, sm, 6.5) == 7.5
 
 
 def test_tau_bounds_per_scheme():
     hp = lambda s: Hyperparams(mu_z=1.0, mu_theta=0.5, epsilon=1.0, scheme=s, psi=3.0)
-    assert scheme_tau_bound(hp(GRADIENT), 2.0, 1.0) == 2.0
-    assert scheme_tau_bound(hp(NEWTON), 2.0, 1.0) == 4.0
-    assert scheme_tau_bound(hp(NEWTON), 2.0, 0.0) == 0.0  # constant Hessians
-    assert scheme_tau_bound(hp(BFGS), 2.0, 1.0) == 6.0
+    sm = lambda L_f: SmoothnessConstants(m_f=1.0, M_f=2.0, L_f=L_f)
+    assert THEORY[GRADIENT].tau(hp(GRADIENT), sm(1.0)) == 2.0
+    assert THEORY[NEWTON].tau(hp(NEWTON), sm(1.0)) == 4.0
+    assert THEORY[NEWTON].tau(hp(NEWTON), sm(0.0)) == 0.0  # constant Hessians
+    assert THEORY[BFGS].tau(hp(BFGS), sm(1.0)) == 6.0
+
+
+def test_fourth_scheme_needs_a_theory_entry(monkeypatch):
+    """A scheme added to the kernel table runs; its rate constants come
+    from its own theory entry, and without one rate_constants raises
+    instead of borrowing another scheme's constants."""
+    name = "gradient_copy"
+    monkeypatch.setitem(cv.KERNELS, name, dataclasses.replace(cv.KERNELS[GRADIENT]))
+    monkeypatch.setattr(cv, "SCHEMES", cv.SCHEMES + (name,))
+    graph, problem = make_ridge_instance()
+    hp = dataclasses.replace(certified_hp(problem, GRADIENT), scheme=name)
+    ns = init_network(problem, graph, hp)
+    for _ in range(3):
+        sync_step(ns, hp)
+    assert np.isfinite(ns.X).all()
+    with pytest.raises(InapplicableTheoremError, match=name):
+        rate_constants(problem, graph, hp)
+    monkeypatch.setitem(THEORY, name, THEORY[GRADIENT])
+    got = rate_constants(problem, graph, hp)
+    want = rate_constants(problem, graph, certified_hp(problem, GRADIENT))
+    assert got == want
 
 
 def test_exact_rate_recovered_in_degenerate_limit():
