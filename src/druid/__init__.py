@@ -22,7 +22,6 @@ from .problems import (
     LocalObjective,
     Regularizer,
     SmoothnessConstants,
-    aggregate_smoothness,
     prox,
     smoothness_constants,
     subgradient_membership,
@@ -45,7 +44,7 @@ __all__ = [
     "NetworkState", "init_network", "local_gradient", "sync_step",
     "L1", "LEAST_SQUARES", "LOGISTIC", "SQUARED_L2", "ZERO",
     "ConsensusProblem", "LocalObjective", "Regularizer", "SmoothnessConstants",
-    "aggregate_smoothness", "prox", "smoothness_constants", "subgradient_membership",
+    "prox", "smoothness_constants", "subgradient_membership",
     "ReferenceSolution", "centralized_reference",
     "Graph", "SpectralConstants", "TopologyMatrices", "build_matrices",
     "random_connected_graph", "read_edge_list", "spectral_constants", "write_edge_list",

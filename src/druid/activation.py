@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curvature import Hyperparams
 from .network import NetworkState, apply_step
 
 BERNOULLI = "bernoulli"
@@ -78,11 +77,11 @@ def sample_activation(sampler: ActivationSampler, t: int) -> ActivationRecord:
     return ActivationRecord(t=t, mask=mask)
 
 
-def async_step(ns: NetworkState, record: ActivationRecord, hp: Hyperparams) -> NetworkState:
+def async_step(ns: NetworkState, record: ActivationRecord) -> NetworkState:
     """One asynchronous iteration: only the recorded agents update.
 
     Theta and lambda move only when the leader is active; an empty record
     only advances the iteration counter.  Full activation reproduces the
     synchronous step exactly.
     """
-    return apply_step(ns, hp, record.mask)
+    return apply_step(ns, record.mask)

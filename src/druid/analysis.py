@@ -19,7 +19,7 @@ from . import curvature as cv
 from .curvature import Hyperparams
 from .errors import DiagnosticError, InconsistentReferenceError
 from .network import NetworkState
-from .problems import ConsensusProblem, aggregate_smoothness, prox, subgradient_membership
+from .problems import ConsensusProblem, prox, subgradient_membership
 from .rates import THEORY
 from .topology import Graph, build_matrices, edge_differences, edge_sums
 
@@ -34,7 +34,7 @@ def kkt_residuals(ns: NetworkState):
     """
     X = ns.X
     stat = ns.G + ns.Phi
-    leader = ns.leader
+    leader = ns.hp.leader
     stat[leader] += ns.lam
     r_opt = float(np.linalg.norm(stat))
     r_cons = float(np.linalg.norm(edge_differences(ns.graph, X)))
@@ -278,7 +278,7 @@ def error_term(problem: ConsensusProblem, graph: Graph, hp: Hyperparams,
     tracked inverse estimates at both ends of the step).
     """
     m, d = graph.m, problem.d
-    sm = aggregate_smoothness(problem.objectives)
+    sm = problem.smoothness
     dx = x_t1 - x_t
     grads_t = np.stack([problem.objectives[i].gradient(x_t[i]) for i in range(m)])
     grads_t1 = np.stack([problem.objectives[i].gradient(x_t1[i]) for i in range(m)])

@@ -11,7 +11,8 @@ agent i's block is J_ii plus the constant shift
   iterate/gradient difference pairs, so no linear system is solved.
 
 ``KERNELS`` is the one place that maps a scheme to its behaviour, and
-``kernel`` picks the entry a network runs.  Every kernel works on the
+``kernel`` picks the entry a network runs; ``network.init_network`` calls it
+once and keeps the entry in the network state.  Every kernel works on the
 stacked rows of the active agents at once.
 """
 
@@ -33,13 +34,15 @@ BFGS = "bfgs"
 BFGS_SKIP_TOL = 1e-12
 
 
-@dataclass
+@dataclass(frozen=True)
 class Hyperparams:
     """Algorithm parameters shared by every agent.
 
     ``psi`` is the BFGS curvature bound; the additive 1/psi regularization
     it controls is applied only when ``bfgs_bounding`` is on, but rate
-    formulas use psi whenever the scheme is BFGS.
+    formulas use psi whenever the scheme is BFGS.  Frozen: a network bakes
+    them into its state at init, so derive variants with
+    ``dataclasses.replace``.
     """
 
     mu_z: float
@@ -143,7 +146,7 @@ def _shifted(blocks, shift):
     return blocks
 
 
-def _newton_rows(ns, hp, rows):
+def _newton_rows(ns, rows):
     return _shifted(ns.problem.hessians(ns.X, rows), ns.shift[rows])
 
 
@@ -154,7 +157,7 @@ def _cholesky(curvature, H):
     return scipy.linalg.cho_solve(factor, H[..., None])[..., 0]
 
 
-def _model_rows(ns, hp, rows):
+def _model_rows(ns, rows):
     # every row active: read the stack in place instead of gathering a copy
     return ns.B if len(rows) == len(ns.B) else ns.B[rows]
 
@@ -168,9 +171,9 @@ def _inverse_newton_blocks(problem, shift):
     return np.linalg.inv(_shifted(problem.hessians(zero, range(problem.m)), shift))
 
 
-def _secant_refresh(ns, hp, rows, x_old, g_old):
+def _secant_refresh(ns, rows, x_old, g_old):
     s, q = bfgs_pair(x_old, ns.X[rows], g_old, ns.G[rows], ns.shift[rows, None])
-    psi = hp.psi if hp.bfgs_bounding else None
+    psi = ns.hp.psi if ns.hp.bfgs_bounding else None
     ns.B[rows] = models = bfgs_inverse_update(ns.B[rows], s, q, psi=psi)
     return models
 
@@ -188,12 +191,12 @@ class Kernel:
     build: Callable
     solve: Callable
     init: Callable = lambda problem, shift: None
-    refresh: Callable = lambda ns, hp, rows, x_old, g_old: None
+    refresh: Callable = lambda ns, rows, x_old, g_old: None
 
 
 KERNELS = {
     GRADIENT: Kernel(
-        build=lambda ns, hp, rows: ns.shift[rows],
+        build=lambda ns, rows: ns.shift[rows],
         solve=lambda curvature, H: H / curvature[:, None],
     ),
     NEWTON: Kernel(build=_newton_rows, solve=_cholesky),

@@ -94,14 +94,9 @@ def dense_features(ds: Dataset, rows=None):
     return X, y
 
 
-def binarize_labels(y: np.ndarray, reference: np.ndarray = None) -> np.ndarray:
-    """Map two-valued labels to {0, 1} by thresholding at their midpoint.
-
-    ``reference`` supplies the label population to derive the two values
-    from (defaults to ``y`` itself); pass the full dataset's labels when
-    binarizing a partition slice.
-    """
-    values = np.unique(y if reference is None else reference)
+def binarize_labels(y: np.ndarray) -> np.ndarray:
+    """Map two-valued labels to {0, 1} by thresholding at their midpoint."""
+    values = np.unique(y)
     if len(values) > 2:
         raise ConfigurationError(
             f"logistic problems need two label values, found {len(values)}"

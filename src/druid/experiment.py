@@ -30,7 +30,6 @@ from .problems import (
     ConsensusProblem,
     LocalObjective,
     Regularizer,
-    aggregate_smoothness,
 )
 from .reference import centralized_reference
 from .topology import random_connected_graph
@@ -141,16 +140,16 @@ def load_config(path, overrides: dict = None) -> ExperimentConfig:
 
 
 def build_problem(cfg: ExperimentConfig, ds: Dataset) -> ConsensusProblem:
-    """Per-agent objectives from a seeded even partition of the dataset."""
+    """Per-agent objectives from a seeded even partition of the dataset: the
+    partitioned rows are read once, and each agent gets a view of its slice."""
     parts = partition(ds, cfg.agents, cfg.partition_seed)
     kind, regularizer = PROBLEMS[cfg.problem]
-    all_labels = np.array([row[0] for row in ds.rows])
-    objectives = []
-    for rows in parts:
-        X, y = dense_features(ds, rows)
-        if kind == LOGISTIC:
-            y = binarize_labels(y, reference=all_labels)
-        objectives.append(LocalObjective(kind, X, y))
+    X, y = dense_features(ds, np.concatenate(parts))
+    if kind == LOGISTIC:
+        y = binarize_labels(y)
+    bounds = np.cumsum([len(rows) for rows in parts])[:-1]
+    objectives = [LocalObjective(kind, Xi, yi)
+                  for Xi, yi in zip(np.split(X, bounds), np.split(y, bounds))]
     return ConsensusProblem(objectives, Regularizer(regularizer, cfg.gamma))
 
 
@@ -197,12 +196,11 @@ def run_experiment(cfg: ExperimentConfig) -> Path:
     dist0 = float(np.linalg.norm(np.tile(ref.x_star, (cfg.agents, 1))))
     if cost0 <= 0 or dist0 == 0:
         raise ConfigurationError("zero initial suboptimality; nothing to normalize by")
-    M_f = aggregate_smoothness(problem.objectives).M_f
+    M_f = problem.smoothness.M_f
     if cfg.epsilon is not None and cfg.epsilon <= M_f / 2:
         logger.warning("epsilon=%r is at or below M_f/2=%r: the rate condition "
                        "epsilon > M_f/2 does not hold", cfg.epsilon, M_f / 2)
-    hp = cfg.hyperparams(M_f)
-    ns = init_network(problem, graph, hp)
+    ns = init_network(problem, graph, cfg.hyperparams(M_f))
     sampler = None
     if cfg.mode == "async":
         if cfg.activation == "bernoulli":
@@ -213,9 +211,9 @@ def run_experiment(cfg: ExperimentConfig) -> Path:
     try:
         for _ in range(cfg.iterations):
             if sampler is None:
-                sync_step(ns, hp)
+                sync_step(ns)
             else:
-                async_step(ns, sample_activation(sampler, ns.t), hp)
+                async_step(ns, sample_activation(sampler, ns.t))
             if ns.t % cfg.cadence == 0 or ns.t == cfg.iterations:
                 records.append(_metrics(ns, cfg, ref, cost0, dist0))
     except DivergenceError:

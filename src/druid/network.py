@@ -6,8 +6,9 @@ additionally holds the pair (theta, lambda) coupling the shared variable
 to the regularizer.  One iteration runs on the rows of the participating
 agents, in this order: curvature and primal step from the start-of-step
 iterates, dual ascent on every edge with a participating endpoint, the
-leader's proximal step, then the local gradients and the scheme's model
-(``curvature.kernel``).  Each agent reads its neighbors' current iterates,
+leader's proximal step, then the local gradients and the scheme's model.
+The hyperparameters and the kernel are fixed at ``init_network`` and held
+by the state.  Each agent reads its neighbors' current iterates,
 since every update is sent to the neighbors as it happens.  Synchronous and
 asynchronous iterations are the same step with a full or a partial
 activation mask, so full participation is exactly the synchronous algorithm.
@@ -32,6 +33,8 @@ from .topology import Graph
 class NetworkState:
     """Stacked state of the whole network.
 
+    ``hp`` are the hyperparameters it was built with (the leader is
+    ``hp.leader``) and ``kernel`` the ``curvature.KERNELS`` entry it runs;
     ``X``/``Phi`` are (m, d); ``theta``/``lam`` are the leader's (d,)
     regularizer copy and multiplier; ``shift`` (m,) is the constant
     diagonal of every agent's curvature block; ``G`` (m, d) the local
@@ -43,6 +46,8 @@ class NetworkState:
 
     graph: Graph
     problem: ConsensusProblem
+    hp: Hyperparams
+    kernel: cv.Kernel
     X: np.ndarray
     Phi: np.ndarray
     theta: np.ndarray
@@ -50,7 +55,6 @@ class NetworkState:
     shift: np.ndarray
     G: np.ndarray
     B: np.ndarray = None
-    leader: int = 0
     t: int = 0
     comm_scalars: int = 0
 
@@ -67,26 +71,27 @@ def init_network(problem: ConsensusProblem, graph: Graph, hp: Hyperparams) -> Ne
     m, d = graph.m, problem.d
     shift = cv.block_diag_value(hp, graph.degrees, np.arange(m) == hp.leader)
     X = np.zeros((m, d))
+    kernel = cv.kernel(hp, problem)
     return NetworkState(
-        graph=graph, problem=problem, X=X, Phi=np.zeros((m, d)),
+        graph=graph, problem=problem, hp=hp, kernel=kernel, X=X, Phi=np.zeros((m, d)),
         theta=np.zeros(d), lam=np.zeros(d), shift=shift, G=problem.gradients(X, range(m)),
-        B=cv.kernel(hp, problem).init(problem, shift), leader=hp.leader,
+        B=kernel.init(problem, shift),
     )
 
 
-def local_gradient(ns: NetworkState, hp: Hyperparams, rows) -> np.ndarray:
+def local_gradient(ns: NetworkState, rows) -> np.ndarray:
     """Augmented-Lagrangian gradient at the listed rows of X; the local part is the cached ``G``."""
     rows = np.asarray(rows, dtype=np.intp)
-    X = ns.X
+    X, hp = ns.X, ns.hp
     coupling = ns.graph.degrees[rows, None] * X[rows] - ns.graph.adjacency[rows] @ X
     H = ns.G[rows] + ns.Phi[rows] + 0.5 * hp.mu_z * coupling
-    lead = np.flatnonzero(rows == ns.leader)
+    lead = np.flatnonzero(rows == hp.leader)
     if lead.size:
-        H[lead] = H[lead] + hp.mu_theta * (X[ns.leader] - ns.theta) + ns.lam
+        H[lead] = H[lead] + hp.mu_theta * (X[hp.leader] - ns.theta) + ns.lam
     return H
 
 
-def dual_updates(ns: NetworkState, hp: Hyperparams, active: np.ndarray) -> None:
+def dual_updates(ns: NetworkState, active: np.ndarray) -> None:
     """Dual ascent along every edge with a participating endpoint.
 
     The consensus duals live on edges; an edge whose source or destination
@@ -96,10 +101,11 @@ def dual_updates(ns: NetworkState, hp: Hyperparams, active: np.ndarray) -> None:
     participation).  The participating leader then applies the proximal
     map and its multiplier step.
     """
+    hp = ns.hp
     touched = ns.graph.adjacency * (active[:, None] | active[None, :])
     ns.Phi += 0.5 * hp.mu_z * (touched.sum(axis=1)[:, None] * ns.X - touched @ ns.X)
-    if active[ns.leader]:
-        x_lead = ns.X[ns.leader]
+    if active[hp.leader]:
+        x_lead = ns.X[hp.leader]
         theta_new = prox(ns.problem.regularizer, hp.mu_theta, x_lead + ns.lam / hp.mu_theta)
         ns.lam = ns.lam + hp.mu_theta * (x_lead - theta_new)
         ns.theta = theta_new
@@ -120,7 +126,7 @@ def _require_finite(ns: NetworkState, *phases) -> None:
                                   t, agent, phase)
 
 
-def apply_step(ns: NetworkState, hp: Hyperparams, active: np.ndarray) -> NetworkState:
+def apply_step(ns: NetworkState, active: np.ndarray) -> NetworkState:
     """Advance the network one iteration; ``active`` is a boolean mask over agents.
 
     Raises ``DivergenceError`` naming the agent and the phase ("primal",
@@ -129,26 +135,25 @@ def apply_step(ns: NetworkState, hp: Hyperparams, active: np.ndarray) -> Network
     """
     active = np.asarray(active, dtype=bool)
     rows = np.flatnonzero(active)
-    kernel = cv.kernel(hp, ns.problem)
-    curvature = kernel.build(ns, hp, rows)
-    H = local_gradient(ns, hp, rows)
+    curvature = ns.kernel.build(ns, rows)
+    H = local_gradient(ns, rows)
     x_old, g_old = ns.X[rows], ns.G[rows]
-    ns.X[rows] = x_new = x_old - cv.solve_direction(kernel, curvature, H)
+    ns.X[rows] = x_new = x_old - cv.solve_direction(ns.kernel, curvature, H)
     ns.comm_scalars += int(ns.graph.degrees[rows].sum()) * ns.problem.d
 
-    dual_updates(ns, hp, active)
+    dual_updates(ns, active)
     ns.G[rows] = g_new = ns.problem.gradients(ns.X, rows)
     # checked before the model refresh, which rejects non-finite pairs; the
     # prox never enlarges its argument, so a non-finite theta shows in lam too
     _require_finite(ns, ("primal", rows, x_new), ("dual", range(ns.graph.m), ns.Phi),
-                    ("prox", [ns.leader], ns.lam[None]), ("gradient", rows, g_new))
-    models = kernel.refresh(ns, hp, rows, x_old, g_old)
+                    ("prox", [ns.hp.leader], ns.lam[None]), ("gradient", rows, g_new))
+    models = ns.kernel.refresh(ns, rows, x_old, g_old)
     if models is not None:
         _require_finite(ns, ("model", rows, models))
     ns.t += 1
     return ns
 
 
-def sync_step(ns: NetworkState, hp: Hyperparams) -> NetworkState:
+def sync_step(ns: NetworkState) -> NetworkState:
     """One synchronous iteration: every agent participates."""
-    return apply_step(ns, hp, np.ones(ns.graph.m, dtype=bool))
+    return apply_step(ns, np.ones(ns.graph.m, dtype=bool))

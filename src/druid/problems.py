@@ -183,16 +183,6 @@ def smoothness_constants(obj: LocalObjective) -> SmoothnessConstants:
     )
 
 
-def aggregate_smoothness(objectives) -> SmoothnessConstants:
-    """Network-wide bounds: the tightest constants valid for every agent."""
-    per_agent = [smoothness_constants(obj) for obj in objectives]
-    return SmoothnessConstants(
-        m_f=min(c.m_f for c in per_agent),
-        M_f=max(c.M_f for c in per_agent),
-        L_f=max(c.L_f for c in per_agent),
-    )
-
-
 ZERO = "zero"
 L1 = "l1"
 SQUARED_L2 = "squared_l2"
@@ -306,6 +296,17 @@ class ConsensusProblem:
     @property
     def d(self) -> int:
         return self.objectives[0].d
+
+    @cached_property
+    def smoothness(self) -> SmoothnessConstants:
+        """Network-wide bounds: the tightest constants valid for every agent,
+        computed on first use (one eigendecomposition per objective)."""
+        per_agent = [smoothness_constants(obj) for obj in self.objectives]
+        return SmoothnessConstants(
+            m_f=min(c.m_f for c in per_agent),
+            M_f=max(c.M_f for c in per_agent),
+            L_f=max(c.L_f for c in per_agent),
+        )
 
     @property
     def constant_hessian(self) -> bool:

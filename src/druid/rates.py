@@ -18,7 +18,7 @@ import numpy as np
 from . import curvature as cv
 from .curvature import Hyperparams
 from .errors import InapplicableTheoremError
-from .problems import ConsensusProblem, aggregate_smoothness
+from .problems import ConsensusProblem
 from .topology import Graph, SpectralConstants, build_matrices, spectral_constants
 
 
@@ -108,7 +108,7 @@ def rate_constants(problem: ConsensusProblem, graph: Graph, hp: Hyperparams,
     override.  Raises when the objectives are not strongly convex or the
     scheme has no ``THEORY`` entry.
     """
-    sm = aggregate_smoothness(problem.objectives)
+    sm = problem.smoothness
     if sm.m_f <= 0.0:
         raise InapplicableTheoremError(
             "linear-rate constants need strongly convex local objectives (m_f > 0)"

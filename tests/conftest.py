@@ -18,7 +18,6 @@ from druid import (
     Regularizer,
     random_connected_graph,
 )
-from druid import curvature as cv
 
 
 def make_lasso_instance(m=5, d=3, rows=4, gamma=0.1, seed=23, edge_prob=0.7, graph_seed=3):
@@ -69,19 +68,20 @@ def make_rank_deficient_instance(m=5, d=3, gamma=0.05, seed=19, edge_prob=0.7, g
     return graph, ConsensusProblem(objectives, Regularizer(L1, gamma))
 
 
-def install_fixed_point(ns, problem, x_star, lam_star, hp):
+def install_fixed_point(ns, x_star, lam_star):
     """Put a network at the stacked fixed point built from an optimum and
     its multiplier: consensus iterates with their cached local gradients,
     duals balancing those gradients, and theta at the optimum.  The
     curvature model restarts from the kernel's ``init``."""
+    problem = ns.problem
     grads = np.stack([obj.gradient(x_star) for obj in problem.objectives])
     ns.X = np.tile(x_star, (problem.m, 1))
     ns.Phi = -grads
-    ns.Phi[ns.leader] -= lam_star
+    ns.Phi[ns.hp.leader] -= lam_star
     ns.theta = x_star.copy()
     ns.lam = lam_star.copy()
     ns.G = grads.copy()
-    ns.B = cv.kernel(hp, problem).init(problem, ns.shift)
+    ns.B = ns.kernel.init(problem, ns.shift)
 
 
 @pytest.fixture(scope="session")

@@ -33,7 +33,7 @@ from druid.analysis import (
 from druid.curvature import BFGS, GRADIENT, NEWTON, SCHEMES, Hyperparams, bfgs_pair
 from druid.experiment import ExperimentConfig, run_experiment
 from druid.network import init_network, sync_step
-from druid.problems import aggregate_smoothness, subgradient_membership
+from druid.problems import subgradient_membership
 from druid.rates import rate_constants
 from druid.reference import centralized_reference
 from druid.topology import build_matrices, edge_sums
@@ -51,13 +51,13 @@ def criterion(number, description):
 
 def certified_hp(problem, scheme):
     """Parameters satisfying the linear-rate conditions of the analysis."""
-    sm = aggregate_smoothness(problem.objectives)
+    sm = problem.smoothness
     eps = 1.02 * (2.0 * sm.M_f) ** 2 * (sm.m_f + sm.M_f) / (2.0 * sm.m_f * sm.M_f)
     return Hyperparams(mu_z=2.0, mu_theta=1.0, epsilon=eps, scheme=scheme, psi=sm.M_f)
 
 
 def practical_hp(scheme, problem):
-    sm = aggregate_smoothness(problem.objectives)
+    sm = problem.smoothness
     return Hyperparams(mu_z=1.0, mu_theta=0.5, epsilon=0.55 * sm.M_f,
                        scheme=scheme, psi=sm.M_f)
 
@@ -81,7 +81,7 @@ def test_criterion_1_reduction_matches_unreduced_recursion():
             ns = init_network(problem, graph, hp)
             st = full_admm_init(problem, graph, hp)
             for _ in range(100):
-                sync_step(ns, hp)
+                sync_step(ns)
                 st = full_admm_oracle_step(st, problem, graph, hp)
                 X = st.x.reshape(graph.m, problem.d)
                 deviation = max(
@@ -105,10 +105,10 @@ def test_criterion_2_constructed_fixed_point_is_stationary():
         for scheme in SCHEMES:
             hp = practical_hp(scheme, problem)
             ns = init_network(problem, graph, hp)
-            install_fixed_point(ns, problem, ref.x_star, lam, hp)
+            install_fixed_point(ns, ref.x_star, lam)
             x0, phi0 = ns.X.copy(), ns.Phi.copy()
             theta0, lam0 = ns.theta.copy(), ns.lam.copy()
-            sync_step(ns, hp)
+            sync_step(ns)
             assert np.abs(ns.X - x0).max() <= 1e-9
             assert np.abs(ns.Phi - phi0).max() <= 1e-9
             assert np.abs(ns.theta - theta0).max() <= 1e-9
@@ -133,7 +133,7 @@ def test_criterion_3_linear_convergence_with_certified_rate():
             h_prev = lyapunov_distance(v_alpha_state(ns, tracker.alpha), va_star, hp)
             errors = []
             for _ in range(10_000):
-                sync_step(ns, hp)
+                sync_step(ns)
                 tracker.update(ns.X)
                 h_cur = lyapunov_distance(v_alpha_state(ns, tracker.alpha), va_star, hp)
                 if h_prev > 1e-20:
@@ -155,13 +155,13 @@ def test_criterion_3_linear_convergence_with_certified_rate():
 def test_criterion_4_sublinear_running_average_decay():
     with criterion(4, "running-average residuals decay at the sublinear rate"):
         graph, problem = make_rank_deficient_instance()
-        sm = aggregate_smoothness(problem.objectives)
+        sm = problem.smoothness
         assert sm.m_f == 0.0
         hp = Hyperparams(mu_z=1.0, mu_theta=0.5, epsilon=0.55 * sm.M_f, scheme=GRADIENT)
         ns = init_network(problem, graph, hp)
         squares = []
         for _ in range(2000):
-            sync_step(ns, hp)
+            sync_step(ns)
             r_opt, r_cons, r_reg = kkt_residuals(ns)
             squares.append([r_opt**2, r_cons**2, r_reg**2])
         averages = np.cumsum(squares, axis=0) / np.arange(1, 2001)[:, None]
@@ -179,13 +179,13 @@ def test_criterion_5_curvature_schemes_accelerate():
         cost0 = problem.total_value(np.zeros(problem.d)) - ref.cost_star
         counts = {}
         for scheme in SCHEMES:
-            sm = aggregate_smoothness(problem.objectives)
+            sm = problem.smoothness
             hp = Hyperparams(mu_z=1.05, mu_theta=0.525, epsilon=2.28,
                              scheme=scheme, psi=sm.M_f)
             ns = init_network(problem, graph, hp)
             counts[scheme] = None
             for t in range(1, 2001):
-                sync_step(ns, hp)
+                sync_step(ns)
                 average = ns.X.mean(axis=0)
                 if (problem.total_value(average) - ref.cost_star) / cost0 <= 1e-5:
                     counts[scheme] = t
@@ -236,7 +236,7 @@ def test_criterion_6_async_degenerate_and_expected_progress(tmp_path):
             ns = init_network(problem, graph, hp)
             sampler = ActivationSampler.bernoulli(0.5, graph.m, seed=1000 + seed)
             for t in range(horizon):
-                async_step(ns, sample_activation(sampler, ns.t), hp)
+                async_step(ns, sample_activation(sampler, ns.t))
                 if (t + 1) % cadence == 0:
                     err = np.linalg.norm(ns.X - ref.x_star) / dist0
                     mean_curve[t // cadence] += err / 20.0
@@ -256,7 +256,7 @@ def test_criterion_7_bfgs_secant_and_positive_definiteness():
         accepted = 0
         for _ in range(1000):
             X0, G0, B0 = ns.X.copy(), ns.G.copy(), ns.B.copy()
-            sync_step(ns, hp)
+            sync_step(ns)
             S, Q = bfgs_pair(X0, ns.X, G0, ns.G, ns.shift[:, None])
             for B, B_prev, s, q in zip(ns.B, B0, S, Q):
                 if np.array_equal(B, B_prev):
@@ -272,7 +272,7 @@ def test_criterion_7_bfgs_secant_and_positive_definiteness():
         ns = init_network(problem, graph, hp_b)
         for _ in range(1000):
             B0 = ns.B.copy()
-            sync_step(ns, hp_b)
+            sync_step(ns)
             for B, B_prev in zip(ns.B, B0):
                 if not np.array_equal(B, B_prev):
                     assert np.linalg.eigvalsh(B)[0] >= 1.0 / hp_b.psi - 1e-12
@@ -289,7 +289,7 @@ def test_criterion_8_inexactness_bounds_hold_along_runs():
                 x_prev = ns.X.copy()
                 bfgs_prev = ns.B.copy() if scheme == BFGS else None
                 for _ in range(200):
-                    sync_step(ns, hp)
+                    sync_step(ns)
                     x_cur = ns.X.copy()
                     bfgs_cur = ns.B.copy() if scheme == BFGS else None
                     report = error_term(problem, graph, hp, x_prev, x_cur,
@@ -303,7 +303,7 @@ def test_criterion_8_inexactness_bounds_hold_along_runs():
 def test_criterion_9_lyapunov_monotone_for_gradient_scheme():
     with criterion(9, "descent-weighted distance never increases"):
         graph, problem = make_lasso_instance()
-        sm = aggregate_smoothness(problem.objectives)
+        sm = problem.smoothness
         hp = practical_hp(GRADIENT, problem)
         assert hp.epsilon > sm.M_f / 2.0
         ref = centralized_reference(problem, tol=1e-13)
@@ -314,7 +314,7 @@ def test_criterion_9_lyapunov_monotone_for_gradient_scheme():
         previous = lyapunov_distance(v_alpha_state(ns, tracker.alpha), va_star, hp,
                                      g_weighted=True)
         for _ in range(600):
-            sync_step(ns, hp)
+            sync_step(ns)
             tracker.update(ns.X)
             current = lyapunov_distance(v_alpha_state(ns, tracker.alpha), va_star, hp,
                                         g_weighted=True)
@@ -332,5 +332,5 @@ def test_criterion_10_multiplier_stays_in_subdifferential():
             hp = practical_hp(scheme, problem)
             ns = init_network(problem, graph, hp)
             for _ in range(500):
-                sync_step(ns, hp)
+                sync_step(ns)
                 assert subgradient_membership(problem.regularizer, ns.theta, ns.lam, 1e-9)

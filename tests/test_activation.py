@@ -16,14 +16,13 @@ from druid.problems import (
     ConsensusProblem,
     LocalObjective,
     Regularizer,
-    aggregate_smoothness,
 )
 from druid.reference import centralized_reference
 from druid.topology import Graph
 
 
 def hp_for(scheme, problem, leader=0):
-    M_f = aggregate_smoothness(problem.objectives).M_f
+    M_f = problem.smoothness.M_f
     return Hyperparams(mu_z=1.0, mu_theta=0.5, epsilon=0.55 * M_f,
                        scheme=scheme, leader=leader, psi=M_f)
 
@@ -114,9 +113,9 @@ def test_empty_activation_is_noop(scheme):
     hp = hp_for(scheme, problem)
     ns = init_network(problem, graph, hp)
     for _ in range(3):
-        sync_step(ns, hp)
+        sync_step(ns)
     frozen = copy.deepcopy(ns)
-    async_step(ns, ActivationRecord(t=ns.t, mask=np.zeros(graph.m, dtype=bool)), hp)
+    async_step(ns, ActivationRecord(t=ns.t, mask=np.zeros(graph.m, dtype=bool)))
     assert ns.t == frozen.t + 1
     assert ns.comm_scalars == frozen.comm_scalars
     for name in ("X", "Phi", "theta", "lam", "B", "G"):
@@ -131,8 +130,8 @@ def test_full_activation_reproduces_sync_bitwise(scheme):
     ns_async = init_network(problem, graph, hp)
     sampler = ActivationSampler.bernoulli(1.0, graph.m, seed=2)
     for _ in range(60):
-        sync_step(ns_sync, hp)
-        async_step(ns_async, sample_activation(sampler, ns_async.t), hp)
+        sync_step(ns_sync)
+        async_step(ns_async, sample_activation(sampler, ns_async.t))
     assert ns_sync.comm_scalars == ns_async.comm_scalars
     assert np.array_equal(ns_sync.X, ns_async.X)
     assert np.array_equal(ns_sync.Phi, ns_async.Phi)
@@ -145,11 +144,11 @@ def test_single_active_agent_masks_everything_else():
     hp = hp_for("gradient", problem, leader=0)
     ns = init_network(problem, graph, hp)
     for _ in range(4):
-        sync_step(ns, hp)
+        sync_step(ns)
     active_agent = 2
     assert active_agent != hp.leader
     frozen = copy.deepcopy(ns)
-    async_step(ns, ActivationRecord(t=ns.t, mask=np.arange(graph.m) == active_agent), hp)
+    async_step(ns, ActivationRecord(t=ns.t, mask=np.arange(graph.m) == active_agent))
     assert np.array_equal(ns.theta, frozen.theta)
     assert np.array_equal(ns.lam, frozen.lam)
     for i in range(graph.m):
@@ -174,7 +173,7 @@ def test_partial_activation_keeps_dual_sum_zero():
     ns = init_network(problem, graph, hp)
     sampler = ActivationSampler.bernoulli(0.4, graph.m, seed=6)
     for _ in range(80):
-        async_step(ns, sample_activation(sampler, ns.t), hp)
+        async_step(ns, sample_activation(sampler, ns.t))
         assert np.linalg.norm(ns.Phi.sum(axis=0)) <= 1e-12
 
 
@@ -217,22 +216,22 @@ def test_invariants_on_random_graphs_and_activations(case):
         ns = init_network(problem, graph, hp)
         assert_gradients_cached(ns, problem)
         for active in masks:
-            apply_step(ns, hp, active)
+            apply_step(ns, active)
             assert np.linalg.norm(ns.Phi.sum(axis=0)) <= 1e-12
             assert_gradients_cached(ns, problem)
         # full activation reproduces the synchronous step bit for bit
         ns_async = copy.deepcopy(ns)
-        sync_step(ns, hp)
-        async_step(ns_async, ActivationRecord(t=ns_async.t, mask=np.ones(m, dtype=bool)), hp)
+        sync_step(ns)
+        async_step(ns_async, ActivationRecord(t=ns_async.t, mask=np.ones(m, dtype=bool)))
         for name in ("X", "Phi", "theta", "lam", "B", "G", "t", "comm_scalars"):
             assert np.array_equal(getattr(ns, name), getattr(ns_async, name))
         assert_gradients_cached(ns, problem)
         # the constructed fixed point is invariant under any activation
         ns = init_network(problem, graph, hp)
-        install_fixed_point(ns, problem, ref.x_star, lam, hp)
+        install_fixed_point(ns, ref.x_star, lam)
         start = (ns.X.copy(), ns.Phi.copy(), ns.theta.copy(), ns.lam.copy())
         for active in masks:
-            apply_step(ns, hp, active)
+            apply_step(ns, active)
             for before, now in zip(start, (ns.X, ns.Phi, ns.theta, ns.lam)):
                 assert np.abs(now - before).max() <= 1e-9
             assert_gradients_cached(ns, problem)

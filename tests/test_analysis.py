@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from conftest import install_fixed_point, make_lasso_instance, make_ridge_instance
+from conftest import (
+    install_fixed_point,
+    make_lasso_instance,
+    make_logistic_instance,
+    make_ridge_instance,
+)
+from druid import problems
 from druid.analysis import (
     AlphaTracker,
     error_term,
@@ -14,7 +20,12 @@ from druid.analysis import (
     v_alpha_state,
 )
 from druid.curvature import BFGS, GRADIENT, NEWTON, SCHEMES, Hyperparams
-from druid.errors import ConvergenceError, DiagnosticError, InconsistentReferenceError
+from druid.errors import (
+    ConvergenceError,
+    DiagnosticError,
+    InapplicableTheoremError,
+    InconsistentReferenceError,
+)
 from druid.network import init_network, sync_step
 from druid.problems import (
     L1,
@@ -23,14 +34,14 @@ from druid.problems import (
     ConsensusProblem,
     LocalObjective,
     Regularizer,
-    aggregate_smoothness,
 )
+from druid.rates import rate_constants
 from druid.reference import centralized_reference
 from druid.topology import Graph, build_matrices
 
 
 def hp_for(scheme, problem, **kw):
-    M_f = aggregate_smoothness(problem.objectives).M_f
+    M_f = problem.smoothness.M_f
     args = dict(mu_z=1.0, mu_theta=0.5, epsilon=0.55 * M_f, scheme=scheme, leader=0, psi=M_f)
     args.update(kw)
     return Hyperparams(**args)
@@ -113,7 +124,7 @@ def test_kkt_residuals_vanish_at_fixed_point():
     ns = init_network(problem, graph, hp)
     ref = centralized_reference(problem, tol=1e-13)
     alpha, lam = project_dual(ref.x_star, problem, graph, hp.leader)
-    install_fixed_point(ns, problem, ref.x_star, lam, hp)
+    install_fixed_point(ns, ref.x_star, lam)
     assert max(kkt_residuals(ns)) <= 1e-10
 
 
@@ -132,7 +143,7 @@ def test_oracle_matches_network_on_two_agents(scheme):
     ns = init_network(problem, graph, hp)
     st = full_admm_init(problem, graph, hp)
     for _ in range(2):
-        sync_step(ns, hp)
+        sync_step(ns)
         st = full_admm_oracle_step(st, problem, graph, hp)
         assert np.abs(st.x.reshape(2, 2) - ns.X).max() <= 1e-12
         phi_from_alpha = build_matrices(graph).E_s.T @ st.alpha.reshape(graph.n, 2)
@@ -211,7 +222,7 @@ def test_lyapunov_identity_weights_is_plain_distance():
     hp = hp_for(GRADIENT, problem)
     ns = init_network(problem, graph, hp)
     tracker = AlphaTracker(graph, hp.mu_z, problem.d)
-    sync_step(ns, hp)
+    sync_step(ns)
     tracker.update(ns.X)
     va = v_alpha_state(ns, tracker.alpha)
     ref = centralized_reference(problem, tol=1e-13)
@@ -254,7 +265,7 @@ def test_tracked_edge_duals_reproduce_phi(scheme):
     tracker = AlphaTracker(graph, hp.mu_z, problem.d)
     E_s = build_matrices(graph).E_s
     for _ in range(50):
-        sync_step(ns, hp)
+        sync_step(ns)
         tracker.update(ns.X)
         assert np.abs(E_s.T @ tracker.alpha - ns.Phi).max() <= 1e-12
 
@@ -277,7 +288,7 @@ def test_error_term_zero_for_newton_on_quadratic():
 def test_error_term_gradient_on_quadratic_is_hessian_action():
     graph, problem = make_ridge_instance()
     hp = hp_for(GRADIENT, problem)
-    sm = aggregate_smoothness(problem.objectives)
+    sm = problem.smoothness
     rng = np.random.default_rng(1)
     x_t = rng.normal(size=(graph.m, problem.d))
     x_t1 = rng.normal(size=(graph.m, problem.d))
@@ -297,3 +308,18 @@ def test_error_term_bfgs_needs_snapshots():
     x = np.zeros((graph.m, problem.d))
     with pytest.raises(DiagnosticError):
         error_term(problem, graph, hp, x, x)
+
+
+def test_smoothness_constants_are_computed_once_per_problem(monkeypatch):
+    calls = []
+    original = problems.smoothness_constants
+    monkeypatch.setattr(problems, "smoothness_constants",
+                        lambda obj: calls.append(obj) or original(obj))
+    graph, problem = make_logistic_instance()
+    hp = Hyperparams(mu_z=1.0, mu_theta=0.5, epsilon=1.0)
+    with pytest.raises(InapplicableTheoremError):  # logistic: m_f = 0
+        rate_constants(problem, graph, hp)
+    x = np.zeros((graph.m, problem.d))
+    for _ in range(3):
+        error_term(problem, graph, hp, x, x + 0.1)
+    assert len(calls) == problem.m

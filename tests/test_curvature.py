@@ -272,7 +272,7 @@ def test_newton_least_squares_inverts_constant_block_once(monkeypatch):
         expected = np.linalg.inv(obj.features.T @ obj.features + ns.shift[i] * np.eye(d))
         assert np.abs(ns.B[i] - expected).max() <= 1e-12 * np.abs(expected).max()
     for _ in range(3):
-        sync_step(ns, hp)
+        sync_step(ns)
 
     def forbidden(*args, **kwargs):
         raise AssertionError("least-squares Newton step evaluated a Hessian or factorized")
@@ -280,10 +280,10 @@ def test_newton_least_squares_inverts_constant_block_once(monkeypatch):
     monkeypatch.setattr(LocalObjective, "hessian", forbidden)
     monkeypatch.setattr(scipy.linalg, "cho_factor", forbidden)
     B0 = ns.B.copy()
-    x_old, H = ns.X.copy(), local_gradient(ns, hp, np.arange(graph.m))
-    sync_step(ns, hp)
+    x_old, H = ns.X.copy(), local_gradient(ns, np.arange(graph.m))
+    sync_step(ns)
     x_new = ns.X.copy()
-    apply_step(ns, hp, np.arange(graph.m) % 2 == 0)
+    apply_step(ns, np.arange(graph.m) % 2 == 0)
     assert np.array_equal(ns.B, B0)  # the model never changes
     monkeypatch.undo()
     for i, obj in enumerate(problem.objectives):
@@ -299,7 +299,7 @@ def test_newton_logistic_batched_solve_is_bitwise_the_per_row_loop():
     assert ns.B is None
     rng = np.random.default_rng(14)
     for _ in range(3):
-        sync_step(ns, hp)
+        sync_step(ns)
         blocks = np.stack([
             newton_block(obj, x, hp, graph.degree(i), i == hp.leader)
             for i, (obj, x) in enumerate(zip(problem.objectives, ns.X))
@@ -319,12 +319,12 @@ def test_newton_logistic_empty_and_full_masks():
     hp = NEWTON_HP
     ns = init_network(problem, graph, hp)
     for _ in range(3):
-        sync_step(ns, hp)
+        sync_step(ns)
     frozen = copy.deepcopy(ns)
-    apply_step(ns, hp, np.zeros(graph.m, dtype=bool))
+    apply_step(ns, np.zeros(graph.m, dtype=bool))
     for name in ("X", "Phi", "theta", "lam", "G"):
         assert np.array_equal(getattr(ns, name), getattr(frozen, name))
-    sync_step(ns, hp)
-    apply_step(frozen, hp, np.ones(graph.m, dtype=bool))
+    sync_step(ns)
+    apply_step(frozen, np.ones(graph.m, dtype=bool))
     for name in ("X", "Phi", "theta", "lam", "G"):
         assert np.array_equal(getattr(ns, name), getattr(frozen, name))

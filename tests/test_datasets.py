@@ -75,8 +75,6 @@ def test_binarize_labels():
     y = np.array([-1.0, 1.0, -1.0])
     assert binarize_labels(y) == pytest.approx([0.0, 1.0, 0.0])
     assert binarize_labels(np.array([3.0, 7.0])) == pytest.approx([0.0, 1.0])
-    # slice with one value, binarized against the full population
-    assert binarize_labels(np.array([7.0, 7.0]), reference=np.array([3.0, 7.0])) == pytest.approx([1.0, 1.0])
     with pytest.raises(ConfigurationError):
         binarize_labels(np.array([0.0, 1.0, 2.0]))
 

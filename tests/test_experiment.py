@@ -6,9 +6,8 @@ import pytest
 
 from druid.cli import main
 from druid.errors import ConfigurationError, DivergenceError
-from druid.datasets import parse_libsvm
+from druid.datasets import parse_libsvm, partition
 from druid.experiment import ExperimentConfig, build_problem, load_config, run_experiment
-from druid.problems import aggregate_smoothness
 from druid.topology import read_edge_list
 
 HEADER = "t,cost_err,dist_err,r_opt,r_cons,r_reg,comm_scalars"
@@ -251,7 +250,7 @@ def test_epsilon_at_or_below_half_M_f_logs_a_warning(tmp_path, caplog):
     cfg = base_config(tmp_path, iterations=3, cadence=1)
     with open(cfg.dataset) as fh:
         problem = build_problem(cfg, parse_libsvm(fh))
-    half = aggregate_smoothness(problem.objectives).M_f / 2
+    half = problem.smoothness.M_f / 2
 
     def run(epsilon, level, name):
         caplog.clear()
@@ -272,3 +271,15 @@ def test_epsilon_at_or_below_half_M_f_logs_a_warning(tmp_path, caplog):
     assert not records
     _, records = run(None, logging.WARNING, "derived.csv")  # 0.55 M_f
     assert not records
+
+
+def test_build_problem_binarizes_labels_over_the_whole_dataset(tmp_path):
+    ds = parse_libsvm("3 1:1.0\n7 1:2.0\n7 1:3.0\n7 1:4.0\n")
+    cfg = base_config(tmp_path, problem="logistic_l1", agents=2)
+    problem = build_problem(cfg, ds)
+    parts = partition(ds, 2, cfg.partition_seed)
+    for obj, rows in zip(problem.objectives, parts):
+        assert obj.features[:, 0].tolist() == [r + 1.0 for r in rows]
+        assert obj.targets.tolist() == [float(r > 0) for r in rows]
+    # one agent holds only the label 7, which still maps to 1
+    assert [1.0, 1.0] in [obj.targets.tolist() for obj in problem.objectives]

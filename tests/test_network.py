@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -27,7 +29,6 @@ from druid.problems import (
     ConsensusProblem,
     LocalObjective,
     Regularizer,
-    aggregate_smoothness,
     subgradient_membership,
 )
 from druid.reference import centralized_reference
@@ -62,6 +63,17 @@ def test_init_network_zero_state():
         assert ns.shift[i] == block_diag_value(hp, graph.degree(i), i == hp.leader)
 
 
+def test_network_state_owns_its_configuration():
+    graph, problem = make_lasso_instance()
+    for scheme in SCHEMES:
+        hp = default_hp(scheme=scheme)
+        ns = init_network(problem, graph, hp)
+        assert ns.hp is hp
+        assert ns.kernel is cv.kernel(hp, problem)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        hp.epsilon = 2.0
+
+
 def test_init_network_validation():
     graph = random_connected_graph(4, 1.0, seed=0)
     problem = scalar_problem([1.0, 2.0, 3.0])
@@ -76,7 +88,7 @@ def test_first_local_gradient_is_plain_gradient():
     for scheme in SCHEMES:
         hp = default_hp(scheme=scheme)
         ns = init_network(problem, graph, hp)
-        grads = local_gradient(ns, hp, range(graph.m))
+        grads = local_gradient(ns, range(graph.m))
         for i in range(graph.m):
             expected = problem.objectives[i].gradient(np.zeros(problem.d))
             assert np.allclose(grads[i], expected)
@@ -87,7 +99,7 @@ def test_local_gradient_scalar_case():
     problem = scalar_problem([0.0, 2.0])
     hp = default_hp(leader=0)
     ns = init_network(problem, graph, hp)
-    assert local_gradient(ns, hp, [1])[0] == pytest.approx([-2.0])
+    assert local_gradient(ns, [1])[0] == pytest.approx([-2.0])
 
 
 def test_local_gradient_vanishes_at_kkt_point():
@@ -97,8 +109,8 @@ def test_local_gradient_vanishes_at_kkt_point():
     ns = init_network(problem, graph, hp)
     ref = centralized_reference(problem, tol=1e-13)
     alpha, lam = project_dual(ref.x_star, problem, graph, hp.leader)
-    install_fixed_point(ns, problem, ref.x_star, lam, hp)
-    for h in local_gradient(ns, hp, range(graph.m)):
+    install_fixed_point(ns, ref.x_star, lam)
+    for h in local_gradient(ns, range(graph.m)):
         assert np.linalg.norm(h) <= 1e-9
 
 
@@ -126,7 +138,7 @@ def test_local_gradient_matches_finite_differences_of_lagrangian():
     ns = init_network(problem, graph, hp)
     rng = np.random.default_rng(11)
     for _ in range(3):
-        sync_step(ns, hp)
+        sync_step(ns)
     # perturb the state away from anything structured
     alpha = rng.normal(size=(graph.n, problem.d))
     ns.X = rng.normal(size=(graph.m, problem.d))
@@ -137,7 +149,7 @@ def test_local_gradient_matches_finite_differences_of_lagrangian():
     X = ns.X.copy()
     Z = 0.5 * (build_matrices(graph).E_u @ X)
     h = 1e-6
-    grads = local_gradient(ns, hp, range(graph.m))
+    grads = local_gradient(ns, range(graph.m))
     for i in range(graph.m):
         grad = grads[i]
         for k in range(problem.d):
@@ -157,7 +169,7 @@ def test_primal_update_hand_case():
     problem = scalar_problem([1.0, 0.0])
     hp = default_hp(leader=1, epsilon=1.0)
     ns = init_network(problem, graph, hp)
-    apply_step(ns, hp, np.array([True, False]))
+    apply_step(ns, np.array([True, False]))
     assert ns.X[0] == pytest.approx([0.5])
 
 
@@ -169,7 +181,7 @@ def test_primal_update_no_move_on_zero_gradient():
     for scheme in SCHEMES:
         hp_s = default_hp(scheme=scheme, leader=1)
         ns = init_network(problem, graph, hp_s)
-        apply_step(ns, hp_s, np.array([True, False]))
+        apply_step(ns, np.array([True, False]))
         assert ns.X[0] == pytest.approx([0.0])
 
 
@@ -179,7 +191,7 @@ def test_dual_updates_unchanged_at_consensus():
     ns = init_network(problem, graph, hp)
     ns.X = np.full((graph.m, problem.d), 0.7)
     phis = ns.Phi.copy()
-    dual_updates(ns, hp, np.ones(graph.m, dtype=bool))
+    dual_updates(ns, np.ones(graph.m, dtype=bool))
     assert np.array_equal(ns.Phi, phis)
 
 
@@ -188,7 +200,7 @@ def test_dual_sum_conserved_and_inclusion_holds():
     hp = default_hp(epsilon=3.0)
     ns = init_network(problem, graph, hp)
     for _ in range(40):
-        sync_step(ns, hp)
+        sync_step(ns)
         assert np.linalg.norm(ns.Phi.sum(axis=0)) <= 1e-12
         assert subgradient_membership(problem.regularizer, ns.theta, ns.lam, 1e-9)
 
@@ -200,7 +212,7 @@ def test_zero_regularizer_lambda_identity():
     ns = init_network(problem, graph, hp)
     for _ in range(10):
         lam_old = ns.lam.copy()
-        sync_step(ns, hp)
+        sync_step(ns)
         residual = ns.lam + hp.mu_theta * ns.theta - hp.mu_theta * ns.X[hp.leader] - lam_old
         assert np.linalg.norm(residual) <= 1e-12
 
@@ -210,10 +222,10 @@ def test_buffer_consistency_after_sync_step():
     hp = default_hp(scheme=NEWTON)
     ns = init_network(problem, graph, hp)
     for _ in range(5):
-        sync_step(ns, hp)
+        sync_step(ns)
         # every agent reads its neighbors' current iterates: the coupling
         # part of its local gradient is sum_j (x_i - x_j) over neighbors
-        grads = local_gradient(ns, hp, range(graph.m))
+        grads = local_gradient(ns, range(graph.m))
         for i in range(graph.m):
             coupling = sum(ns.X[i] - ns.X[j] for j in graph.neighbors(i))
             expected = problem.objectives[i].gradient(ns.X[i]) + ns.Phi[i]
@@ -228,12 +240,12 @@ def test_communication_count_closed_form():
     hp = default_hp()
     ns = init_network(problem, graph, hp)
     for _ in range(7):
-        sync_step(ns, hp)
+        sync_step(ns)
     assert ns.comm_scalars == 7 * 2 * graph.n * problem.d
     assert ns.t == 7
     # a partial step counts one iterate per neighbor of each active agent
     active = np.arange(graph.m) % 2 == 1
-    apply_step(ns, hp, active)
+    apply_step(ns, active)
     sent = sum(graph.degree(i) for i in np.flatnonzero(active)) * problem.d
     assert ns.comm_scalars == 7 * 2 * graph.n * problem.d + sent
 
@@ -241,14 +253,14 @@ def test_communication_count_closed_form():
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_constructed_fixed_point_is_invariant(scheme):
     graph, problem = make_ridge_instance()
-    sm = aggregate_smoothness(problem.objectives)
+    sm = problem.smoothness
     hp = default_hp(scheme=scheme, epsilon=0.55 * sm.M_f, psi=sm.M_f)
     ref = centralized_reference(problem, tol=1e-13)
     alpha, lam = project_dual(ref.x_star, problem, graph, hp.leader)
     ns = init_network(problem, graph, hp)
-    install_fixed_point(ns, problem, ref.x_star, lam, hp)
+    install_fixed_point(ns, ref.x_star, lam)
     before = (ns.X.copy(), ns.Phi.copy(), ns.theta.copy(), ns.lam.copy())
-    sync_step(ns, hp)
+    sync_step(ns)
     assert np.abs(ns.X - before[0]).max() <= 1e-11
     assert np.abs(ns.Phi - before[1]).max() <= 1e-11
     assert np.abs(ns.theta - before[2]).max() <= 1e-11
@@ -265,7 +277,7 @@ def test_symmetric_problem_stays_symmetric():
     hp = default_hp(epsilon=2.0, mu_theta=1e-9)
     ns = init_network(problem, graph, hp)
     for _ in range(20):
-        sync_step(ns, hp)
+        sync_step(ns)
         X = ns.X
         assert np.abs(X - X[0]).max() <= 1e-6
 
@@ -275,10 +287,10 @@ def test_non_finite_primal_update_names_agent_and_phase(scheme):
     graph, problem = make_lasso_instance()
     hp = default_hp(scheme=scheme)
     ns = init_network(problem, graph, hp)
-    sync_step(ns, hp)
+    sync_step(ns)
     ns.Phi[3] = np.inf
     with pytest.raises(DivergenceError) as err, np.errstate(all="ignore"):
-        apply_step(ns, hp, np.arange(graph.m) >= 2)
+        apply_step(ns, np.arange(graph.m) >= 2)
     assert (err.value.t, err.value.agent, err.value.phase) == (2, 3, "primal")
 
 
@@ -327,12 +339,12 @@ def test_stacked_logistic_with_unequal_row_counts_is_bitwise_per_agent(scheme, s
     for k in rng.permutation(len(masks)):
         rows = np.flatnonzero(masks[k])
         if scheme == NEWTON:
-            blocks = cv.kernel(hp, problem).build(ns, hp, rows)
+            blocks = ns.kernel.build(ns, rows)
             for block, i in zip(blocks, rows):
                 expected = newton_block(problem.objectives[i], ns.X[i], hp,
                                         graph.degree(i), i == hp.leader)
                 assert np.array_equal(block, expected)
-        apply_step(ns, hp, masks[k])
+        apply_step(ns, masks[k])
         for i, obj in enumerate(problem.objectives):
             assert np.array_equal(ns.G[i], obj.gradient(ns.X[i]))
 
@@ -351,6 +363,6 @@ def test_steps_evaluate_the_objectives_only_in_batches(scheme, make, monkeypatch
     monkeypatch.setattr(LocalObjective, "hessian", forbidden)
     sampler = ActivationSampler.bernoulli(0.5, graph.m, seed=3)
     for _ in range(3):
-        sync_step(ns, hp)
-        async_step(ns, sample_activation(sampler, ns.t), hp)
+        sync_step(ns)
+        async_step(ns, sample_activation(sampler, ns.t))
     assert ns.t == 6 and np.isfinite(ns.X).all()

@@ -10,7 +10,6 @@ from druid.problems import (
     ConsensusProblem,
     LocalObjective,
     Regularizer,
-    aggregate_smoothness,
     prox,
     smoothness_constants,
     subgradient_membership,
@@ -136,7 +135,7 @@ def test_aggregate_smoothness_extremes():
         LocalObjective(LEAST_SQUARES, [[1.0, 0.0], [0.0, 2.0]], [0.0, 0.0]),
         LocalObjective(LEAST_SQUARES, [[3.0, 0.0]], [0.0]),
     ]
-    sm = aggregate_smoothness(objs)
+    sm = ConsensusProblem(objs).smoothness
     assert sm.m_f == pytest.approx(0.0)   # second Gram is singular
     assert sm.M_f == pytest.approx(9.0)
 

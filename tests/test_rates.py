@@ -8,13 +8,13 @@ from druid import curvature as cv
 from druid.curvature import BFGS, GRADIENT, NEWTON, Hyperparams
 from druid.errors import InapplicableTheoremError
 from druid.network import init_network, sync_step
-from druid.problems import SmoothnessConstants, aggregate_smoothness
+from druid.problems import SmoothnessConstants
 from druid.rates import THEORY, linear_rate, rate_constants
 from druid.topology import build_matrices, spectral_constants
 
 
 def certified_hp(problem, scheme, factor=1.02):
-    sm = aggregate_smoothness(problem.objectives)
+    sm = problem.smoothness
     c_max = 2.0 * sm.M_f
     eps = factor * c_max**2 * (sm.m_f + sm.M_f) / (2.0 * sm.m_f * sm.M_f)
     return Hyperparams(mu_z=2.0, mu_theta=1.0, epsilon=eps, scheme=scheme, psi=sm.M_f)
@@ -26,7 +26,7 @@ def test_theory_table_covers_every_scheme():
 
 def test_m_bar_newton_exceeds_gradient_by_M_f():
     graph, problem = make_ridge_instance()
-    sm = aggregate_smoothness(problem.objectives)
+    sm = problem.smoothness
     hp_g = certified_hp(problem, GRADIENT)
     hp_n = certified_hp(problem, NEWTON)
     m_g = rate_constants(problem, graph, hp_g).M_bar
@@ -62,7 +62,7 @@ def test_fourth_scheme_needs_a_theory_entry(monkeypatch):
     hp = dataclasses.replace(certified_hp(problem, GRADIENT), scheme=name)
     ns = init_network(problem, graph, hp)
     for _ in range(3):
-        sync_step(ns, hp)
+        sync_step(ns)
     assert np.isfinite(ns.X).all()
     with pytest.raises(InapplicableTheoremError, match=name):
         rate_constants(problem, graph, hp)
@@ -74,7 +74,7 @@ def test_fourth_scheme_needs_a_theory_entry(monkeypatch):
 
 def test_exact_rate_recovered_in_degenerate_limit():
     graph, problem = make_ridge_instance()
-    sm = aggregate_smoothness(problem.objectives)
+    sm = problem.smoothness
     spectra = spectral_constants(build_matrices(graph), 0)
     exact = linear_rate(sm.m_f, sm.M_f, 1.0, 0.0, 0.0, np.inf, spectra)
     harmonic = 2.0 * sm.m_f * sm.M_f / (sm.m_f + sm.M_f)
@@ -99,7 +99,7 @@ def test_rate_constants_report_conditions():
         else:
             assert rc.cond_muz_eps_psi is None
     # kappa is the plain curvature ratio
-    sm = aggregate_smoothness(problem.objectives)
+    sm = problem.smoothness
     rc = rate_constants(problem, graph, certified_hp(problem, GRADIENT))
     assert rc.kappa == pytest.approx(sm.M_f / sm.m_f)
 

@@ -39,6 +39,13 @@ def test_generation_is_deterministic():
     assert c.edges != a.edges
 
 
+def test_generation_redraws_keep_their_stream():
+    # the first eight draws are disconnected, so this pins the redraw stream
+    g = random_connected_graph(8, 0.25, seed=1)
+    assert g.edges == ((0, 1), (0, 4), (0, 5), (0, 6), (0, 7),
+                       (2, 5), (2, 6), (3, 4), (4, 6), (6, 7))
+
+
 def test_generation_rejects_bad_parameters():
     with pytest.raises(ValueError):
         random_connected_graph(1, 0.5, seed=0)
@@ -69,6 +76,7 @@ def test_neighbor_counts():
     assert sum(g.degree(i) for i in range(g.m)) == 2 * g.n
     for i in range(g.m):
         assert g.degree(i) == len(g.neighbors(i))
+        assert g.neighbors(i) == tuple(sorted(j for e in g.edges if i in e for j in e if j != i))
 
 
 def test_path_matrices_match_hand_values():
