@@ -3,13 +3,14 @@
 The accepted grammar is one sample per line, ``<label> <idx>:<val> ...``
 with 1-based strictly increasing indices per line and finite labels and
 values; blank lines are skipped and ``#`` starts a comment running to the
-end of the line.
+end of the line.  Samples are parsed straight into dense arrays.
 """
 
 from __future__ import annotations
 
 import io
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,13 +20,17 @@ from .errors import ConfigurationError, ParseError
 
 @dataclass
 class Dataset:
-    """Parsed samples: (label, sparse index->value map) rows.
+    """Parsed samples: ``labels`` (n,) and dense feature ``rows`` (n, d).
 
-    ``d`` is the largest feature index seen (0 for an empty dataset).
+    ``d`` is the largest feature index seen (0 when no sample has a feature).
     """
 
-    rows: list
-    d: int
+    labels: np.ndarray
+    rows: np.ndarray
+
+    @property
+    def d(self) -> int:
+        return self.rows.shape[1]
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -35,7 +40,9 @@ def parse_libsvm(source) -> Dataset:
     """Parse sparse text rows from a string or text stream."""
     if isinstance(source, str):
         source = io.StringIO(source)
-    rows = []
+    # flat typed buffers: no Python object per feature outlives its line
+    labels, counts, cols, values = array("d"), array("q"), array("q"), array("d")
+    add_col, add_value = cols.append, values.append   # looked up once, not per token
     d = 0
     for lineno, raw in enumerate(source, start=1):
         line = raw.split("#", 1)[0].strip()
@@ -48,7 +55,6 @@ def parse_libsvm(source) -> Dataset:
             raise ParseError(f"bad label {tokens[0]!r}", lineno) from None
         if not math.isfinite(label):
             raise ParseError(f"non-finite label {tokens[0]!r}", lineno)
-        features = {}
         prev_idx = 0
         for tok in tokens[1:]:
             idx_s, _, val_s = tok.partition(":")
@@ -64,34 +70,14 @@ def parse_libsvm(source) -> Dataset:
             if idx <= prev_idx:
                 raise ParseError(f"feature index {idx} not increasing", lineno)
             prev_idx = idx
-            features[idx] = val
+            add_col(idx - 1)
+            add_value(val)
         d = max(d, prev_idx)
-        rows.append((label, features))
-    return Dataset(rows=rows, d=d)
-
-
-def write_libsvm(ds: Dataset, stream) -> None:
-    """Serialize back to the sparse text format (full float precision)."""
-    for label, features in ds.rows:
-        parts = [repr(label)]
-        parts += [f"{idx}:{features[idx]!r}" for idx in sorted(features)]
-        stream.write(" ".join(parts) + "\n")
-
-
-def dense_features(ds: Dataset, rows=None):
-    """Dense (X, y) arrays for the given row indices (all by default)."""
-    if ds.d < 1:
-        raise ConfigurationError("dataset is empty, feature dimension undefined")
-    if rows is None:
-        rows = range(len(ds.rows))
-    X = np.zeros((len(rows), ds.d))
-    y = np.zeros(len(rows))
-    for r, ridx in enumerate(rows):
-        label, features = ds.rows[ridx]
-        y[r] = label
-        for idx, val in features.items():
-            X[r, idx - 1] = val
-    return X, y
+        labels.append(label)
+        counts.append(len(tokens) - 1)
+    rows = np.zeros((len(labels), d))
+    rows[np.repeat(np.arange(len(labels)), counts), cols] = values
+    return Dataset(labels=np.array(labels), rows=rows)
 
 
 def binarize_labels(y: np.ndarray) -> np.ndarray:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import logging
+import numbers
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -19,7 +20,7 @@ import numpy as np
 from .activation import ActivationSampler, async_step, sample_activation
 from .analysis import kkt_residuals
 from .curvature import SCHEMES, Hyperparams
-from .datasets import Dataset, binarize_labels, dense_features, parse_libsvm, partition
+from .datasets import Dataset, binarize_labels, parse_libsvm, partition
 from .errors import ConfigurationError, DivergenceError
 from .network import NetworkState, init_network, sync_step
 from .problems import (
@@ -74,6 +75,19 @@ class ExperimentConfig:
     cost_iterate: str = "average"   # or "leader": which iterate the cost error reports
 
     def __post_init__(self):
+        # field types, read from the annotations (strings under
+        # ``from __future__ import annotations``); bool is no number here
+        for f in fields(self):
+            value = getattr(self, f.name)
+            number = isinstance(value, numbers.Real) and not isinstance(value, bool)
+            if f.type == "bool" and not isinstance(value, bool):
+                raise ConfigurationError(f"{f.name} must be true or false, got {value!r}")
+            if f.type == "int" and not (number and isinstance(value, numbers.Integral)):
+                raise ConfigurationError(f"{f.name} must be an integer, got {value!r}")
+            if f.type == "float" and not (number or (f.name == "epsilon" and value is None)):
+                raise ConfigurationError(f"{f.name} must be a number, got {value!r}")
+            if f.name.endswith("_seed") and value < 0:
+                raise ConfigurationError(f"{f.name} must be nonnegative, got {value}")
         if self.problem not in PROBLEM_KINDS:
             raise ConfigurationError(f"unknown problem kind {self.problem!r}")
         if self.scheme not in SCHEMES:
@@ -143,8 +157,11 @@ def build_problem(cfg: ExperimentConfig, ds: Dataset) -> ConsensusProblem:
     """Per-agent objectives from a seeded even partition of the dataset: the
     partitioned rows are read once, and each agent gets a view of its slice."""
     parts = partition(ds, cfg.agents, cfg.partition_seed)
+    if ds.d < 1:
+        raise ConfigurationError("dataset has no features, feature dimension undefined")
     kind, regularizer = PROBLEMS[cfg.problem]
-    X, y = dense_features(ds, np.concatenate(parts))
+    order = np.concatenate(parts)
+    X, y = ds.rows[order], ds.labels[order]
     if kind == LOGISTIC:
         y = binarize_labels(y)
     bounds = np.cumsum([len(rows) for rows in parts])[:-1]
@@ -186,6 +203,9 @@ def _metrics(ns: NetworkState, cfg: ExperimentConfig, ref, cost0: float,
 
 def run_experiment(cfg: ExperimentConfig) -> Path:
     """Execute one configured run and write its trace; returns the path."""
+    out = Path(cfg.output)
+    if not out.parent.is_dir():
+        raise ConfigurationError(f"output {cfg.output!r}: directory {str(out.parent)!r} does not exist")
     with open(cfg.dataset) as fh:
         ds = parse_libsvm(fh)
     graph = random_connected_graph(cfg.agents, cfg.edge_prob, cfg.graph_seed)
@@ -222,7 +242,6 @@ def run_experiment(cfg: ExperimentConfig) -> Path:
         raise RuntimeError(
             f"{cfg.problem} run aborted at iteration {ns.t}: {exc}"
         ) from exc
-    out = Path(cfg.output)
     with open(out, "w") as fh:
         fh.write("t,cost_err,dist_err,r_opt,r_cons,r_reg,comm_scalars\n")
         for rec in records:

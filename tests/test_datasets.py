@@ -1,40 +1,31 @@
-import io
-
 import numpy as np
 import pytest
 
-from druid.datasets import (
-    Dataset,
-    binarize_labels,
-    dense_features,
-    parse_libsvm,
-    partition,
-    write_libsvm,
-)
+from druid.datasets import Dataset, binarize_labels, parse_libsvm, partition
 from druid.errors import ConfigurationError, ParseError
 
 
 def test_parse_single_line():
     ds = parse_libsvm("1 1:0.5 3:-2\n")
     assert len(ds) == 1 and ds.d == 3
-    X, y = dense_features(ds)
-    assert y == pytest.approx([1.0])
-    assert X[0] == pytest.approx([0.5, 0.0, -2.0])
+    assert ds.labels.tolist() == [1.0]
+    assert ds.rows.tolist() == [[0.5, 0.0, -2.0]]
 
 
 def test_parse_skips_blanks_and_comments():
     text = "# header comment\n\n1 1:1.0  # trailing note\n\n-1 2:3.5\n"
     ds = parse_libsvm(text)
     assert len(ds) == 2 and ds.d == 2
-    assert ds.rows[0] == (1.0, {1: 1.0})
-    assert ds.rows[1] == (-1.0, {2: 3.5})
+    assert ds.labels.tolist() == [1.0, -1.0]
+    assert ds.rows.tolist() == [[1.0, 0.0], [0.0, 3.5]]
 
 
 def test_parse_empty_input():
     ds = parse_libsvm("")
     assert len(ds) == 0 and ds.d == 0
-    with pytest.raises(ConfigurationError):
-        dense_features(ds)
+    assert ds.labels.shape == (0,) and ds.rows.shape == (0, 0)
+    ds = parse_libsvm("1\n-1  # no features\n")
+    assert len(ds) == 2 and ds.d == 0 and ds.rows.shape == (2, 0)
 
 
 def test_parse_errors_carry_line_numbers():
@@ -59,16 +50,18 @@ def test_parse_errors_carry_line_numbers():
 
 
 def test_round_trip_random_sparse_data():
+    # dense rows written as sparse text at full precision parse back bit for bit
     rng = np.random.default_rng(5)
-    rows = []
-    for _ in range(30):
-        idx = np.sort(rng.choice(np.arange(1, 12), size=rng.integers(0, 6), replace=False))
-        rows.append((float(rng.normal()), {int(i): float(rng.normal()) for i in idx}))
-    ds = Dataset(rows=rows, d=max((max(r[1]) for r in rows if r[1]), default=0))
-    buf = io.StringIO()
-    write_libsvm(ds, buf)
-    again = parse_libsvm(buf.getvalue())
-    assert again.rows == ds.rows
+    labels = rng.normal(size=30)
+    rows = np.where(rng.random((30, 11)) < 0.3, rng.normal(size=(30, 11)), 0.0)
+    rows[:, -1] = 0.0
+    rows[3, -1] = -0.25
+    lines = [" ".join([repr(float(label))] + [f"{i + 1}:{float(row[i])!r}"
+                                              for i in np.flatnonzero(row)])
+             for label, row in zip(labels, rows)]
+    ds = parse_libsvm("\n".join(lines) + "\n")
+    assert ds.d == 11
+    assert np.array_equal(ds.labels, labels) and np.array_equal(ds.rows, rows)
 
 
 def test_binarize_labels():
@@ -80,7 +73,7 @@ def test_binarize_labels():
 
 
 def make_dataset(n):
-    return Dataset(rows=[(float(i), {1: float(i)}) for i in range(n)], d=1)
+    return Dataset(labels=np.arange(n, dtype=float), rows=np.arange(n, dtype=float)[:, None])
 
 
 def test_partition_sizes_with_remainder():

@@ -213,6 +213,10 @@ def test_cli_reports_errors_with_nonzero_exit(tmp_path, capsys):
     ("mu_z", np.nan), ("agents", 1), ("edge_prob", 2.0), ("activation_p", np.nan),
     ("leader", 50), ("epsilon", -1.0), ("gamma", np.inf), ("ref_tol", -1.0),
     ("activation_count", 0), ("activation_count", 11), ("ref_max_iter", 0),
+    ("iterations", 5.5), ("agents", 10.0), ("cadence", 2.5), ("leader", True),
+    ("activation_count", True), ("ref_max_iter", 1e6), ("graph_seed", -1),
+    ("partition_seed", 1.0), ("activation_seed", -2), ("mu_z", "1"), ("gamma", True),
+    ("epsilon", "2"), ("bfgs_bounding", 1),
 ])
 def test_config_rejects_bad_values_before_reading_data(tmp_path, field, value):
     # activation_count only applies to fixed-count activation (agents=10 by default)
@@ -220,6 +224,19 @@ def test_config_rejects_bad_values_before_reading_data(tmp_path, field, value):
     with pytest.raises(ConfigurationError, match=field):
         ExperimentConfig(problem="ridge", dataset=str(tmp_path / "missing.txt"),
                          **{field: value}, **extra)
+
+
+def test_missing_output_directory_fails_before_reading_data(tmp_path):
+    cfg = ExperimentConfig(problem="ridge", dataset=str(tmp_path / "missing.txt"),
+                           output=str(tmp_path / "absent" / "trace.csv"))
+    with pytest.raises(ConfigurationError, match="output"):
+        run_experiment(cfg)
+
+
+def test_build_problem_rejects_a_dataset_without_features(tmp_path):
+    cfg = base_config(tmp_path, agents=2)
+    with pytest.raises(ConfigurationError, match="no features"):
+        build_problem(cfg, parse_libsvm("1\n2\n3\n"))
 
 
 def test_diverging_run_raises_divergence_error(tmp_path):

@@ -3,16 +3,21 @@ path, ``rates.THEORY`` on the theory side.  Only ``curvature.kernel``, which
 picks the run-path entry, and the independent oracles of ``analysis`` may
 compare a scheme name.  The network state owns its hyperparameters and
 kernel: ``init_network`` alone picks the kernel, and no step function or
-kernel callable takes the hyperparameters again."""
+kernel callable takes the hyperparameters again.  The benchmark's probes
+(``perfbench/tracer.py``) still find the library attributes they wrap."""
 
 import ast
 import inspect
 from pathlib import Path
 
-from druid import activation, network
-from druid import curvature as cv
+import scipy.linalg
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "druid"
+from druid import activation, experiment, network
+from druid import curvature as cv
+from druid.problems import LocalObjective
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "druid"
 ALLOWED = {("analysis.py", None), ("curvature.py", "kernel")}
 
 
@@ -89,3 +94,33 @@ def test_step_api_takes_no_hyperparameters():
     taking_hp = [fn.__qualname__ for fn in callables
                  if "hp" in inspect.signature(fn).parameters]
     assert not taking_hp, f"take hp, which the network state holds: {taking_hp}"
+
+
+def span_targets():
+    """``SPAN_TARGETS`` of the benchmark tracer, read from its source: importing
+    it would write under ``perfbench/``."""
+    for node in ast.parse((ROOT / "perfbench" / "tracer.py").read_text()).body:
+        if isinstance(node, ast.Assign) and [ast.unparse(t) for t in node.targets] == ["SPAN_TARGETS"]:
+            return ast.literal_eval(node.value)
+    raise AssertionError("perfbench/tracer.py defines no SPAN_TARGETS")
+
+
+def test_benchmark_probes_find_their_targets():
+    # owners resolved as perfbench/worker.py resolves them
+    owners = {"experiment": experiment, "curvature": cv,
+              "scipy.linalg": scipy.linalg, "LocalObjective": LocalObjective}
+    targets = [target for entry in span_targets().values()
+               for target in (entry if isinstance(entry, list) else [entry])]
+    assert targets
+    missing = [f"{owner}.{attr}" for owner, attr in targets if not hasattr(owners[owner], attr)]
+    assert not missing, f"benchmark probes find no target: {missing}"
+    # what the tracer's observers read from the probed calls' results
+    ds = experiment.parse_libsvm("1 1:0.5\n2 1:1.0 2:0.25\n3 2:-1.0\n4 1:2.0\n")
+    assert len(ds.rows) == 4
+    graph = experiment.random_connected_graph(4, 0.5, 0)
+    assert graph.n == len(graph.edges) > 0
+    cfg = experiment.ExperimentConfig(problem="ridge", dataset="unused", agents=2, gamma=0.1)
+    ref = experiment.centralized_reference(experiment.build_problem(cfg, ds))
+    assert isinstance(ref.iterations, int) and ref.iterations > 0
+    record = experiment.sample_activation(activation.ActivationSampler.bernoulli(1.0, 4, 0), 0)
+    assert record.active == (0, 1, 2, 3)
