@@ -43,7 +43,7 @@ def parse_libsvm(source) -> Dataset:
     # flat typed buffers: no Python object per feature outlives its line
     labels, counts, cols, values = array("d"), array("q"), array("q"), array("d")
     add_col, add_value = cols.append, values.append   # looked up once, not per token
-    d = 0
+    d = widest = 0   # largest feature index and the line that holds it
     for lineno, raw in enumerate(source, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -70,12 +70,20 @@ def parse_libsvm(source) -> Dataset:
             if idx <= prev_idx:
                 raise ParseError(f"feature index {idx} not increasing", lineno)
             prev_idx = idx
-            add_col(idx - 1)
+            try:
+                add_col(idx - 1)
+            except OverflowError:
+                raise ParseError(f"feature index {idx} too large", lineno) from None
             add_value(val)
-        d = max(d, prev_idx)
+        if prev_idx > d:
+            d, widest = prev_idx, lineno
         labels.append(label)
         counts.append(len(tokens) - 1)
-    rows = np.zeros((len(labels), d))
+    try:
+        rows = np.zeros((len(labels), d))
+    except (MemoryError, ValueError):  # ValueError: more bytes than an array can address
+        raise ParseError(f"feature index {d} needs a dense {len(labels)} x {d} array, "
+                         "too large to allocate", widest) from None
     rows[np.repeat(np.arange(len(labels)), counts), cols] = values
     return Dataset(labels=np.array(labels), rows=rows)
 

@@ -107,17 +107,27 @@ class LocalObjective:
         return 0.25 * (self.features.T @ self.features)
 
 
-# Batched forms of ``LocalObjective.gradient``/``hessian`` for k objectives
-# of one kind whose arrays have equal shapes, stacked along a leading axis,
-# at the points X (k, d).  Each product runs slice by slice, so row k is the
-# per-objective result bit for bit; zero-padding unequal data would not be.
+# Batched forms of the ``LocalObjective`` methods for k objectives of one
+# kind and row count, their arrays stacked along a leading axis, at the
+# points X (k, d).  Each product and row sum runs slice by slice, so row k is
+# the per-objective result bit for bit; zero-padding unequal data would not be.
 
-def _least_squares_gradients(gram, atb, X):
+def _least_squares_values(gram, atb, features, targets, X):
+    r = (features @ X[:, :, None])[:, :, 0] - targets
+    return 0.5 * (r[:, None, :] @ r[:, :, None])[:, 0, 0]
+
+
+def _least_squares_gradients(gram, atb, features, targets, X):
     return (gram @ X[:, :, None])[:, :, 0] - atb
 
 
-def _least_squares_hessians(gram, atb, X):
+def _least_squares_hessians(gram, atb, features, targets, X):
     return gram.copy()
+
+
+def _logistic_values(features, targets, X):
+    u = (features @ X[:, :, None])[:, :, 0]
+    return np.sum(np.logaddexp(0.0, -u) + (1.0 - targets) * u, axis=1)
 
 
 def _logistic_gradients(features, targets, X):
@@ -130,27 +140,46 @@ def _logistic_hessians(features, targets, X):
     return (features * (s * (1.0 - s))[:, :, None]).transpose(0, 2, 1) @ features
 
 
+def _logistic_bounds(features, targets, X):
+    bounds = features.transpose(0, 2, 1) @ features
+    bounds *= 0.25
+    return bounds
+
+
 @dataclass(frozen=True)
 class StackedForm:
-    """How objectives of one kind are evaluated together: objectives with
-    equal ``group(obj)`` keys have equal-shaped arrays ``fields``, which are
-    stacked, and the batched ``gradients`` and ``hessians`` take those
-    stacks and X (k, d) and return a new array.  ``constant_hessian`` says
-    whether the Hessian is the same at every point."""
+    """How objectives of one kind are evaluated together: the arrays
+    ``fields`` of objectives with equal row counts are stacked, and
+    ``values`` (k,), ``gradients`` (k, d), ``hessians`` (k, d, d) and
+    ``bounds`` (the ``hessian_bound`` of each, (k, d, d), independent of X)
+    take those stacks and X (k, d) and return a new array.
+    ``constant_hessian`` says whether the Hessian is the same at every point."""
 
-    group: Callable
     fields: tuple
+    values: Callable
     gradients: Callable
     hessians: Callable
+    bounds: Callable
     constant_hessian: bool = False
 
 
+# The least-squares Gram matrix and A^T b come first, so each is computed
+# from the objective's own arrays before they are replaced by views.
 STACKED = {
-    LEAST_SQUARES: StackedForm(lambda obj: None, ("_gram", "_atb"), _least_squares_gradients,
+    LEAST_SQUARES: StackedForm(("_gram", "_atb", "features", "targets"), _least_squares_values,
+                               _least_squares_gradients, _least_squares_hessians,
                                _least_squares_hessians, constant_hessian=True),
-    LOGISTIC: StackedForm(lambda obj: len(obj.targets), ("features", "targets"),
-                          _logistic_gradients, _logistic_hessians),
+    LOGISTIC: StackedForm(("features", "targets"), _logistic_values, _logistic_gradients,
+                          _logistic_hessians, _logistic_bounds),
 }
+
+
+def sum_over_agents(stack: np.ndarray) -> np.ndarray:
+    """Sum along the leading (agent) axis, adding the rows in agent order as
+    Python's ``sum`` does (``ndarray.sum`` adds a contiguous axis pairwise).
+    The running sums overwrite ``stack``: pass a freshly computed one."""
+    np.cumsum(stack, axis=0, out=stack)
+    return stack[-1] + 0.0  # sum() starts at 0: a column of -0.0 sums to 0.0
 
 
 @dataclass(frozen=True)
@@ -249,12 +278,11 @@ class ConsensusProblem:
 
     All objectives have one kind and one dimension.  Construction stacks
     the arrays ``STACKED[kind].fields`` of each group of agents with equal
-    ``group`` key (for logistic, equal row counts) and makes each
-    objective's arrays views into the stacks, so the data is held once;
-    change it in place, not by rebinding the arrays.  ``gradients`` and
-    ``hessians`` evaluate the listed agents with one batched product per
-    group, while the reference solver, the smoothness constants and the
-    analysis oracles call the objectives.
+    row counts and makes each objective's arrays views into the stacks, so
+    the data is held once; change it in place, not by rebinding the arrays.
+    ``gradients``, ``hessians``, ``hessian_bounds`` and ``total_value``
+    evaluate the agents with one batched product per group; only the
+    smoothness constants and the analysis oracles call the objectives.
     """
 
     objectives: list
@@ -275,7 +303,7 @@ class ConsensusProblem:
         form = STACKED[self.kind]
         members = {}
         for i, obj in enumerate(self.objectives):
-            members.setdefault(form.group(obj), []).append(i)
+            members.setdefault(len(obj.targets), []).append(i)
         self._groups = []  # (agents in increasing order, their stacks)
         for agents in members.values():
             stacks = []
@@ -314,8 +342,11 @@ class ConsensusProblem:
         return STACKED[self.kind].constant_hessian
 
     def total_value(self, x: np.ndarray) -> float:
-        """Centralized composite cost at a single shared point."""
-        return sum(obj.value(x) for obj in self.objectives) + self.regularizer.value(x)
+        """Centralized composite cost at a single shared point: the local
+        costs added in agent order, then the regularizer."""
+        X = np.broadcast_to(x, (self.m, self.d))
+        values = self._batched(STACKED[self.kind].values, X, range(self.m), ())
+        return float(sum_over_agents(values)) + self.regularizer.value(x)
 
     def gradients(self, X: np.ndarray, rows) -> np.ndarray:
         """Local-objective gradients at the listed rows of X (distinct agents in
@@ -325,6 +356,11 @@ class ConsensusProblem:
     def hessians(self, X: np.ndarray, rows) -> np.ndarray:
         """Local Hessians at the listed rows of X, as ``gradients``; (len(rows), d, d)."""
         return self._batched(STACKED[self.kind].hessians, X, rows, (self.d, self.d))
+
+    def hessian_bounds(self) -> np.ndarray:
+        """Every agent's ``hessian_bound``, (m, d, d)."""
+        zero = np.zeros((self.m, self.d))
+        return self._batched(STACKED[self.kind].bounds, zero, range(self.m), (self.d, self.d))
 
     def _batched(self, evaluate, X, rows, shape):
         rows = np.asarray(rows, dtype=np.intp)

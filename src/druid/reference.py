@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError
-from .problems import ConsensusProblem, prox
+from .problems import ConsensusProblem, prox, sum_over_agents
 
 
 @dataclass(frozen=True)
@@ -27,13 +27,13 @@ class ReferenceSolution:
 
 def total_curvature_bound(problem: ConsensusProblem) -> float:
     """Largest eigenvalue of an upper bound on the summed Hessians."""
-    bound = sum(obj.hessian_bound() for obj in problem.objectives)  # in agent order
-    return float(np.linalg.eigvalsh(bound)[-1])
+    return float(np.linalg.eigvalsh(sum_over_agents(problem.hessian_bounds()))[-1])
 
 
 def _total_gradient(problem: ConsensusProblem, x: np.ndarray) -> np.ndarray:
     """Gradient of the summed local costs at one shared point."""
-    return sum(obj.gradient(x) for obj in problem.objectives)
+    X = np.broadcast_to(x, (problem.m, problem.d))
+    return sum_over_agents(problem.gradients(X, range(problem.m)))
 
 
 def fixed_point_residual(problem: ConsensusProblem, x: np.ndarray, lip: float) -> float:

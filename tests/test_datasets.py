@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from druid import datasets
 from druid.datasets import Dataset, binarize_labels, parse_libsvm, partition
 from druid.errors import ConfigurationError, ParseError
 
@@ -47,6 +48,26 @@ def test_parse_errors_carry_line_numbers():
         with pytest.raises(ParseError, match="non-finite") as err:
             parse_libsvm(text)
         assert err.value.line == line
+
+
+def test_huge_feature_index_names_its_line():
+    with pytest.raises(ParseError, match="too large") as err:
+        parse_libsvm("1 1:1\n1 99999999999999999999:1\n")  # beyond a 64-bit index
+    assert err.value.line == 2
+    # numpy rejects a shape of more bytes than it can address before allocating
+    with pytest.raises(ParseError, match="dense 3 x 4611686018427387904") as err:
+        parse_libsvm("1 1:1\n1 4611686018427387904:1\n1 2:1\n")
+    assert err.value.line == 2
+
+
+def test_failed_dense_allocation_names_the_widest_line(monkeypatch):
+    def out_of_memory(shape, *args, **kwargs):
+        raise MemoryError(f"cannot allocate {shape}")
+
+    monkeypatch.setattr(datasets.np, "zeros", out_of_memory)
+    with pytest.raises(ParseError, match="feature index 1000000000000") as err:
+        parse_libsvm("1 1:1\n1 2:1 1000000000000:1\n1 7:1\n")
+    assert err.value.line == 2
 
 
 def test_round_trip_random_sparse_data():

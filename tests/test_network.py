@@ -301,7 +301,7 @@ def test_problem_rejects_mixed_objective_kinds():
 
 
 def test_objective_arrays_are_views_into_the_stacks():
-    for make, names in ((make_lasso_instance, ("_gram", "_atb")),
+    for make, names in ((make_lasso_instance, ("_gram", "_atb", "features", "targets")),
                         (make_logistic_instance, ("features", "targets"))):
         _, problem = make()
         for name in names:
@@ -311,41 +311,59 @@ def test_objective_arrays_are_views_into_the_stacks():
             assert base.shape == (problem.m,) + arrays[0].shape
 
 
-def unequal_logistic_problem(rng, m=7, d=4):
-    """Logistic agents holding base or base + 1 points in a shuffled order,
-    as ``datasets.partition`` splits a row count that m does not divide."""
+def unequal_problem(rng, kind, m=7, d=4):
+    """Agents holding base or base + 1 points in a shuffled order, as
+    ``datasets.partition`` splits a row count that m does not divide."""
     base, extra = int(rng.integers(3, 6)), int(rng.integers(1, m))
     counts = rng.permutation([base + (i < extra) for i in range(m)])
     truth = rng.normal(size=d)
     objectives = []
     for n in counts:
         W = rng.normal(size=(n, d))
-        objectives.append(LocalObjective(LOGISTIC, W, (W @ truth + rng.normal(size=n) > 0) * 1.0))
+        signal = W @ truth + rng.normal(size=n)
+        objectives.append(LocalObjective(kind, W, (signal > 0) * 1.0 if kind == LOGISTIC else signal))
     return ConsensusProblem(objectives, Regularizer(L1, 0.05))
 
 
-@pytest.mark.parametrize("seed", range(4))
-@pytest.mark.parametrize("scheme", SCHEMES)
-def test_stacked_logistic_with_unequal_row_counts_is_bitwise_per_agent(scheme, seed):
+def check_unequal_rows_bitwise_per_agent(kind, scheme, seed):
+    """Steps under random masks on agents of two row counts (two stack
+    groups) leave each agent's gradient, and its Newton block or inverse,
+    equal bit for bit to what its own objective computes."""
     rng = np.random.default_rng(seed)
-    problem = unequal_logistic_problem(rng)
+    problem = unequal_problem(rng, kind)
     m, d = problem.m, problem.d
     assert len({obj.features.shape[0] for obj in problem.objectives}) == 2
     graph = random_connected_graph(m, 0.5, seed)
     hp = default_hp(scheme=scheme, epsilon=2.0)
     ns = init_network(problem, graph, hp)
+
+    def block(i, x):
+        return newton_block(problem.objectives[i], x, hp, graph.degree(i), i == hp.leader)
+
+    if scheme == NEWTON and problem.constant_hessian:
+        for i in range(m):
+            assert np.array_equal(ns.B[i], np.linalg.inv(block(i, np.zeros(d))))
     masks = [rng.random(m) < 0.5 for _ in range(6)] + [np.zeros(m, bool), np.ones(m, bool)]
     for k in rng.permutation(len(masks)):
         rows = np.flatnonzero(masks[k])
-        if scheme == NEWTON:
-            blocks = ns.kernel.build(ns, rows)
-            for block, i in zip(blocks, rows):
-                expected = newton_block(problem.objectives[i], ns.X[i], hp,
-                                        graph.degree(i), i == hp.leader)
-                assert np.array_equal(block, expected)
+        if scheme == NEWTON and not problem.constant_hessian:
+            for built, i in zip(ns.kernel.build(ns, rows), rows):
+                assert np.array_equal(built, block(i, ns.X[i]))
         apply_step(ns, masks[k])
         for i, obj in enumerate(problem.objectives):
             assert np.array_equal(ns.G[i], obj.gradient(ns.X[i]))
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_stacked_logistic_with_unequal_row_counts_is_bitwise_per_agent(scheme, seed):
+    check_unequal_rows_bitwise_per_agent(LOGISTIC, scheme, seed)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_stacked_least_squares_with_unequal_row_counts_is_bitwise_per_agent(scheme, seed):
+    check_unequal_rows_bitwise_per_agent(LEAST_SQUARES, scheme, seed)
 
 
 @pytest.mark.parametrize("make", [make_lasso_instance, make_logistic_instance])

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from druid.problems import (
     L1,
@@ -13,8 +15,9 @@ from druid.problems import (
     prox,
     smoothness_constants,
     subgradient_membership,
+    sum_over_agents,
 )
-from druid.reference import total_curvature_bound
+from druid.reference import _total_gradient, total_curvature_bound
 
 
 def random_objective(kind, seed, rows=6, d=4):
@@ -128,6 +131,46 @@ def test_hessian_bound_is_above_the_hessian_and_sets_M_f(kind):
         total += scale * g
     problem = ConsensusProblem(objs)
     assert total_curvature_bound(problem) == float(np.linalg.eigvalsh(total)[-1])
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_sum_over_agents_adds_rows_as_python_sum_does():
+    rng = np.random.default_rng(10)
+    for shape in ((12, 1), (1, 3), (9, 4), (11, 2, 2), (13,)):
+        stack = rng.normal(size=shape) * 10.0 ** rng.integers(-8, 8, size=shape)
+        assert same_bits(sum_over_agents(stack.copy()), sum(stack))
+    # a column of negative zeros: sum() starts at 0 and returns +0.0
+    assert same_bits(sum_over_agents(np.full((3, 2), -0.0)), np.zeros(2))
+
+
+@settings(max_examples=150, deadline=None)
+@given(kind=st.sampled_from([LEAST_SQUARES, LOGISTIC]), m=st.integers(1, 12),
+       d=st.integers(1, 5), unequal=st.booleans(), seed=st.integers(0, 2**32 - 1))
+@example(kind=LEAST_SQUARES, m=12, d=1, unequal=True, seed=0)
+@example(kind=LOGISTIC, m=12, d=1, unequal=False, seed=1)
+def test_stacked_totals_equal_the_per_objective_sums_bitwise(kind, m, d, unequal, seed):
+    # sparse data and a sparse point, so exact zeros (and their signs) occur
+    rng = np.random.default_rng(seed)
+    counts = rng.integers(1, 6, size=m) if unequal else np.full(m, int(rng.integers(1, 6)))
+    objs = []
+    for n in counts:
+        F = rng.normal(size=(n, d)) * (rng.random((n, d)) < 0.6)
+        y = (rng.random(n) < 0.5) * 1.0 if kind == LOGISTIC else rng.normal(size=n) * (rng.random(n) < 0.7)
+        objs.append(LocalObjective(kind, F, y))
+    reg = [Regularizer(ZERO), Regularizer(L1, 0.3), Regularizer(SQUARED_L2, 0.2)][seed % 3]
+    problem = ConsensusProblem(objs, reg)
+    x = rng.normal(size=d) * (rng.random(d) < 0.7)
+    # the oracle: one objective at a time, added with Python's sum in agent order
+    assert same_bits(problem.total_value(x), sum(obj.value(x) for obj in objs) + reg.value(x))
+    assert same_bits(_total_gradient(problem, x), sum(obj.gradient(x) for obj in objs))
+    bounds = problem.hessian_bounds()
+    assert all(same_bits(b, obj.hessian_bound()) for b, obj in zip(bounds, objs))
+    summed = sum(obj.hessian_bound() for obj in objs)
+    assert same_bits(total_curvature_bound(problem), np.linalg.eigvalsh(summed)[-1])
 
 
 def test_aggregate_smoothness_extremes():

@@ -3,7 +3,10 @@ path, ``rates.THEORY`` on the theory side.  Only ``curvature.kernel``, which
 picks the run-path entry, and the independent oracles of ``analysis`` may
 compare a scheme name.  The network state owns its hyperparameters and
 kernel: ``init_network`` alone picks the kernel, and no step function or
-kernel callable takes the hyperparameters again.  The benchmark's probes
+kernel callable takes the hyperparameters again.  Only ``problems``, which
+stacks the local objectives, and the ``analysis`` oracles reach them one by
+one through ``.objectives``; everything else evaluates the stacks, so the
+oracles stay independent of the code they check.  The benchmark's probes
 (``perfbench/tracer.py``) still find the library attributes they wrap."""
 
 import ast
@@ -19,6 +22,7 @@ from druid.problems import LocalObjective
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "druid"
 ALLOWED = {("analysis.py", None), ("curvature.py", "kernel")}
+OBJECTIVE_READERS = {"problems.py", "analysis.py"}
 
 
 def _is_scheme(node):
@@ -71,6 +75,26 @@ def test_finder_sees_the_allowed_comparisons(tmp_path):
     module = tmp_path / "m.py"
     module.write_text("def f(hp):\n    return 1 if hp.scheme != 'x' else scheme == 'y'\n")
     assert scheme_comparisons(module) == [("f", 2), ("f", 2)]
+
+
+def attribute_reads(path, attr):
+    """Lines of every ``<expression>.<attr>`` in the module at ``path``."""
+    return [node.lineno for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute) and node.attr == attr]
+
+
+def test_objectives_are_read_only_by_problems_and_the_oracles():
+    stray = [f"{path.name}:{line}" for path in sorted(SRC.glob("*.py"))
+             if path.name not in OBJECTIVE_READERS
+             for line in attribute_reads(path, "objectives")]
+    assert not stray, f"per-objective access outside problems and analysis: {stray}"
+
+
+def test_finder_sees_attribute_reads(tmp_path):
+    assert attribute_reads(SRC / "analysis.py", "objectives")
+    module = tmp_path / "m.py"
+    module.write_text("n = len(p.objectives)\ndef f(p):\n    return [o.value for o in p.objectives]\n")
+    assert attribute_reads(module, "objectives") == [1, 3]
 
 
 def test_kernel_is_picked_only_at_init():
