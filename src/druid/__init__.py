@@ -23,7 +23,6 @@ from .problems import (
     Regularizer,
     SmoothnessConstants,
     prox,
-    smoothness_constants,
     subgradient_membership,
 )
 from .reference import ReferenceSolution, centralized_reference
@@ -44,7 +43,7 @@ __all__ = [
     "NetworkState", "init_network", "local_gradient", "sync_step",
     "L1", "LEAST_SQUARES", "LOGISTIC", "SQUARED_L2", "ZERO",
     "ConsensusProblem", "LocalObjective", "Regularizer", "SmoothnessConstants",
-    "prox", "smoothness_constants", "subgradient_membership",
+    "prox", "subgradient_membership",
     "ReferenceSolution", "centralized_reference",
     "Graph", "SpectralConstants", "TopologyMatrices", "build_matrices",
     "random_connected_graph", "read_edge_list", "spectral_constants", "write_edge_list",

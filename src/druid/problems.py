@@ -64,9 +64,9 @@ class LocalObjective:
         if self.kind == LOGISTIC and not np.all(np.isin(self.targets, (0.0, 1.0))):
             raise ValueError("logistic labels must be in {0, 1}")
 
-    # The least-squares Gram matrix and A^T b are computed on first use, so
-    # that a ConsensusProblem, which replaces them with views into its
-    # stacks, leaves no per-objective copy behind.
+    # The least-squares Gram matrix and A^T b are computed on first use, for
+    # the per-objective oracles only; a ConsensusProblem derives its own
+    # stacks of them from the feature stacks and never reads these.
     @cached_property
     def _gram(self) -> np.ndarray:
         return self.features.T @ self.features
@@ -107,40 +107,50 @@ class LocalObjective:
         return 0.25 * (self.features.T @ self.features)
 
 
-# Batched forms of the ``LocalObjective`` methods for k objectives of one
-# kind and row count, their arrays stacked along a leading axis, at the
-# points X (k, d).  Each product and row sum runs slice by slice, so row k is
-# the per-objective result bit for bit; zero-padding unequal data would not be.
+# Batched forms of the ``LocalObjective`` methods for the objectives of one
+# kind and row count: ``at`` picks the objectives (``slice(None)`` for all of
+# them, an index array otherwise) from the stacks of the group, passed by name,
+# and X (k, d) holds their points.  Each form gathers only the stacks it reads.
+# Each product and row sum runs slice by slice, so row k is the per-objective
+# result bit for bit; zero-padding unequal data would not be.
 
-def _least_squares_values(gram, atb, features, targets, X):
-    r = (features @ X[:, :, None])[:, :, 0] - targets
+def _least_squares_derive(features, targets):
+    return {"gram": features.transpose(0, 2, 1) @ features,
+            "atb": (features.transpose(0, 2, 1) @ targets[:, :, None])[:, :, 0]}
+
+
+def _least_squares_values(at, X, features, targets, **_):
+    r = (features[at] @ X[:, :, None])[:, :, 0] - targets[at]
     return 0.5 * (r[:, None, :] @ r[:, :, None])[:, 0, 0]
 
 
-def _least_squares_gradients(gram, atb, features, targets, X):
-    return (gram @ X[:, :, None])[:, :, 0] - atb
+def _least_squares_gradients(at, X, gram, atb, **_):
+    return (gram[at] @ X[:, :, None])[:, :, 0] - atb[at]
 
 
-def _least_squares_hessians(gram, atb, features, targets, X):
-    return gram.copy()
+def _least_squares_hessians(at, X, gram, **_):
+    return gram[at].copy()  # a slice is a view: copy it
 
 
-def _logistic_values(features, targets, X):
-    u = (features @ X[:, :, None])[:, :, 0]
-    return np.sum(np.logaddexp(0.0, -u) + (1.0 - targets) * u, axis=1)
+def _logistic_values(at, X, features, targets, **_):
+    u = (features[at] @ X[:, :, None])[:, :, 0]
+    return np.sum(np.logaddexp(0.0, -u) + (1.0 - targets[at]) * u, axis=1)
 
 
-def _logistic_gradients(features, targets, X):
-    r = _sigmoid((features @ X[:, :, None])[:, :, 0]) - targets
+def _logistic_gradients(at, X, features, targets, **_):
+    features = features[at]
+    r = _sigmoid((features @ X[:, :, None])[:, :, 0]) - targets[at]
     return (r[:, None, :] @ features)[:, 0, :]
 
 
-def _logistic_hessians(features, targets, X):
+def _logistic_hessians(at, X, features, **_):
+    features = features[at]
     s = _sigmoid((features @ X[:, :, None])[:, :, 0])
     return (features * (s * (1.0 - s))[:, :, None]).transpose(0, 2, 1) @ features
 
 
-def _logistic_bounds(features, targets, X):
+def _logistic_bounds(at, X, features, **_):
+    features = features[at]
     bounds = features.transpose(0, 2, 1) @ features
     bounds *= 0.25
     return bounds
@@ -148,14 +158,15 @@ def _logistic_bounds(features, targets, X):
 
 @dataclass(frozen=True)
 class StackedForm:
-    """How objectives of one kind are evaluated together: the arrays
-    ``fields`` of objectives with equal row counts are stacked, and
-    ``values`` (k,), ``gradients`` (k, d), ``hessians`` (k, d, d) and
-    ``bounds`` (the ``hessian_bound`` of each, (k, d, d), independent of X)
-    take those stacks and X (k, d) and return a new array.
+    """How objectives of one kind are evaluated together.  ``derive`` maps
+    the (k, n, d) features and (k, n) targets of objectives with equal row
+    counts to the further stacks the forms read, by name.  ``values`` (k,),
+    ``gradients`` (k, d), ``hessians`` (k, d, d) and ``bounds`` (the
+    ``hessian_bound`` of each, (k, d, d), independent of X) take ``at``, X
+    (k, d) and the stacks by name, and return a new array.
     ``constant_hessian`` says whether the Hessian is the same at every point."""
 
-    fields: tuple
+    derive: Callable
     values: Callable
     gradients: Callable
     hessians: Callable
@@ -163,13 +174,11 @@ class StackedForm:
     constant_hessian: bool = False
 
 
-# The least-squares Gram matrix and A^T b come first, so each is computed
-# from the objective's own arrays before they are replaced by views.
 STACKED = {
-    LEAST_SQUARES: StackedForm(("_gram", "_atb", "features", "targets"), _least_squares_values,
+    LEAST_SQUARES: StackedForm(_least_squares_derive, _least_squares_values,
                                _least_squares_gradients, _least_squares_hessians,
                                _least_squares_hessians, constant_hessian=True),
-    LOGISTIC: StackedForm(("features", "targets"), _logistic_values, _logistic_gradients,
+    LOGISTIC: StackedForm(lambda features, targets: {}, _logistic_values, _logistic_gradients,
                           _logistic_hessians, _logistic_bounds),
 }
 
@@ -189,27 +198,6 @@ class SmoothnessConstants:
     m_f: float
     M_f: float
     L_f: float
-
-
-def smoothness_constants(obj: LocalObjective) -> SmoothnessConstants:
-    """Strong convexity / smoothness / Hessian-Lipschitz constants.
-
-    M_f is the largest eigenvalue of ``hessian_bound``.  Least squares:
-    m_f is the smallest one, L_f = 0.  Logistic: m_f = 0, and the Hessian's
-    Lipschitz constant is the peak of the sigmoid's second derivative
-    (1 / (6 sqrt 3)) times the cubed feature norms.
-    """
-    if obj.features.shape[0] == 0:
-        raise ValueError("objective has no data")
-    eig = np.linalg.eigvalsh(obj.hessian_bound())
-    if obj.kind == LEAST_SQUARES:
-        return SmoothnessConstants(m_f=float(max(eig[0], 0.0)), M_f=float(eig[-1]), L_f=0.0)
-    norms = np.linalg.norm(obj.features, axis=1)
-    return SmoothnessConstants(
-        m_f=0.0,
-        M_f=float(eig[-1]),
-        L_f=float(np.sum(norms**3)) / (6.0 * np.sqrt(3.0)),
-    )
 
 
 ZERO = "zero"
@@ -276,13 +264,15 @@ def subgradient_membership(g: Regularizer, theta: np.ndarray, lam: np.ndarray, t
 class ConsensusProblem:
     """One local objective per agent plus the shared regularizer.
 
-    All objectives have one kind and one dimension.  Construction stacks
-    the arrays ``STACKED[kind].fields`` of each group of agents with equal
-    row counts and makes each objective's arrays views into the stacks, so
-    the data is held once; change it in place, not by rebinding the arrays.
-    ``gradients``, ``hessians``, ``hessian_bounds`` and ``total_value``
-    evaluate the agents with one batched product per group; only the
-    smoothness constants and the analysis oracles call the objectives.
+    All objectives have one kind and one dimension, and each holds at least
+    one data point.  Construction stacks the features and targets of each
+    group of agents with equal row counts and makes each objective's arrays
+    views into the stacks, so the data is held once; every other per-agent
+    array (the least-squares Gram matrices and A^T b, the smoothness
+    constants) is derived from these stacks in batched calls.  Do not change
+    the data after construction.  ``gradients``, ``hessians``,
+    ``hessian_bounds`` and ``total_value`` evaluate the agents with one
+    batched product per group; only the analysis oracles call the objectives.
     """
 
     objectives: list
@@ -300,22 +290,23 @@ class ConsensusProblem:
         if len(kinds) != 1:
             raise ConfigurationError(f"objective kinds differ: {sorted(kinds)}")
         self.kind = kinds.pop()
-        form = STACKED[self.kind]
         members = {}
         for i, obj in enumerate(self.objectives):
             members.setdefault(len(obj.targets), []).append(i)
-        self._groups = []  # (agents in increasing order, their stacks)
+        if 0 in members:
+            raise ConfigurationError(f"objective of agent {members[0][0]} has no data points")
+        self._groups = []  # (agents in increasing order, their stacks by name)
         for agents in members.values():
-            stacks = []
-            for name in form.fields:
+            stacks = {}
+            for name in ("features", "targets"):
                 # one objective's array at a time: each is freed once its view replaces it
                 shape = getattr(self.objectives[agents[0]], name).shape
-                stack = np.empty((len(agents),) + shape)
+                stack = stacks[name] = np.empty((len(agents),) + shape)
                 for slot, i in enumerate(agents):
                     stack[slot] = getattr(self.objectives[i], name)
                     setattr(self.objectives[i], name, stack[slot])
-                stacks.append(stack)
-            self._groups.append((np.array(agents, dtype=np.intp), tuple(stacks)))
+            stacks.update(STACKED[self.kind].derive(**stacks))
+            self._groups.append((np.array(agents, dtype=np.intp), stacks))
 
     @property
     def m(self) -> int:
@@ -327,14 +318,19 @@ class ConsensusProblem:
 
     @cached_property
     def smoothness(self) -> SmoothnessConstants:
-        """Network-wide bounds: the tightest constants valid for every agent,
-        computed on first use (one eigendecomposition per objective)."""
-        per_agent = [smoothness_constants(obj) for obj in self.objectives]
-        return SmoothnessConstants(
-            m_f=min(c.m_f for c in per_agent),
-            M_f=max(c.M_f for c in per_agent),
-            L_f=max(c.L_f for c in per_agent),
-        )
+        """Network-wide bounds, the tightest constants valid for every agent,
+        computed on first use.  M_f is the largest eigenvalue of any agent's
+        ``hessian_bound``.  Least squares: m_f is the smallest one, L_f = 0.
+        Logistic: m_f = 0, and the Hessian's Lipschitz constant is the peak
+        of the sigmoid's second derivative (1 / (6 sqrt 3)) times an agent's
+        summed cubed feature norms."""
+        eig = np.linalg.eigvalsh(self.hessian_bounds())
+        M_f = float(eig[:, -1].max())
+        if self.kind == LEAST_SQUARES:
+            return SmoothnessConstants(m_f=max(float(eig[:, 0].min()), 0.0), M_f=M_f, L_f=0.0)
+        cubes = max(float((np.linalg.norm(stacks["features"], axis=2) ** 3).sum(axis=1).max())
+                    for _, stacks in self._groups)
+        return SmoothnessConstants(m_f=0.0, M_f=M_f, L_f=cubes / (6.0 * np.sqrt(3.0)))
 
     @property
     def constant_hessian(self) -> bool:
@@ -367,7 +363,7 @@ class ConsensusProblem:
         full = len(rows) == self.m  # every agent: read the stacks in place
         if len(self._groups) == 1:
             stacks = self._groups[0][1]
-            return evaluate(*stacks, X) if full else evaluate(*(s[rows] for s in stacks), X[rows])
+            return evaluate(slice(None), X, **stacks) if full else evaluate(rows, X[rows], **stacks)
         out = np.empty((len(rows),) + shape)
         for agents, stacks in self._groups:
             if full:
@@ -375,5 +371,5 @@ class ConsensusProblem:
             else:
                 at = np.flatnonzero(np.isin(rows, agents))
                 slots = np.searchsorted(agents, rows[at])
-            out[at] = evaluate(*(s[slots] for s in stacks), X[rows[at]])
+            out[at] = evaluate(slots, X[rows[at]], **stacks)
         return out

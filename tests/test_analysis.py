@@ -312,9 +312,9 @@ def test_error_term_bfgs_needs_snapshots():
 
 def test_smoothness_constants_are_computed_once_per_problem(monkeypatch):
     calls = []
-    original = problems.smoothness_constants
-    monkeypatch.setattr(problems, "smoothness_constants",
-                        lambda obj: calls.append(obj) or original(obj))
+    original = problems.ConsensusProblem.hessian_bounds
+    monkeypatch.setattr(problems.ConsensusProblem, "hessian_bounds",
+                        lambda problem: calls.append(problem) or original(problem))
     graph, problem = make_logistic_instance()
     hp = Hyperparams(mu_z=1.0, mu_theta=0.5, epsilon=1.0)
     with pytest.raises(InapplicableTheoremError):  # logistic: m_f = 0
@@ -322,4 +322,4 @@ def test_smoothness_constants_are_computed_once_per_problem(monkeypatch):
     x = np.zeros((graph.m, problem.d))
     for _ in range(3):
         error_term(problem, graph, hp, x, x + 0.1)
-    assert len(calls) == problem.m
+    assert len(calls) == 1 and calls[0] is problem

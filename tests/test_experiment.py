@@ -8,6 +8,7 @@ from druid.cli import main
 from druid.errors import ConfigurationError, DivergenceError
 from druid.datasets import parse_libsvm, partition
 from druid.experiment import ExperimentConfig, build_problem, load_config, run_experiment
+from druid.problems import LocalObjective
 from druid.topology import read_edge_list
 
 HEADER = "t,cost_err,dist_err,r_opt,r_cons,r_reg,comm_scalars"
@@ -300,3 +301,31 @@ def test_build_problem_binarizes_labels_over_the_whole_dataset(tmp_path):
         assert obj.targets.tolist() == [float(r > 0) for r in rows]
     # one agent holds only the label 7, which still maps to 1
     assert [1.0, 1.0] in [obj.targets.tolist() for obj in problem.objectives]
+
+
+RUN_PATH_CONFIGS = {
+    "lasso-newton-sync": dict(problem="lasso", scheme="newton"),
+    "ridge-gradient-async": dict(scheme="gradient", mode="async", activation_p=0.5,
+                                 activation_seed=4, cadence=1),
+    "logistic-bfgs-async": dict(problem="logistic_l1", gamma=0.01, scheme="bfgs", epsilon=3.0,
+                                psi=5.0, mode="async", activation="fixed_count",
+                                activation_count=2, activation_seed=9),
+}
+
+
+@pytest.mark.parametrize("name", RUN_PATH_CONFIGS)
+def test_run_path_evaluates_the_objectives_only_in_batches(tmp_path, name, monkeypatch):
+    """Setup, reference solve, steps and metrics read the stacks of the
+    ConsensusProblem, never a per-objective method or cache."""
+    kw = dict(RUN_PATH_CONFIGS[name])
+    if kw.get("problem") == "logistic_l1":
+        write_dataset(tmp_path / "cls.txt", classification=True, seed=3)
+        kw["dataset"] = str(tmp_path / "cls.txt")
+    cfg = base_config(tmp_path, **kw)
+
+    def forbidden(obj):
+        raise AssertionError("the run path read a per-objective member")
+
+    for member in ("value", "gradient", "hessian", "hessian_bound", "_gram", "_atb"):
+        monkeypatch.setattr(LocalObjective, member, property(forbidden))
+    assert len(read_rows(run_experiment(cfg))) >= 2

@@ -300,11 +300,17 @@ def test_problem_rejects_mixed_objective_kinds():
         ConsensusProblem(objs)
 
 
+def test_objective_without_data_names_its_agent():
+    objs = [LocalObjective(LEAST_SQUARES, [[1.0, 0.0]], [1.0]),
+            LocalObjective(LEAST_SQUARES, np.zeros((0, 2)), np.zeros(0))]
+    with pytest.raises(ConfigurationError, match="agent 1 has no data"):
+        ConsensusProblem(objs)
+
+
 def test_objective_arrays_are_views_into_the_stacks():
-    for make, names in ((make_lasso_instance, ("_gram", "_atb", "features", "targets")),
-                        (make_logistic_instance, ("features", "targets"))):
+    for make in (make_lasso_instance, make_logistic_instance):
         _, problem = make()
-        for name in names:
+        for name in ("features", "targets"):
             arrays = [getattr(obj, name) for obj in problem.objectives]
             base = arrays[0].base
             assert base is not None and all(a.base is base for a in arrays)

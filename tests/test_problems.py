@@ -13,7 +13,6 @@ from druid.problems import (
     LocalObjective,
     Regularizer,
     prox,
-    smoothness_constants,
     subgradient_membership,
     sum_over_agents,
 )
@@ -90,14 +89,14 @@ def test_least_squares_hessian_constant():
 
 def test_smoothness_least_squares_diagonal_gram():
     obj = LocalObjective(LEAST_SQUARES, [[1.0, 0.0], [0.0, 2.0]], [0.0, 0.0])
-    sm = smoothness_constants(obj)
+    sm = ConsensusProblem([obj]).smoothness
     assert sm.m_f == pytest.approx(1.0)
     assert sm.M_f == pytest.approx(4.0)
     assert sm.L_f == 0.0
 
 
 def test_smoothness_logistic_single_feature():
-    sm = smoothness_constants(LocalObjective(LOGISTIC, [[2.0]], [1.0]))
+    sm = ConsensusProblem([LocalObjective(LOGISTIC, [[2.0]], [1.0])]).smoothness
     assert sm.m_f == 0.0
     assert sm.M_f == pytest.approx(1.0)
     assert sm.L_f == pytest.approx(8.0 / (6.0 * np.sqrt(3.0)))
@@ -106,7 +105,7 @@ def test_smoothness_logistic_single_feature():
 @pytest.mark.parametrize("kind", [LEAST_SQUARES, LOGISTIC])
 def test_smoothness_bounds_gradient_differences(kind):
     obj = random_objective(kind, seed=5)
-    sm = smoothness_constants(obj)
+    sm = ConsensusProblem([obj]).smoothness
     rng = np.random.default_rng(6)
     for _ in range(100):
         x, y = rng.normal(size=obj.d), rng.normal(size=obj.d)
@@ -125,7 +124,7 @@ def test_hessian_bound_is_above_the_hessian_and_sets_M_f(kind):
         assert np.array_equal(bound, scale * g)
         assert np.linalg.eigvalsh(bound - obj.hessian(rng.normal(size=obj.d)))[0] >= -1e-12
         # scaling by a power of two is exact, so M_f is the former per-kind value bit for bit
-        assert smoothness_constants(obj).M_f == scale * float(np.linalg.eigvalsh(g)[-1])
+        assert ConsensusProblem([obj]).smoothness.M_f == scale * float(np.linalg.eigvalsh(g)[-1])
     total = np.zeros_like(gram[0])
     for g in gram:
         total += scale * g
@@ -171,6 +170,19 @@ def test_stacked_totals_equal_the_per_objective_sums_bitwise(kind, m, d, unequal
     assert all(same_bits(b, obj.hessian_bound()) for b, obj in zip(bounds, objs))
     summed = sum(obj.hessian_bound() for obj in objs)
     assert same_bits(total_curvature_bound(problem), np.linalg.eigvalsh(summed)[-1])
+    # the per-objective smoothness constants, reduced over the agents
+    ends = [np.linalg.eigvalsh(obj.hessian_bound())[[0, -1]] for obj in objs]
+    m_f = max(min(float(e[0]) for e in ends), 0.0) if kind == LEAST_SQUARES else 0.0
+    L_f = 0.0 if kind == LEAST_SQUARES else max(
+        float(np.sum(np.linalg.norm(obj.features, axis=1) ** 3)) / (6.0 * np.sqrt(3.0)) for obj in objs)
+    sm = problem.smoothness
+    assert same_bits([sm.m_f, sm.M_f, sm.L_f], [m_f, max(float(e[1]) for e in ends), L_f])
+    if kind == LEAST_SQUARES:
+        by_agent = {int(i): (s["gram"][k], s["atb"][k])
+                    for agents, s in problem._groups for k, i in enumerate(agents)}
+        for i, obj in enumerate(objs):
+            assert same_bits(by_agent[i][0], obj.features.T @ obj.features)
+            assert same_bits(by_agent[i][1], obj.features.T @ obj.targets)
 
 
 def test_aggregate_smoothness_extremes():
