@@ -24,8 +24,6 @@ from typing import Callable
 import numpy as np
 import scipy.linalg
 
-from .problems import LocalObjective
-
 GRADIENT = "gradient"
 NEWTON = "newton"
 BFGS = "bfgs"
@@ -69,14 +67,6 @@ def block_diag_value(hp: Hyperparams, degree, is_leader):
     under the gradient scheme); independent of the iterate.  Takes one
     agent's degree and leader flag, or arrays of them for every agent."""
     return hp.mu_z * degree + hp.mu_theta * is_leader + hp.epsilon
-
-
-def newton_block(obj: LocalObjective, x: np.ndarray, hp: Hyperparams,
-                 degree: int, is_leader: bool) -> np.ndarray:
-    """Local Hessian plus the constant shift; positive definite by construction."""
-    block = obj.hessian(x)
-    block[np.diag_indices_from(block)] += block_diag_value(hp, degree, is_leader)
-    return block
 
 
 def bfgs_pair(x_prev: np.ndarray, x_new: np.ndarray, grad_prev: np.ndarray,

@@ -32,9 +32,6 @@ class Dataset:
     def d(self) -> int:
         return self.rows.shape[1]
 
-    def __len__(self) -> int:
-        return len(self.rows)
-
 
 def parse_libsvm(source) -> Dataset:
     """Parse sparse text rows from a string or text stream."""
@@ -105,16 +102,9 @@ def partition(ds: Dataset, m: int, seed: int):
     """Even split of the row indices across m agents.
 
     Rows are shuffled with the given seed and split contiguously; the
-    first len(ds) mod m agents receive one extra row.
+    first len(ds.rows) mod m agents receive one extra row.
     """
     if len(ds.rows) < m:
         raise ConfigurationError(f"{len(ds.rows)} rows cannot cover {m} agents")
     order = np.random.default_rng(seed).permutation(len(ds.rows))
-    base, extra = divmod(len(ds.rows), m)
-    parts = []
-    start = 0
-    for i in range(m):
-        size = base + (1 if i < extra else 0)
-        parts.append(np.sort(order[start:start + size]))
-        start += size
-    return parts
+    return [np.sort(part) for part in np.array_split(order, m)]

@@ -1,6 +1,6 @@
 """Experiment configuration, run loop, and trace emission.
 
-A run builds the graph and per-agent objectives from a sparse text
+A run builds the graph and the stacked consensus problem from a sparse text
 dataset, computes the centralized reference, iterates the network for the
 configured number of rounds, and writes a CSV trace with header
 ``t,cost_err,dist_err,r_opt,r_cons,r_reg,comm_scalars``.  Everything is
@@ -29,7 +29,6 @@ from .problems import (
     LOGISTIC,
     SQUARED_L2,
     ConsensusProblem,
-    LocalObjective,
     Regularizer,
 )
 from .reference import centralized_reference
@@ -154,20 +153,18 @@ def load_config(path, overrides: dict = None) -> ExperimentConfig:
 
 
 def build_problem(cfg: ExperimentConfig, ds: Dataset) -> ConsensusProblem:
-    """Per-agent objectives from a seeded even partition of the dataset: the
-    partitioned rows are read once, and each agent gets a view of its slice."""
+    """The problem of a seeded even partition of the dataset: the rows are
+    gathered once, in agent order, and become the problem's stacks."""
     parts = partition(ds, cfg.agents, cfg.partition_seed)
     if ds.d < 1:
         raise ConfigurationError("dataset has no features, feature dimension undefined")
     kind, regularizer = PROBLEMS[cfg.problem]
     order = np.concatenate(parts)
-    X, y = ds.rows[order], ds.labels[order]
+    y = ds.labels[order]
     if kind == LOGISTIC:
         y = binarize_labels(y)
-    bounds = np.cumsum([len(rows) for rows in parts])[:-1]
-    objectives = [LocalObjective(kind, Xi, yi)
-                  for Xi, yi in zip(np.split(X, bounds), np.split(y, bounds))]
-    return ConsensusProblem(objectives, Regularizer(regularizer, cfg.gamma))
+    return ConsensusProblem(kind, ds.rows[order], y, [len(rows) for rows in parts],
+                            Regularizer(regularizer, cfg.gamma))
 
 
 @dataclass(frozen=True)

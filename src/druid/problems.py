@@ -7,9 +7,9 @@ Two smooth local objectives are supported:
   with labels y_j in {0, 1}
 
 and three regularizers: zero, gamma * ||x||_1, and gamma * ||x||^2.
-A ``ConsensusProblem`` holds one objective per agent and the shared
-regularizer; ``STACKED`` says how it stacks and evaluates objectives of
-one kind together.
+A ``ConsensusProblem`` holds every agent's data as stacked rows and the shared
+regularizer; ``STACKED`` says how it evaluates the objectives of one kind
+together.  A ``LocalObjective`` is one agent's cost, for the oracles.
 """
 
 from __future__ import annotations
@@ -260,61 +260,82 @@ def subgradient_membership(g: Regularizer, theta: np.ndarray, lam: np.ndarray, t
     return bool(np.linalg.norm(lam - 2.0 * g.gamma * theta) <= tol)
 
 
-@dataclass
+@dataclass(eq=False)
 class ConsensusProblem:
-    """One local objective per agent plus the shared regularizer.
+    """The agents' local objectives as stacked data, plus the shared regularizer.
 
-    All objectives have one kind and one dimension, and each holds at least
-    one data point.  Construction stacks the features and targets of each
-    group of agents with equal row counts and makes each objective's arrays
-    views into the stacks, so the data is held once; every other per-agent
-    array (the least-squares Gram matrices and A^T b, the smoothness
-    constants) is derived from these stacks in batched calls.  Do not change
-    the data after construction.  ``gradients``, ``hessians``,
-    ``hessian_bounds`` and ``total_value`` evaluate the agents with one
-    batched product per group; only the analysis oracles call the objectives.
+    Agent i owns the next ``counts[i]`` (at least one) rows of ``features``
+    (N, d) and ``targets`` (N,).  Each run of consecutive agents with equal
+    counts is a group whose (k, n, d) and (k, n) stacks are views of its rows;
+    every other per-agent array (the least-squares Gram matrices and A^T b,
+    the smoothness constants) is derived from them in batched calls.  Do not
+    change the data after construction.  ``gradients``, ``hessians``,
+    ``hessian_bounds`` and ``total_value`` take one batched call per group;
+    only the analysis oracles read the per-agent ``objectives``.
     """
 
-    objectives: list
+    kind: str
+    features: np.ndarray
+    targets: np.ndarray
+    counts: np.ndarray
     regularizer: Regularizer = Regularizer()
-    kind: str = field(init=False)
-    _groups: list = field(init=False, repr=False, compare=False)
+    _groups: list = field(init=False, repr=False)
 
     def __post_init__(self):
-        if not self.objectives:
+        if self.kind not in STACKED:
+            raise ConfigurationError(f"unknown objective kind {self.kind!r}")
+        self.counts = counts = np.asarray(self.counts, dtype=np.intp)
+        if counts.ndim != 1 or not len(counts):
+            raise ConfigurationError("need at least one agent")
+        self.features = features = np.ascontiguousarray(self.features, dtype=float)
+        self.targets = targets = np.ascontiguousarray(self.targets, dtype=float)
+        if features.ndim != 2 or targets.shape != features.shape[:1] or counts.sum() != len(targets):
+            raise ConfigurationError(
+                f"features {features.shape}, targets {targets.shape} and counts "
+                f"(summing to {counts.sum()}) disagree")
+        if (counts < 1).any():
+            raise ConfigurationError(f"objective of agent {np.argmax(counts < 1)} has no data points")
+        if self.kind == LOGISTIC and not np.isin(targets, (0.0, 1.0)).all():
+            raise ConfigurationError("logistic targets must be 0 or 1")
+        runs = np.concatenate(([0], np.flatnonzero(np.diff(counts)) + 1, [len(counts)]))
+        ends = np.concatenate(([0], np.cumsum(counts)))
+        self._groups = []  # (first agent, one past the last, the run's stacks by name)
+        for lo, hi in zip(runs[:-1].tolist(), runs[1:].tolist()):
+            at = slice(ends[lo], ends[hi])
+            stacks = {"features": features[at].reshape(hi - lo, counts[lo], self.d),
+                      "targets": targets[at].reshape(hi - lo, counts[lo])}
+            stacks.update(STACKED[self.kind].derive(**stacks))
+            self._groups.append((lo, hi, stacks))
+
+    @classmethod
+    def from_objectives(cls, objectives, regularizer: Regularizer = Regularizer()):
+        """The problem of one ``LocalObjective`` per agent, in agent order."""
+        if not objectives:
             raise ConfigurationError("need at least one local objective")
-        dims = {obj.d for obj in self.objectives}
+        dims = {obj.d for obj in objectives}
         if len(dims) != 1:
             raise ConfigurationError(f"objective dimensions differ: {sorted(dims)}")
-        kinds = {obj.kind for obj in self.objectives}
+        kinds = {obj.kind for obj in objectives}
         if len(kinds) != 1:
             raise ConfigurationError(f"objective kinds differ: {sorted(kinds)}")
-        self.kind = kinds.pop()
-        members = {}
-        for i, obj in enumerate(self.objectives):
-            members.setdefault(len(obj.targets), []).append(i)
-        if 0 in members:
-            raise ConfigurationError(f"objective of agent {members[0][0]} has no data points")
-        self._groups = []  # (agents in increasing order, their stacks by name)
-        for agents in members.values():
-            stacks = {}
-            for name in ("features", "targets"):
-                # one objective's array at a time: each is freed once its view replaces it
-                shape = getattr(self.objectives[agents[0]], name).shape
-                stack = stacks[name] = np.empty((len(agents),) + shape)
-                for slot, i in enumerate(agents):
-                    stack[slot] = getattr(self.objectives[i], name)
-                    setattr(self.objectives[i], name, stack[slot])
-            stacks.update(STACKED[self.kind].derive(**stacks))
-            self._groups.append((np.array(agents, dtype=np.intp), stacks))
+        return cls(kinds.pop(), np.concatenate([obj.features for obj in objectives]),
+                   np.concatenate([obj.targets for obj in objectives]),
+                   [len(obj.targets) for obj in objectives], regularizer)
+
+    @cached_property
+    def objectives(self) -> list:
+        """One ``LocalObjective`` per agent whose arrays are views into the
+        stacks, built on first use; only the analysis oracles read them."""
+        return [LocalObjective(self.kind, f, t) for *_, stacks in self._groups
+                for f, t in zip(stacks["features"], stacks["targets"])]
 
     @property
     def m(self) -> int:
-        return len(self.objectives)
+        return len(self.counts)
 
     @property
     def d(self) -> int:
-        return self.objectives[0].d
+        return self.features.shape[1]
 
     @cached_property
     def smoothness(self) -> SmoothnessConstants:
@@ -329,7 +350,7 @@ class ConsensusProblem:
         if self.kind == LEAST_SQUARES:
             return SmoothnessConstants(m_f=max(float(eig[:, 0].min()), 0.0), M_f=M_f, L_f=0.0)
         cubes = max(float((np.linalg.norm(stacks["features"], axis=2) ** 3).sum(axis=1).max())
-                    for _, stacks in self._groups)
+                    for *_, stacks in self._groups)
         return SmoothnessConstants(m_f=0.0, M_f=M_f, L_f=cubes / (6.0 * np.sqrt(3.0)))
 
     @property
@@ -362,14 +383,13 @@ class ConsensusProblem:
         rows = np.asarray(rows, dtype=np.intp)
         full = len(rows) == self.m  # every agent: read the stacks in place
         if len(self._groups) == 1:
-            stacks = self._groups[0][1]
+            stacks = self._groups[0][2]
             return evaluate(slice(None), X, **stacks) if full else evaluate(rows, X[rows], **stacks)
         out = np.empty((len(rows),) + shape)
-        for agents, stacks in self._groups:
+        for lo, hi, stacks in self._groups:
             if full:
-                at, slots = agents, slice(None)
+                out[lo:hi] = evaluate(slice(None), X[lo:hi], **stacks)
             else:
-                at = np.flatnonzero(np.isin(rows, agents))
-                slots = np.searchsorted(agents, rows[at])
-            out[at] = evaluate(slots, X[rows[at]], **stacks)
+                a, b = np.searchsorted(rows, (lo, hi))
+                out[a:b] = evaluate(rows[a:b] - lo, X[rows[a:b]], **stacks)
         return out

@@ -1,4 +1,4 @@
-"""Shared synthetic instances for the test suite.
+"""Shared synthetic instances and per-agent oracle helpers for the test suite.
 
 Instances are deterministic in their seeds.  The ridge builder fixes every
 agent's data spectrum to {0.5, 2, 8}, so the network-wide strong-convexity
@@ -18,6 +18,7 @@ from druid import (
     Regularizer,
     random_connected_graph,
 )
+from druid.curvature import block_diag_value
 
 
 def make_lasso_instance(m=5, d=3, rows=4, gamma=0.1, seed=23, edge_prob=0.7, graph_seed=3):
@@ -28,7 +29,7 @@ def make_lasso_instance(m=5, d=3, rows=4, gamma=0.1, seed=23, edge_prob=0.7, gra
         A = rng.normal(size=(rows, d)) / np.sqrt(rows)
         b = rng.normal(size=rows)
         objectives.append(LocalObjective(LEAST_SQUARES, A, b))
-    return graph, ConsensusProblem(objectives, Regularizer(L1, gamma))
+    return graph, ConsensusProblem.from_objectives(objectives, Regularizer(L1, gamma))
 
 
 def make_ridge_instance(m=10, d=3, gamma=0.02, seed=42, edge_prob=0.5, graph_seed=11):
@@ -41,7 +42,7 @@ def make_ridge_instance(m=10, d=3, gamma=0.02, seed=42, edge_prob=0.5, graph_see
         A = (Q * np.sqrt(eigs)) @ np.linalg.qr(rng.normal(size=(d, d)))[0].T
         b = rng.normal(size=d)
         objectives.append(LocalObjective(LEAST_SQUARES, A, b))
-    return graph, ConsensusProblem(objectives, Regularizer(SQUARED_L2, gamma))
+    return graph, ConsensusProblem.from_objectives(objectives, Regularizer(SQUARED_L2, gamma))
 
 
 def make_logistic_instance(m=5, d=3, rows=12, gamma=0.01, seed=7, edge_prob=0.7, graph_seed=5):
@@ -53,7 +54,7 @@ def make_logistic_instance(m=5, d=3, rows=12, gamma=0.01, seed=7, edge_prob=0.7,
         W = rng.normal(size=(rows, d))
         y = (W @ truth + 0.3 * rng.normal(size=rows) > 0).astype(float)
         objectives.append(LocalObjective(LOGISTIC, W, y))
-    return graph, ConsensusProblem(objectives, Regularizer(L1, gamma))
+    return graph, ConsensusProblem.from_objectives(objectives, Regularizer(L1, gamma))
 
 
 def make_rank_deficient_instance(m=5, d=3, gamma=0.05, seed=19, edge_prob=0.7, graph_seed=3):
@@ -65,7 +66,15 @@ def make_rank_deficient_instance(m=5, d=3, gamma=0.05, seed=19, edge_prob=0.7, g
         A = rng.normal(size=(2, d))
         b = rng.normal(size=2)
         objectives.append(LocalObjective(LEAST_SQUARES, A, b))
-    return graph, ConsensusProblem(objectives, Regularizer(L1, gamma))
+    return graph, ConsensusProblem.from_objectives(objectives, Regularizer(L1, gamma))
+
+
+def newton_block(obj, x, hp, degree, is_leader):
+    """One agent's Newton curvature block computed from its own objective:
+    the local Hessian plus the constant shift."""
+    block = obj.hessian(x)
+    block[np.diag_indices_from(block)] += block_diag_value(hp, degree, is_leader)
+    return block
 
 
 def install_fixed_point(ns, x_star, lam_star):

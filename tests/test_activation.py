@@ -192,7 +192,7 @@ def networks_and_masks(draw):
         LocalObjective(LEAST_SQUARES, rng.normal(size=(3, 2)) / np.sqrt(3), rng.normal(size=3))
         for _ in range(m)
     ]
-    problem = ConsensusProblem(objectives, Regularizer(L1, 0.05))
+    problem = ConsensusProblem.from_objectives(objectives, Regularizer(L1, 0.05))
     mask = st.lists(st.booleans(), min_size=m, max_size=m).map(np.array)
     masks = draw(st.lists(mask, max_size=4)) + [np.zeros(m, bool), np.ones(m, bool)]
     return graph, problem, draw(st.permutations(masks))

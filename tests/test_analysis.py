@@ -51,7 +51,7 @@ def hp_for(scheme, problem, **kw):
 
 
 def test_reference_unconstrained_quadratic():
-    problem = ConsensusProblem(
+    problem = ConsensusProblem.from_objectives(
         [LocalObjective(LEAST_SQUARES, [[1.0]], [2.0])], Regularizer(ZERO)
     )
     ref = centralized_reference(problem)
@@ -59,7 +59,7 @@ def test_reference_unconstrained_quadratic():
 
 
 def test_reference_l1_kills_weak_pull():
-    problem = ConsensusProblem(
+    problem = ConsensusProblem.from_objectives(
         [LocalObjective(LEAST_SQUARES, [[1.0]], [0.0])], Regularizer(L1, 1.0)
     )
     ref = centralized_reference(problem)
@@ -84,7 +84,7 @@ def test_reference_matches_coordinate_descent_on_lasso():
     A = rng.normal(size=(5, 3))
     b = rng.normal(size=5)
     gamma = 0.4
-    problem = ConsensusProblem(
+    problem = ConsensusProblem.from_objectives(
         [LocalObjective(LEAST_SQUARES, A, b)], Regularizer(L1, gamma)
     )
     ref = centralized_reference(problem)
@@ -138,7 +138,7 @@ def test_oracle_matches_network_on_two_agents(scheme):
         LocalObjective(LEAST_SQUARES, [[1.0, 0.2], [0.0, 0.5]], [1.0, -1.0]),
         LocalObjective(LEAST_SQUARES, [[0.7, 0.0], [0.1, 0.9]], [0.5, 2.0]),
     ]
-    problem = ConsensusProblem(objs, Regularizer(L1, 0.1))
+    problem = ConsensusProblem.from_objectives(objs, Regularizer(L1, 0.1))
     hp = hp_for(scheme, problem, epsilon=2.0)
     ns = init_network(problem, graph, hp)
     st = full_admm_init(problem, graph, hp)
@@ -170,7 +170,7 @@ def test_oracle_invariants_over_long_run():
 def test_project_dual_two_agent_hand_system():
     graph = Graph(2, [(0, 1)])
     objs = [LocalObjective(LEAST_SQUARES, [[1.0]], [b]) for b in (0.0, 2.0)]
-    problem = ConsensusProblem(objs, Regularizer(ZERO))
+    problem = ConsensusProblem.from_objectives(objs, Regularizer(ZERO))
     alpha, lam = project_dual(np.array([1.0]), problem, graph, leader=0, tol=1e-12)
     grads = np.array([[1.0], [-1.0]])
     stat = grads + build_matrices(graph).E_s.T @ alpha
@@ -182,7 +182,7 @@ def test_project_dual_two_agent_hand_system():
 def test_project_dual_zero_gradients():
     graph = Graph(2, [(0, 1)])
     objs = [LocalObjective(LEAST_SQUARES, [[1.0]], [1.0]) for _ in range(2)]
-    problem = ConsensusProblem(objs, Regularizer(ZERO))
+    problem = ConsensusProblem.from_objectives(objs, Regularizer(ZERO))
     alpha, lam = project_dual(np.array([1.0]), problem, graph, leader=1)
     assert np.abs(alpha).max() <= 1e-12 and np.abs(lam).max() <= 1e-12
 

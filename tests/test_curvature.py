@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from conftest import make_lasso_instance, make_logistic_instance
+from conftest import make_lasso_instance, make_logistic_instance, newton_block
 from druid.curvature import (
     BFGS,
     GRADIENT,
@@ -14,7 +14,6 @@ from druid.curvature import (
     bfgs_inverse_update,
     bfgs_pair,
     block_diag_value,
-    newton_block,
     solve_direction,
 )
 from druid.network import apply_step, init_network, local_gradient, sync_step
@@ -195,7 +194,7 @@ def test_init_curvature_bfgs_matches_constant_inverse():
     # agent 1 of a 3-path: degree 2, not the leader, shift mu_z * 2 + epsilon = 2.0
     objs = [LocalObjective(LEAST_SQUARES, np.eye(3), np.zeros(3)) for _ in range(3)]
     hp = Hyperparams(mu_z=0.5, mu_theta=0.5, epsilon=1.0, scheme=BFGS)
-    ns = init_network(ConsensusProblem(objs), Graph(3, [(0, 1), (1, 2)]), hp)
+    ns = init_network(ConsensusProblem.from_objectives(objs), Graph(3, [(0, 1), (1, 2)]), hp)
     assert ns.shift[1] == 2.0
     assert np.allclose(ns.B[1], np.eye(3) / 2.0)
     assert np.array_equal(ns.X[1], np.zeros(3))

@@ -8,7 +8,7 @@ from druid.errors import ConfigurationError, ParseError
 
 def test_parse_single_line():
     ds = parse_libsvm("1 1:0.5 3:-2\n")
-    assert len(ds) == 1 and ds.d == 3
+    assert len(ds.rows) == 1 and ds.d == 3
     assert ds.labels.tolist() == [1.0]
     assert ds.rows.tolist() == [[0.5, 0.0, -2.0]]
 
@@ -16,17 +16,17 @@ def test_parse_single_line():
 def test_parse_skips_blanks_and_comments():
     text = "# header comment\n\n1 1:1.0  # trailing note\n\n-1 2:3.5\n"
     ds = parse_libsvm(text)
-    assert len(ds) == 2 and ds.d == 2
+    assert len(ds.rows) == 2 and ds.d == 2
     assert ds.labels.tolist() == [1.0, -1.0]
     assert ds.rows.tolist() == [[1.0, 0.0], [0.0, 3.5]]
 
 
 def test_parse_empty_input():
     ds = parse_libsvm("")
-    assert len(ds) == 0 and ds.d == 0
+    assert len(ds.rows) == 0 and ds.d == 0
     assert ds.labels.shape == (0,) and ds.rows.shape == (0, 0)
     ds = parse_libsvm("1\n-1  # no features\n")
-    assert len(ds) == 2 and ds.d == 0 and ds.rows.shape == (2, 0)
+    assert len(ds.rows) == 2 and ds.d == 0 and ds.rows.shape == (2, 0)
 
 
 def test_parse_errors_carry_line_numbers():

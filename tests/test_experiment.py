@@ -316,7 +316,8 @@ RUN_PATH_CONFIGS = {
 @pytest.mark.parametrize("name", RUN_PATH_CONFIGS)
 def test_run_path_evaluates_the_objectives_only_in_batches(tmp_path, name, monkeypatch):
     """Setup, reference solve, steps and metrics read the stacks of the
-    ConsensusProblem, never a per-objective method or cache."""
+    ConsensusProblem: no per-objective method or cache is read, and no
+    per-agent objective is even built."""
     kw = dict(RUN_PATH_CONFIGS[name])
     if kw.get("problem") == "logistic_l1":
         write_dataset(tmp_path / "cls.txt", classification=True, seed=3)
@@ -324,8 +325,9 @@ def test_run_path_evaluates_the_objectives_only_in_batches(tmp_path, name, monke
     cfg = base_config(tmp_path, **kw)
 
     def forbidden(obj):
-        raise AssertionError("the run path read a per-objective member")
+        raise AssertionError("the run path built or read a per-agent objective")
 
     for member in ("value", "gradient", "hessian", "hessian_bound", "_gram", "_atb"):
         monkeypatch.setattr(LocalObjective, member, property(forbidden))
+    monkeypatch.setattr(LocalObjective, "__post_init__", forbidden)
     assert len(read_rows(run_experiment(cfg))) >= 2

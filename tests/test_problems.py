@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from druid.errors import ConfigurationError
 from druid.problems import (
     L1,
     LEAST_SQUARES,
@@ -89,14 +90,14 @@ def test_least_squares_hessian_constant():
 
 def test_smoothness_least_squares_diagonal_gram():
     obj = LocalObjective(LEAST_SQUARES, [[1.0, 0.0], [0.0, 2.0]], [0.0, 0.0])
-    sm = ConsensusProblem([obj]).smoothness
+    sm = ConsensusProblem.from_objectives([obj]).smoothness
     assert sm.m_f == pytest.approx(1.0)
     assert sm.M_f == pytest.approx(4.0)
     assert sm.L_f == 0.0
 
 
 def test_smoothness_logistic_single_feature():
-    sm = ConsensusProblem([LocalObjective(LOGISTIC, [[2.0]], [1.0])]).smoothness
+    sm = ConsensusProblem.from_objectives([LocalObjective(LOGISTIC, [[2.0]], [1.0])]).smoothness
     assert sm.m_f == 0.0
     assert sm.M_f == pytest.approx(1.0)
     assert sm.L_f == pytest.approx(8.0 / (6.0 * np.sqrt(3.0)))
@@ -105,7 +106,7 @@ def test_smoothness_logistic_single_feature():
 @pytest.mark.parametrize("kind", [LEAST_SQUARES, LOGISTIC])
 def test_smoothness_bounds_gradient_differences(kind):
     obj = random_objective(kind, seed=5)
-    sm = ConsensusProblem([obj]).smoothness
+    sm = ConsensusProblem.from_objectives([obj]).smoothness
     rng = np.random.default_rng(6)
     for _ in range(100):
         x, y = rng.normal(size=obj.d), rng.normal(size=obj.d)
@@ -124,11 +125,11 @@ def test_hessian_bound_is_above_the_hessian_and_sets_M_f(kind):
         assert np.array_equal(bound, scale * g)
         assert np.linalg.eigvalsh(bound - obj.hessian(rng.normal(size=obj.d)))[0] >= -1e-12
         # scaling by a power of two is exact, so M_f is the former per-kind value bit for bit
-        assert ConsensusProblem([obj]).smoothness.M_f == scale * float(np.linalg.eigvalsh(g)[-1])
+        assert ConsensusProblem.from_objectives([obj]).smoothness.M_f == scale * float(np.linalg.eigvalsh(g)[-1])
     total = np.zeros_like(gram[0])
     for g in gram:
         total += scale * g
-    problem = ConsensusProblem(objs)
+    problem = ConsensusProblem.from_objectives(objs)
     assert total_curvature_bound(problem) == float(np.linalg.eigvalsh(total)[-1])
 
 
@@ -161,7 +162,7 @@ def test_stacked_totals_equal_the_per_objective_sums_bitwise(kind, m, d, unequal
         y = (rng.random(n) < 0.5) * 1.0 if kind == LOGISTIC else rng.normal(size=n) * (rng.random(n) < 0.7)
         objs.append(LocalObjective(kind, F, y))
     reg = [Regularizer(ZERO), Regularizer(L1, 0.3), Regularizer(SQUARED_L2, 0.2)][seed % 3]
-    problem = ConsensusProblem(objs, reg)
+    problem = ConsensusProblem.from_objectives(objs, reg)
     x = rng.normal(size=d) * (rng.random(d) < 0.7)
     # the oracle: one objective at a time, added with Python's sum in agent order
     assert same_bits(problem.total_value(x), sum(obj.value(x) for obj in objs) + reg.value(x))
@@ -178,8 +179,8 @@ def test_stacked_totals_equal_the_per_objective_sums_bitwise(kind, m, d, unequal
     sm = problem.smoothness
     assert same_bits([sm.m_f, sm.M_f, sm.L_f], [m_f, max(float(e[1]) for e in ends), L_f])
     if kind == LEAST_SQUARES:
-        by_agent = {int(i): (s["gram"][k], s["atb"][k])
-                    for agents, s in problem._groups for k, i in enumerate(agents)}
+        by_agent = {lo + k: (s["gram"][k], s["atb"][k])
+                    for lo, hi, s in problem._groups for k in range(hi - lo)}
         for i, obj in enumerate(objs):
             assert same_bits(by_agent[i][0], obj.features.T @ obj.features)
             assert same_bits(by_agent[i][1], obj.features.T @ obj.targets)
@@ -190,7 +191,7 @@ def test_aggregate_smoothness_extremes():
         LocalObjective(LEAST_SQUARES, [[1.0, 0.0], [0.0, 2.0]], [0.0, 0.0]),
         LocalObjective(LEAST_SQUARES, [[3.0, 0.0]], [0.0]),
     ]
-    sm = ConsensusProblem(objs).smoothness
+    sm = ConsensusProblem.from_objectives(objs).smoothness
     assert sm.m_f == pytest.approx(0.0)   # second Gram is singular
     assert sm.M_f == pytest.approx(9.0)
 
@@ -241,6 +242,41 @@ def test_regularizer_values():
     assert Regularizer(ZERO).value(x) == 0.0
     assert Regularizer(L1, 2.0).value(x) == pytest.approx(6.0)
     assert Regularizer(SQUARED_L2, 2.0).value(x) == pytest.approx(10.0)
+
+
+def test_problem_validation_names_what_is_wrong():
+    F, y = np.ones((3, 2)), np.array([0.0, 1.0, 1.0])
+    with pytest.raises(ConfigurationError, match="unknown objective kind 'huber'"):
+        ConsensusProblem("huber", F, y, [3])
+    with pytest.raises(ConfigurationError, match="at least one agent"):
+        ConsensusProblem(LEAST_SQUARES, np.zeros((0, 2)), np.zeros(0), [])
+    for features, targets, counts in [(F, y[:2], [3]), (F, y, [2, 2]), (F[:, 0], y, [3])]:
+        with pytest.raises(ConfigurationError, match=r"features .*, targets .* and counts .* disagree"):
+            ConsensusProblem(LEAST_SQUARES, features, targets, counts)
+    with pytest.raises(ConfigurationError, match="objective of agent 1 has no data points"):
+        ConsensusProblem(LEAST_SQUARES, F, y, [3, 0])
+    with pytest.raises(ConfigurationError, match="logistic targets must be 0 or 1"):
+        ConsensusProblem(LOGISTIC, F, [0.0, 0.5, 1.0], [2, 1])
+    assert ConsensusProblem(LOGISTIC, F, y, [2, 1]).m == 2
+
+
+def test_groups_are_runs_of_equal_counts_viewing_the_rows():
+    rng = np.random.default_rng(4)
+    counts = [2, 2, 1, 1, 1, 2]
+    F, y = rng.normal(size=(sum(counts), 3)), rng.normal(size=sum(counts))
+    problem = ConsensusProblem(LEAST_SQUARES, F, y, counts)
+    assert [(lo, hi) for lo, hi, _ in problem._groups] == [(0, 2), (2, 5), (5, 6)]
+    for lo, hi, stacks in problem._groups:
+        assert stacks["features"].shape == (hi - lo, counts[lo], 3)
+        assert stacks["features"].base is not None and np.shares_memory(stacks["features"], F)
+        assert np.shares_memory(stacks["targets"], y)
+    rows = np.split(np.arange(len(y)), np.cumsum(counts)[:-1])
+    for obj, own in zip(problem.objectives, rows):
+        assert np.array_equal(obj.features, F[own]) and np.array_equal(obj.targets, y[own])
+    # a partial evaluation writes each run's rows, as the agents' own objectives do
+    X, active = rng.normal(size=(6, 3)), [1, 2, 4, 5]
+    assert np.array_equal(problem.gradients(X, active),
+                          [problem.objectives[i].gradient(X[i]) for i in active])
 
 
 def test_objective_validation():

@@ -3,10 +3,11 @@ path, ``rates.THEORY`` on the theory side.  Only ``curvature.kernel``, which
 picks the run-path entry, and the independent oracles of ``analysis`` may
 compare a scheme name.  The network state owns its hyperparameters and
 kernel: ``init_network`` alone picks the kernel, and no step function or
-kernel callable takes the hyperparameters again.  Only ``problems``, which
-stacks the local objectives, and the ``analysis`` oracles reach them one by
-one through ``.objectives``; everything else evaluates the stacks, so the
-oracles stay independent of the code they check.  The benchmark's probes
+kernel callable takes the hyperparameters again.  A ``ConsensusProblem``
+holds the agents' data as stacks: only ``problems`` builds a per-agent
+``LocalObjective``, and only the ``analysis`` oracles reach them one by one
+through ``.objectives``; everything else evaluates the stacks, so the oracles
+stay independent of the code they check.  The benchmark's probes
 (``perfbench/tracer.py``) still find the library attributes they wrap."""
 
 import ast
@@ -22,7 +23,7 @@ from druid.problems import LocalObjective
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "druid"
 ALLOWED = {("analysis.py", None), ("curvature.py", "kernel")}
-OBJECTIVE_READERS = {"problems.py", "analysis.py"}
+OBJECTIVE_READERS = {"analysis.py"}
 
 
 def _is_scheme(node):
@@ -83,11 +84,31 @@ def attribute_reads(path, attr):
             if isinstance(node, ast.Attribute) and node.attr == attr]
 
 
-def test_objectives_are_read_only_by_problems_and_the_oracles():
+def test_objectives_are_read_only_by_the_oracles():
     stray = [f"{path.name}:{line}" for path in sorted(SRC.glob("*.py"))
              if path.name not in OBJECTIVE_READERS
              for line in attribute_reads(path, "objectives")]
-    assert not stray, f"per-objective access outside problems and analysis: {stray}"
+    assert not stray, f"per-objective access outside analysis: {stray}"
+
+
+def calls_to(path, name):
+    """Lines of every call to ``name`` or ``<expression>.name`` in the module at ``path``."""
+    return [node.lineno for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Call)
+            and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))]
+
+
+def test_only_problems_builds_local_objectives():
+    stray = [f"{path.name}:{line}" for path in sorted(SRC.glob("*.py"))
+             if path.name != "problems.py" for line in calls_to(path, "LocalObjective")]
+    assert not stray, f"per-agent objective built outside problems: {stray}"
+    assert calls_to(SRC / "problems.py", "LocalObjective")
+
+
+def test_finder_sees_calls(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text("a = LocalObjective(k, F, y)\ndef f():\n    return problems.LocalObjective(k, F, y)\n")
+    assert calls_to(module, "LocalObjective") == [1, 3]
 
 
 def test_finder_sees_attribute_reads(tmp_path):
