@@ -9,6 +9,7 @@ regardless of how many iterations were drawn before.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,8 +53,9 @@ class ActivationSampler:
                 raise ValueError(f"activation probabilities must lie in (0, 1], got {p}")
             self.probabilities = p
         elif self.mode == FIXED_COUNT:
-            if not (1 <= int(self.count) <= self.m):
-                raise ValueError(f"count must be in [1, {self.m}], got {self.count}")
+            if isinstance(self.count, bool) or not isinstance(self.count, numbers.Integral) \
+                    or not 1 <= self.count <= self.m:
+                raise ValueError(f"count must be an integer in [1, {self.m}], got {self.count!r}")
             self.count = int(self.count)
         else:
             raise ValueError(f"unknown activation mode {self.mode!r}")

@@ -3,7 +3,8 @@
 This module provides independent routes to check the reduced network
 iteration: stationarity/consensus residuals, a literal three-block ADMM
 recursion over the stacked variables (x, z, y = [alpha; beta], theta,
-lambda) built from dense block matrices, least-squares recovery of the
+lambda) whose state carries its dense block matrices, its curvature shifts
+and one stacked array of BFGS models, least-squares recovery of the
 unique dual pair in the column space of the stacked constraint matrix,
 weighted Lyapunov distances, and the primal inexactness term with its
 per-scheme bound.
@@ -11,7 +12,7 @@ per-scheme bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -22,6 +23,10 @@ from .network import NetworkState
 from .problems import ConsensusProblem, prox, subgradient_membership
 from .rates import THEORY
 from .topology import Graph, build_matrices, edge_differences, edge_sums
+
+MEMBERSHIP_TOL = 1e-8             # project_dual's subgradient inclusion
+BFGS_RECONSTRUCTION_MAX_D = 64    # error_term inverts the BFGS models up to this d
+ERROR_BOUND_SLACK = 1e-9          # absolute slack of error_term's bound check
 
 
 def kkt_residuals(ns: NetworkState):
@@ -47,14 +52,20 @@ def kkt_residuals(ns: NetworkState):
 
 @dataclass
 class FullAdmmState:
-    """Stacked-variable state of the unreduced recursion."""
+    """Stacked-variable state of the unreduced recursion, with the dense
+    operators at full (Kronecker) dimension and the shifts that
+    ``full_admm_init`` builds once."""
 
     x: np.ndarray      # (m*d,)
     z: np.ndarray      # (n*d,)
     y: np.ndarray      # (2*n*d,), stacked [alpha; beta]
     theta: np.ndarray  # (d,)
     lam: np.ndarray    # (d,)
-    bfgs: list = None  # per-agent (inverse estimate, x_prev, grad_prev)
+    A: np.ndarray      # (2*n*d, m*d), stacked [A_s; A_d] (x) I
+    B: np.ndarray      # (2*n*d, n*d), stacked [I; I]
+    S: np.ndarray      # (m*d, d), selects the leader's block
+    shift: np.ndarray  # (m,), constant diagonal of each curvature block
+    models: np.ndarray = None  # (m, d, d) BFGS inverse estimates
 
     @property
     def alpha(self) -> np.ndarray:
@@ -65,31 +76,20 @@ class FullAdmmState:
         return self.y[self.y.size // 2:]
 
 
-def _block_operators(graph: Graph, d: int, leader: int):
-    """Dense constraint matrices at full (Kronecker) dimension."""
-    tm = build_matrices(graph)
-    eye = np.eye(d)
-    A = np.vstack([np.kron(tm.A_s, eye), np.kron(tm.A_d, eye)])
-    B = np.vstack([np.eye(graph.n * d), np.eye(graph.n * d)])
-    S = np.zeros((graph.m * d, d))
-    S[leader * d:(leader + 1) * d] = eye
-    return A, B, S
-
-
 def full_admm_init(problem: ConsensusProblem, graph: Graph, hp: Hyperparams) -> FullAdmmState:
     """Zero initialization matching the reduced algorithm's."""
     m, n, d = graph.m, graph.n, problem.d
-    bfgs = None
-    if hp.scheme == cv.BFGS:
-        bfgs = []
-        for i in range(m):
-            shift = cv.block_diag_value(hp, graph.degree(i), i == hp.leader)
-            bfgs.append(
-                [np.eye(d) / shift, np.zeros(d), problem.objectives[i].gradient(np.zeros(d))]
-            )
+    tm = build_matrices(graph)
+    eye = np.eye(d)
+    S = np.zeros((m * d, d))
+    S[hp.leader * d:(hp.leader + 1) * d] = eye
+    shift = cv.block_diag_value(hp, graph.degrees, np.arange(m) == hp.leader)
     return FullAdmmState(
         x=np.zeros(m * d), z=np.zeros(n * d), y=np.zeros(2 * n * d),
-        theta=np.zeros(d), lam=np.zeros(d), bfgs=bfgs,
+        theta=np.zeros(d), lam=np.zeros(d),
+        A=np.vstack([np.kron(tm.A_s, eye), np.kron(tm.A_d, eye)]),
+        B=np.vstack([np.eye(n * d), np.eye(n * d)]), S=S, shift=shift,
+        models=eye / shift[:, None, None] if hp.scheme == cv.BFGS else None,
     )
 
 
@@ -99,10 +99,11 @@ def full_admm_oracle_step(st: FullAdmmState, problem: ConsensusProblem,
 
     The primal minimization is replaced by the identical one-step
     curvature update as the network iteration; the edge variable solve is
-    closed-form; both dual vectors ascend explicitly.
+    closed-form; both dual vectors ascend explicitly.  Each BFGS pair spans
+    the step, from the iterate and gradient it starts at.
     """
     m, d = graph.m, problem.d
-    A, B, S = _block_operators(graph, d, hp.leader)
+    A, B, S, shift = st.A, st.B, st.S, st.shift
     X = st.x.reshape(m, d)
     grad_f = np.concatenate([problem.objectives[i].gradient(X[i]) for i in range(m)])
     grad_l = (
@@ -113,48 +114,42 @@ def full_admm_oracle_step(st: FullAdmmState, problem: ConsensusProblem,
     u = np.empty_like(st.x)
     for i in range(m):
         sl = slice(i * d, (i + 1) * d)
-        shift = cv.block_diag_value(hp, graph.degree(i), i == hp.leader)
         if hp.scheme == cv.GRADIENT:
-            u[sl] = grad_l[sl] / shift
+            u[sl] = grad_l[sl] / shift[i]
         elif hp.scheme == cv.NEWTON:
             block = problem.objectives[i].hessian(X[i])
-            block[np.diag_indices_from(block)] += shift
+            block[np.diag_indices_from(block)] += shift[i]
             u[sl] = np.linalg.solve(block, grad_l[sl])
         else:
-            u[sl] = st.bfgs[i][0] @ grad_l[sl]
+            u[sl] = st.models[i] @ grad_l[sl]
     x_new = st.x - u
     theta_new = prox(problem.regularizer, hp.mu_theta, S.T @ x_new + st.lam / hp.mu_theta)
     z_new = (B.T @ st.y) / (2.0 * hp.mu_z) + 0.5 * (B.T @ (A @ x_new))
     y_new = st.y + hp.mu_z * (A @ x_new - B @ z_new)
     lam_new = st.lam + hp.mu_theta * (S.T @ x_new - theta_new)
-    bfgs_new = None
+    models = None
     if hp.scheme == cv.BFGS:
-        bfgs_new = []
-        Xn = x_new.reshape(m, d)
-        for i in range(m):
-            inv_est, x_prev, grad_prev = st.bfgs[i]
-            shift = cv.block_diag_value(hp, graph.degree(i), i == hp.leader)
-            grad_new = problem.objectives[i].gradient(Xn[i])
-            s = Xn[i] - x_prev
-            q = grad_new - grad_prev + shift * s
-            inv_new = cv.bfgs_inverse_update(
-                inv_est, s, q, psi=hp.psi if hp.bfgs_bounding else None
-            )
-            bfgs_new.append([inv_new, Xn[i].copy(), grad_new])
-    return FullAdmmState(x=x_new, z=z_new, y=y_new, theta=theta_new, lam=lam_new, bfgs=bfgs_new)
+        X_new = x_new.reshape(m, d)
+        grad_new = np.stack([problem.objectives[i].gradient(X_new[i]) for i in range(m)])
+        s = X_new - X
+        q = grad_new - grad_f.reshape(m, d) + shift[:, None] * s
+        models = cv.bfgs_inverse_update(
+            st.models, s, q, psi=hp.psi if hp.bfgs_bounding else None
+        )
+    return replace(st, x=x_new, z=z_new, y=y_new, theta=theta_new, lam=lam_new, models=models)
 
 
 # --- dual recovery at a known optimum --------------------------------------
 
 
 def project_dual(x_hat_star: np.ndarray, problem: ConsensusProblem, graph: Graph,
-                 leader: int, tol: float = 1e-9, membership_tol: float = 1e-8):
+                 leader: int, tol: float = 1e-9):
     """Unique dual pair supported on the constraint matrix's column space.
 
     Solves (L_s + e_l e_l^T) r = -grad F at the replicated optimum and
     maps r through the stacked constraint matrix.  Verifies stationarity
-    to ``tol`` and the subgradient inclusion of the returned multiplier;
-    failure of either signals a bad reference point.
+    to ``tol`` and the subgradient inclusion of the returned multiplier to
+    ``MEMBERSHIP_TOL``; failure of either signals a bad reference point.
     """
     tm = build_matrices(graph)
     grads = np.stack([obj.gradient(x_hat_star) for obj in problem.objectives])
@@ -170,7 +165,7 @@ def project_dual(x_hat_star: np.ndarray, problem: ConsensusProblem, graph: Graph
         raise InconsistentReferenceError(
             f"stationarity residual {residual:.3e} exceeds {tol:.3e}; reference point is off"
         )
-    if not subgradient_membership(problem.regularizer, x_hat_star, lam, membership_tol):
+    if not subgradient_membership(problem.regularizer, x_hat_star, lam, MEMBERSHIP_TOL):
         raise InconsistentReferenceError(
             "recovered multiplier is not a regularizer subgradient at the reference point"
         )
@@ -268,14 +263,13 @@ class ErrorReport:
 
 def error_term(problem: ConsensusProblem, graph: Graph, hp: Hyperparams,
                x_t: np.ndarray, x_t1: np.ndarray,
-               bfgs_prev=None, bfgs_next=None, d_cap: int = 64,
-               slack: float = 1e-9) -> ErrorReport:
+               bfgs_prev=None, bfgs_next=None) -> ErrorReport:
     """Gradient-linearization error of one primal step and its bound.
 
     e = grad F(x_t) - grad F(x_t1) + J_t (x_t1 - x_t), with J_t zero for
     the gradient scheme, the local Hessians for Newton, and the modeled
     block minus its constant diagonal for BFGS (reconstructed from the
-    tracked inverse estimates at both ends of the step).
+    tracked (m, d, d) inverse estimates at both ends of the step).
     """
     m, d = graph.m, problem.d
     sm = problem.smoothness
@@ -293,17 +287,17 @@ def error_term(problem: ConsensusProblem, graph: Graph, hp: Hyperparams,
     else:
         if bfgs_prev is None or bfgs_next is None:
             raise DiagnosticError("BFGS error term needs inverse estimates at both iterates")
-        if d > d_cap:
-            raise DiagnosticError(f"BFGS block reconstruction capped at d={d_cap}, got d={d}")
-        tau = 0.0
-        for i in range(m):
-            shift = cv.block_diag_value(hp, graph.degree(i), i == hp.leader)
-            H_prev = np.linalg.inv(bfgs_prev[i])
-            H_next = np.linalg.inv(bfgs_next[i])
-            e[i] += (H_prev - shift * np.eye(d)) @ dx[i]
-            tau = max(tau, float(np.linalg.norm(H_prev - H_next, 2)))
+        if d > BFGS_RECONSTRUCTION_MAX_D:
+            raise DiagnosticError(
+                f"BFGS block reconstruction capped at d={BFGS_RECONSTRUCTION_MAX_D}, got d={d}"
+            )
+        shift = cv.block_diag_value(hp, graph.degrees, np.arange(m) == hp.leader)
+        H_prev = np.linalg.inv(bfgs_prev)
+        H_next = np.linalg.inv(bfgs_next)
+        e += ((H_prev - shift[:, None, None] * np.eye(d)) @ dx[:, :, None])[:, :, 0]
+        tau = float(np.linalg.norm(H_prev - H_next, 2, axis=(1, 2)).max())
     norm_e = float(np.linalg.norm(e))
     return ErrorReport(
         e_t=e, norm_e=norm_e, tau_t=tau,
-        bound_satisfied=bool(norm_e <= tau * norm_dx + slack),
+        bound_satisfied=bool(norm_e <= tau * norm_dx + ERROR_BOUND_SLACK),
     )

@@ -18,6 +18,7 @@ stacked rows of the active agents at once.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -58,8 +59,9 @@ class Hyperparams:
                 raise ValueError(f"{name} must be positive and finite, got {value}")
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}")
-        if self.leader < 0:
-            raise ValueError("leader index must be nonnegative")
+        if isinstance(self.leader, bool) or not isinstance(self.leader, numbers.Integral) \
+                or self.leader < 0:
+            raise ValueError(f"leader must be a nonnegative integer index, got {self.leader!r}")
 
 
 def block_diag_value(hp: Hyperparams, degree, is_leader):

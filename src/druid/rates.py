@@ -99,14 +99,13 @@ def linear_rate(m_f: float, M_f: float, mu_theta: float, epsilon: float,
     return float(min(terms))
 
 
-def rate_constants(problem: ConsensusProblem, graph: Graph, hp: Hyperparams,
-                   zeta: float = None) -> RateConstants:
+def rate_constants(problem: ConsensusProblem, graph: Graph, hp: Hyperparams) -> RateConstants:
     """Rate constants and parameter-condition report for one configuration.
 
-    ``zeta`` defaults to the midpoint of its admissible interval
-    ((m_f + M_f) / (2 m_f M_f), epsilon / tau^2); pass a value to
-    override.  Raises when the objectives are not strongly convex or the
-    scheme has no ``THEORY`` entry.
+    ``zeta`` is the midpoint of its admissible interval
+    ((m_f + M_f) / (2 m_f M_f), epsilon / tau^2), infinite when tau = 0.
+    Raises when the objectives are not strongly convex or the scheme has
+    no ``THEORY`` entry.
     """
     sm = problem.smoothness
     if sm.m_f <= 0.0:
@@ -121,8 +120,7 @@ def rate_constants(problem: ConsensusProblem, graph: Graph, hp: Hyperparams,
     rho = max(2.0 * hp.epsilon * hp.mu_theta / M_bar**2, spectra.sigma_max_Ls) + 2.0
     tau = theory.tau(hp, sm)
     zeta_lo = (sm.m_f + sm.M_f) / (2.0 * sm.m_f * sm.M_f)
-    if zeta is None:
-        zeta = 0.5 * (zeta_lo + hp.epsilon / tau**2) if tau > 0.0 else np.inf
+    zeta = 0.5 * (zeta_lo + hp.epsilon / tau**2) if tau > 0.0 else np.inf
     c_max = theory.c_max(hp, sm)
     eta = linear_rate(sm.m_f, sm.M_f, hp.mu_theta, hp.epsilon, tau, zeta, spectra)
     eta_exact = linear_rate(sm.m_f, sm.M_f, hp.mu_theta, 0.0, 0.0, np.inf, spectra)

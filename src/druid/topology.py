@@ -18,6 +18,8 @@ import numpy as np
 
 from .errors import GraphGenerationError
 
+SPECTRAL_ZERO_TOL = 1e-10  # relative level of a zero eigenvalue
+
 
 @dataclass
 class Graph:
@@ -52,7 +54,7 @@ class Graph:
             if i == j:
                 raise ValueError(f"self loop at agent {i}")
             if not (0 <= i < j < self.m):
-                raise ValueError(f"edge ({i}, {j}) out of range for m={self.m}")
+                raise ValueError(f"edge ({i}, {j}) must satisfy 0 <= i < j < m={self.m}")
             if (i, j) in seen:
                 raise ValueError(f"duplicate edge ({i}, {j})")
             seen.add((i, j))
@@ -162,12 +164,13 @@ def build_matrices(g: Graph) -> TopologyMatrices:
     return TopologyMatrices(A_s=A_s, A_d=A_d, E_s=E_s, E_u=E_u, L_s=L_s, L_u=L_u, D=D)
 
 
-def spectral_constants(tm: TopologyMatrices, leader: int, zero_tol: float = 1e-10) -> SpectralConstants:
+def spectral_constants(tm: TopologyMatrices, leader: int) -> SpectralConstants:
     """Eigenvalue extremes of the Laplacians and of L_s + e_l e_l^T.
 
     The last constant is the smallest positive eigenvalue of C C^T where C
     stacks the signed incidence over the leader-selection row; positive
-    eigenvalues below ``zero_tol`` times the largest are treated as zero.
+    eigenvalues below ``SPECTRAL_ZERO_TOL`` times the largest are treated
+    as zero.
     """
     m = tm.L_s.shape[0]
     if not (0 <= leader < m):
@@ -177,7 +180,7 @@ def spectral_constants(tm: TopologyMatrices, leader: int, zero_tol: float = 1e-1
     gram = tm.L_s.copy()
     gram[leader, leader] += 1.0
     eig_C = np.linalg.eigvalsh(gram)
-    cutoff = zero_tol * max(eig_C[-1], 1.0)
+    cutoff = SPECTRAL_ZERO_TOL * max(eig_C[-1], 1.0)
     positive = eig_C[eig_C > cutoff]
     return SpectralConstants(
         sigma_max_Ls=float(eig_Ls[-1]),

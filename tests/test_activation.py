@@ -102,6 +102,10 @@ def test_sampler_validation():
         ActivationSampler.fixed_count(5, 4, seed=0)
     with pytest.raises(ValueError):
         ActivationSampler(mode="poisson", m=4, seed=0)
+    for bad in (2.7, True):
+        with pytest.raises(ValueError, match="count"):
+            ActivationSampler.fixed_count(bad, 4, seed=0)
+    assert ActivationSampler.fixed_count(np.int64(2), 4, seed=0).count == 2
     for bad in (np.nan, np.inf, [0.5, np.nan, 0.5, 0.5]):
         with pytest.raises(ValueError, match="probabilities"):
             ActivationSampler.bernoulli(bad, 4, seed=0)

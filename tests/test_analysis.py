@@ -7,7 +7,7 @@ from conftest import (
     make_logistic_instance,
     make_ridge_instance,
 )
-from druid import problems
+from druid import analysis, problems
 from druid.analysis import (
     AlphaTracker,
     error_term,
@@ -131,15 +131,19 @@ def test_kkt_residuals_vanish_at_fixed_point():
 # --- unreduced recursion -----------------------------------------------------
 
 
-@pytest.mark.parametrize("scheme", SCHEMES)
-def test_oracle_matches_network_on_two_agents(scheme):
+@pytest.mark.parametrize("scheme, extra", [
+    *[pytest.param(scheme, {}, id=scheme) for scheme in SCHEMES],
+    # the curvature bound of criterion 7
+    pytest.param(BFGS, dict(bfgs_bounding=True, psi=1000.0), id="bfgs-bounded"),
+])
+def test_oracle_matches_network_on_two_agents(scheme, extra):
     graph = Graph(2, [(0, 1)])
     objs = [
         LocalObjective(LEAST_SQUARES, [[1.0, 0.2], [0.0, 0.5]], [1.0, -1.0]),
         LocalObjective(LEAST_SQUARES, [[0.7, 0.0], [0.1, 0.9]], [0.5, 2.0]),
     ]
     problem = ConsensusProblem.from_objectives(objs, Regularizer(L1, 0.1))
-    hp = hp_for(scheme, problem, epsilon=2.0)
+    hp = hp_for(scheme, problem, epsilon=2.0, **extra)
     ns = init_network(problem, graph, hp)
     st = full_admm_init(problem, graph, hp)
     for _ in range(2):
@@ -162,6 +166,19 @@ def test_oracle_invariants_over_long_run():
         assert np.abs(st.alpha + st.beta).max() <= 1e-12
         z_manifold = 0.5 * (tm.E_u @ st.x.reshape(graph.m, problem.d))
         assert np.abs(st.z.reshape(graph.n, problem.d) - z_manifold).max() <= 1e-12
+
+
+def test_oracle_builds_its_operators_once(monkeypatch):
+    calls = []
+    original = analysis.build_matrices
+    monkeypatch.setattr(analysis, "build_matrices",
+                        lambda graph: calls.append(graph) or original(graph))
+    graph, problem = make_lasso_instance()
+    hp = hp_for(BFGS, problem)
+    st = full_admm_init(problem, graph, hp)
+    for _ in range(100):
+        st = full_admm_oracle_step(st, problem, graph, hp)
+    assert calls == [graph]
 
 
 # --- dual recovery -----------------------------------------------------------

@@ -38,6 +38,10 @@ def test_hyperparams_validation():
         for bad in (np.nan, np.inf):
             with pytest.raises(ValueError, match=name):
                 Hyperparams(**{**base, name: bad})
+    for bad in (1.5, True):
+        with pytest.raises(ValueError, match="leader"):
+            Hyperparams(**base, leader=bad)
+    assert Hyperparams(**base, leader=np.int64(1)).leader == 1
 
 
 def test_block_diag_value_hand_cases():

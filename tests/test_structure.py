@@ -7,8 +7,9 @@ kernel callable takes the hyperparameters again.  A ``ConsensusProblem``
 holds the agents' data as stacks: only ``problems`` builds a per-agent
 ``LocalObjective``, and only the ``analysis`` oracles reach them one by one
 through ``.objectives``; everything else evaluates the stacks, so the oracles
-stay independent of the code they check.  The benchmark's probes
-(``perfbench/tracer.py``) still find the library attributes they wrap."""
+stay independent of the code they check, and ``analysis`` calls neither the
+stacked evaluations nor the kernels or ``solve_direction``.  The benchmark's
+probes (``perfbench/tracer.py``) still find the library attributes they wrap."""
 
 import ast
 import inspect
@@ -116,6 +117,35 @@ def test_finder_sees_attribute_reads(tmp_path):
     module = tmp_path / "m.py"
     module.write_text("n = len(p.objectives)\ndef f(p):\n    return [o.value for o in p.objectives]\n")
     assert attribute_reads(module, "objectives") == [1, 3]
+
+
+#: What the run path evaluates with; the oracles recompute it on their own.
+CHECKED_CALLS = ("gradients", "hessians", "hessian_bounds", "solve_direction")
+
+
+def kernel_entry_calls(path):
+    """Lines of every call through ``KERNELS`` (``KERNELS[s].solve(...)``,
+    ``cv.KERNELS[s].build(...)``) in the module at ``path``."""
+    return [node.lineno for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Call)
+            and any(getattr(sub, "id", None) == "KERNELS" or getattr(sub, "attr", None) == "KERNELS"
+                    for sub in ast.walk(node.func))]
+
+
+def test_oracles_do_not_call_the_code_they_check():
+    path = SRC / "analysis.py"
+    stray = [f"{name}:{line}" for name in CHECKED_CALLS for line in calls_to(path, name)]
+    stray += [f"KERNELS:{line}" for line in kernel_entry_calls(path)]
+    assert not stray, f"the oracles call the run path they check: {stray}"
+
+
+def test_finder_sees_checked_code_calls(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text("u = cv.KERNELS[s].solve(c, h)\ndef f(ns, r):\n"
+                      "    g = ns.problem.gradients(ns.X, r)\n    return KERNELS['bfgs'].build(ns, r)\n"
+                      "table = KERNELS\n")
+    assert kernel_entry_calls(module) == [1, 4]
+    assert calls_to(module, "gradients") == [3]
 
 
 def test_kernel_is_picked_only_at_init():

@@ -67,6 +67,8 @@ def test_graph_validation():
         Graph(3, [(0, 1), (0, 1), (1, 2)])
     with pytest.raises(ValueError):
         Graph(3, [(0, 3)])
+    with pytest.raises(ValueError, match=r"edge \(2, 0\) must satisfy 0 <= i < j"):
+        Graph(3, [(2, 0), (1, 2)])
     with pytest.raises(ValueError):
         Graph(4, [(0, 1), (2, 3)])  # two components
 
