@@ -6,8 +6,8 @@ recursion over the stacked variables (x, z, y = [alpha; beta], theta,
 lambda) whose state carries its dense block matrices, its curvature shifts
 and one stacked array of BFGS models, least-squares recovery of the
 unique dual pair in the column space of the stacked constraint matrix,
-weighted Lyapunov distances, and the primal inexactness term with its
-per-scheme bound.
+the weighted Lyapunov distance of a network state to an optimum, and the
+primal inexactness term with its per-scheme bound.
 """
 
 from __future__ import annotations
@@ -172,18 +172,7 @@ def project_dual(x_hat_star: np.ndarray, problem: ConsensusProblem, graph: Graph
     return alpha, lam
 
 
-# --- weighted Lyapunov distances -------------------------------------------
-
-
-@dataclass(frozen=True)
-class VAlpha:
-    """Snapshot of the stacked analysis variables (x, z, alpha, theta, lambda)."""
-
-    x: np.ndarray      # (m, d)
-    z: np.ndarray      # (n, d)
-    alpha: np.ndarray  # (n, d)
-    theta: np.ndarray  # (d,)
-    lam: np.ndarray    # (d,)
+# --- weighted Lyapunov distance --------------------------------------------
 
 
 class AlphaTracker:
@@ -203,50 +192,26 @@ class AlphaTracker:
         return self.alpha
 
 
-def v_alpha_state(ns: NetworkState, alpha: np.ndarray) -> VAlpha:
-    """Analysis snapshot of a network state; requires tracked edge duals."""
-    if alpha is None:
-        raise DiagnosticError("edge duals were not tracked alongside this run")
-    X = ns.X.copy()
-    return VAlpha(
-        x=X, z=0.5 * edge_sums(ns.graph, X), alpha=np.asarray(alpha, dtype=float),
-        theta=ns.theta.copy(), lam=ns.lam.copy(),
-    )
+def lyapunov_distance(ns: NetworkState, alpha: np.ndarray, x_star: np.ndarray,
+                      alpha_star: np.ndarray, lam_star: np.ndarray) -> float:
+    """Squared block-weighted distance of a network state to the fixed point
+    built from an optimum and its duals.
 
-
-def v_alpha_reference(graph: Graph, x_hat_star: np.ndarray,
-                      alpha_star: np.ndarray, lambda_star: np.ndarray) -> VAlpha:
-    """Stacked fixed point built from a centralized optimum and its duals."""
-    X = np.tile(x_hat_star, (graph.m, 1))
-    return VAlpha(
-        x=X, z=0.5 * edge_sums(graph, X), alpha=alpha_star,
-        theta=np.asarray(x_hat_star, dtype=float).copy(), lam=lambda_star,
-    )
-
-
-def lyapunov_distance(va: VAlpha, vb: VAlpha, hp: Hyperparams,
-                      g_weighted: bool = False, weights=None) -> float:
-    """Squared block-weighted distance between two stacked snapshots.
-
-    Default weights are (epsilon, 2 mu_z, 2/mu_z, mu_theta, 1/mu_theta) on
-    the (x, z, alpha, theta, lambda) blocks.  ``g_weighted`` asks for the
-    time-varying weighting used by the descent argument; it is constant
-    (and equal to the default on the x block) only for the gradient
-    scheme, so other schemes are rejected.
+    The stacked variables are (x, z, alpha, theta, lambda), with z the edge
+    midpoint 1/2 E_u x on both sides and ``alpha`` the tracked edge duals;
+    the fixed point has every agent and theta at ``x_star``.  The weights
+    are (epsilon, 2 mu_z, 2/mu_z, mu_theta, 1/mu_theta).  Under the
+    gradient scheme they are also the descent argument's weighting.
     """
-    if g_weighted and hp.scheme != cv.GRADIENT:
-        raise DiagnosticError(
-            "the descent weighting varies across iterations unless the scheme is gradient"
-        )
-    if weights is None:
-        weights = (hp.epsilon, 2.0 * hp.mu_z, 2.0 / hp.mu_z, hp.mu_theta, 1.0 / hp.mu_theta)
-    w_x, w_z, w_a, w_t, w_l = weights
+    hp, graph = ns.hp, ns.graph
+    X_star = np.tile(x_star, (graph.m, 1))
+    dz = 0.5 * edge_sums(graph, ns.X) - 0.5 * edge_sums(graph, X_star)
     return float(
-        w_x * np.sum((va.x - vb.x) ** 2)
-        + w_z * np.sum((va.z - vb.z) ** 2)
-        + w_a * np.sum((va.alpha - vb.alpha) ** 2)
-        + w_t * np.sum((va.theta - vb.theta) ** 2)
-        + w_l * np.sum((va.lam - vb.lam) ** 2)
+        hp.epsilon * np.sum((ns.X - X_star) ** 2)
+        + 2.0 * hp.mu_z * np.sum(dz ** 2)
+        + 2.0 / hp.mu_z * np.sum((alpha - alpha_star) ** 2)
+        + hp.mu_theta * np.sum((ns.theta - x_star) ** 2)
+        + 1.0 / hp.mu_theta * np.sum((ns.lam - lam_star) ** 2)
     )
 
 

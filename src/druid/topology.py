@@ -11,12 +11,13 @@ with the cached dense ``Graph.adjacency``.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import TextIO
 
 import numpy as np
 
-from .errors import GraphGenerationError
+from .errors import GraphGenerationError, ParseError
 
 SPECTRAL_ZERO_TOL = 1e-10  # relative level of a zero eigenvalue
 
@@ -30,8 +31,9 @@ class Graph:
     m : int
         Number of agents (at least 2).
     edges : sequence of (int, int)
-        Edge list with 0-based endpoints i < j.  Order is normalized to
-        lexicographic regardless of the order given.
+        Edge list with 0-based integer endpoints i < j (numpy integers are
+        accepted; bools, floats and strings are not).  Order is normalized
+        to lexicographic regardless of the order given.
 
     ``src``/``dst`` hold the edge endpoints and ``adjacency`` the dense
     symmetric 0/1 (m, m) adjacency matrix, cached at construction; the
@@ -46,7 +48,12 @@ class Graph:
     degrees: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        edges = tuple(sorted((int(i), int(j)) for i, j in self.edges))
+        given = [tuple(e) for e in self.edges]
+        for t in {type(v) for e in given for v in e}:  # one check per endpoint type
+            if t is bool or not issubclass(t, numbers.Integral):
+                bad = next(e for e in given if t in map(type, e))
+                raise ValueError(f"edge {bad!r} must have integer endpoints")
+        edges = tuple(sorted((int(i), int(j)) for i, j in given))
         if self.m < 2:
             raise ValueError(f"need at least 2 agents, got m={self.m}")
         seen = set()
@@ -203,7 +210,8 @@ def edge_sums(g: Graph, X: np.ndarray) -> np.ndarray:
     return X[g.src] + X[g.dst]
 
 
-# Edge-list text format: first line "m n", then n lines "i j" (1-based, i < j).
+# Edge-list text format: first line "m n", then n lines "i j" (1-based, i < j);
+# only blank lines may follow the edges.
 
 def write_edge_list(g: Graph, stream: TextIO) -> None:
     stream.write(f"{g.m} {g.n}\n")
@@ -211,18 +219,27 @@ def write_edge_list(g: Graph, stream: TextIO) -> None:
         stream.write(f"{i + 1} {j + 1}\n")
 
 
+def _int_pair(line: str, lineno: int, expected: str) -> tuple:
+    try:
+        a, b = map(int, line.split())  # ValueError on a non-integer or a wrong count
+    except ValueError:
+        raise ParseError(f"expected {expected}, got {line.strip()!r}", lineno) from None
+    return a, b
+
+
 def read_edge_list(stream: TextIO) -> Graph:
-    header = stream.readline().split()
-    if len(header) != 2:
-        raise ValueError("expected header 'm n'")
-    m, n = int(header[0]), int(header[1])
+    """Parse the edge-list text format; a malformed line raises ``ParseError``
+    with its 1-based line number."""
+    m, n = _int_pair(stream.readline(), 1, "header 'm n'")
+    if n < 0:
+        raise ParseError(f"header 'm n' declares a negative edge count n={n}", 1)
     edges = []
-    for _ in range(n):
-        parts = stream.readline().split()
-        if len(parts) != 2:
-            raise ValueError("expected edge line 'i j'")
-        i, j = int(parts[0]), int(parts[1])
+    for lineno in range(2, n + 2):
+        i, j = _int_pair(stream.readline(), lineno, "edge line 'i j'")
         if not (1 <= i < j <= m):
-            raise ValueError(f"edge ({i}, {j}) violates 1 <= i < j <= m")
+            raise ParseError(f"edge ({i}, {j}) violates 1 <= i < j <= m={m}", lineno)
         edges.append((i - 1, j - 1))
+    for lineno, line in enumerate(stream, start=n + 2):
+        if line.strip():
+            raise ParseError(f"non-blank line after the {n} declared edges", lineno)
     return Graph(m, edges)

@@ -27,8 +27,6 @@ from druid.analysis import (
     kkt_residuals,
     lyapunov_distance,
     project_dual,
-    v_alpha_reference,
-    v_alpha_state,
 )
 from druid.curvature import BFGS, GRADIENT, NEWTON, SCHEMES, Hyperparams, bfgs_pair
 from druid.experiment import ExperimentConfig, run_experiment
@@ -120,7 +118,6 @@ def test_criterion_3_linear_convergence_with_certified_rate():
         graph, problem = make_ridge_instance()
         ref = centralized_reference(problem, tol=1e-13)
         alpha_star, lam_star = project_dual(ref.x_star, problem, graph, leader=0)
-        va_star = v_alpha_reference(graph, ref.x_star, alpha_star, lam_star)
         dist0 = np.linalg.norm(np.tile(ref.x_star, (graph.m, 1)))
         start = time.perf_counter()
         for scheme in SCHEMES:
@@ -130,12 +127,12 @@ def test_criterion_3_linear_convergence_with_certified_rate():
             bound = 1.0 / (1.0 + rc.eta)
             ns = init_network(problem, graph, hp)
             tracker = AlphaTracker(graph, hp.mu_z, problem.d)
-            h_prev = lyapunov_distance(v_alpha_state(ns, tracker.alpha), va_star, hp)
+            h_prev = lyapunov_distance(ns, tracker.alpha, ref.x_star, alpha_star, lam_star)
             errors = []
             for _ in range(10_000):
                 sync_step(ns)
                 tracker.update(ns.X)
-                h_cur = lyapunov_distance(v_alpha_state(ns, tracker.alpha), va_star, hp)
+                h_cur = lyapunov_distance(ns, tracker.alpha, ref.x_star, alpha_star, lam_star)
                 if h_prev > 1e-20:
                     # measured only above the reference-accuracy floor
                     assert h_cur <= bound * h_prev
@@ -308,16 +305,17 @@ def test_criterion_9_lyapunov_monotone_for_gradient_scheme():
         assert hp.epsilon > sm.M_f / 2.0
         ref = centralized_reference(problem, tol=1e-13)
         alpha_star, lam_star = project_dual(ref.x_star, problem, graph, leader=0)
-        va_star = v_alpha_reference(graph, ref.x_star, alpha_star, lam_star)
         ns = init_network(problem, graph, hp)
         tracker = AlphaTracker(graph, hp.mu_z, problem.d)
-        previous = lyapunov_distance(v_alpha_state(ns, tracker.alpha), va_star, hp,
-                                     g_weighted=True)
+        # the descent argument's weighting follows the curvature model, so it
+        # varies across iterations under Newton and BFGS; under the gradient
+        # scheme the model is a constant shift and that weighting equals the
+        # distance's fixed one, so no separate descent-weighted form is needed
+        previous = lyapunov_distance(ns, tracker.alpha, ref.x_star, alpha_star, lam_star)
         for _ in range(600):
             sync_step(ns)
             tracker.update(ns.X)
-            current = lyapunov_distance(v_alpha_state(ns, tracker.alpha), va_star, hp,
-                                        g_weighted=True)
+            current = lyapunov_distance(ns, tracker.alpha, ref.x_star, alpha_star, lam_star)
             assert current <= previous * (1.0 + 1e-12) + 1e-15
             previous = current
 

@@ -16,8 +16,6 @@ from druid.analysis import (
     kkt_residuals,
     lyapunov_distance,
     project_dual,
-    v_alpha_reference,
-    v_alpha_state,
 )
 from druid.curvature import BFGS, GRADIENT, NEWTON, SCHEMES, Hyperparams
 from druid.errors import (
@@ -229,48 +227,30 @@ def test_lyapunov_zero_at_reference():
     graph, problem = make_lasso_instance()
     ref = centralized_reference(problem, tol=1e-13)
     alpha, lam = project_dual(ref.x_star, problem, graph, leader=0)
-    va = v_alpha_reference(graph, ref.x_star, alpha, lam)
-    hp = hp_for(GRADIENT, problem)
-    assert lyapunov_distance(va, va, hp) == 0.0
+    ns = init_network(problem, graph, hp_for(GRADIENT, problem))
+    install_fixed_point(ns, ref.x_star, lam)
+    assert lyapunov_distance(ns, alpha, ref.x_star, alpha, lam) == 0.0
 
 
-def test_lyapunov_identity_weights_is_plain_distance():
+def test_lyapunov_is_weighted_sum_of_block_distances():
     graph, problem = make_lasso_instance()
-    hp = hp_for(GRADIENT, problem)
+    hp = hp_for(GRADIENT, problem, mu_z=2.0, mu_theta=0.25)
     ns = init_network(problem, graph, hp)
     tracker = AlphaTracker(graph, hp.mu_z, problem.d)
     sync_step(ns)
     tracker.update(ns.X)
-    va = v_alpha_state(ns, tracker.alpha)
     ref = centralized_reference(problem, tol=1e-13)
     alpha, lam = project_dual(ref.x_star, problem, graph, leader=0)
-    vb = v_alpha_reference(graph, ref.x_star, alpha, lam)
-    got = lyapunov_distance(va, vb, hp, weights=(1.0, 1.0, 1.0, 1.0, 1.0))
+    got = lyapunov_distance(ns, tracker.alpha, ref.x_star, alpha, lam)
+    z_gap = [0.5 * (ns.X[i] + ns.X[j]) - ref.x_star for i, j in graph.edges]
     expected = (
-        np.sum((va.x - vb.x) ** 2) + np.sum((va.z - vb.z) ** 2)
-        + np.sum((va.alpha - vb.alpha) ** 2) + np.sum((va.theta - vb.theta) ** 2)
-        + np.sum((va.lam - vb.lam) ** 2)
+        hp.epsilon * np.sum((ns.X - ref.x_star) ** 2)
+        + 2.0 * hp.mu_z * np.sum(np.square(z_gap))
+        + 2.0 / hp.mu_z * np.sum((tracker.alpha - alpha) ** 2)
+        + hp.mu_theta * np.sum((ns.theta - ref.x_star) ** 2)
+        + 1.0 / hp.mu_theta * np.sum((ns.lam - lam) ** 2)
     )
-    assert got == pytest.approx(expected)
-
-
-def test_lyapunov_g_weighting_requires_gradient_scheme():
-    graph, problem = make_lasso_instance()
-    hp = hp_for(NEWTON, problem)
-    ns = init_network(problem, graph, hp)
-    with pytest.raises(DiagnosticError):
-        lyapunov_distance(
-            v_alpha_state(ns, np.zeros((graph.n, problem.d))),
-            v_alpha_state(ns, np.zeros((graph.n, problem.d))),
-            hp, g_weighted=True,
-        )
-
-
-def test_v_alpha_requires_tracked_duals():
-    graph, problem = make_lasso_instance()
-    ns = init_network(problem, graph, hp_for(GRADIENT, problem))
-    with pytest.raises(DiagnosticError):
-        v_alpha_state(ns, None)
+    assert got == pytest.approx(expected, rel=1e-12)
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)

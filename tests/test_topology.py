@@ -3,7 +3,7 @@ import io
 import numpy as np
 import pytest
 
-from druid.errors import GraphGenerationError
+from druid.errors import GraphGenerationError, ParseError
 from druid.topology import (
     Graph,
     build_matrices,
@@ -71,6 +71,11 @@ def test_graph_validation():
         Graph(3, [(2, 0), (1, 2)])
     with pytest.raises(ValueError):
         Graph(4, [(0, 1), (2, 3)])  # two components
+    for edges in ([(0, 1.5), (1, 2.9)], [(0, True), (1, 2)], [("0", "1"), ("1", "2")]):
+        with pytest.raises(ValueError, match=r"must have integer endpoints"):
+            Graph(3, edges)
+    g = Graph(3, [(np.intp(0), np.int32(1)), (np.int64(1), 2)])
+    assert g.edges == ((0, 1), (1, 2)) and all(type(v) is int for e in g.edges for v in e)
 
 
 def test_neighbor_counts():
@@ -157,3 +162,14 @@ def test_read_edge_list_rejects_bad_input():
         read_edge_list(io.StringIO("3 1\n2 1\n"))  # i >= j
     with pytest.raises(ValueError):
         read_edge_list(io.StringIO("4 1\n1 2\n"))  # disconnected
+    with pytest.raises(ParseError, match="line 4: non-blank line after the 2 declared edges"):
+        read_edge_list(io.StringIO("3 2\n1 2\n2 3\n1 3\n"))
+    with pytest.raises(ParseError, match="line 5:"):
+        read_edge_list(io.StringIO("3 2\n1 2\n2 3\n\n  x\n"))
+    with pytest.raises(ParseError, match=r"line 1: header 'm n' declares a negative edge count"):
+        read_edge_list(io.StringIO("3 -1\n"))
+    with pytest.raises(ParseError, match="line 1: expected header"):
+        read_edge_list(io.StringIO("3\n"))
+    with pytest.raises(ParseError, match="line 3: expected edge line"):
+        read_edge_list(io.StringIO("3 2\n1 2\n"))  # fewer edges than declared
+    assert read_edge_list(io.StringIO("3 2\n1 2\n2 3\n\n \n")).edges == ((0, 1), (1, 2))
