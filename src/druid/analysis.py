@@ -3,11 +3,12 @@
 This module provides independent routes to check the reduced network
 iteration: stationarity/consensus residuals, a literal three-block ADMM
 recursion over the stacked variables (x, z, y = [alpha; beta], theta,
-lambda) whose state carries its dense block matrices, its curvature shifts
-and one stacked array of BFGS models, least-squares recovery of the
-unique dual pair in the column space of the stacked constraint matrix,
-the weighted Lyapunov distance of a network state to an optimum, and the
-primal inexactness term with its per-scheme bound.
+lambda) whose state owns its inputs, dense block matrices, curvature shifts
+and BFGS models, least-squares recovery of the unique dual pair in the
+column space of the stacked constraint matrix, the edge duals the network
+iteration does not store, the weighted Lyapunov distance of a network state
+to an optimum, and the inexactness of a network step with its per-scheme
+bound.  Each reads the problem, graph and hyperparameters from its state.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .problems import ConsensusProblem, prox, subgradient_membership
 from .rates import THEORY
 from .topology import Graph, build_matrices, edge_differences, edge_sums
 
+STATIONARITY_TOL = 1e-9           # project_dual's stationarity residual
 MEMBERSHIP_TOL = 1e-8             # project_dual's subgradient inclusion
 BFGS_RECONSTRUCTION_MAX_D = 64    # error_term inverts the BFGS models up to this d
 ERROR_BOUND_SLACK = 1e-9          # absolute slack of error_term's bound check
@@ -52,10 +54,13 @@ def kkt_residuals(ns: NetworkState):
 
 @dataclass
 class FullAdmmState:
-    """Stacked-variable state of the unreduced recursion, with the dense
-    operators at full (Kronecker) dimension and the shifts that
-    ``full_admm_init`` builds once."""
+    """Stacked-variable state of the unreduced recursion: the problem, graph
+    and hyperparameters ``full_admm_init`` was given, and the dense
+    operators at full (Kronecker) dimension and the shifts it builds once."""
 
+    problem: ConsensusProblem
+    graph: Graph
+    hp: Hyperparams
     x: np.ndarray      # (m*d,)
     z: np.ndarray      # (n*d,)
     y: np.ndarray      # (2*n*d,), stacked [alpha; beta]
@@ -85,16 +90,15 @@ def full_admm_init(problem: ConsensusProblem, graph: Graph, hp: Hyperparams) -> 
     S[hp.leader * d:(hp.leader + 1) * d] = eye
     shift = cv.block_diag_value(hp, graph.degrees, np.arange(m) == hp.leader)
     return FullAdmmState(
-        x=np.zeros(m * d), z=np.zeros(n * d), y=np.zeros(2 * n * d),
-        theta=np.zeros(d), lam=np.zeros(d),
+        problem=problem, graph=graph, hp=hp, x=np.zeros(m * d), z=np.zeros(n * d),
+        y=np.zeros(2 * n * d), theta=np.zeros(d), lam=np.zeros(d),
         A=np.vstack([np.kron(tm.A_s, eye), np.kron(tm.A_d, eye)]),
         B=np.vstack([np.eye(n * d), np.eye(n * d)]), S=S, shift=shift,
         models=eye / shift[:, None, None] if hp.scheme == cv.BFGS else None,
     )
 
 
-def full_admm_oracle_step(st: FullAdmmState, problem: ConsensusProblem,
-                          graph: Graph, hp: Hyperparams) -> FullAdmmState:
+def full_admm_oracle_step(st: FullAdmmState) -> FullAdmmState:
     """One round of the unreduced recursion, same curvature scheme.
 
     The primal minimization is replaced by the identical one-step
@@ -102,6 +106,7 @@ def full_admm_oracle_step(st: FullAdmmState, problem: ConsensusProblem,
     closed-form; both dual vectors ascend explicitly.  Each BFGS pair spans
     the step, from the iterate and gradient it starts at.
     """
+    problem, graph, hp = st.problem, st.graph, st.hp
     m, d = graph.m, problem.d
     A, B, S, shift = st.A, st.B, st.S, st.shift
     X = st.x.reshape(m, d)
@@ -142,14 +147,13 @@ def full_admm_oracle_step(st: FullAdmmState, problem: ConsensusProblem,
 # --- dual recovery at a known optimum --------------------------------------
 
 
-def project_dual(x_hat_star: np.ndarray, problem: ConsensusProblem, graph: Graph,
-                 leader: int, tol: float = 1e-9):
+def project_dual(x_hat_star: np.ndarray, problem: ConsensusProblem, graph: Graph, leader: int):
     """Unique dual pair supported on the constraint matrix's column space.
 
     Solves (L_s + e_l e_l^T) r = -grad F at the replicated optimum and
-    maps r through the stacked constraint matrix.  Verifies stationarity
-    to ``tol`` and the subgradient inclusion of the returned multiplier to
-    ``MEMBERSHIP_TOL``; failure of either signals a bad reference point.
+    maps r through the stacked constraint matrix.  Verifies stationarity to
+    ``STATIONARITY_TOL`` and the subgradient inclusion of the returned
+    multiplier to ``MEMBERSHIP_TOL``; a failure signals a bad reference point.
     """
     tm = build_matrices(graph)
     grads = np.stack([obj.gradient(x_hat_star) for obj in problem.objectives])
@@ -161,9 +165,10 @@ def project_dual(x_hat_star: np.ndarray, problem: ConsensusProblem, graph: Graph
     stat = grads + tm.E_s.T @ alpha
     stat[leader] += lam
     residual = float(np.linalg.norm(stat))
-    if residual > tol:
+    if residual > STATIONARITY_TOL:
         raise InconsistentReferenceError(
-            f"stationarity residual {residual:.3e} exceeds {tol:.3e}; reference point is off"
+            f"stationarity residual {residual:.3e} exceeds {STATIONARITY_TOL:.3e}; "
+            "reference point is off"
         )
     if not subgradient_membership(problem.regularizer, x_hat_star, lam, MEMBERSHIP_TOL):
         raise InconsistentReferenceError(
@@ -172,24 +177,15 @@ def project_dual(x_hat_star: np.ndarray, problem: ConsensusProblem, graph: Graph
     return alpha, lam
 
 
-# --- weighted Lyapunov distance --------------------------------------------
+# --- edge duals and the weighted Lyapunov distance --------------------------
 
 
-class AlphaTracker:
-    """Explicit edge-dual recursion run alongside a synchronous trajectory.
-
-    The network iteration never stores alpha; diagnostics that need it
-    advance this tracker with each new stacked iterate.
+def advance_edge_duals(ns: NetworkState, alpha: np.ndarray) -> np.ndarray:
+    """The (n, d) edge duals after the synchronous step that produced ``ns.X``,
+    from ``alpha`` before it.  The network iteration never stores them; a
+    diagnostic starts from zeros of shape (n, d) and advances them each step.
     """
-
-    def __init__(self, graph: Graph, mu_z: float, d: int):
-        self.graph = graph
-        self.mu_z = mu_z
-        self.alpha = np.zeros((graph.n, d))
-
-    def update(self, x_new: np.ndarray) -> np.ndarray:
-        self.alpha = self.alpha + 0.5 * self.mu_z * edge_differences(self.graph, x_new)
-        return self.alpha
+    return alpha + 0.5 * ns.hp.mu_z * edge_differences(ns.graph, ns.X)
 
 
 def lyapunov_distance(ns: NetworkState, alpha: np.ndarray, x_star: np.ndarray,
@@ -226,40 +222,39 @@ class ErrorReport:
     bound_satisfied: bool
 
 
-def error_term(problem: ConsensusProblem, graph: Graph, hp: Hyperparams,
-               x_t: np.ndarray, x_t1: np.ndarray,
-               bfgs_prev=None, bfgs_next=None) -> ErrorReport:
-    """Gradient-linearization error of one primal step and its bound.
+def error_term(ns: NetworkState, x_prev: np.ndarray, bfgs_prev=None) -> ErrorReport:
+    """Gradient-linearization error of the step from ``x_prev`` to ``ns.X``
+    and its bound.
 
-    e = grad F(x_t) - grad F(x_t1) + J_t (x_t1 - x_t), with J_t zero for
-    the gradient scheme, the local Hessians for Newton, and the modeled
-    block minus its constant diagonal for BFGS (reconstructed from the
-    tracked (m, d, d) inverse estimates at both ends of the step).
+    e = grad F(x_prev) - grad F(X) + J (X - x_prev), with J zero for the
+    gradient scheme, the local Hessians for Newton, and the modeled block
+    minus its constant diagonal ``ns.shift`` for BFGS (reconstructed from
+    the (m, d, d) inverse estimates ``bfgs_prev`` and ``ns.B``).
     """
+    problem, graph, hp = ns.problem, ns.graph, ns.hp
     m, d = graph.m, problem.d
     sm = problem.smoothness
-    dx = x_t1 - x_t
-    grads_t = np.stack([problem.objectives[i].gradient(x_t[i]) for i in range(m)])
-    grads_t1 = np.stack([problem.objectives[i].gradient(x_t1[i]) for i in range(m)])
+    dx = ns.X - x_prev
+    grads_t = np.stack([problem.objectives[i].gradient(x_prev[i]) for i in range(m)])
+    grads_t1 = np.stack([problem.objectives[i].gradient(ns.X[i]) for i in range(m)])
     e = grads_t - grads_t1
     norm_dx = float(np.linalg.norm(dx))
     if hp.scheme == cv.GRADIENT:
         tau = THEORY[hp.scheme].tau(hp, sm)
     elif hp.scheme == cv.NEWTON:
         for i in range(m):
-            e[i] += problem.objectives[i].hessian(x_t[i]) @ dx[i]
+            e[i] += problem.objectives[i].hessian(x_prev[i]) @ dx[i]
         tau = min(THEORY[hp.scheme].tau(hp, sm), 0.5 * sm.L_f * norm_dx)
     else:
-        if bfgs_prev is None or bfgs_next is None:
-            raise DiagnosticError("BFGS error term needs inverse estimates at both iterates")
+        if bfgs_prev is None:
+            raise DiagnosticError("BFGS error term needs the inverse estimates before the step")
         if d > BFGS_RECONSTRUCTION_MAX_D:
             raise DiagnosticError(
                 f"BFGS block reconstruction capped at d={BFGS_RECONSTRUCTION_MAX_D}, got d={d}"
             )
-        shift = cv.block_diag_value(hp, graph.degrees, np.arange(m) == hp.leader)
         H_prev = np.linalg.inv(bfgs_prev)
-        H_next = np.linalg.inv(bfgs_next)
-        e += ((H_prev - shift[:, None, None] * np.eye(d)) @ dx[:, :, None])[:, :, 0]
+        H_next = np.linalg.inv(ns.B)
+        e += ((H_prev - ns.shift[:, None, None] * np.eye(d)) @ dx[:, :, None])[:, :, 0]
         tau = float(np.linalg.norm(H_prev - H_next, 2, axis=(1, 2)).max())
     norm_e = float(np.linalg.norm(e))
     return ErrorReport(

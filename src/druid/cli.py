@@ -6,7 +6,7 @@ import argparse
 import sys
 
 from .curvature import SCHEMES
-from .experiment import PROBLEM_KINDS, ExperimentConfig, load_config, run_experiment
+from .experiment import PROBLEM_KINDS, config_from_dict, load_config, run_experiment
 from .topology import random_connected_graph, write_edge_list
 
 
@@ -65,12 +65,7 @@ def main(argv=None) -> int:
         if args.activation_p is not None:
             overrides["mode"] = "async"
             overrides["activation"] = "bernoulli"
-        if args.config:
-            cfg = load_config(args.config, overrides)
-        else:
-            if "problem" not in overrides or "dataset" not in overrides:
-                raise ValueError("--problem and --dataset are required without --config")
-            cfg = ExperimentConfig(**overrides)
+        cfg = load_config(args.config, overrides) if args.config else config_from_dict(overrides)
         path = run_experiment(cfg)
         print(path)
         return 0

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import logging
 import numbers
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -139,17 +139,29 @@ class ExperimentConfig:
         )
 
 
-def load_config(path, overrides: dict = None) -> ExperimentConfig:
-    """Read a JSON key-value config file and apply overrides on top."""
-    with open(path) as fh:
-        data = json.load(fh)
-    if overrides:
-        data.update({k: v for k, v in overrides.items() if v is not None})
-    known = {f.name for f in fields(ExperimentConfig)}
-    unknown = set(data) - known
+def config_from_dict(data: dict) -> ExperimentConfig:
+    """The config of a key-value mapping: every key must name a field, and
+    the fields without a default (``problem``, ``dataset``) must be set."""
+    unknown = set(data) - {f.name for f in fields(ExperimentConfig)}
     if unknown:
         raise ConfigurationError(f"unknown config keys: {sorted(unknown)}")
+    missing = [f.name for f in fields(ExperimentConfig)
+               if f.default is MISSING and f.name not in data]
+    if missing:
+        raise ConfigurationError(f"missing required config keys: {missing}")
     return ExperimentConfig(**data)
+
+
+def load_config(path, overrides: dict = None) -> ExperimentConfig:
+    """Read a JSON object config file and apply overrides on top."""
+    with open(path) as fh:
+        data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ConfigurationError(
+            f"config file {str(path)!r} must hold a JSON object, got {type(data).__name__}")
+    if overrides:
+        data.update({k: v for k, v in overrides.items() if v is not None})
+    return config_from_dict(data)
 
 
 def build_problem(cfg: ExperimentConfig, ds: Dataset) -> ConsensusProblem:

@@ -3,9 +3,10 @@
 Evaluates, for a concrete problem/graph/hyperparameter triple: the uniform
 curvature-block bound of each scheme, the free constant of the sublinear
 running-average bound, and the linear contraction rate (both the
-inexact-update rate and its exact-minimization limit).  ``THEORY`` is the
-one place that maps a scheme to its worst-case constants, keyed like
-``curvature.KERNELS``; the run path never reads it.
+inexact-update rate and its exact-minimization limit), from the problem's
+smoothness constants and the graph's ``topology.spectral_constants``.
+``THEORY`` is the one place that maps a scheme to its worst-case
+constants, keyed like ``curvature.KERNELS``; the run path never reads it.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from . import curvature as cv
 from .curvature import Hyperparams
 from .errors import InapplicableTheoremError
 from .problems import ConsensusProblem
-from .topology import Graph, SpectralConstants, build_matrices, spectral_constants
+from .topology import Graph, SpectralConstants, spectral_constants
 
 
 @dataclass(frozen=True)
@@ -115,7 +116,7 @@ def rate_constants(problem: ConsensusProblem, graph: Graph, hp: Hyperparams) -> 
     if hp.scheme not in THEORY:
         raise InapplicableTheoremError(f"no rate theory for scheme {hp.scheme!r}")
     theory = THEORY[hp.scheme]
-    spectra = spectral_constants(build_matrices(graph), hp.leader)
+    spectra = spectral_constants(graph, hp.leader)
     M_bar = theory.m_bar(hp, sm, hp.mu_z * spectra.d_max + hp.epsilon + hp.mu_theta)
     rho = max(2.0 * hp.epsilon * hp.mu_theta / M_bar**2, spectra.sigma_max_Ls) + 2.0
     tau = theory.tau(hp, sm)

@@ -1,12 +1,12 @@
-"""Communication graph and derived incidence/Laplacian structure.
+"""Communication graph, its incidence matrices and its spectral constants.
 
 Agents are indexed 0..m-1 internally; the edge-list text format is 1-based.
 Every stored edge (i, j) satisfies i < j, with i the source and j the
 destination, and edges are enumerated in lexicographic order so that runs
 are reproducible.  Block (Kronecker-with-identity) versions of the matrices
 are never materialized: ``edge_differences``/``edge_sums`` apply the
-incidences to (m, d) arrays directly, and the network iteration works
-with the cached dense ``Graph.adjacency``.
+incidences to (m, d) arrays directly, and the network iteration and
+``spectral_constants`` work with the cached ``Graph.adjacency`` and degrees.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ class Graph:
     Parameters
     ----------
     m : int
-        Number of agents (at least 2).
+        Number of agents, an integer of at least 2 (numpy integers too).
     edges : sequence of (int, int)
         Edge list with 0-based integer endpoints i < j (numpy integers are
         accepted; bools, floats and strings are not).  Order is normalized
@@ -37,7 +37,7 @@ class Graph:
 
     ``src``/``dst`` hold the edge endpoints and ``adjacency`` the dense
     symmetric 0/1 (m, m) adjacency matrix, cached at construction; the
-    agents' neighbor counts ``degrees`` (m,) and neighbors derive from it.
+    agents' neighbor counts ``degrees`` (m,) derive from it.
     """
 
     m: int
@@ -48,14 +48,13 @@ class Graph:
     degrees: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
+        _check_agent_count(self.m)
         given = [tuple(e) for e in self.edges]
         for t in {type(v) for e in given for v in e}:  # one check per endpoint type
             if t is bool or not issubclass(t, numbers.Integral):
                 bad = next(e for e in given if t in map(type, e))
                 raise ValueError(f"edge {bad!r} must have integer endpoints")
         edges = tuple(sorted((int(i), int(j)) for i, j in given))
-        if self.m < 2:
-            raise ValueError(f"need at least 2 agents, got m={self.m}")
         seen = set()
         for i, j in edges:
             if i == j:
@@ -80,16 +79,17 @@ class Graph:
         """Number of edges."""
         return len(self.edges)
 
-    def neighbors(self, i: int) -> tuple:
-        return tuple(int(j) for j in np.flatnonzero(self.adjacency[i]))
 
-    def degree(self, i: int) -> int:
-        return int(self.degrees[i])
+def _check_agent_count(m) -> None:
+    if isinstance(m, bool) or not isinstance(m, numbers.Integral):
+        raise ValueError(f"m must be an integer number of agents, got {m!r}")
+    if m < 2:
+        raise ValueError(f"need at least 2 agents, got m={m}")
 
 
 @dataclass(frozen=True)
 class TopologyMatrices:
-    """Source/destination, incidence, Laplacian, and degree matrices.
+    """Source/destination and signed incidence matrices and the signed Laplacian.
 
     All are agent-level (n x m or m x m); apply to d-dimensional states
     via the per-coordinate helpers instead of forming Kronecker blocks.
@@ -98,17 +98,13 @@ class TopologyMatrices:
     A_s: np.ndarray
     A_d: np.ndarray
     E_s: np.ndarray
-    E_u: np.ndarray
     L_s: np.ndarray
-    L_u: np.ndarray
-    D: np.ndarray
 
 
 @dataclass(frozen=True)
 class SpectralConstants:
     sigma_max_Ls: float
     sigma_max_Lu: float
-    sigma_min_Lu: float
     sigma_min_plus_CCt: float
     d_max: int
 
@@ -133,8 +129,7 @@ def random_connected_graph(m: int, p: float, seed: int, max_redraws: int = 10_00
     if the draw is disconnected the whole graph is redrawn from the same
     stream.  Deterministic given (m, p, seed).
     """
-    if m < 2:
-        raise ValueError(f"need at least 2 agents, got m={m}")
+    _check_agent_count(m)
     if not (0.0 < p <= 1.0):
         raise ValueError(f"edge probability must be in (0, 1], got {p}")
     src, dst = np.triu_indices(m, 1)  # the pairs (i, j), i < j, in lexicographic order
@@ -154,9 +149,8 @@ def build_matrices(g: Graph) -> TopologyMatrices:
     """Assemble dense agent-level matrices from the edge list.
 
     Row k of A_s has a one at the source of edge k; row k of A_d at its
-    destination.  The signed/unsigned incidence matrices are their
-    difference/sum, the Laplacians their Grams, and the degree matrix is
-    the half-sum of the Laplacians.
+    destination.  The signed incidence is their difference and the signed
+    Laplacian its Gram.
     """
     n, m = g.n, g.m
     A_s = np.zeros((n, m))
@@ -164,37 +158,31 @@ def build_matrices(g: Graph) -> TopologyMatrices:
     A_s[np.arange(n), g.src] = 1.0
     A_d[np.arange(n), g.dst] = 1.0
     E_s = A_s - A_d
-    E_u = A_s + A_d
-    L_s = E_s.T @ E_s
-    L_u = E_u.T @ E_u
-    D = 0.5 * (L_s + L_u)
-    return TopologyMatrices(A_s=A_s, A_d=A_d, E_s=E_s, E_u=E_u, L_s=L_s, L_u=L_u, D=D)
+    return TopologyMatrices(A_s=A_s, A_d=A_d, E_s=E_s, L_s=E_s.T @ E_s)
 
 
-def spectral_constants(tm: TopologyMatrices, leader: int) -> SpectralConstants:
-    """Eigenvalue extremes of the Laplacians and of L_s + e_l e_l^T.
-
-    The last constant is the smallest positive eigenvalue of C C^T where C
-    stacks the signed incidence over the leader-selection row; positive
+def spectral_constants(g: Graph, leader: int) -> SpectralConstants:
+    """Largest eigenvalues of the signed and unsigned Laplacians
+    L_s, L_u = diag(degrees) -/+ adjacency, the largest degree, and the
+    smallest positive eigenvalue of C C^T = L_s + e_l e_l^T, where C stacks
+    the signed incidence over the leader-selection row; positive
     eigenvalues below ``SPECTRAL_ZERO_TOL`` times the largest are treated
     as zero.
     """
-    m = tm.L_s.shape[0]
-    if not (0 <= leader < m):
-        raise ValueError(f"leader {leader} out of range for m={m}")
-    eig_Ls = np.linalg.eigvalsh(tm.L_s)
-    eig_Lu = np.linalg.eigvalsh(tm.L_u)
-    gram = tm.L_s.copy()
+    if not (0 <= leader < g.m):
+        raise ValueError(f"leader {leader} out of range for m={g.m}")
+    degrees = np.diag(g.degrees)
+    gram = degrees - g.adjacency
+    eig_Ls = np.linalg.eigvalsh(gram)
+    eig_Lu = np.linalg.eigvalsh(degrees + g.adjacency)
     gram[leader, leader] += 1.0
     eig_C = np.linalg.eigvalsh(gram)
     cutoff = SPECTRAL_ZERO_TOL * max(eig_C[-1], 1.0)
-    positive = eig_C[eig_C > cutoff]
     return SpectralConstants(
         sigma_max_Ls=float(eig_Ls[-1]),
         sigma_max_Lu=float(eig_Lu[-1]),
-        sigma_min_Lu=float(max(eig_Lu[0], 0.0)),
-        sigma_min_plus_CCt=float(positive[0]),
-        d_max=int(np.max(np.diag(tm.D))),
+        sigma_min_plus_CCt=float(eig_C[eig_C > cutoff][0]),
+        d_max=int(g.degrees.max()),
     )
 
 
@@ -231,6 +219,8 @@ def read_edge_list(stream: TextIO) -> Graph:
     """Parse the edge-list text format; a malformed line raises ``ParseError``
     with its 1-based line number."""
     m, n = _int_pair(stream.readline(), 1, "header 'm n'")
+    if m < 2:
+        raise ParseError(f"header 'm n' declares m={m}; need at least 2 agents", 1)
     if n < 0:
         raise ParseError(f"header 'm n' declares a negative edge count n={n}", 1)
     edges = []

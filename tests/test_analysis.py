@@ -9,7 +9,7 @@ from conftest import (
 )
 from druid import analysis, problems
 from druid.analysis import (
-    AlphaTracker,
+    advance_edge_duals,
     error_term,
     full_admm_init,
     full_admm_oracle_step,
@@ -146,7 +146,7 @@ def test_oracle_matches_network_on_two_agents(scheme, extra):
     st = full_admm_init(problem, graph, hp)
     for _ in range(2):
         sync_step(ns)
-        st = full_admm_oracle_step(st, problem, graph, hp)
+        st = full_admm_oracle_step(st)
         assert np.abs(st.x.reshape(2, 2) - ns.X).max() <= 1e-12
         phi_from_alpha = build_matrices(graph).E_s.T @ st.alpha.reshape(graph.n, 2)
         assert np.abs(phi_from_alpha - ns.Phi).max() <= 1e-12
@@ -160,9 +160,9 @@ def test_oracle_invariants_over_long_run():
     st = full_admm_init(problem, graph, hp)
     tm = build_matrices(graph)
     for _ in range(100):
-        st = full_admm_oracle_step(st, problem, graph, hp)
+        st = full_admm_oracle_step(st)
         assert np.abs(st.alpha + st.beta).max() <= 1e-12
-        z_manifold = 0.5 * (tm.E_u @ st.x.reshape(graph.m, problem.d))
+        z_manifold = 0.5 * ((tm.A_s + tm.A_d) @ st.x.reshape(graph.m, problem.d))
         assert np.abs(st.z.reshape(graph.n, problem.d) - z_manifold).max() <= 1e-12
 
 
@@ -175,8 +175,9 @@ def test_oracle_builds_its_operators_once(monkeypatch):
     hp = hp_for(BFGS, problem)
     st = full_admm_init(problem, graph, hp)
     for _ in range(100):
-        st = full_admm_oracle_step(st, problem, graph, hp)
+        st = full_admm_oracle_step(st)
     assert calls == [graph]
+    assert st.problem is problem and st.graph is graph and st.hp is hp
 
 
 # --- dual recovery -----------------------------------------------------------
@@ -186,7 +187,7 @@ def test_project_dual_two_agent_hand_system():
     graph = Graph(2, [(0, 1)])
     objs = [LocalObjective(LEAST_SQUARES, [[1.0]], [b]) for b in (0.0, 2.0)]
     problem = ConsensusProblem.from_objectives(objs, Regularizer(ZERO))
-    alpha, lam = project_dual(np.array([1.0]), problem, graph, leader=0, tol=1e-12)
+    alpha, lam = project_dual(np.array([1.0]), problem, graph, leader=0)
     grads = np.array([[1.0], [-1.0]])
     stat = grads + build_matrices(graph).E_s.T @ alpha
     stat[0] += lam
@@ -217,7 +218,7 @@ def test_project_dual_lands_in_column_space():
 def test_project_dual_rejects_bad_reference():
     graph, problem = make_lasso_instance()
     with pytest.raises(InconsistentReferenceError):
-        project_dual(np.full(problem.d, 37.0), problem, graph, leader=0, tol=1e-9)
+        project_dual(np.full(problem.d, 37.0), problem, graph, leader=0)
 
 
 # --- Lyapunov distances ------------------------------------------------------
@@ -236,17 +237,16 @@ def test_lyapunov_is_weighted_sum_of_block_distances():
     graph, problem = make_lasso_instance()
     hp = hp_for(GRADIENT, problem, mu_z=2.0, mu_theta=0.25)
     ns = init_network(problem, graph, hp)
-    tracker = AlphaTracker(graph, hp.mu_z, problem.d)
     sync_step(ns)
-    tracker.update(ns.X)
+    edge_duals = advance_edge_duals(ns, np.zeros((graph.n, problem.d)))
     ref = centralized_reference(problem, tol=1e-13)
     alpha, lam = project_dual(ref.x_star, problem, graph, leader=0)
-    got = lyapunov_distance(ns, tracker.alpha, ref.x_star, alpha, lam)
+    got = lyapunov_distance(ns, edge_duals, ref.x_star, alpha, lam)
     z_gap = [0.5 * (ns.X[i] + ns.X[j]) - ref.x_star for i, j in graph.edges]
     expected = (
         hp.epsilon * np.sum((ns.X - ref.x_star) ** 2)
         + 2.0 * hp.mu_z * np.sum(np.square(z_gap))
-        + 2.0 / hp.mu_z * np.sum((tracker.alpha - alpha) ** 2)
+        + 2.0 / hp.mu_z * np.sum((edge_duals - alpha) ** 2)
         + hp.mu_theta * np.sum((ns.theta - ref.x_star) ** 2)
         + 1.0 / hp.mu_theta * np.sum((ns.lam - lam) ** 2)
     )
@@ -259,15 +259,22 @@ def test_tracked_edge_duals_reproduce_phi(scheme):
     graph, problem = make_lasso_instance()
     hp = hp_for(scheme, problem)
     ns = init_network(problem, graph, hp)
-    tracker = AlphaTracker(graph, hp.mu_z, problem.d)
+    alpha = np.zeros((graph.n, problem.d))
     E_s = build_matrices(graph).E_s
     for _ in range(50):
         sync_step(ns)
-        tracker.update(ns.X)
-        assert np.abs(E_s.T @ tracker.alpha - ns.Phi).max() <= 1e-12
+        alpha = advance_edge_duals(ns, alpha)
+        assert np.abs(E_s.T @ alpha - ns.Phi).max() <= 1e-12
 
 
 # --- inexactness term --------------------------------------------------------
+
+
+def network_at(problem, graph, hp, X):
+    """A network state moved by hand to the iterates ``X``."""
+    ns = init_network(problem, graph, hp)
+    ns.X = X
+    return ns
 
 
 def test_error_term_zero_for_newton_on_quadratic():
@@ -276,7 +283,7 @@ def test_error_term_zero_for_newton_on_quadratic():
     rng = np.random.default_rng(0)
     x_t = rng.normal(size=(graph.m, problem.d))
     x_t1 = rng.normal(size=(graph.m, problem.d))
-    report = error_term(problem, graph, hp, x_t, x_t1)
+    report = error_term(network_at(problem, graph, hp, x_t1), x_t)
     assert report.norm_e <= 1e-12
     assert report.tau_t == 0.0
     assert report.bound_satisfied
@@ -289,7 +296,7 @@ def test_error_term_gradient_on_quadratic_is_hessian_action():
     rng = np.random.default_rng(1)
     x_t = rng.normal(size=(graph.m, problem.d))
     x_t1 = rng.normal(size=(graph.m, problem.d))
-    report = error_term(problem, graph, hp, x_t, x_t1)
+    report = error_term(network_at(problem, graph, hp, x_t1), x_t)
     dx = x_t1 - x_t
     expected = -np.stack(
         [problem.objectives[i].hessian(x_t[i]) @ dx[i] for i in range(graph.m)]
@@ -301,10 +308,9 @@ def test_error_term_gradient_on_quadratic_is_hessian_action():
 
 def test_error_term_bfgs_needs_snapshots():
     graph, problem = make_ridge_instance()
-    hp = hp_for(BFGS, problem)
-    x = np.zeros((graph.m, problem.d))
-    with pytest.raises(DiagnosticError):
-        error_term(problem, graph, hp, x, x)
+    ns = init_network(problem, graph, hp_for(BFGS, problem))
+    with pytest.raises(DiagnosticError, match="inverse estimates before the step"):
+        error_term(ns, ns.X.copy())
 
 
 def test_smoothness_constants_are_computed_once_per_problem(monkeypatch):
@@ -316,7 +322,7 @@ def test_smoothness_constants_are_computed_once_per_problem(monkeypatch):
     hp = Hyperparams(mu_z=1.0, mu_theta=0.5, epsilon=1.0)
     with pytest.raises(InapplicableTheoremError):  # logistic: m_f = 0
         rate_constants(problem, graph, hp)
-    x = np.zeros((graph.m, problem.d))
+    ns = network_at(problem, graph, hp, np.full((graph.m, problem.d), 0.1))
     for _ in range(3):
-        error_term(problem, graph, hp, x, x + 0.1)
+        error_term(ns, np.zeros((graph.m, problem.d)))
     assert len(calls) == 1 and calls[0] is problem

@@ -290,7 +290,7 @@ def test_newton_least_squares_inverts_constant_block_once(monkeypatch):
     assert np.array_equal(ns.B, B0)  # the model never changes
     monkeypatch.undo()
     for i, obj in enumerate(problem.objectives):
-        block = newton_block(obj, x_old[i], hp, graph.degree(i), i == hp.leader)
+        block = newton_block(obj, x_old[i], hp, graph.degrees[i], i == hp.leader)
         step = x_old[i] - scipy.linalg.cho_solve(scipy.linalg.cho_factor(block), H[i])
         assert np.abs(x_new[i] - step).max() <= 1e-12 * max(1.0, np.abs(step).max())
 
@@ -304,7 +304,7 @@ def test_newton_logistic_batched_solve_is_bitwise_the_per_row_loop():
     for _ in range(3):
         sync_step(ns)
         blocks = np.stack([
-            newton_block(obj, x, hp, graph.degree(i), i == hp.leader)
+            newton_block(obj, x, hp, graph.degrees[i], i == hp.leader)
             for i, (obj, x) in enumerate(zip(problem.objectives, ns.X))
         ])
         H = rng.normal(size=ns.X.shape)

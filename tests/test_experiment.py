@@ -144,6 +144,29 @@ def test_load_config_with_overrides(tmp_path):
         load_config(cfg_path, {"volume": 11})
 
 
+@pytest.mark.parametrize("content, message", [
+    ('{"problem": "ridge"}', r"missing required config keys: \['dataset'\]"),
+    ('{"dataset": "data.txt", "agents": 3}', r"missing required config keys: \['problem'\]"),
+    ("{}", r"missing required config keys: \['problem', 'dataset'\]"),
+    ("[1, 2]", r"must hold a JSON object, got list"),
+    ('"ridge"', r"must hold a JSON object, got str"),
+])
+def test_load_config_names_what_is_wrong_with_the_file(tmp_path, content, message):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(content)
+    with pytest.raises(ConfigurationError, match=message):
+        load_config(cfg_path)
+    with pytest.raises(ConfigurationError, match=message):
+        load_config(cfg_path, {"scheme": "newton"})
+
+
+def test_cli_without_config_names_the_missing_keys(tmp_path, capsys):
+    assert main(["run", "--problem", "ridge"]) == 1
+    assert capsys.readouterr().err == "error: missing required config keys: ['dataset']\n"
+    assert main(["run", "--dataset", str(tmp_path / "data.txt")]) == 1
+    assert capsys.readouterr().err == "error: missing required config keys: ['problem']\n"
+
+
 def test_cli_run_and_graph(tmp_path, capsys):
     data = tmp_path / "data.txt"
     write_dataset(data)

@@ -60,7 +60,7 @@ def test_init_network_zero_state():
     assert np.array_equal(ns.G, np.stack([obj.gradient(np.zeros(problem.d))
                                           for obj in problem.objectives]))
     for i in range(graph.m):
-        assert ns.shift[i] == block_diag_value(hp, graph.degree(i), i == hp.leader)
+        assert ns.shift[i] == block_diag_value(hp, graph.degrees[i], i == hp.leader)
 
 
 def test_network_state_owns_its_configuration():
@@ -147,7 +147,8 @@ def test_local_gradient_matches_finite_differences_of_lagrangian():
     ns.theta = rng.normal(size=problem.d)
     ns.lam = rng.normal(size=problem.d)
     X = ns.X.copy()
-    Z = 0.5 * (build_matrices(graph).E_u @ X)
+    tm = build_matrices(graph)
+    Z = 0.5 * ((tm.A_s + tm.A_d) @ X)
     h = 1e-6
     grads = local_gradient(ns, range(graph.m))
     for i in range(graph.m):
@@ -227,7 +228,7 @@ def test_buffer_consistency_after_sync_step():
         # part of its local gradient is sum_j (x_i - x_j) over neighbors
         grads = local_gradient(ns, range(graph.m))
         for i in range(graph.m):
-            coupling = sum(ns.X[i] - ns.X[j] for j in graph.neighbors(i))
+            coupling = sum(ns.X[i] - ns.X[j] for j in np.flatnonzero(graph.adjacency[i]))
             expected = problem.objectives[i].gradient(ns.X[i]) + ns.Phi[i]
             expected = expected + 0.5 * hp.mu_z * coupling
             if i == hp.leader:
@@ -246,7 +247,7 @@ def test_communication_count_closed_form():
     # a partial step counts one iterate per neighbor of each active agent
     active = np.arange(graph.m) % 2 == 1
     apply_step(ns, active)
-    sent = sum(graph.degree(i) for i in np.flatnonzero(active)) * problem.d
+    sent = sum(graph.degrees[i] for i in np.flatnonzero(active)) * problem.d
     assert ns.comm_scalars == 7 * 2 * graph.n * problem.d + sent
 
 
@@ -345,7 +346,7 @@ def check_unequal_rows_bitwise_per_agent(kind, scheme, seed):
     ns = init_network(problem, graph, hp)
 
     def block(i, x):
-        return newton_block(problem.objectives[i], x, hp, graph.degree(i), i == hp.leader)
+        return newton_block(problem.objectives[i], x, hp, graph.degrees[i], i == hp.leader)
 
     if scheme == NEWTON and problem.constant_hessian:
         for i in range(m):

@@ -10,7 +10,7 @@ from druid.errors import InapplicableTheoremError
 from druid.network import init_network, sync_step
 from druid.problems import SmoothnessConstants
 from druid.rates import THEORY, linear_rate, rate_constants
-from druid.topology import build_matrices, spectral_constants
+from druid.topology import spectral_constants
 
 
 def certified_hp(problem, scheme, factor=1.02):
@@ -75,7 +75,7 @@ def test_fourth_scheme_needs_a_theory_entry(monkeypatch):
 def test_exact_rate_recovered_in_degenerate_limit():
     graph, problem = make_ridge_instance()
     sm = problem.smoothness
-    spectra = spectral_constants(build_matrices(graph), 0)
+    spectra = spectral_constants(graph, 0)
     exact = linear_rate(sm.m_f, sm.M_f, 1.0, 0.0, 0.0, np.inf, spectra)
     harmonic = 2.0 * sm.m_f * sm.M_f / (sm.m_f + sm.M_f)
     expected = min(

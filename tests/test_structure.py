@@ -3,13 +3,15 @@ path, ``rates.THEORY`` on the theory side.  Only ``curvature.kernel``, which
 picks the run-path entry, and the independent oracles of ``analysis`` may
 compare a scheme name.  The network state owns its hyperparameters and
 kernel: ``init_network`` alone picks the kernel, and no step function or
-kernel callable takes the hyperparameters again.  A ``ConsensusProblem``
-holds the agents' data as stacks: only ``problems`` builds a per-agent
-``LocalObjective``, and only the ``analysis`` oracles reach them one by one
-through ``.objectives``; everything else evaluates the stacks, so the oracles
-stay independent of the code they check, and ``analysis`` calls neither the
-stacked evaluations nor the kernels or ``solve_direction``.  The benchmark's
-probes (``perfbench/tracer.py``) still find the library attributes they wrap."""
+kernel callable takes the hyperparameters again; the diagnostics of a run
+read the problem, graph and hyperparameters from the state they check.  A
+``ConsensusProblem`` holds the agents' data as stacks: only ``problems``
+builds a per-agent ``LocalObjective``, and only the ``analysis`` oracles
+reach them one by one through ``.objectives``; everything else evaluates the
+stacks, so the oracles stay independent of the code they check, and
+``analysis`` calls neither the stacked evaluations nor the kernels or
+``solve_direction``.  The benchmark's probes (``perfbench/tracer.py``) still
+find the library attributes they wrap."""
 
 import ast
 import inspect
@@ -17,7 +19,7 @@ from pathlib import Path
 
 import scipy.linalg
 
-from druid import activation, experiment, network
+from druid import activation, analysis, experiment, network
 from druid import curvature as cv
 from druid.problems import LocalObjective
 
@@ -169,6 +171,14 @@ def test_step_api_takes_no_hyperparameters():
     taking_hp = [fn.__qualname__ for fn in callables
                  if "hp" in inspect.signature(fn).parameters]
     assert not taking_hp, f"take hp, which the network state holds: {taking_hp}"
+
+
+def test_diagnostics_read_their_inputs_from_the_state():
+    diagnostics = [analysis.full_admm_oracle_step, analysis.advance_edge_duals,
+                   analysis.error_term, analysis.lyapunov_distance, analysis.kkt_residuals]
+    taking = [f"{fn.__name__}({name})" for fn in diagnostics
+              for name in ("problem", "graph", "hp") if name in inspect.signature(fn).parameters]
+    assert not taking, f"take what the oracle or network state holds: {taking}"
 
 
 def span_targets():

@@ -28,7 +28,7 @@ def test_two_agents_full_probability_gives_single_edge():
 def test_three_agents_full_probability_gives_triangle():
     g = random_connected_graph(3, 1.0, seed=5)
     assert g.n == 3
-    assert all(g.degree(i) == 2 for i in range(3))
+    assert g.degrees.tolist() == [2, 2, 2]
 
 
 def test_generation_is_deterministic():
@@ -49,6 +49,10 @@ def test_generation_redraws_keep_their_stream():
 def test_generation_rejects_bad_parameters():
     with pytest.raises(ValueError):
         random_connected_graph(1, 0.5, seed=0)
+    for m in (3.0, True, "3"):
+        with pytest.raises(ValueError, match=r"m must be an integer"):
+            random_connected_graph(m, 0.9, seed=0)
+    assert random_connected_graph(np.int64(3), 1.0, seed=0).n == 3
     with pytest.raises(ValueError):
         random_connected_graph(5, 0.0, seed=0)
     with pytest.raises(ValueError):
@@ -76,14 +80,21 @@ def test_graph_validation():
             Graph(3, edges)
     g = Graph(3, [(np.intp(0), np.int32(1)), (np.int64(1), 2)])
     assert g.edges == ((0, 1), (1, 2)) and all(type(v) is int for e in g.edges for v in e)
+    for m in (3.0, True, "3", None):
+        with pytest.raises(ValueError, match=r"m must be an integer number of agents"):
+            Graph(m, [(0, 1), (1, 2)])
+    with pytest.raises(ValueError, match=r"need at least 2 agents, got m=1"):
+        Graph(1, [])
+    assert Graph(np.int32(3), [(0, 1), (1, 2)]).degrees.tolist() == [1, 2, 1]
 
 
 def test_neighbor_counts():
     g = random_connected_graph(12, 0.4, seed=2)
-    assert sum(g.degree(i) for i in range(g.m)) == 2 * g.n
+    assert g.degrees.sum() == 2 * g.n
     for i in range(g.m):
-        assert g.degree(i) == len(g.neighbors(i))
-        assert g.neighbors(i) == tuple(sorted(j for e in g.edges if i in e for j in e if j != i))
+        neighbors = sorted(j for e in g.edges if i in e for j in e if j != i)
+        assert np.flatnonzero(g.adjacency[i]).tolist() == neighbors
+        assert g.degrees[i] == len(neighbors)
 
 
 def test_path_matrices_match_hand_values():
@@ -92,7 +103,6 @@ def test_path_matrices_match_hand_values():
     assert np.array_equal(tm.A_d, [[0, 1, 0], [0, 0, 1]])
     assert np.array_equal(tm.E_s, [[1, -1, 0], [0, 1, -1]])
     assert np.array_equal(tm.L_s, [[1, -1, 0], [-1, 2, -1], [0, -1, 1]])
-    assert np.array_equal(tm.D, np.diag([1, 2, 1]))
 
 
 def test_matrix_identities_on_random_graphs():
@@ -100,11 +110,14 @@ def test_matrix_identities_on_random_graphs():
         g = random_connected_graph(9, 0.35, seed=seed)
         tm = build_matrices(g)
         assert np.array_equal(tm.E_s, tm.A_s - tm.A_d)
-        assert np.array_equal(tm.E_u, tm.A_s + tm.A_d)
         assert np.array_equal(tm.L_s, tm.E_s.T @ tm.E_s)
-        assert np.array_equal(tm.D, 0.5 * (tm.L_s + tm.L_u))
-        assert np.array_equal(tm.D, tm.A_s.T @ tm.A_s + tm.A_d.T @ tm.A_d)
-        assert np.array_equal(np.diag(tm.D), g.degrees)
+        assert np.array_equal(tm.L_s, np.diag(g.degrees) - g.adjacency)
+        assert np.array_equal(tm.A_s.T @ tm.A_s + tm.A_d.T @ tm.A_d, np.diag(g.degrees))
+        E_u = tm.A_s + tm.A_d
+        sc = spectral_constants(g, leader=seed)
+        assert sc.sigma_max_Ls == pytest.approx(np.linalg.eigvalsh(tm.L_s)[-1], rel=1e-12)
+        assert sc.sigma_max_Lu == pytest.approx(np.linalg.eigvalsh(E_u.T @ E_u)[-1], rel=1e-12)
+        assert sc.d_max == g.degrees.max()
         # signed Laplacian annihilates the consensus direction, rank m-1
         assert np.allclose(tm.L_s @ np.ones(g.m), 0.0)
         assert np.linalg.matrix_rank(tm.L_s) == g.m - 1
@@ -116,15 +129,15 @@ def test_block_helpers_match_dense_matrices():
     rng = np.random.default_rng(0)
     X = rng.normal(size=(g.m, 2))
     assert np.allclose(edge_differences(g, X), tm.E_s @ X)
-    assert np.allclose(edge_sums(g, X), tm.E_u @ X)
+    assert np.allclose(edge_sums(g, X), (tm.A_s + tm.A_d) @ X)
 
 
 def test_spectral_constants_on_path():
-    tm = build_matrices(path_graph())
-    sc = spectral_constants(tm, leader=0)
+    g = path_graph()
+    tm = build_matrices(g)
+    sc = spectral_constants(g, leader=0)
     assert sc.sigma_max_Ls == pytest.approx(3.0)
     # unsigned Laplacian of the path has eigenvalues {0, 1, 3}
-    assert sc.sigma_min_Lu == pytest.approx(0.0, abs=1e-12)
     assert sc.sigma_max_Lu == pytest.approx(3.0)
     assert sc.d_max == 2
     gram = np.array(tm.L_s)
@@ -137,7 +150,7 @@ def test_spectral_constants_on_path():
 def test_smallest_positive_eigenvalue_positive_when_connected():
     for seed in range(3):
         g = random_connected_graph(8, 0.4, seed=seed)
-        sc = spectral_constants(build_matrices(g), leader=2)
+        sc = spectral_constants(g, leader=2)
         assert sc.sigma_min_plus_CCt > 0
 
 
@@ -172,4 +185,7 @@ def test_read_edge_list_rejects_bad_input():
         read_edge_list(io.StringIO("3\n"))
     with pytest.raises(ParseError, match="line 3: expected edge line"):
         read_edge_list(io.StringIO("3 2\n1 2\n"))  # fewer edges than declared
+    for header in ("1 0", "0 0", "-2 0"):
+        with pytest.raises(ParseError, match=r"line 1: header 'm n' declares m=-?\d; need at least"):
+            read_edge_list(io.StringIO(header + "\n"))
     assert read_edge_list(io.StringIO("3 2\n1 2\n2 3\n\n \n")).edges == ((0, 1), (1, 2))
