@@ -216,20 +216,28 @@ def _int_pair(line: str, lineno: int, expected: str) -> tuple:
 
 
 def read_edge_list(stream: TextIO) -> Graph:
-    """Parse the edge-list text format; a malformed line raises ``ParseError``
-    with its 1-based line number."""
+    """Parse the edge-list text format; a malformed line, a duplicate edge or
+    a disconnected graph raises ``ParseError`` with its 1-based line number
+    (line 1, the header, for a disconnected graph)."""
     m, n = _int_pair(stream.readline(), 1, "header 'm n'")
     if m < 2:
         raise ParseError(f"header 'm n' declares m={m}; need at least 2 agents", 1)
     if n < 0:
         raise ParseError(f"header 'm n' declares a negative edge count n={n}", 1)
-    edges = []
+    edges = {}   # 0-based edge -> its line, in file order
     for lineno in range(2, n + 2):
         i, j = _int_pair(stream.readline(), lineno, "edge line 'i j'")
         if not (1 <= i < j <= m):
             raise ParseError(f"edge ({i}, {j}) violates 1 <= i < j <= m={m}", lineno)
-        edges.append((i - 1, j - 1))
+        if (i - 1, j - 1) in edges:
+            raise ParseError(f"duplicate edge ({i}, {j}), first on line "
+                             f"{edges[i - 1, j - 1]}", lineno)
+        edges[i - 1, j - 1] = lineno
     for lineno, line in enumerate(stream, start=n + 2):
         if line.strip():
             raise ParseError(f"non-blank line after the {n} declared edges", lineno)
-    return Graph(m, edges)
+    try:
+        return Graph(m, edges.keys())
+    except ValueError:   # the lines meet every other rule of Graph's: it is disconnected
+        raise ParseError(f"header 'm n' declares m={m} agents that its n={n} edges "
+                         "leave disconnected", 1) from None

@@ -171,10 +171,15 @@ def test_edge_list_is_one_based():
 
 
 def test_read_edge_list_rejects_bad_input():
-    with pytest.raises(ValueError):
+    with pytest.raises(ParseError, match=r"line 2: edge \(2, 1\) violates 1 <= i < j <= m=3"):
         read_edge_list(io.StringIO("3 1\n2 1\n"))  # i >= j
-    with pytest.raises(ValueError):
-        read_edge_list(io.StringIO("4 1\n1 2\n"))  # disconnected
+    with pytest.raises(ParseError, match="line 1: header 'm n' declares m=4 agents that its n=1 "
+                                         "edges leave disconnected"):
+        read_edge_list(io.StringIO("4 1\n1 2\n"))
+    with pytest.raises(ParseError, match=r"line 3: duplicate edge \(1, 2\), first on line 2"):
+        read_edge_list(io.StringIO("3 2\n1 2\n1 2\n"))
+    with pytest.raises(ParseError, match=r"line 4: duplicate edge \(2, 3\), first on line 2"):
+        read_edge_list(io.StringIO("3 3\n2 3\n1 2\n2 3\n"))
     with pytest.raises(ParseError, match="line 4: non-blank line after the 2 declared edges"):
         read_edge_list(io.StringIO("3 2\n1 2\n2 3\n1 3\n"))
     with pytest.raises(ParseError, match="line 5:"):
