@@ -18,6 +18,7 @@ from .network import NetworkState, apply_step
 
 BERNOULLI = "bernoulli"
 FIXED_COUNT = "fixed_count"
+ACTIVATION_MODES = (BERNOULLI, FIXED_COUNT)
 
 
 @dataclass(frozen=True, eq=False)  # eq would compare the mask arrays by truth value
@@ -37,7 +38,8 @@ class ActivationSampler:
 
     Bernoulli mode includes each agent i independently with probability
     p_i (possibly empty, a no-op iteration); fixed-count mode draws a
-    uniform k-subset.
+    uniform k-subset.  A sampler keeps only its mode's parameter,
+    ``probabilities`` or ``count``, so a caller may pass both.
     """
 
     mode: str
@@ -51,12 +53,12 @@ class ActivationSampler:
             p = np.broadcast_to(np.asarray(self.probabilities, dtype=float), (self.m,)).copy()
             if not np.all((p > 0.0) & (p <= 1.0)):
                 raise ValueError(f"activation probabilities must lie in (0, 1], got {p}")
-            self.probabilities = p
+            self.probabilities, self.count = p, None
         elif self.mode == FIXED_COUNT:
             if isinstance(self.count, bool) or not isinstance(self.count, numbers.Integral) \
                     or not 1 <= self.count <= self.m:
                 raise ValueError(f"count must be an integer in [1, {self.m}], got {self.count!r}")
-            self.count = int(self.count)
+            self.probabilities, self.count = None, int(self.count)
         else:
             raise ValueError(f"unknown activation mode {self.mode!r}")
 

@@ -4,31 +4,39 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import MISSING, fields
 
-from .curvature import SCHEMES
-from .experiment import PROBLEM_KINDS, config_from_dict, load_config, run_experiment
+from .activation import BERNOULLI
+from .errors import ConfigurationError
+from .experiment import ExperimentConfig, config_from_dict, describe, load_config, run_experiment
 from .topology import random_connected_graph, write_edge_list
+
+#: annotated type of a config field -> argparse type of its flag (bool: --x/--no-x)
+FLAG_TYPES = {"int": int, "float": float, "str": str}
+ALIASES = {"iterations": ["--iters"]}   # config field -> its other flags
 
 
 def _run_parser(sub):
     p = sub.add_parser("run", help="run a configured experiment and write its trace CSV")
-    p.add_argument("--config", help="JSON config file; flags below override its keys")
-    p.add_argument("--problem", choices=PROBLEM_KINDS)
-    p.add_argument("--dataset", help="sparse text dataset path")
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--scheme", choices=SCHEMES)
-    p.add_argument("--mu-z", dest="mu_z", type=float)
-    p.add_argument("--mu-theta", dest="mu_theta", type=float)
-    p.add_argument("--epsilon", type=float)
-    p.add_argument("--agents", type=int)
-    p.add_argument("--edge-prob", dest="edge_prob", type=float)
-    p.add_argument("--iters", dest="iterations", type=int)
-    p.add_argument("--seed", type=int,
-                   help="master seed: graph, partition, and activation seeds are seed, seed+1, seed+2")
-    p.add_argument("--async-p", dest="activation_p", type=float,
-                   help="Bernoulli activation probability; selects asynchronous mode")
-    p.add_argument("--cadence", type=int)
-    p.add_argument("--output")
+    p.add_argument("--config", help="JSON config file; the flags override its keys")
+    for f in fields(ExperimentConfig):
+        default = "required" if f.default is MISSING else f"default {f.default!r}"
+        names = ["--" + f.name.replace("_", "-"), *ALIASES.get(f.name, [])]
+        kind = dict(action=argparse.BooleanOptionalAction) if f.type == "bool" else \
+            dict(type=FLAG_TYPES[f.type], choices=f.metadata["choices"])
+        p.add_argument(*names, help=f"{describe(f)}; {default}", **kind)
+    p.add_argument("--seed", type=int, help="sets --graph-seed, --partition-seed and "
+                   "--activation-seed to seed, seed+1, seed+2")
+    p.add_argument("--async-p", type=float, help="sets --mode async, --activation bernoulli "
+                   "and --activation-p")
+
+
+def _expand(overrides: dict, shorthand: str, **keys) -> None:
+    """Set the config keys a shorthand flag stands for; none may also be given by its own flag."""
+    clash = ["--" + key.replace("_", "-") for key in keys if key in overrides]
+    if clash:
+        raise ConfigurationError(f"{shorthand} sets {', '.join(clash)}; give one or the other")
+    overrides.update(keys)
 
 
 def _graph_parser(sub):
@@ -54,20 +62,16 @@ def main(argv=None) -> int:
             else:
                 write_edge_list(g, sys.stdout)
             return 0
-        overrides = {
-            k: v for k, v in vars(args).items()
-            if k not in ("command", "config", "seed") and v is not None
-        }
+        overrides = {f.name: getattr(args, f.name) for f in fields(ExperimentConfig)
+                     if getattr(args, f.name) is not None}
         if args.seed is not None:
-            overrides["graph_seed"] = args.seed
-            overrides["partition_seed"] = args.seed + 1
-            overrides["activation_seed"] = args.seed + 2
-        if args.activation_p is not None:
-            overrides["mode"] = "async"
-            overrides["activation"] = "bernoulli"
+            _expand(overrides, "--seed", graph_seed=args.seed, partition_seed=args.seed + 1,
+                    activation_seed=args.seed + 2)
+        if args.async_p is not None:
+            _expand(overrides, "--async-p", mode="async", activation=BERNOULLI,
+                    activation_p=args.async_p)
         cfg = load_config(args.config, overrides) if args.config else config_from_dict(overrides)
-        path = run_experiment(cfg)
-        print(path)
+        print(run_experiment(cfg))
         return 0
     except Exception as exc:  # noqa: BLE001 - boundary: report and set exit code
         print(f"error: {exc}", file=sys.stderr)

@@ -12,12 +12,15 @@ from __future__ import annotations
 import json
 import logging
 import numbers
-from dataclasses import MISSING, dataclass, fields
+import operator
+import sys
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
-from .activation import ActivationSampler, async_step, sample_activation
+from .activation import (ACTIVATION_MODES, BERNOULLI, FIXED_COUNT, ActivationSampler,
+                         async_step, sample_activation)
 from .analysis import kkt_residuals
 from .curvature import SCHEMES, Hyperparams
 from .datasets import Dataset, binarize_labels, parse_libsvm, partition
@@ -44,87 +47,73 @@ PROBLEM_KINDS = tuple(PROBLEMS)
 
 logger = logging.getLogger("druid")
 
+#: annotated type of a config field (a string under ``from __future__ import
+#: annotations``) -> (what its values are called, their type); a bool is of no other kind
+KINDS = {"bool": ("true or false", bool), "int": ("an integer", numbers.Integral),
+         "float": ("a finite number", numbers.Real), "str": ("a string", str)}
+#: bound of a config field -> (its sign, the test of a value against it)
+BOUNDS = {"at_least": (">=", operator.ge), "above": (">", operator.gt),
+          "at_most": ("<=", operator.le)}
+
+
+def rule(default=MISSING, *, choices=None, **bounds):
+    """A config field with its rule: the annotated type, the ``BOUNDS`` given
+    and the ``choices``.  A field whose default is None also admits None."""
+    return field(default=default, metadata={"choices": choices, "bounds": bounds})
+
+
+def describe(f) -> str:
+    """The rule of config field ``f`` as its errors and ``druid run --help`` state it."""
+    choices, bounds = f.metadata["choices"], f.metadata["bounds"].items()
+    words = "one of " + ", ".join(choices) if choices else KINDS[f.type][0]
+    return " ".join([words, " and ".join(f"{BOUNDS[name][0]} {b}" for name, b in bounds)]).rstrip()
+
 
 @dataclass
 class ExperimentConfig:
-    problem: str
-    dataset: str
-    gamma: float = 0.0
-    agents: int = 10
-    edge_prob: float = 0.5
-    graph_seed: int = 0
-    partition_seed: int = 1
-    scheme: str = "gradient"
-    mu_z: float = 1.0
-    mu_theta: float = 0.5
-    epsilon: float = None   # default: 0.55 * measured M_f, safely above M_f / 2
-    leader: int = 0
-    psi: float = 1.0
-    bfgs_bounding: bool = False
-    mode: str = "sync"
-    activation: str = "bernoulli"
-    activation_p: float = 0.5
-    activation_count: int = 1
-    activation_seed: int = 2
-    iterations: int = 1000
-    cadence: int = 1
-    output: str = "trace.csv"
-    ref_tol: float = 1e-12
-    ref_max_iter: int = 2_000_000
-    cost_iterate: str = "average"   # or "leader": which iterate the cost error reports
+    problem: str = rule(choices=PROBLEM_KINDS)
+    dataset: str = rule()
+    gamma: float = rule(0.0, at_least=0)
+    agents: int = rule(10, at_least=2)
+    edge_prob: float = rule(0.5, above=0, at_most=1)
+    graph_seed: int = rule(0, at_least=0)
+    partition_seed: int = rule(1, at_least=0)
+    scheme: str = rule("gradient", choices=SCHEMES)
+    mu_z: float = rule(1.0, above=0)
+    mu_theta: float = rule(0.5, above=0)
+    epsilon: float = rule(None, above=0)   # None: 0.55 * measured M_f, safely above M_f / 2
+    leader: int = rule(0, at_least=0)
+    psi: float = rule(1.0, above=0)
+    bfgs_bounding: bool = rule(False)
+    mode: str = rule("sync", choices=("sync", "async"))
+    activation: str = rule(BERNOULLI, choices=ACTIVATION_MODES)
+    activation_p: float = rule(0.5, above=0, at_most=1)
+    activation_count: int = rule(1, at_least=1)
+    activation_seed: int = rule(2, at_least=0)
+    iterations: int = rule(1000, at_least=1)
+    cadence: int = rule(1, at_least=1)
+    output: str = rule("trace.csv")
+    ref_tol: float = rule(1e-12, above=0)
+    ref_max_iter: int = rule(2_000_000, at_least=1)
+    cost_iterate: str = rule("average", choices=("average", "leader"))   # where cost_err is taken
 
     def __post_init__(self):
-        # field types, read from the annotations (strings under
-        # ``from __future__ import annotations``); bool is no number here
+        # the rules of Hyperparams, Regularizer, random_connected_graph, ActivationSampler,
+        # init_network and the reference solver, checked before any data is read
         for f in fields(self):
-            value = getattr(self, f.name)
-            number = isinstance(value, numbers.Real) and not isinstance(value, bool)
-            if f.type == "bool" and not isinstance(value, bool):
-                raise ConfigurationError(f"{f.name} must be true or false, got {value!r}")
-            if f.type == "int" and not (number and isinstance(value, numbers.Integral)):
-                raise ConfigurationError(f"{f.name} must be an integer, got {value!r}")
-            if f.type == "float" and not (number or (f.name == "epsilon" and value is None)):
-                raise ConfigurationError(f"{f.name} must be a number, got {value!r}")
-            if f.name.endswith("_seed") and value < 0:
-                raise ConfigurationError(f"{f.name} must be nonnegative, got {value}")
-        if self.problem not in PROBLEM_KINDS:
-            raise ConfigurationError(f"unknown problem kind {self.problem!r}")
-        if self.scheme not in SCHEMES:
-            raise ConfigurationError(f"unknown scheme {self.scheme!r}")
-        if self.mode not in ("sync", "async"):
-            raise ConfigurationError(f"mode must be sync or async, got {self.mode!r}")
-        if self.activation not in ("bernoulli", "fixed_count"):
-            raise ConfigurationError(f"unknown activation mode {self.activation!r}")
-        if self.iterations < 1:
-            raise ConfigurationError("iterations must be at least 1")
-        if self.cadence < 1:
-            raise ConfigurationError("cadence must be at least 1")
-        if self.cost_iterate not in ("average", "leader"):
-            raise ConfigurationError(f"unknown cost iterate {self.cost_iterate!r}")
-        # the rules of Hyperparams, Regularizer, random_connected_graph,
-        # ActivationSampler, init_network and the reference solver, checked
-        # before any data is read
-        positive = ["mu_z", "mu_theta", "psi", "ref_tol"]
-        if self.epsilon is not None:
-            positive.append("epsilon")
-        for name in positive:
-            value = getattr(self, name)
-            if not (np.isfinite(value) and value > 0):
-                raise ConfigurationError(f"{name} must be positive and finite, got {value}")
-        if not (np.isfinite(self.gamma) and self.gamma >= 0):
-            raise ConfigurationError(f"gamma must be nonnegative and finite, got {self.gamma}")
-        for name in ("edge_prob", "activation_p"):
-            if not (0.0 < getattr(self, name) <= 1.0):
-                raise ConfigurationError(f"{name} must lie in (0, 1], got {getattr(self, name)}")
-        if self.agents < 2:
-            raise ConfigurationError(f"agents must be at least 2, got {self.agents}")
-        if not (0 <= self.leader < self.agents):
+            value, choices = getattr(self, f.name), f.metadata["choices"]
+            admitted = (value is None and f.default is None) or (
+                isinstance(value, KINDS[f.type][1]) and isinstance(value, bool) == (f.type == "bool")
+                and (f.type != "float" or abs(value) <= sys.float_info.max)   # no NaN or inf
+                and (choices is None or value in choices)
+                and all(BOUNDS[name][1](value, b) for name, b in f.metadata["bounds"].items()))
+            if not admitted:
+                raise ConfigurationError(f"{f.name} must be {describe(f)}, got {value!r}")
+        if self.leader >= self.agents:
             raise ConfigurationError(f"leader {self.leader} out of range for agents={self.agents}")
-        if self.activation == "fixed_count" and not (1 <= self.activation_count <= self.agents):
+        if self.activation == FIXED_COUNT and self.activation_count > self.agents:
             raise ConfigurationError(
                 f"activation_count must lie in [1, {self.agents}], got {self.activation_count}")
-        if self.ref_max_iter < 1:
-            raise ConfigurationError(f"ref_max_iter must be at least 1, got {self.ref_max_iter}")
 
     def hyperparams(self, measured_M_f: float = None) -> Hyperparams:
         epsilon = self.epsilon
@@ -154,13 +143,22 @@ def config_from_dict(data: dict) -> ExperimentConfig:
 
 def load_config(path, overrides: dict = None) -> ExperimentConfig:
     """Read a JSON object config file and apply overrides on top."""
+    def unique_keys(pairs):
+        repeated = [key for i, (key, _) in enumerate(pairs) if key in dict(pairs[:i])]
+        if repeated:
+            raise ConfigurationError(f"config file {str(path)!r} repeats the key {repeated[0]!r}")
+        return dict(pairs)
+
     with open(path) as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh, object_pairs_hook=unique_keys)
+        except json.JSONDecodeError as exc:
+            raise ConfigurationError(f"config file {str(path)!r} does not parse: {exc.msg} "
+                                     f"at line {exc.lineno}, column {exc.colno}") from None
     if not isinstance(data, dict):
         raise ConfigurationError(
             f"config file {str(path)!r} must hold a JSON object, got {type(data).__name__}")
-    if overrides:
-        data.update({k: v for k, v in overrides.items() if v is not None})
+    data.update({k: v for k, v in (overrides or {}).items() if v is not None})
     return config_from_dict(data)
 
 
@@ -230,12 +228,9 @@ def run_experiment(cfg: ExperimentConfig) -> Path:
         logger.warning("epsilon=%r is at or below M_f/2=%r: the rate condition "
                        "epsilon > M_f/2 does not hold", cfg.epsilon, M_f / 2)
     ns = init_network(problem, graph, cfg.hyperparams(M_f))
-    sampler = None
-    if cfg.mode == "async":
-        if cfg.activation == "bernoulli":
-            sampler = ActivationSampler.bernoulli(cfg.activation_p, cfg.agents, cfg.activation_seed)
-        else:
-            sampler = ActivationSampler.fixed_count(cfg.activation_count, cfg.agents, cfg.activation_seed)
+    sampler = None if cfg.mode == "sync" else ActivationSampler(
+        cfg.activation, cfg.agents, cfg.activation_seed,
+        probabilities=cfg.activation_p, count=cfg.activation_count)
     records = [_metrics(ns, cfg, ref, cost0, dist0)]
     try:
         for _ in range(cfg.iterations):

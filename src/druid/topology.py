@@ -236,8 +236,10 @@ def read_edge_list(stream: TextIO) -> Graph:
     for lineno, line in enumerate(stream, start=n + 2):
         if line.strip():
             raise ParseError(f"non-blank line after the {n} declared edges", lineno)
-    try:
-        return Graph(m, edges.keys())
-    except ValueError:   # the lines meet every other rule of Graph's: it is disconnected
-        raise ParseError(f"header 'm n' declares m={m} agents that its n={n} edges "
-                         "leave disconnected", 1) from None
+    if n >= m - 1:   # fewer edges leave m agents disconnected: no (m, m) adjacency needed
+        try:
+            return Graph(m, edges.keys())
+        except ValueError:   # the lines meet every other rule of Graph's: it is disconnected
+            pass
+    raise ParseError(f"header 'm n' declares m={m} agents that its n={n} edges "
+                     "leave disconnected", 1)

@@ -1,5 +1,11 @@
 import json
 import logging
+import os
+import re
+import subprocess
+import sys
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -150,6 +156,8 @@ def test_load_config_with_overrides(tmp_path):
     ("{}", r"missing required config keys: \['problem', 'dataset'\]"),
     ("[1, 2]", r"must hold a JSON object, got list"),
     ('"ridge"', r"must hold a JSON object, got str"),
+    ('{\n  "agents": 2,\n}', r"cfg\.json' does not parse: .* at line 3, column 1$"),
+    ('{"agents": 2, "agents": 3}', r"cfg\.json' repeats the key 'agents'"),
 ])
 def test_load_config_names_what_is_wrong_with_the_file(tmp_path, content, message):
     cfg_path = tmp_path / "cfg.json"
@@ -227,6 +235,48 @@ def test_cli_async_flag_switches_mode(tmp_path):
     assert int(rows[-1][6]) < 8 * 2 * g.n * 3  # fewer broadcasts than sync
 
 
+def test_cli_flags_reach_every_field(tmp_path):
+    # a fixed-count asynchronous run from flags alone traces what its config file does
+    data = tmp_path / "data.txt"
+    write_dataset(data)
+    settings = {"problem": "ridge", "dataset": str(data), "gamma": 0.05, "agents": 5,
+                "edge_prob": 0.7, "epsilon": 2.0, "iterations": 12, "cadence": 3,
+                "mode": "async", "activation": "fixed_count", "activation_count": 2}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**settings, "output": str(tmp_path / "file.csv")}))
+    assert main(["run", "--config", str(cfg_path)]) == 0
+    flags = [f"--{key.replace('_', '-')}={value}" for key, value in settings.items()]
+    assert main(["run", *flags, "--output", str(tmp_path / "flags.csv")]) == 0
+    assert (tmp_path / "flags.csv").read_bytes() == (tmp_path / "file.csv").read_bytes()
+
+
+def test_run_help_lists_a_flag_for_every_field():
+    root = Path(__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-m", "druid", "run", "--help"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    flags = set(re.findall(r"--[a-z-]+", done.stdout))
+    missing = [f.name for f in fields(ExperimentConfig)
+               if "--" + f.name.replace("_", "-") not in flags]
+    assert not missing, f"no flag for {missing}"
+
+
+@pytest.mark.parametrize("flags, clash", [
+    (["--seed", "1", "--graph-seed", "4"], "--graph-seed"),
+    (["--seed", "1", "--activation-seed", "4"], "--activation-seed"),
+    (["--async-p", "0.5", "--mode", "sync"], "--mode"),
+    (["--async-p", "0.5", "--activation", "fixed_count"], "--activation"),
+    (["--async-p", "0.5", "--activation-p", "0.3"], "--activation-p"),
+])
+def test_cli_shorthand_with_a_flag_it_sets_is_an_error(tmp_path, capsys, flags, clash):
+    assert main(["run", "--problem", "ridge", "--dataset", str(tmp_path / "missing.txt"),
+                 *flags]) == 1
+    # named before the config is built or any data is read
+    assert capsys.readouterr().err.startswith(f"error: {flags[0]} sets {clash}")
+
+
 def test_cli_reports_errors_with_nonzero_exit(tmp_path, capsys):
     code = main(["run", "--config", str(tmp_path / "missing.json")])
     assert code == 1
@@ -240,14 +290,14 @@ def test_cli_reports_errors_with_nonzero_exit(tmp_path, capsys):
     ("iterations", 5.5), ("agents", 10.0), ("cadence", 2.5), ("leader", True),
     ("activation_count", True), ("ref_max_iter", 1e6), ("graph_seed", -1),
     ("partition_seed", 1.0), ("activation_seed", -2), ("mu_z", "1"), ("gamma", True),
-    ("epsilon", "2"), ("bfgs_bounding", 1),
+    ("epsilon", "2"), ("bfgs_bounding", 1), ("dataset", 0), ("output", 3),
 ])
 def test_config_rejects_bad_values_before_reading_data(tmp_path, field, value):
     # activation_count only applies to fixed-count activation (agents=10 by default)
     extra = {"activation": "fixed_count"} if field == "activation_count" else {}
+    args = {"problem": "ridge", "dataset": str(tmp_path / "missing.txt"), **extra, field: value}
     with pytest.raises(ConfigurationError, match=field):
-        ExperimentConfig(problem="ridge", dataset=str(tmp_path / "missing.txt"),
-                         **{field: value}, **extra)
+        ExperimentConfig(**args)
 
 
 def test_missing_output_directory_fails_before_reading_data(tmp_path):

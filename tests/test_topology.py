@@ -176,6 +176,9 @@ def test_read_edge_list_rejects_bad_input():
     with pytest.raises(ParseError, match="line 1: header 'm n' declares m=4 agents that its n=1 "
                                          "edges leave disconnected"):
         read_edge_list(io.StringIO("4 1\n1 2\n"))
+    with pytest.raises(ParseError, match="line 1: header 'm n' declares m=1000000 agents that its "
+                                         "n=1 edges leave disconnected"):
+        read_edge_list(io.StringIO("1000000 1\n1 2\n"))  # before the (m, m) adjacency
     with pytest.raises(ParseError, match=r"line 3: duplicate edge \(1, 2\), first on line 2"):
         read_edge_list(io.StringIO("3 2\n1 2\n1 2\n"))
     with pytest.raises(ParseError, match=r"line 4: duplicate edge \(2, 3\), first on line 2"):
