@@ -2,8 +2,9 @@
 
 This module provides independent routes to check the reduced network
 iteration: stationarity/consensus residuals, a literal three-block ADMM
-recursion over the stacked variables (x, z, y = [alpha; beta], theta,
-lambda) whose state owns its inputs, dense block matrices, curvature shifts
+recursion over the network's own shapes ((m, d) iterates x, (n, d) edge
+variables z and edge duals alpha, beta, and the leader's theta, lambda)
+whose state owns its inputs, the agent-level incidences, curvature shifts
 and BFGS models, least-squares recovery of the unique dual pair in the
 column space of the stacked constraint matrix, the edge duals the network
 iteration does not store, the weighted Lyapunov distance of a network state
@@ -54,47 +55,36 @@ def kkt_residuals(ns: NetworkState):
 
 @dataclass
 class FullAdmmState:
-    """Stacked-variable state of the unreduced recursion: the problem, graph
-    and hyperparameters ``full_admm_init`` was given, and the dense
-    operators at full (Kronecker) dimension and the shifts it builds once."""
+    """State of the unreduced recursion on the network's own shapes: the
+    problem, graph and hyperparameters ``full_admm_init`` was given, the
+    agent-level incidences and the shifts it builds once, and the three
+    blocks (x; z; alpha, beta) with the leader's (theta, lambda)."""
 
     problem: ConsensusProblem
     graph: Graph
     hp: Hyperparams
-    x: np.ndarray      # (m*d,)
-    z: np.ndarray      # (n*d,)
-    y: np.ndarray      # (2*n*d,), stacked [alpha; beta]
+    x: np.ndarray      # (m, d)
+    z: np.ndarray      # (n, d)
+    alpha: np.ndarray  # (n, d), dual of the source side x_src = z
+    beta: np.ndarray   # (n, d), dual of the destination side x_dst = z
     theta: np.ndarray  # (d,)
     lam: np.ndarray    # (d,)
-    A: np.ndarray      # (2*n*d, m*d), stacked [A_s; A_d] (x) I
-    B: np.ndarray      # (2*n*d, n*d), stacked [I; I]
-    S: np.ndarray      # (m*d, d), selects the leader's block
+    A_s: np.ndarray    # (n, m), one at each edge's source
+    A_d: np.ndarray    # (n, m), one at each edge's destination
     shift: np.ndarray  # (m,), constant diagonal of each curvature block
     models: np.ndarray = None  # (m, d, d) BFGS inverse estimates
-
-    @property
-    def alpha(self) -> np.ndarray:
-        return self.y[: self.y.size // 2]
-
-    @property
-    def beta(self) -> np.ndarray:
-        return self.y[self.y.size // 2:]
 
 
 def full_admm_init(problem: ConsensusProblem, graph: Graph, hp: Hyperparams) -> FullAdmmState:
     """Zero initialization matching the reduced algorithm's."""
     m, n, d = graph.m, graph.n, problem.d
     tm = build_matrices(graph)
-    eye = np.eye(d)
-    S = np.zeros((m * d, d))
-    S[hp.leader * d:(hp.leader + 1) * d] = eye
     shift = cv.block_diag_value(hp, graph.degrees, np.arange(m) == hp.leader)
     return FullAdmmState(
-        problem=problem, graph=graph, hp=hp, x=np.zeros(m * d), z=np.zeros(n * d),
-        y=np.zeros(2 * n * d), theta=np.zeros(d), lam=np.zeros(d),
-        A=np.vstack([np.kron(tm.A_s, eye), np.kron(tm.A_d, eye)]),
-        B=np.vstack([np.eye(n * d), np.eye(n * d)]), S=S, shift=shift,
-        models=eye / shift[:, None, None] if hp.scheme == cv.BFGS else None,
+        problem=problem, graph=graph, hp=hp, x=np.zeros((m, d)), z=np.zeros((n, d)),
+        alpha=np.zeros((n, d)), beta=np.zeros((n, d)), theta=np.zeros(d), lam=np.zeros(d),
+        A_s=tm.A_s, A_d=tm.A_d, shift=shift,
+        models=np.eye(d) / shift[:, None, None] if hp.scheme == cv.BFGS else None,
     )
 
 
@@ -103,45 +93,45 @@ def full_admm_oracle_step(st: FullAdmmState) -> FullAdmmState:
 
     The primal minimization is replaced by the identical one-step
     curvature update as the network iteration; the edge variable solve is
-    closed-form; both dual vectors ascend explicitly.  Each BFGS pair spans
-    the step, from the iterate and gradient it starts at.
+    closed-form; both edge duals and the leader's multiplier ascend
+    explicitly.  Each BFGS pair spans the step, from the iterate and
+    gradient it starts at.
     """
-    problem, graph, hp = st.problem, st.graph, st.hp
-    m, d = graph.m, problem.d
-    A, B, S, shift = st.A, st.B, st.S, st.shift
-    X = st.x.reshape(m, d)
-    grad_f = np.concatenate([problem.objectives[i].gradient(X[i]) for i in range(m)])
+    problem, hp = st.problem, st.hp
+    A_s, A_d, shift, leader, x = st.A_s, st.A_d, st.shift, hp.leader, st.x
+    grad_f = np.stack([obj.gradient(x[i]) for i, obj in enumerate(problem.objectives)])
     grad_l = (
-        grad_f + A.T @ st.y + S @ st.lam
-        + hp.mu_z * (A.T @ (A @ st.x - B @ st.z))
-        + hp.mu_theta * (S @ (S.T @ st.x - st.theta))
+        grad_f + A_s.T @ st.alpha + A_d.T @ st.beta
+        + hp.mu_z * (A_s.T @ (A_s @ x - st.z) + A_d.T @ (A_d @ x - st.z))
     )
-    u = np.empty_like(st.x)
-    for i in range(m):
-        sl = slice(i * d, (i + 1) * d)
+    grad_l[leader] += st.lam + hp.mu_theta * (x[leader] - st.theta)
+    u = np.empty_like(x)
+    for i, obj in enumerate(problem.objectives):
         if hp.scheme == cv.GRADIENT:
-            u[sl] = grad_l[sl] / shift[i]
+            u[i] = grad_l[i] / shift[i]
         elif hp.scheme == cv.NEWTON:
-            block = problem.objectives[i].hessian(X[i])
+            block = obj.hessian(x[i])
             block[np.diag_indices_from(block)] += shift[i]
-            u[sl] = np.linalg.solve(block, grad_l[sl])
+            u[i] = np.linalg.solve(block, grad_l[i])
         else:
-            u[sl] = st.models[i] @ grad_l[sl]
-    x_new = st.x - u
-    theta_new = prox(problem.regularizer, hp.mu_theta, S.T @ x_new + st.lam / hp.mu_theta)
-    z_new = (B.T @ st.y) / (2.0 * hp.mu_z) + 0.5 * (B.T @ (A @ x_new))
-    y_new = st.y + hp.mu_z * (A @ x_new - B @ z_new)
-    lam_new = st.lam + hp.mu_theta * (S.T @ x_new - theta_new)
+            u[i] = st.models[i] @ grad_l[i]
+    x_new = x - u
+    theta_new = prox(problem.regularizer, hp.mu_theta, x_new[leader] + st.lam / hp.mu_theta)
+    src, dst = A_s @ x_new, A_d @ x_new
+    z_new = (st.alpha + st.beta) / (2.0 * hp.mu_z) + 0.5 * (src + dst)
+    alpha_new = st.alpha + hp.mu_z * (src - z_new)
+    beta_new = st.beta + hp.mu_z * (dst - z_new)
+    lam_new = st.lam + hp.mu_theta * (x_new[leader] - theta_new)
     models = None
     if hp.scheme == cv.BFGS:
-        X_new = x_new.reshape(m, d)
-        grad_new = np.stack([problem.objectives[i].gradient(X_new[i]) for i in range(m)])
-        s = X_new - X
-        q = grad_new - grad_f.reshape(m, d) + shift[:, None] * s
+        grad_new = np.stack([obj.gradient(x_new[i]) for i, obj in enumerate(problem.objectives)])
+        s = x_new - x
+        q = grad_new - grad_f + shift[:, None] * s
         models = cv.bfgs_inverse_update(
             st.models, s, q, psi=hp.psi if hp.bfgs_bounding else None
         )
-    return replace(st, x=x_new, z=z_new, y=y_new, theta=theta_new, lam=lam_new, models=models)
+    return replace(st, x=x_new, z=z_new, alpha=alpha_new, beta=beta_new, theta=theta_new,
+                   lam=lam_new, models=models)
 
 
 # --- dual recovery at a known optimum --------------------------------------

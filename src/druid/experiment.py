@@ -2,15 +2,16 @@
 
 A run builds the graph and the stacked consensus problem from a sparse text
 dataset, computes the centralized reference, iterates the network for the
-configured number of rounds, and writes a CSV trace with header
-``t,cost_err,dist_err,r_opt,r_cons,r_reg,comm_scalars``.  Everything is
-seeded, so identical configurations produce byte-identical traces.
+configured number of rounds, and writes a CSV trace whose header is
+``COLUMNS``.  Everything is seeded, so identical configurations produce
+byte-identical traces.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import math
 import numbers
 import operator
 import sys
@@ -46,6 +47,9 @@ PROBLEMS = {
 PROBLEM_KINDS = tuple(PROBLEMS)
 
 logger = logging.getLogger("druid")
+
+#: the trace's columns, in the order of the rows ``_metrics`` returns
+COLUMNS = ("t", "cost_err", "dist_err", "r_opt", "r_cons", "r_reg", "comm_scalars")
 
 #: annotated type of a config field (a string under ``from __future__ import
 #: annotations``) -> (what its values are called, their type); a bool is of no other kind
@@ -141,6 +145,12 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     return ExperimentConfig(**data)
 
 
+def _not_utf8(what: str, path, exc: UnicodeDecodeError) -> ConfigurationError:
+    """The error for a ``what`` file at ``path`` that does not decode as UTF-8."""
+    return ConfigurationError(f"{what} file {str(path)!r} is not UTF-8 text: "
+                              f"byte 0x{exc.object[exc.start]:02x} ({exc.reason})")
+
+
 def load_config(path, overrides: dict = None) -> ExperimentConfig:
     """Read a JSON object config file and apply overrides on top."""
     def unique_keys(pairs):
@@ -149,12 +159,14 @@ def load_config(path, overrides: dict = None) -> ExperimentConfig:
             raise ConfigurationError(f"config file {str(path)!r} repeats the key {repeated[0]!r}")
         return dict(pairs)
 
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             data = json.load(fh, object_pairs_hook=unique_keys)
         except json.JSONDecodeError as exc:
             raise ConfigurationError(f"config file {str(path)!r} does not parse: {exc.msg} "
                                      f"at line {exc.lineno}, column {exc.colno}") from None
+        except UnicodeDecodeError as exc:
+            raise _not_utf8("config", path, exc) from None
     if not isinstance(data, dict):
         raise ConfigurationError(
             f"config file {str(path)!r} must hold a JSON object, got {type(data).__name__}")
@@ -177,35 +189,18 @@ def build_problem(cfg: ExperimentConfig, ds: Dataset) -> ConsensusProblem:
                             Regularizer(regularizer, cfg.gamma))
 
 
-@dataclass(frozen=True)
-class TraceRecord:
-    t: int
-    cost_err: float
-    dist_err: float
-    r_opt: float
-    r_cons: float
-    r_reg: float
-    comm_scalars: int
-
-
 def _metrics(ns: NetworkState, cfg: ExperimentConfig, ref, cost0: float,
-             dist0: float) -> TraceRecord:
+             dist0: float) -> tuple:
+    """The trace row of the network's current state, in ``COLUMNS`` order."""
     X = ns.X
     point = X[cfg.leader] if cfg.cost_iterate == "leader" else X.mean(axis=0)
     cost = ns.problem.total_value(point)
     dist = float(np.linalg.norm(X - ref.x_star[None, :]))
-    r_opt, r_cons, r_reg = kkt_residuals(ns)
-    rec = TraceRecord(
-        t=ns.t,
-        cost_err=(cost - ref.cost_star) / cost0,
-        dist_err=dist / dist0,
-        r_opt=r_opt, r_cons=r_cons, r_reg=r_reg,
-        comm_scalars=ns.comm_scalars,
-    )
-    for value in (rec.cost_err, rec.dist_err, rec.r_opt, rec.r_cons, rec.r_reg):
-        if not np.isfinite(value):
-            raise DivergenceError(f"non-finite trace metric at t={ns.t}", ns.t)
-    return rec
+    row = (ns.t, (cost - ref.cost_star) / cost0, dist / dist0, *kkt_residuals(ns),
+           ns.comm_scalars)
+    if not all(map(math.isfinite, row[1:-1])):
+        raise DivergenceError(f"non-finite trace metric at t={ns.t}", ns.t)
+    return row
 
 
 def run_experiment(cfg: ExperimentConfig) -> Path:
@@ -213,8 +208,11 @@ def run_experiment(cfg: ExperimentConfig) -> Path:
     out = Path(cfg.output)
     if not out.parent.is_dir():
         raise ConfigurationError(f"output {cfg.output!r}: directory {str(out.parent)!r} does not exist")
-    with open(cfg.dataset) as fh:
-        ds = parse_libsvm(fh)
+    with open(cfg.dataset, encoding="utf-8") as fh:
+        try:
+            ds = parse_libsvm(fh)
+        except UnicodeDecodeError as exc:
+            raise _not_utf8("dataset", cfg.dataset, exc) from None
     graph = random_connected_graph(cfg.agents, cfg.edge_prob, cfg.graph_seed)
     problem = build_problem(cfg, ds)
     ref = centralized_reference(problem, tol=cfg.ref_tol, max_iter=cfg.ref_max_iter)
@@ -247,10 +245,6 @@ def run_experiment(cfg: ExperimentConfig) -> Path:
             f"{cfg.problem} run aborted at iteration {ns.t}: {exc}"
         ) from exc
     with open(out, "w") as fh:
-        fh.write("t,cost_err,dist_err,r_opt,r_cons,r_reg,comm_scalars\n")
-        for rec in records:
-            fh.write(
-                f"{rec.t},{rec.cost_err!r},{rec.dist_err!r},{rec.r_opt!r},"
-                f"{rec.r_cons!r},{rec.r_reg!r},{rec.comm_scalars}\n"
-            )
+        fh.write(",".join(COLUMNS) + "\n")
+        fh.writelines(",".join(map(repr, row)) + "\n" for row in records)
     return out

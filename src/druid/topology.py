@@ -5,8 +5,10 @@ Every stored edge (i, j) satisfies i < j, with i the source and j the
 destination, and edges are enumerated in lexicographic order so that runs
 are reproducible.  Block (Kronecker-with-identity) versions of the matrices
 are never materialized: ``edge_differences``/``edge_sums`` apply the
-incidences to (m, d) arrays directly, and the network iteration and
-``spectral_constants`` work with the cached ``Graph.adjacency`` and degrees.
+incidences to (m, d) arrays directly, the network iteration and
+``spectral_constants`` work with the cached ``Graph.adjacency`` and degrees,
+and the analysis oracle multiplies (m, d) and (n, d) arrays by the
+agent-level matrices of ``build_matrices``.
 """
 
 from __future__ import annotations
@@ -91,8 +93,8 @@ def _check_agent_count(m) -> None:
 class TopologyMatrices:
     """Source/destination and signed incidence matrices and the signed Laplacian.
 
-    All are agent-level (n x m or m x m); apply to d-dimensional states
-    via the per-coordinate helpers instead of forming Kronecker blocks.
+    All are agent-level (n x m or m x m) and act on (m, d) and (n, d)
+    states as they are (``A_s @ X``); no Kronecker block is formed.
     """
 
     A_s: np.ndarray

@@ -81,16 +81,15 @@ def test_criterion_1_reduction_matches_unreduced_recursion():
             for _ in range(100):
                 sync_step(ns)
                 st = full_admm_oracle_step(st)
-                X = st.x.reshape(graph.m, problem.d)
                 deviation = max(
-                    np.abs(X - ns.X).max(),
-                    np.abs(E_s.T @ st.alpha.reshape(graph.n, -1) - ns.Phi).max(),
+                    np.abs(st.x - ns.X).max(),
+                    np.abs(E_s.T @ st.alpha - ns.Phi).max(),
                     np.abs(st.theta - ns.theta).max(),
                     np.abs(st.lam - ns.lam).max(),
                 )
                 assert deviation <= 1e-10
                 assert np.abs(st.alpha + st.beta).max() <= 1e-12
-                z_manifold = 0.5 * edge_sums(graph, X).ravel()
+                z_manifold = 0.5 * edge_sums(graph, st.x)
                 assert np.abs(st.z - z_manifold).max() <= 1e-12
         assert time.perf_counter() - start < 1.0
 

@@ -129,27 +129,46 @@ def test_kkt_residuals_vanish_at_fixed_point():
 # --- unreduced recursion -----------------------------------------------------
 
 
-@pytest.mark.parametrize("scheme, extra", [
-    *[pytest.param(scheme, {}, id=scheme) for scheme in SCHEMES],
-    # the curvature bound of criterion 7
-    pytest.param(BFGS, dict(bfgs_bounding=True, psi=1000.0), id="bfgs-bounded"),
-])
-def test_oracle_matches_network_on_two_agents(scheme, extra):
+def make_two_agent_instance():
     graph = Graph(2, [(0, 1)])
     objs = [
         LocalObjective(LEAST_SQUARES, [[1.0, 0.2], [0.0, 0.5]], [1.0, -1.0]),
         LocalObjective(LEAST_SQUARES, [[0.7, 0.0], [0.1, 0.9]], [0.5, 2.0]),
     ]
-    problem = ConsensusProblem.from_objectives(objs, Regularizer(L1, 0.1))
-    hp = hp_for(scheme, problem, epsilon=2.0, **extra)
+    return graph, ConsensusProblem.from_objectives(objs, Regularizer(L1, 0.1))
+
+
+#: (instance builder, whether the last agent leads, id suffix): least squares
+#: on two agents and logistic on five, each led by its first and last agent;
+#: logistic Newton is the one run whose curvature is factored every step
+ORACLE_CASES = [
+    (make_two_agent_instance, False, ""), (make_two_agent_instance, True, "-leader-last"),
+    (make_logistic_instance, False, "-logistic"),
+    (make_logistic_instance, True, "-logistic-leader-last"),
+]
+
+
+@pytest.mark.parametrize("scheme, extra, make_instance, leader_last", [
+    pytest.param(scheme, extra, make_instance, leader_last, id=name + suffix)
+    for scheme, extra, name in [
+        *[(scheme, {}, scheme) for scheme in SCHEMES],
+        # the curvature bound of criterion 7
+        (BFGS, dict(bfgs_bounding=True, psi=1000.0), "bfgs-bounded"),
+    ]
+    for make_instance, leader_last, suffix in ORACLE_CASES
+])
+def test_oracle_matches_network_on_two_agents(scheme, extra, make_instance, leader_last):
+    graph, problem = make_instance()
+    leader = graph.m - 1 if leader_last else 0
+    hp = hp_for(scheme, problem, epsilon=2.0, leader=leader, **extra)
     ns = init_network(problem, graph, hp)
     st = full_admm_init(problem, graph, hp)
+    E_s = build_matrices(graph).E_s
     for _ in range(2):
         sync_step(ns)
         st = full_admm_oracle_step(st)
-        assert np.abs(st.x.reshape(2, 2) - ns.X).max() <= 1e-12
-        phi_from_alpha = build_matrices(graph).E_s.T @ st.alpha.reshape(graph.n, 2)
-        assert np.abs(phi_from_alpha - ns.Phi).max() <= 1e-12
+        assert np.abs(st.x - ns.X).max() <= 1e-12
+        assert np.abs(E_s.T @ st.alpha - ns.Phi).max() <= 1e-12
         assert np.abs(st.theta - ns.theta).max() <= 1e-12
         assert np.abs(st.lam - ns.lam).max() <= 1e-12
 
@@ -162,8 +181,8 @@ def test_oracle_invariants_over_long_run():
     for _ in range(100):
         st = full_admm_oracle_step(st)
         assert np.abs(st.alpha + st.beta).max() <= 1e-12
-        z_manifold = 0.5 * ((tm.A_s + tm.A_d) @ st.x.reshape(graph.m, problem.d))
-        assert np.abs(st.z.reshape(graph.n, problem.d) - z_manifold).max() <= 1e-12
+        z_manifold = 0.5 * ((tm.A_s + tm.A_d) @ st.x)
+        assert np.abs(st.z - z_manifold).max() <= 1e-12
 
 
 def test_oracle_builds_its_operators_once(monkeypatch):
@@ -178,6 +197,10 @@ def test_oracle_builds_its_operators_once(monkeypatch):
         st = full_admm_oracle_step(st)
     assert calls == [graph]
     assert st.problem is problem and st.graph is graph and st.hp is hp
+    # agent-level operators only: no Kronecker block of (2nd, md) entries
+    m, n, d = graph.m, graph.n, problem.d
+    sizes = {name: value.size for name, value in vars(st).items() if isinstance(value, np.ndarray)}
+    assert sizes and max(sizes.values()) <= max(n * m, m * d * d, n * d), sizes
 
 
 # --- dual recovery -----------------------------------------------------------

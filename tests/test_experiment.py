@@ -158,10 +158,12 @@ def test_load_config_with_overrides(tmp_path):
     ('"ridge"', r"must hold a JSON object, got str"),
     ('{\n  "agents": 2,\n}', r"cfg\.json' does not parse: .* at line 3, column 1$"),
     ('{"agents": 2, "agents": 3}', r"cfg\.json' repeats the key 'agents'"),
+    (b'{"problem": "ridge", "dataset": "\xff"}',
+     r"cfg\.json' is not UTF-8 text: byte 0xff \(invalid start byte\)$"),
 ])
 def test_load_config_names_what_is_wrong_with_the_file(tmp_path, content, message):
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(content)
+    cfg_path.write_bytes(content if isinstance(content, bytes) else content.encode())
     with pytest.raises(ConfigurationError, match=message):
         load_config(cfg_path)
     with pytest.raises(ConfigurationError, match=message):
@@ -305,6 +307,19 @@ def test_missing_output_directory_fails_before_reading_data(tmp_path):
                            output=str(tmp_path / "absent" / "trace.csv"))
     with pytest.raises(ConfigurationError, match="output"):
         run_experiment(cfg)
+
+
+@pytest.mark.parametrize("valid_lines", [0, 40, 1000])   # 1000 lines fill the first read block
+def test_dataset_that_is_not_utf8_is_named(tmp_path, valid_lines):
+    data = tmp_path / "data.txt"
+    write_dataset(data, n=max(valid_lines, 1))
+    lines = data.read_bytes().splitlines(keepends=True)[:valid_lines]
+    data.write_bytes(b"".join(lines) + b"1 1:0.5 2:\xff\n2 1:1.0\n")
+    cfg = base_config(tmp_path)
+    with pytest.raises(ConfigurationError,
+                       match=r"dataset file '.*data\.txt' is not UTF-8 text: byte 0xff"):
+        run_experiment(cfg)
+    assert not Path(cfg.output).exists()
 
 
 def test_build_problem_rejects_a_dataset_without_features(tmp_path):
