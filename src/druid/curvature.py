@@ -166,8 +166,12 @@ def _inverse_newton_blocks(problem, shift):
 def _secant_refresh(ns, rows, x_old, g_old):
     s, q = bfgs_pair(x_old, ns.X[rows], g_old, ns.G[rows], ns.shift[rows, None])
     psi = ns.hp.psi if ns.hp.bfgs_bounding else None
-    ns.B[rows] = models = bfgs_inverse_update(ns.B[rows], s, q, psi=psi)
-    return models
+    models = _model_rows(ns, rows)
+    new = bfgs_inverse_update(models, s, q, psi=psi)
+    if new is models:  # every pair skipped
+        return None
+    ns.B[rows] = new
+    return new
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,9 @@ by the state.  Each agent reads its neighbors' current iterates,
 since every update is sent to the neighbors as it happens.  Synchronous and
 asynchronous iterations are the same step with a full or a partial
 activation mask, so full participation is exactly the synchronous algorithm.
+With every agent active the step replaces ``X`` and ``G`` whole, and the
+Laplacian term the dual update forms at the new iterates is the next step's
+coupling, so each synchronous round computes it once.
 The rows every phase wrote are checked before the step returns, so a
 diverging run stops on the step that first produces a non-finite value.
 """
@@ -41,7 +44,13 @@ class NetworkState:
     gradients at ``X`` (refresh it when writing ``X`` by hand); ``B``
     (m, d, d) the inverse models of the curvature blocks: the BFGS
     estimates, or under Newton with constant local Hessians the exact
-    inverses computed once at init; None otherwise.
+    inverses computed once at init; None otherwise.  ``lap`` caches the
+    Laplacian term ``deg*X - A@X`` (m, d) as the pair (X, term): a
+    synchronous dual update forms it at the new iterates and the next
+    synchronous step's coupling reads it.  It is valid only while that very
+    array is ``X``, so assigning a new ``X`` drops it; a partial step, which
+    writes ``X`` in place, sets it to None, and so must any in-place write
+    to ``X`` outside a step.
     """
 
     graph: Graph
@@ -55,6 +64,7 @@ class NetworkState:
     shift: np.ndarray
     G: np.ndarray
     B: np.ndarray = None
+    lap: tuple = None
     t: int = 0
     comm_scalars: int = 0
 
@@ -79,19 +89,33 @@ def init_network(problem: ConsensusProblem, graph: Graph, hp: Hyperparams) -> Ne
     )
 
 
-def local_gradient(ns: NetworkState, rows) -> np.ndarray:
-    """Augmented-Lagrangian gradient at the listed rows of X; the local part is the cached ``G``."""
-    rows = np.asarray(rows, dtype=np.intp)
+def laplacian_term(ns: NetworkState) -> np.ndarray:
+    """``deg*X - A@X`` at the current ``X`` of every agent, read from
+    ``ns.lap`` when it was formed from this ``X``, else formed and cached."""
+    X = ns.X
+    if ns.lap is None or ns.lap[0] is not X:
+        ns.lap = (X, ns.graph.degrees[:, None] * X - ns.graph.adjacency @ X)
+    return ns.lap[1]
+
+
+def local_gradient(ns: NetworkState, rows=None) -> np.ndarray:
+    """Augmented-Lagrangian gradient at the listed rows of X, or at every row
+    when ``rows`` is None; the local part is the cached ``G``."""
     X, hp = ns.X, ns.hp
-    coupling = ns.graph.degrees[rows, None] * X[rows] - ns.graph.adjacency[rows] @ X
-    H = ns.G[rows] + ns.Phi[rows] + 0.5 * hp.mu_z * coupling
-    lead = np.flatnonzero(rows == hp.leader)
-    if lead.size:
+    if rows is None:
+        H = ns.G + ns.Phi + 0.5 * hp.mu_z * laplacian_term(ns)
+        lead = [hp.leader]
+    else:
+        rows = np.asarray(rows, dtype=np.intp)
+        coupling = ns.graph.degrees[rows, None] * X[rows] - ns.graph.adjacency[rows] @ X
+        H = ns.G[rows] + ns.Phi[rows] + 0.5 * hp.mu_z * coupling
+        lead = np.flatnonzero(rows == hp.leader)
+    if len(lead):
         H[lead] = H[lead] + hp.mu_theta * (X[hp.leader] - ns.theta) + ns.lam
     return H
 
 
-def dual_updates(ns: NetworkState, active: np.ndarray) -> None:
+def dual_updates(ns: NetworkState, active=None) -> None:
     """Dual ascent along every edge with a participating endpoint.
 
     The consensus duals live on edges; an edge whose source or destination
@@ -99,12 +123,17 @@ def dual_updates(ns: NetworkState, active: np.ndarray) -> None:
     both endpoints' rows of Phi with opposite signs (so the aggregate dual
     stays in the range of the signed incidence even under partial
     participation).  The participating leader then applies the proximal
-    map and its multiplier step.
+    map and its multiplier step.  ``active`` is a boolean mask over agents;
+    None means every agent, whose update is the Laplacian term at ``X``,
+    kept in ``ns.lap`` for the next step's coupling.
     """
     hp = ns.hp
-    touched = ns.graph.adjacency * (active[:, None] | active[None, :])
-    ns.Phi += 0.5 * hp.mu_z * (touched.sum(axis=1)[:, None] * ns.X - touched @ ns.X)
-    if active[hp.leader]:
+    if active is None:
+        ns.Phi += 0.5 * hp.mu_z * laplacian_term(ns)
+    else:
+        touched = ns.graph.adjacency * (active[:, None] | active[None, :])
+        ns.Phi += 0.5 * hp.mu_z * (touched.sum(axis=1)[:, None] * ns.X - touched @ ns.X)
+    if active is None or active[hp.leader]:
         x_lead = ns.X[hp.leader]
         theta_new = prox(ns.problem.regularizer, hp.mu_theta, x_lead + ns.lam / hp.mu_theta)
         ns.lam = ns.lam + hp.mu_theta * (x_lead - theta_new)
@@ -135,14 +164,26 @@ def apply_step(ns: NetworkState, active: np.ndarray) -> NetworkState:
     """
     active = np.asarray(active, dtype=bool)
     rows = np.flatnonzero(active)
+    # every agent active: whole arrays are replaced instead of gathered and
+    # scattered, and the dual update's Laplacian term is the next coupling
+    full = len(rows) == ns.graph.m
     curvature = ns.kernel.build(ns, rows)
-    H = local_gradient(ns, rows)
-    x_old, g_old = ns.X[rows], ns.G[rows]
-    ns.X[rows] = x_new = x_old - cv.solve_direction(ns.kernel, curvature, H)
+    H = local_gradient(ns, None if full else rows)
+    x_old, g_old = (ns.X, ns.G) if full else (ns.X[rows], ns.G[rows])
+    x_new = x_old - cv.solve_direction(ns.kernel, curvature, H)
+    if full:
+        ns.X = x_new
+    else:
+        ns.X[rows] = x_new
+        ns.lap = None
     ns.comm_scalars += int(ns.graph.degrees[rows].sum()) * ns.problem.d
 
-    dual_updates(ns, active)
-    ns.G[rows] = g_new = ns.problem.gradients(ns.X, rows)
+    dual_updates(ns, None if full else active)
+    g_new = ns.problem.gradients(ns.X, rows)
+    if full:
+        ns.G = g_new
+    else:
+        ns.G[rows] = g_new
     # checked before the model refresh, which rejects non-finite pairs; the
     # prox never enlarges its argument, so a non-finite theta shows in lam too
     _require_finite(ns, ("primal", rows, x_new), ("dual", range(ns.graph.m), ns.Phi),

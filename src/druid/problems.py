@@ -27,13 +27,10 @@ LOGISTIC = "logistic"
 
 
 def _sigmoid(u: np.ndarray) -> np.ndarray:
-    """Branch-stable logistic function, safe for |u| well beyond 30."""
-    out = np.empty_like(u, dtype=float)
-    pos = u >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-u[pos]))
-    eu = np.exp(u[~pos])
-    out[~pos] = eu / (1.0 + eu)
-    return out
+    """Logistic function from exp(-|u|) <= 1, so it never overflows:
+    1 / (1 + exp(-u)) where u >= 0 and exp(u) / (1 + exp(u)) elsewhere."""
+    e = np.exp(-np.abs(u))
+    return np.where(u >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 @dataclass

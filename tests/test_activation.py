@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import install_fixed_point, make_lasso_instance
+from conftest import install_fixed_point, make_lasso_instance, make_logistic_instance
 from druid.activation import ActivationRecord, ActivationSampler, async_step, sample_activation
 from druid.analysis import project_dual
 from druid.curvature import SCHEMES, Hyperparams
-from druid.network import apply_step, init_network, sync_step
+from druid.network import apply_step, init_network, local_gradient, sync_step
 from druid.problems import (
     L1,
     LEAST_SQUARES,
@@ -141,6 +141,36 @@ def test_full_activation_reproduces_sync_bitwise(scheme):
     assert np.array_equal(ns_sync.Phi, ns_async.Phi)
     assert np.array_equal(ns_sync.theta, ns_async.theta)
     assert np.array_equal(ns_sync.lam, ns_async.lam)
+
+
+@pytest.mark.parametrize("make", [make_lasso_instance, make_logistic_instance],
+                         ids=["lasso", "logistic"])
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_cached_laplacian_term_equals_the_recomputed_one_bitwise(scheme, make):
+    # the twin drops the cached term before every step, so it forms the
+    # coupling afresh; None marks a hand replacement of X with G refreshed
+    graph, problem = make()
+    hp = hp_for(scheme, problem)
+    cached, fresh = init_network(problem, graph, hp), init_network(problem, graph, hp)
+    full = np.ones(graph.m, dtype=bool)
+    partial = sample_activation(ActivationSampler.bernoulli(0.5, graph.m, seed=4), 0).mask
+    assert 0 < partial.sum() < graph.m
+    rng = np.random.default_rng(9)
+    for mask in [full, full, full, partial, full, full, None, full, full]:
+        if mask is None:
+            X = rng.normal(size=cached.X.shape)
+            for ns in (cached, fresh):
+                ns.X = X.copy()
+                ns.G = problem.gradients(ns.X, range(graph.m))
+            continue
+        fresh.lap = None
+        apply_step(cached, mask)
+        apply_step(fresh, mask)
+        assert cached.comm_scalars == fresh.comm_scalars
+        for name in ("X", "Phi", "G", "theta", "lam", "B"):
+            assert np.array_equal(getattr(cached, name), getattr(fresh, name)), name
+        # the whole-network coupling equals the row-gathered product of a partial step
+        assert np.array_equal(local_gradient(cached), local_gradient(fresh, range(graph.m)))
 
 
 def test_single_active_agent_masks_everything_else():

@@ -252,6 +252,20 @@ def test_bfgs_update_all_skipped_stack_is_returned_itself():
     assert bfgs_inverse_update(B, s, q, psi=2.0) is B
 
 
+@pytest.mark.parametrize("every", [True, False], ids=["every-row", "some-rows"])
+def test_bfgs_refresh_with_every_pair_skipped_changes_nothing(every):
+    graph, problem = make_logistic_instance()
+    hp = Hyperparams(mu_z=1.0, mu_theta=0.5, epsilon=1.5, scheme=BFGS, leader=0)
+    ns = init_network(problem, graph, hp)
+    for _ in range(3):
+        sync_step(ns)
+    B, before = ns.B, ns.B.copy()
+    rows = np.arange(graph.m) if every else np.arange(0, graph.m, 2)
+    # no row moved since x_old: every step is zero, so every pair is skipped
+    assert KERNELS[BFGS].refresh(ns, rows, ns.X[rows], ns.G[rows]) is None
+    assert ns.B is B and np.array_equal(ns.B, before)
+
+
 def test_bfgs_update_stacked_rejects_non_finite_in_any_row():
     rng = np.random.default_rng(13)
     for name in ("B", "s", "q"):

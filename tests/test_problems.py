@@ -13,6 +13,7 @@ from druid.problems import (
     ConsensusProblem,
     LocalObjective,
     Regularizer,
+    _sigmoid,
     prox,
     subgradient_membership,
     sum_over_agents,
@@ -80,6 +81,28 @@ def test_logistic_is_overflow_safe():
     for x in (np.array([1e3]), np.array([-1e3])):
         value, grad, hess = obj.value(x), obj.gradient(x), obj.hessian(x)
         assert np.isfinite(value) and np.all(np.isfinite(grad)) and np.all(np.isfinite(hess))
+
+
+def two_branch_sigmoid(v):
+    """One element of the logistic function by its two overflow-free
+    branches.  The exponential is numpy's: libm's ``math.exp`` differs
+    from it in the last bit on a few percent of inputs."""
+    if v >= 0:
+        return 1.0 / (1.0 + np.exp(-v))
+    e = np.exp(v)
+    return e / (1.0 + e)
+
+
+def test_sigmoid_equals_the_two_branch_formula_bitwise():
+    special = [np.inf, -np.inf, 0.0, -0.0, 745.0, -745.0, 1e-300, -1e-300, np.nan]
+    u = np.concatenate([special, 40.0 * np.random.default_rng(5).normal(size=1000)])
+    out = _sigmoid(u)
+    expected = np.array([two_branch_sigmoid(v) for v in u])
+    assert np.array_equal(out, expected, equal_nan=True)
+    # every number bit for bit, -0.0 included; a NaN's sign bit means nothing
+    number = ~np.isnan(expected)
+    assert np.array_equal(out[number].view(np.uint64), expected[number].view(np.uint64))
+    assert out[:4].tolist() == [1.0, 0.0, 0.5, 0.5] and np.isnan(out[8])
 
 
 def test_least_squares_hessian_constant():
