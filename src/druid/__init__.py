@@ -29,8 +29,6 @@ from .reference import ReferenceSolution, centralized_reference
 from .topology import (
     Graph,
     SpectralConstants,
-    TopologyMatrices,
-    build_matrices,
     random_connected_graph,
     read_edge_list,
     spectral_constants,
@@ -45,8 +43,8 @@ __all__ = [
     "ConsensusProblem", "LocalObjective", "Regularizer", "SmoothnessConstants",
     "prox", "subgradient_membership",
     "ReferenceSolution", "centralized_reference",
-    "Graph", "SpectralConstants", "TopologyMatrices", "build_matrices",
-    "random_connected_graph", "read_edge_list", "spectral_constants", "write_edge_list",
+    "Graph", "SpectralConstants", "random_connected_graph", "read_edge_list",
+    "spectral_constants", "write_edge_list",
 ]
 
 __version__ = "0.1.0"

@@ -4,8 +4,8 @@ This module provides independent routes to check the reduced network
 iteration: stationarity/consensus residuals, a literal three-block ADMM
 recursion over the network's own shapes ((m, d) iterates x, (n, d) edge
 variables z and edge duals alpha, beta, and the leader's theta, lambda)
-whose state owns its inputs, the agent-level incidences, curvature shifts
-and BFGS models, least-squares recovery of the unique dual pair in the
+whose state owns its inputs, curvature shifts and BFGS models and whose
+edge terms gather and scatter over the graph's endpoints, least-squares recovery of the unique dual pair in the
 column space of the stacked constraint matrix, the edge duals the network
 iteration does not store, the weighted Lyapunov distance of a network state
 to an optimum, and the inexactness of a network step with its per-scheme
@@ -24,7 +24,7 @@ from .errors import DiagnosticError, InconsistentReferenceError
 from .network import NetworkState
 from .problems import ConsensusProblem, prox, subgradient_membership
 from .rates import THEORY
-from .topology import Graph, build_matrices, edge_differences, edge_sums
+from .topology import Graph, edge_differences, edge_scatter, edge_sums
 
 STATIONARITY_TOL = 1e-9           # project_dual's stationarity residual
 MEMBERSHIP_TOL = 1e-8             # project_dual's subgradient inclusion
@@ -57,8 +57,8 @@ def kkt_residuals(ns: NetworkState):
 class FullAdmmState:
     """State of the unreduced recursion on the network's own shapes: the
     problem, graph and hyperparameters ``full_admm_init`` was given, the
-    agent-level incidences and the shifts it builds once, and the three
-    blocks (x; z; alpha, beta) with the leader's (theta, lambda)."""
+    shifts it builds once, and the three blocks (x; z; alpha, beta) with the
+    leader's (theta, lambda)."""
 
     problem: ConsensusProblem
     graph: Graph
@@ -69,8 +69,6 @@ class FullAdmmState:
     beta: np.ndarray   # (n, d), dual of the destination side x_dst = z
     theta: np.ndarray  # (d,)
     lam: np.ndarray    # (d,)
-    A_s: np.ndarray    # (n, m), one at each edge's source
-    A_d: np.ndarray    # (n, m), one at each edge's destination
     shift: np.ndarray  # (m,), constant diagonal of each curvature block
     models: np.ndarray = None  # (m, d, d) BFGS inverse estimates
 
@@ -78,12 +76,11 @@ class FullAdmmState:
 def full_admm_init(problem: ConsensusProblem, graph: Graph, hp: Hyperparams) -> FullAdmmState:
     """Zero initialization matching the reduced algorithm's."""
     m, n, d = graph.m, graph.n, problem.d
-    tm = build_matrices(graph)
     shift = cv.block_diag_value(hp, graph.degrees, np.arange(m) == hp.leader)
     return FullAdmmState(
         problem=problem, graph=graph, hp=hp, x=np.zeros((m, d)), z=np.zeros((n, d)),
         alpha=np.zeros((n, d)), beta=np.zeros((n, d)), theta=np.zeros(d), lam=np.zeros(d),
-        A_s=tm.A_s, A_d=tm.A_d, shift=shift,
+        shift=shift,
         models=np.eye(d) / shift[:, None, None] if hp.scheme == cv.BFGS else None,
     )
 
@@ -97,13 +94,11 @@ def full_admm_oracle_step(st: FullAdmmState) -> FullAdmmState:
     explicitly.  Each BFGS pair spans the step, from the iterate and
     gradient it starts at.
     """
-    problem, hp = st.problem, st.hp
-    A_s, A_d, shift, leader, x = st.A_s, st.A_d, st.shift, hp.leader, st.x
+    problem, graph, hp = st.problem, st.graph, st.hp
+    shift, leader, x = st.shift, hp.leader, st.x
     grad_f = np.stack([obj.gradient(x[i]) for i, obj in enumerate(problem.objectives)])
-    grad_l = (
-        grad_f + A_s.T @ st.alpha + A_d.T @ st.beta
-        + hp.mu_z * (A_s.T @ (A_s @ x - st.z) + A_d.T @ (A_d @ x - st.z))
-    )
+    grad_l = grad_f + edge_scatter(graph, st.alpha + hp.mu_z * (x[graph.src] - st.z),
+                                   st.beta + hp.mu_z * (x[graph.dst] - st.z))
     grad_l[leader] += st.lam + hp.mu_theta * (x[leader] - st.theta)
     u = np.empty_like(x)
     for i, obj in enumerate(problem.objectives):
@@ -117,7 +112,7 @@ def full_admm_oracle_step(st: FullAdmmState) -> FullAdmmState:
             u[i] = st.models[i] @ grad_l[i]
     x_new = x - u
     theta_new = prox(problem.regularizer, hp.mu_theta, x_new[leader] + st.lam / hp.mu_theta)
-    src, dst = A_s @ x_new, A_d @ x_new
+    src, dst = x_new[graph.src], x_new[graph.dst]
     z_new = (st.alpha + st.beta) / (2.0 * hp.mu_z) + 0.5 * (src + dst)
     alpha_new = st.alpha + hp.mu_z * (src - z_new)
     beta_new = st.beta + hp.mu_z * (dst - z_new)
@@ -140,19 +135,19 @@ def full_admm_oracle_step(st: FullAdmmState) -> FullAdmmState:
 def project_dual(x_hat_star: np.ndarray, problem: ConsensusProblem, graph: Graph, leader: int):
     """Unique dual pair supported on the constraint matrix's column space.
 
-    Solves (L_s + e_l e_l^T) r = -grad F at the replicated optimum and
-    maps r through the stacked constraint matrix.  Verifies stationarity to
+    Solves (L_s + e_l e_l^T) r = -grad F at the replicated optimum, with
+    L_s = diag(degrees) - adjacency, and maps r through the stacked
+    constraint matrix.  Verifies stationarity to
     ``STATIONARITY_TOL`` and the subgradient inclusion of the returned
     multiplier to ``MEMBERSHIP_TOL``; a failure signals a bad reference point.
     """
-    tm = build_matrices(graph)
     grads = np.stack([obj.gradient(x_hat_star) for obj in problem.objectives])
-    gram = tm.L_s.copy()
+    gram = np.diag(graph.degrees) - graph.adjacency
     gram[leader, leader] += 1.0
     r = np.linalg.solve(gram, -grads)
-    alpha = tm.E_s @ r
+    alpha = edge_differences(graph, r)
     lam = r[leader].copy()
-    stat = grads + tm.E_s.T @ alpha
+    stat = grads + edge_scatter(graph, alpha, -alpha)
     stat[leader] += lam
     residual = float(np.linalg.norm(stat))
     if residual > STATIONARITY_TOL:

@@ -1,8 +1,8 @@
 """Experiment configuration, run loop, and trace emission.
 
-A run builds the graph and the stacked consensus problem from a sparse text
-dataset, computes the centralized reference, iterates the network for the
-configured number of rounds, and writes a CSV trace whose header is
+A run builds the stacked consensus problem from a sparse text dataset,
+draws the graph, computes the centralized reference, iterates the network
+for the configured number of rounds, and writes a CSV trace whose header is
 ``COLUMNS``.  Everything is seeded, so identical configurations produce
 byte-identical traces.
 """
@@ -208,13 +208,15 @@ def run_experiment(cfg: ExperimentConfig) -> Path:
     out = Path(cfg.output)
     if not out.parent.is_dir():
         raise ConfigurationError(f"output {cfg.output!r}: directory {str(out.parent)!r} does not exist")
+    if out.is_dir():
+        raise ConfigurationError(f"output {cfg.output!r} is a directory, not a trace file")
     with open(cfg.dataset, encoding="utf-8") as fh:
         try:
             ds = parse_libsvm(fh)
         except UnicodeDecodeError as exc:
             raise _not_utf8("dataset", cfg.dataset, exc) from None
+    problem = build_problem(cfg, ds)   # first: it checks that the rows cover the agents
     graph = random_connected_graph(cfg.agents, cfg.edge_prob, cfg.graph_seed)
-    problem = build_problem(cfg, ds)
     ref = centralized_reference(problem, tol=cfg.ref_tol, max_iter=cfg.ref_max_iter)
     zero = np.zeros(problem.d)
     cost0 = problem.total_value(zero) - ref.cost_star

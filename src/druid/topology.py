@@ -1,14 +1,13 @@
-"""Communication graph, its incidence matrices and its spectral constants.
+"""Communication graph, its edge actions and its spectral constants.
 
 Agents are indexed 0..m-1 internally; the edge-list text format is 1-based.
 Every stored edge (i, j) satisfies i < j, with i the source and j the
 destination, and edges are enumerated in lexicographic order so that runs
-are reproducible.  Block (Kronecker-with-identity) versions of the matrices
-are never materialized: ``edge_differences``/``edge_sums`` apply the
-incidences to (m, d) arrays directly, the network iteration and
-``spectral_constants`` work with the cached ``Graph.adjacency`` and degrees,
-and the analysis oracle multiplies (m, d) and (n, d) arrays by the
-agent-level matrices of ``build_matrices``.
+are reproducible.  No incidence matrix is built: ``edge_differences`` and
+``edge_sums`` gather (m, d) agent rows over ``Graph.src``/``Graph.dst`` into
+(n, d) edge rows, ``edge_scatter`` is their transpose, and the network
+iteration and ``spectral_constants`` work with the cached
+``Graph.adjacency`` and degrees.
 """
 
 from __future__ import annotations
@@ -90,20 +89,6 @@ def _check_agent_count(m) -> None:
 
 
 @dataclass(frozen=True)
-class TopologyMatrices:
-    """Source/destination and signed incidence matrices and the signed Laplacian.
-
-    All are agent-level (n x m or m x m) and act on (m, d) and (n, d)
-    states as they are (``A_s @ X``); no Kronecker block is formed.
-    """
-
-    A_s: np.ndarray
-    A_d: np.ndarray
-    E_s: np.ndarray
-    L_s: np.ndarray
-
-
-@dataclass(frozen=True)
 class SpectralConstants:
     sigma_max_Ls: float
     sigma_max_Lu: float
@@ -147,22 +132,6 @@ def random_connected_graph(m: int, p: float, seed: int, max_redraws: int = 10_00
     )
 
 
-def build_matrices(g: Graph) -> TopologyMatrices:
-    """Assemble dense agent-level matrices from the edge list.
-
-    Row k of A_s has a one at the source of edge k; row k of A_d at its
-    destination.  The signed incidence is their difference and the signed
-    Laplacian its Gram.
-    """
-    n, m = g.n, g.m
-    A_s = np.zeros((n, m))
-    A_d = np.zeros((n, m))
-    A_s[np.arange(n), g.src] = 1.0
-    A_d[np.arange(n), g.dst] = 1.0
-    E_s = A_s - A_d
-    return TopologyMatrices(A_s=A_s, A_d=A_d, E_s=E_s, L_s=E_s.T @ E_s)
-
-
 def spectral_constants(g: Graph, leader: int) -> SpectralConstants:
     """Largest eigenvalues of the signed and unsigned Laplacians
     L_s, L_u = diag(degrees) -/+ adjacency, the largest degree, and the
@@ -188,7 +157,7 @@ def spectral_constants(g: Graph, leader: int) -> SpectralConstants:
     )
 
 
-# Per-coordinate actions of the block (Kronecker) matrices on (m, d) arrays.
+# Actions of the (n, m) source/destination incidences on (m, d) and (n, d) arrays.
 
 def edge_differences(g: Graph, X: np.ndarray) -> np.ndarray:
     """Signed incidence applied to agent states: row k is x_src - x_dst."""
@@ -198,6 +167,17 @@ def edge_differences(g: Graph, X: np.ndarray) -> np.ndarray:
 def edge_sums(g: Graph, X: np.ndarray) -> np.ndarray:
     """Unsigned incidence applied to agent states: row k is x_src + x_dst."""
     return X[g.src] + X[g.dst]
+
+
+def edge_scatter(g: Graph, at_src: np.ndarray, at_dst: np.ndarray) -> np.ndarray:
+    """Transposed incidences applied to edge rows: agent i receives the sum,
+    in edge order, of ``at_src`` over the edges it is the source of and of
+    ``at_dst`` over those it is the destination of.  ``edge_scatter(g, a, -a)``
+    is the signed incidence's transpose applied to ``a``."""
+    out = np.zeros((g.m, *at_src.shape[1:]))
+    np.add.at(out, g.src, at_src)
+    np.add.at(out, g.dst, at_dst)
+    return out
 
 
 # Edge-list text format: first line "m n", then n lines "i j" (1-based, i < j);

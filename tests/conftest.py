@@ -69,6 +69,22 @@ def make_rank_deficient_instance(m=5, d=3, gamma=0.05, seed=19, edge_prob=0.7, g
     return graph, ConsensusProblem.from_objectives(objectives, Regularizer(L1, gamma))
 
 
+def incidences(graph):
+    """Dense (n, m) source and destination incidences read off the edge
+    list: row k has a one at edge k's source, resp. destination.  The
+    independent reference of ``topology``'s gathers and scatter."""
+    A_s, A_d = np.zeros((graph.n, graph.m)), np.zeros((graph.n, graph.m))
+    for k, (i, j) in enumerate(graph.edges):
+        A_s[k, i] = A_d[k, j] = 1.0
+    return A_s, A_d
+
+
+def signed_incidence(graph):
+    """A_s - A_d of ``incidences``: row k is e_src - e_dst."""
+    A_s, A_d = incidences(graph)
+    return A_s - A_d
+
+
 def newton_block(obj, x, hp, degree, is_leader):
     """One agent's Newton curvature block computed from its own objective:
     the local Hessian plus the constant shift."""

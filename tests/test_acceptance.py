@@ -17,6 +17,7 @@ from conftest import (
     make_logistic_instance,
     make_rank_deficient_instance,
     make_ridge_instance,
+    signed_incidence,
 )
 from druid.activation import ActivationSampler, async_step, sample_activation
 from druid.analysis import (
@@ -34,7 +35,7 @@ from druid.network import init_network, sync_step
 from druid.problems import subgradient_membership
 from druid.rates import rate_constants
 from druid.reference import centralized_reference
-from druid.topology import build_matrices, edge_sums
+from druid.topology import edge_sums
 
 
 @contextmanager
@@ -72,7 +73,7 @@ def fit_line(xs, ys):
 def test_criterion_1_reduction_matches_unreduced_recursion():
     with criterion(1, "reduced updates match the three-block recursion"):
         graph, problem = make_lasso_instance()
-        E_s = build_matrices(graph).E_s
+        E_s = signed_incidence(graph)
         start = time.perf_counter()
         for scheme in SCHEMES:
             hp = practical_hp(scheme, problem)

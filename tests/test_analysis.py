@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 
 from conftest import (
+    incidences,
     install_fixed_point,
     make_lasso_instance,
     make_logistic_instance,
     make_ridge_instance,
+    signed_incidence,
 )
-from druid import analysis, problems
+from druid import problems
 from druid.analysis import (
     advance_edge_duals,
     error_term,
@@ -35,7 +37,7 @@ from druid.problems import (
 )
 from druid.rates import rate_constants
 from druid.reference import centralized_reference
-from druid.topology import Graph, build_matrices
+from druid.topology import Graph
 
 
 def hp_for(scheme, problem, **kw):
@@ -163,7 +165,7 @@ def test_oracle_matches_network_on_two_agents(scheme, extra, make_instance, lead
     hp = hp_for(scheme, problem, epsilon=2.0, leader=leader, **extra)
     ns = init_network(problem, graph, hp)
     st = full_admm_init(problem, graph, hp)
-    E_s = build_matrices(graph).E_s
+    E_s = signed_incidence(graph)
     for _ in range(2):
         sync_step(ns)
         st = full_admm_oracle_step(st)
@@ -177,30 +179,26 @@ def test_oracle_invariants_over_long_run():
     graph, problem = make_lasso_instance()
     hp = hp_for(GRADIENT, problem)
     st = full_admm_init(problem, graph, hp)
-    tm = build_matrices(graph)
+    A_s, A_d = incidences(graph)
     for _ in range(100):
         st = full_admm_oracle_step(st)
         assert np.abs(st.alpha + st.beta).max() <= 1e-12
-        z_manifold = 0.5 * ((tm.A_s + tm.A_d) @ st.x)
+        z_manifold = 0.5 * ((A_s + A_d) @ st.x)
         assert np.abs(st.z - z_manifold).max() <= 1e-12
 
 
-def test_oracle_builds_its_operators_once(monkeypatch):
-    calls = []
-    original = analysis.build_matrices
-    monkeypatch.setattr(analysis, "build_matrices",
-                        lambda graph: calls.append(graph) or original(graph))
+def test_oracle_state_holds_only_network_shapes():
     graph, problem = make_lasso_instance()
     hp = hp_for(BFGS, problem)
     st = full_admm_init(problem, graph, hp)
     for _ in range(100):
         st = full_admm_oracle_step(st)
-    assert calls == [graph]
     assert st.problem is problem and st.graph is graph and st.hp is hp
-    # agent-level operators only: no Kronecker block of (2nd, md) entries
+    # the iterates, edge variables and BFGS models only: no (n, m) incidence
+    # and no Kronecker block of (2nd, md) entries
     m, n, d = graph.m, graph.n, problem.d
     sizes = {name: value.size for name, value in vars(st).items() if isinstance(value, np.ndarray)}
-    assert sizes and max(sizes.values()) <= max(n * m, m * d * d, n * d), sizes
+    assert sizes and max(sizes.values()) <= max(m * d * d, n * d), sizes
 
 
 # --- dual recovery -----------------------------------------------------------
@@ -212,7 +210,7 @@ def test_project_dual_two_agent_hand_system():
     problem = ConsensusProblem.from_objectives(objs, Regularizer(ZERO))
     alpha, lam = project_dual(np.array([1.0]), problem, graph, leader=0)
     grads = np.array([[1.0], [-1.0]])
-    stat = grads + build_matrices(graph).E_s.T @ alpha
+    stat = grads + signed_incidence(graph).T @ alpha
     stat[0] += lam
     assert np.abs(stat).max() <= 1e-12
     assert lam == pytest.approx([0.0], abs=1e-12)
@@ -230,9 +228,9 @@ def test_project_dual_lands_in_column_space():
     graph, problem = make_lasso_instance()
     ref = centralized_reference(problem, tol=1e-13)
     alpha, lam = project_dual(ref.x_star, problem, graph, leader=0)
-    tm = build_matrices(graph)
     d = problem.d
-    C = np.vstack([np.kron(tm.E_s, np.eye(d)), np.kron(np.eye(graph.m)[0][None, :], np.eye(d))])
+    C = np.vstack([np.kron(signed_incidence(graph), np.eye(d)),
+                   np.kron(np.eye(graph.m)[0][None, :], np.eye(d))])
     xi = np.concatenate([alpha.ravel(), lam])
     projector = C @ np.linalg.solve(C.T @ C, C.T)  # onto col(C); C^T C is nonsingular
     assert np.linalg.norm(xi - projector @ xi) <= 1e-10
@@ -283,7 +281,7 @@ def test_tracked_edge_duals_reproduce_phi(scheme):
     hp = hp_for(scheme, problem)
     ns = init_network(problem, graph, hp)
     alpha = np.zeros((graph.n, problem.d))
-    E_s = build_matrices(graph).E_s
+    E_s = signed_incidence(graph)
     for _ in range(50):
         sync_step(ns)
         alpha = advance_edge_duals(ns, alpha)

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from druid import experiment
 from druid.cli import main
 from druid.errors import ConfigurationError, DivergenceError
 from druid.datasets import parse_libsvm, partition
@@ -307,6 +308,26 @@ def test_missing_output_directory_fails_before_reading_data(tmp_path):
                            output=str(tmp_path / "absent" / "trace.csv"))
     with pytest.raises(ConfigurationError, match="output"):
         run_experiment(cfg)
+
+
+def test_output_that_is_a_directory_fails_before_reading_data(tmp_path):
+    cfg = ExperimentConfig(problem="ridge", dataset=str(tmp_path / "missing.txt"),
+                           output=str(tmp_path))
+    with pytest.raises(ConfigurationError, match="output .* is a directory"):
+        run_experiment(cfg)
+
+
+def test_more_agents_than_rows_fails_before_the_graph_is_drawn(tmp_path, monkeypatch):
+    def draw(*args):
+        raise AssertionError("the graph was drawn before the rows were checked")
+
+    # drawing a graph over 10**7 agents would ask for a (10**7, 10**7) adjacency
+    monkeypatch.setattr(experiment, "random_connected_graph", draw)
+    write_dataset(tmp_path / "data.txt", n=20)
+    for agents in (25, 10**7):
+        cfg = base_config(tmp_path, agents=agents)
+        with pytest.raises(ConfigurationError, match=f"20 rows cannot cover {agents} agents"):
+            run_experiment(cfg)
 
 
 @pytest.mark.parametrize("valid_lines", [0, 40, 1000])   # 1000 lines fill the first read block

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    incidences,
     install_fixed_point,
     make_lasso_instance,
     make_logistic_instance,
@@ -33,7 +34,7 @@ from druid.problems import (
     subgradient_membership,
 )
 from druid.reference import centralized_reference
-from druid.topology import Graph, build_matrices, random_connected_graph
+from druid.topology import Graph, random_connected_graph
 
 
 def scalar_problem(b_values, regularizer=Regularizer(ZERO)):
@@ -117,14 +118,14 @@ def test_local_gradient_vanishes_at_kkt_point():
 def dense_augmented_lagrangian(problem, graph, hp, X, theta, alpha, lam, Z):
     """Independent evaluation from the stacked definition with explicit
     source/destination matrices; the edge variable enters as given."""
-    tm = build_matrices(graph)
+    A_s, A_d = incidences(graph)
     m, d = graph.m, problem.d
     value = sum(problem.objectives[i].value(X[i]) for i in range(m))
     value += problem.regularizer.value(theta)
     y_top = alpha
     y_bot = -alpha
-    res_top = tm.A_s @ X - Z
-    res_bot = tm.A_d @ X - Z
+    res_top = A_s @ X - Z
+    res_bot = A_d @ X - Z
     value += np.sum(y_top * res_top) + np.sum(y_bot * res_bot)
     value += 0.5 * hp.mu_z * (np.sum(res_top**2) + np.sum(res_bot**2))
     gap = X[hp.leader] - theta
@@ -143,12 +144,12 @@ def test_local_gradient_matches_finite_differences_of_lagrangian():
     alpha = rng.normal(size=(graph.n, problem.d))
     ns.X = rng.normal(size=(graph.m, problem.d))
     ns.G = np.stack([obj.gradient(x) for obj, x in zip(problem.objectives, ns.X)])
-    ns.Phi = build_matrices(graph).E_s.T @ alpha
+    A_s, A_d = incidences(graph)
+    ns.Phi = (A_s - A_d).T @ alpha
     ns.theta = rng.normal(size=problem.d)
     ns.lam = rng.normal(size=problem.d)
     X = ns.X.copy()
-    tm = build_matrices(graph)
-    Z = 0.5 * ((tm.A_s + tm.A_d) @ X)
+    Z = 0.5 * ((A_s + A_d) @ X)
     h = 1e-6
     grads = local_gradient(ns, range(graph.m))
     for i in range(graph.m):

@@ -3,11 +3,12 @@ import io
 import numpy as np
 import pytest
 
+from conftest import incidences
 from druid.errors import GraphGenerationError, ParseError
 from druid.topology import (
     Graph,
-    build_matrices,
     edge_differences,
+    edge_scatter,
     edge_sums,
     random_connected_graph,
     read_edge_list,
@@ -98,50 +99,61 @@ def test_neighbor_counts():
 
 
 def test_path_matrices_match_hand_values():
-    tm = build_matrices(path_graph())
-    assert np.array_equal(tm.A_s, [[1, 0, 0], [0, 1, 0]])
-    assert np.array_equal(tm.A_d, [[0, 1, 0], [0, 0, 1]])
-    assert np.array_equal(tm.E_s, [[1, -1, 0], [0, 1, -1]])
-    assert np.array_equal(tm.L_s, [[1, -1, 0], [-1, 2, -1], [0, -1, 1]])
+    # the edge actions applied to identities are the matrices they stand for
+    g = path_graph()
+    eye_m, eye_n, zeros = np.eye(3), np.eye(2), np.zeros((2, 2))
+    assert np.array_equal(edge_scatter(g, eye_n, zeros).T, [[1, 0, 0], [0, 1, 0]])   # A_s
+    assert np.array_equal(edge_scatter(g, zeros, eye_n).T, [[0, 1, 0], [0, 0, 1]])   # A_d
+    E_s = edge_differences(g, eye_m)
+    assert np.array_equal(E_s, [[1, -1, 0], [0, 1, -1]])
+    assert np.array_equal(edge_sums(g, eye_m), [[1, 1, 0], [0, 1, 1]])
+    L_s = edge_scatter(g, E_s, -E_s)
+    assert np.array_equal(L_s, [[1, -1, 0], [-1, 2, -1], [0, -1, 1]])
+    # one edge row per edge: agent 1 is the destination of edge 0 and the source of edge 1
+    a = np.array([[1.0, 10.0], [2.0, 20.0]])
+    assert np.array_equal(edge_scatter(g, a, -a), [[1, 10], [1, 10], [-2, -20]])
+    assert np.array_equal(edge_scatter(g, a, a), [[1, 10], [3, 30], [2, 20]])
 
 
 def test_matrix_identities_on_random_graphs():
     for seed in range(4):
         g = random_connected_graph(9, 0.35, seed=seed)
-        tm = build_matrices(g)
-        assert np.array_equal(tm.E_s, tm.A_s - tm.A_d)
-        assert np.array_equal(tm.L_s, tm.E_s.T @ tm.E_s)
-        assert np.array_equal(tm.L_s, np.diag(g.degrees) - g.adjacency)
-        assert np.array_equal(tm.A_s.T @ tm.A_s + tm.A_d.T @ tm.A_d, np.diag(g.degrees))
-        E_u = tm.A_s + tm.A_d
+        A_s, A_d = incidences(g)
+        E_s, E_u = A_s - A_d, A_s + A_d
+        L_s = E_s.T @ E_s
+        assert np.array_equal(L_s, np.diag(g.degrees) - g.adjacency)
+        assert np.array_equal(A_s.T @ A_s + A_d.T @ A_d, np.diag(g.degrees))
         sc = spectral_constants(g, leader=seed)
-        assert sc.sigma_max_Ls == pytest.approx(np.linalg.eigvalsh(tm.L_s)[-1], rel=1e-12)
+        assert sc.sigma_max_Ls == pytest.approx(np.linalg.eigvalsh(L_s)[-1], rel=1e-12)
         assert sc.sigma_max_Lu == pytest.approx(np.linalg.eigvalsh(E_u.T @ E_u)[-1], rel=1e-12)
         assert sc.d_max == g.degrees.max()
         # signed Laplacian annihilates the consensus direction, rank m-1
-        assert np.allclose(tm.L_s @ np.ones(g.m), 0.0)
-        assert np.linalg.matrix_rank(tm.L_s) == g.m - 1
+        assert np.allclose(L_s @ np.ones(g.m), 0.0)
+        assert np.linalg.matrix_rank(L_s) == g.m - 1
 
 
 def test_block_helpers_match_dense_matrices():
-    g = random_connected_graph(7, 0.5, seed=4)
-    tm = build_matrices(g)
+    star = Graph(6, [(0, j) for j in range(1, 6)])   # agent 0 is on every edge
     rng = np.random.default_rng(0)
-    X = rng.normal(size=(g.m, 2))
-    assert np.allclose(edge_differences(g, X), tm.E_s @ X)
-    assert np.allclose(edge_sums(g, X), (tm.A_s + tm.A_d) @ X)
+    for g in [*(random_connected_graph(7, 0.5, seed=seed) for seed in range(4)), star]:
+        A_s, A_d = incidences(g)
+        X = rng.normal(size=(g.m, 2))
+        a, b = rng.normal(size=(2, g.n, 2))
+        assert np.allclose(edge_differences(g, X), (A_s - A_d) @ X)
+        assert np.allclose(edge_sums(g, X), (A_s + A_d) @ X)
+        assert np.allclose(edge_scatter(g, a, b), A_s.T @ a + A_d.T @ b)
+        # each edge row enters once with each sign: the signed scatter sums to zero
+        assert np.allclose(edge_scatter(g, a, -a).sum(axis=0), 0.0)
 
 
 def test_spectral_constants_on_path():
     g = path_graph()
-    tm = build_matrices(g)
     sc = spectral_constants(g, leader=0)
     assert sc.sigma_max_Ls == pytest.approx(3.0)
     # unsigned Laplacian of the path has eigenvalues {0, 1, 3}
     assert sc.sigma_max_Lu == pytest.approx(3.0)
     assert sc.d_max == 2
-    gram = np.array(tm.L_s)
-    gram[0, 0] += 1.0
+    gram = np.array([[2.0, -1, 0], [-1, 2, -1], [0, -1, 1]])   # path L_s + e_0 e_0^T
     eigs = np.linalg.eigvalsh(gram)
     assert np.all(eigs > 0)
     assert sc.sigma_min_plus_CCt == pytest.approx(eigs[0])
