@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
 
 GRADIENT = "gradient"
 NEWTON = "newton"
@@ -142,13 +141,6 @@ def _newton_rows(ns, rows):
     return _shifted(ns.problem.hessians(ns.X, rows), ns.shift[rows])
 
 
-def _cholesky(curvature, H):
-    if not len(H):
-        return np.empty_like(H)
-    factor = scipy.linalg.cho_factor(curvature)
-    return scipy.linalg.cho_solve(factor, H[..., None])[..., 0]
-
-
 def _model_rows(ns, rows):
     # every row active: read the stack in place instead of gathering a copy
     return ns.B if len(rows) == len(ns.B) else ns.B[rows]
@@ -195,7 +187,10 @@ KERNELS = {
         build=lambda ns, rows: ns.shift[rows],
         solve=lambda curvature, H: H / curvature[:, None],
     ),
-    NEWTON: Kernel(build=_newton_rows, solve=_cholesky),
+    NEWTON: Kernel(
+        build=_newton_rows,
+        solve=lambda curvature, H: np.linalg.solve(curvature, H[..., None])[..., 0],
+    ),
     # the inverse models start at I/shift, the exact inverse of the block
     # when the local Hessian vanishes
     BFGS: Kernel(

@@ -145,10 +145,12 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     return ExperimentConfig(**data)
 
 
-def _not_utf8(what: str, path, exc: UnicodeDecodeError) -> ConfigurationError:
-    """The error for a ``what`` file at ``path`` that does not decode as UTF-8."""
-    return ConfigurationError(f"{what} file {str(path)!r} is not UTF-8 text: "
-                              f"byte 0x{exc.object[exc.start]:02x} ({exc.reason})")
+def _unreadable(what: str, path, exc: OSError | UnicodeDecodeError) -> ConfigurationError:
+    """The error for a ``what`` file at ``path`` that cannot be opened (it is
+    missing or a directory, say) or does not decode as UTF-8."""
+    reason = f"cannot be read: {exc.strerror}" if isinstance(exc, OSError) else \
+        f"is not UTF-8 text: byte 0x{exc.object[exc.start]:02x} ({exc.reason})"
+    return ConfigurationError(f"{what} file {str(path)!r} {reason}")
 
 
 def load_config(path, overrides: dict = None) -> ExperimentConfig:
@@ -159,14 +161,14 @@ def load_config(path, overrides: dict = None) -> ExperimentConfig:
             raise ConfigurationError(f"config file {str(path)!r} repeats the key {repeated[0]!r}")
         return dict(pairs)
 
-    with open(path, encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, encoding="utf-8") as fh:
             data = json.load(fh, object_pairs_hook=unique_keys)
-        except json.JSONDecodeError as exc:
-            raise ConfigurationError(f"config file {str(path)!r} does not parse: {exc.msg} "
-                                     f"at line {exc.lineno}, column {exc.colno}") from None
-        except UnicodeDecodeError as exc:
-            raise _not_utf8("config", path, exc) from None
+    except json.JSONDecodeError as exc:
+        raise ConfigurationError(f"config file {str(path)!r} does not parse: {exc.msg} "
+                                 f"at line {exc.lineno}, column {exc.colno}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise _unreadable("config", path, exc) from None
     if not isinstance(data, dict):
         raise ConfigurationError(
             f"config file {str(path)!r} must hold a JSON object, got {type(data).__name__}")
@@ -210,11 +212,11 @@ def run_experiment(cfg: ExperimentConfig) -> Path:
         raise ConfigurationError(f"output {cfg.output!r}: directory {str(out.parent)!r} does not exist")
     if out.is_dir():
         raise ConfigurationError(f"output {cfg.output!r} is a directory, not a trace file")
-    with open(cfg.dataset, encoding="utf-8") as fh:
-        try:
+    try:
+        with open(cfg.dataset, encoding="utf-8") as fh:
             ds = parse_libsvm(fh)
-        except UnicodeDecodeError as exc:
-            raise _not_utf8("dataset", cfg.dataset, exc) from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise _unreadable("dataset", cfg.dataset, exc) from None
     problem = build_problem(cfg, ds)   # first: it checks that the rows cover the agents
     graph = random_connected_graph(cfg.agents, cfg.edge_prob, cfg.graph_seed)
     ref = centralized_reference(problem, tol=cfg.ref_tol, max_iter=cfg.ref_max_iter)

@@ -45,8 +45,8 @@ def fixed_point_residual(problem: ConsensusProblem, x: np.ndarray, lip: float) -
 def centralized_reference(problem: ConsensusProblem, tol: float = 1e-12,
                           max_iter: int = 1_000_000, accelerated: bool = True) -> ReferenceSolution:
     """Minimize the composite cost to the given fixed-point residual."""
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+    if not (np.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     lip = total_curvature_bound(problem)
     if lip <= 0:
         raise ConvergenceError("smooth part has no curvature bound")

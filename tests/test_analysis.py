@@ -98,6 +98,15 @@ def test_reference_raises_on_tiny_budget():
         centralized_reference(problem, tol=1e-14, max_iter=3)
 
 
+@pytest.mark.parametrize("tol", [0.0, -1e-12, np.nan, np.inf])
+def test_reference_rejects_a_tolerance_that_is_not_positive_and_finite(tol):
+    # a NaN tolerance is never reached: without the check the solver would
+    # run its whole budget before failing
+    _, problem = make_lasso_instance()
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        centralized_reference(problem, tol=tol, max_iter=3)
+
+
 def test_reference_plain_descent_agrees_with_accelerated():
     _, problem = make_lasso_instance()
     fast = centralized_reference(problem, tol=1e-12)

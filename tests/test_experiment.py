@@ -1,3 +1,4 @@
+import errno
 import json
 import logging
 import os
@@ -328,6 +329,26 @@ def test_more_agents_than_rows_fails_before_the_graph_is_drawn(tmp_path, monkeyp
         cfg = base_config(tmp_path, agents=agents)
         with pytest.raises(ConfigurationError, match=f"20 rows cannot cover {agents} agents"):
             run_experiment(cfg)
+
+
+@pytest.mark.parametrize("directory, code", [(False, errno.ENOENT), (True, errno.EISDIR)])
+def test_dataset_or_config_that_is_missing_or_a_directory_is_named(tmp_path, capsys,
+                                                                     directory, code):
+    path = tmp_path / "input"
+    if directory:
+        path.mkdir()
+    message = f"file '{path}' cannot be read: {os.strerror(code)}"
+    cfg = base_config(tmp_path, dataset=str(path))
+    with pytest.raises(ConfigurationError, match=re.escape("dataset " + message)):
+        run_experiment(cfg)
+    assert not Path(cfg.output).exists()
+    with pytest.raises(ConfigurationError, match=re.escape("config " + message)):
+        load_config(path)
+    assert main(["run", "--problem", "ridge", "--dataset", str(path),
+                 "--output", cfg.output]) == 1
+    assert capsys.readouterr().err == f"error: dataset {message}\n"
+    assert main(["run", "--config", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: config {message}\n"
 
 
 @pytest.mark.parametrize("valid_lines", [0, 40, 1000])   # 1000 lines fill the first read block

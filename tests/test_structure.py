@@ -11,10 +11,14 @@ reach them one by one through ``.objectives``; everything else evaluates the
 stacks, so the oracles stay independent of the code they check, and
 ``analysis`` calls neither the stacked evaluations nor the kernels or
 ``solve_direction``.  The benchmark's probes (``perfbench/tracer.py``) still
-find the library attributes they wrap."""
+find the library attributes they wrap.  The library runs on numpy alone:
+importing it loads no scipy module."""
 
 import ast
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import scipy.linalg
@@ -209,3 +213,15 @@ def test_benchmark_probes_find_their_targets():
     assert isinstance(ref.iterations, int) and ref.iterations > 0
     record = experiment.sample_activation(activation.ActivationSampler.bernoulli(1.0, 4, 0), 0)
     assert record.active == (0, 1, 2, 3)
+
+
+def test_the_library_imports_no_scipy():
+    # a fresh interpreter: this test session has scipy loaded already
+    code = ("import sys, druid, druid.cli; "
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n", f"importing druid loads {done.stdout.strip()}"
