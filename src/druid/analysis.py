@@ -89,10 +89,11 @@ def full_admm_oracle_step(st: FullAdmmState) -> FullAdmmState:
     """One round of the unreduced recursion, same curvature scheme.
 
     The primal minimization is replaced by the identical one-step
-    curvature update as the network iteration; the edge variable solve is
-    closed-form; both edge duals and the leader's multiplier ascend
-    explicitly.  Each BFGS pair spans the step, from the iterate and
-    gradient it starts at.
+    curvature update as the network iteration: one stacked operation per
+    scheme on the (m, d) arrays, around the gradients and Hessians of each
+    agent's ``LocalObjective``.  The edge variable solve is closed-form;
+    both edge duals and the leader's multiplier ascend explicitly.  Each
+    BFGS pair spans the step, from the iterate and gradient it starts at.
     """
     problem, graph, hp = st.problem, st.graph, st.hp
     shift, leader, x = st.shift, hp.leader, st.x
@@ -100,16 +101,15 @@ def full_admm_oracle_step(st: FullAdmmState) -> FullAdmmState:
     grad_l = grad_f + edge_scatter(graph, st.alpha + hp.mu_z * (x[graph.src] - st.z),
                                    st.beta + hp.mu_z * (x[graph.dst] - st.z))
     grad_l[leader] += st.lam + hp.mu_theta * (x[leader] - st.theta)
-    u = np.empty_like(x)
-    for i, obj in enumerate(problem.objectives):
-        if hp.scheme == cv.GRADIENT:
-            u[i] = grad_l[i] / shift[i]
-        elif hp.scheme == cv.NEWTON:
-            block = obj.hessian(x[i])
-            block[np.diag_indices_from(block)] += shift[i]
-            u[i] = np.linalg.solve(block, grad_l[i])
-        else:
-            u[i] = st.models[i] @ grad_l[i]
+    if hp.scheme == cv.GRADIENT:
+        u = grad_l / shift[:, None]
+    elif hp.scheme == cv.NEWTON:
+        blocks = np.stack([obj.hessian(x[i]) for i, obj in enumerate(problem.objectives)])
+        diag = np.arange(problem.d)
+        blocks[:, diag, diag] += shift[:, None]
+        u = np.linalg.solve(blocks, grad_l[..., None])[..., 0]
+    else:
+        u = (st.models @ grad_l[..., None])[..., 0]
     x_new = x - u
     theta_new = prox(problem.regularizer, hp.mu_theta, x_new[leader] + st.lam / hp.mu_theta)
     src, dst = x_new[graph.src], x_new[graph.dst]
@@ -227,8 +227,8 @@ def error_term(ns: NetworkState, x_prev: np.ndarray, bfgs_prev=None) -> ErrorRep
     if hp.scheme == cv.GRADIENT:
         tau = THEORY[hp.scheme].tau(hp, sm)
     elif hp.scheme == cv.NEWTON:
-        for i in range(m):
-            e[i] += problem.objectives[i].hessian(x_prev[i]) @ dx[i]
+        hessians = np.stack([obj.hessian(x_prev[i]) for i, obj in enumerate(problem.objectives)])
+        e += (hessians @ dx[..., None])[..., 0]
         tau = min(THEORY[hp.scheme].tau(hp, sm), 0.5 * sm.L_f * norm_dx)
     else:
         if bfgs_prev is None:

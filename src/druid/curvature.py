@@ -88,25 +88,23 @@ def bfgs_inverse_update(B: np.ndarray, s: np.ndarray, q: np.ndarray,
                         psi: float = None) -> np.ndarray:
     """Rank-two secant update of symmetric inverse estimates, O(d^2) per model.
 
-    Takes one model ``B`` (d, d) with its pair ``s``, ``q`` (d,), or a stack
-    (k, d, d) with pairs (k, d).  A row whose curvature q^T s is not safely
-    positive (skip rule, relative level ``BFGS_SKIP_TOL``) or whose step is
-    zero keeps its model bit for bit; when every row is skipped, B itself is
-    returned.  With ``psi`` given, updated models get I/psi added to keep the
-    modeled curvature below psi.
+    Takes a stack ``B`` (k, d, d) of models with their pairs ``s``, ``q``
+    (k, d); a single model is a one-row stack.  A row whose curvature q^T s
+    is not safely positive (skip rule, relative level ``BFGS_SKIP_TOL``) or
+    whose step is zero keeps its model bit for bit; when every row is
+    skipped, B itself is returned.  With ``psi`` given, updated models get
+    I/psi added to keep the modeled curvature below psi.
     """
     if not (np.isfinite(s).all() and np.isfinite(q).all() and np.isfinite(B).all()):
         raise FloatingPointError("non-finite input to curvature update")
-    single = B.ndim == 2
-    stack, s, q = (B[None], s[None], q[None]) if single else (B, s, q)
     qs = np.einsum("ki,ki->k", q, s)
     accept = (qs > BFGS_SKIP_TOL * np.linalg.norm(q, axis=1) * np.linalg.norm(s, axis=1)) \
         & s.any(axis=1)
     if not accept.any():
         return B
     every = accept.all()
-    models, s, q, qs = (stack, s, q, qs) if every else \
-        (stack[accept], s[accept], q[accept], qs[accept])
+    models, s, q, qs = (B, s, q, qs) if every else \
+        (B[accept], s[accept], q[accept], qs[accept])
     rho = 1.0 / qs
     Bq = (models @ q[:, :, None])[:, :, 0]
     # B - rho (s Bq^T + Bq s^T) + (rho^2 q^T B q + rho) s s^T written as
@@ -120,11 +118,10 @@ def bfgs_inverse_update(B: np.ndarray, s: np.ndarray, q: np.ndarray,
         diag = np.arange(B.shape[-1])
         new[:, diag, diag] += 1.0 / psi
     if every:
-        out = new
-    else:
-        out = stack.copy()
-        out[accept] = new
-    return out[0] if single else out
+        return new
+    out = B.copy()
+    out[accept] = new
+    return out
 
 
 # --- per-scheme kernels: ``ns`` is a network.NetworkState, ``rows`` the active agents

@@ -54,7 +54,7 @@ COLUMNS = ("t", "cost_err", "dist_err", "r_opt", "r_cons", "r_reg", "comm_scalar
 #: annotated type of a config field (a string under ``from __future__ import
 #: annotations``) -> (what its values are called, their type); a bool is of no other kind
 KINDS = {"bool": ("true or false", bool), "int": ("an integer", numbers.Integral),
-         "float": ("a finite number", numbers.Real), "str": ("a string", str)}
+         "float": ("a finite number", numbers.Real), "str": ("a string without NUL bytes", str)}
 #: bound of a config field -> (its sign, the test of a value against it)
 BOUNDS = {"at_least": (">=", operator.ge), "above": (">", operator.gt),
           "at_most": ("<=", operator.le)}
@@ -109,6 +109,7 @@ class ExperimentConfig:
             admitted = (value is None and f.default is None) or (
                 isinstance(value, KINDS[f.type][1]) and isinstance(value, bool) == (f.type == "bool")
                 and (f.type != "float" or abs(value) <= sys.float_info.max)   # no NaN or inf
+                and (f.type != "str" or "\0" not in value)   # open() takes no NUL byte
                 and (choices is None or value in choices)
                 and all(BOUNDS[name][1](value, b) for name, b in f.metadata["bounds"].items()))
             if not admitted:
@@ -119,14 +120,11 @@ class ExperimentConfig:
             raise ConfigurationError(
                 f"activation_count must lie in [1, {self.agents}], got {self.activation_count}")
 
-    def hyperparams(self, measured_M_f: float = None) -> Hyperparams:
-        epsilon = self.epsilon
-        if epsilon is None:
-            if measured_M_f is None:
-                raise ConfigurationError("epsilon not set and no measured smoothness given")
-            epsilon = 0.55 * measured_M_f
+    def hyperparams(self, measured_M_f: float) -> Hyperparams:
+        """The run's hyperparameters; an unset epsilon is 0.55 * ``measured_M_f``."""
         return Hyperparams(
-            mu_z=self.mu_z, mu_theta=self.mu_theta, epsilon=epsilon,
+            mu_z=self.mu_z, mu_theta=self.mu_theta,
+            epsilon=0.55 * measured_M_f if self.epsilon is None else self.epsilon,
             scheme=self.scheme, leader=self.leader, psi=self.psi,
             bfgs_bounding=self.bfgs_bounding,
         )
@@ -161,6 +159,8 @@ def load_config(path, overrides: dict = None) -> ExperimentConfig:
             raise ConfigurationError(f"config file {str(path)!r} repeats the key {repeated[0]!r}")
         return dict(pairs)
 
+    if "\0" in str(path):
+        raise ConfigurationError(f"config file {str(path)!r} cannot be read: its path holds a NUL byte")
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh, object_pairs_hook=unique_keys)

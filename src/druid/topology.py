@@ -117,6 +117,8 @@ def random_connected_graph(m: int, p: float, seed: int, max_redraws: int = 10_00
     stream.  Deterministic given (m, p, seed).
     """
     _check_agent_count(m)
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
     if not (0.0 < p <= 1.0):
         raise ValueError(f"edge probability must be in (0, 1], got {p}")
     src, dst = np.triu_indices(m, 1)  # the pairs (i, j), i < j, in lexicographic order

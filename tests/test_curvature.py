@@ -109,14 +109,14 @@ def test_bfgs_pair_curvature_lower_bound():
 
 
 def test_bfgs_update_scalar_secant():
-    out = bfgs_inverse_update(np.array([[1.0]]), np.array([0.5]), np.array([2.0]))
-    assert out[0, 0] == pytest.approx(0.25)
+    out = bfgs_inverse_update(np.array([[[1.0]]]), np.array([[0.5]]), np.array([[2.0]]))
+    assert out[0, 0, 0] == pytest.approx(0.25)
 
 
 def test_bfgs_update_skips_zero_step():
-    B = np.eye(2)
-    assert bfgs_inverse_update(B, np.zeros(2), np.ones(2)) is B
-    assert bfgs_inverse_update(B, np.ones(2), -np.ones(2)) is B  # negative curvature
+    B = np.eye(2)[None]
+    assert bfgs_inverse_update(B, np.zeros((1, 2)), np.ones((1, 2))) is B
+    assert bfgs_inverse_update(B, np.ones((1, 2)), -np.ones((1, 2))) is B  # negative curvature
 
 
 def test_bfgs_update_satisfies_secant_condition():
@@ -126,14 +126,14 @@ def test_bfgs_update_satisfies_secant_condition():
         B = random_spd(rng, d)
         s = rng.normal(size=d)
         q = random_spd(rng, d) @ s  # guarantees q^T s > 0
-        out = bfgs_inverse_update(B, s, q)
+        out = bfgs_inverse_update(B[None], s[None], q[None])[0]
         assert np.linalg.norm(out @ q - s) <= 1e-10 * max(1.0, np.linalg.norm(s))
         assert np.linalg.norm(out - out.T) <= 1e-12
 
 
 def test_bfgs_update_rejects_non_finite():
     with pytest.raises(FloatingPointError):
-        bfgs_inverse_update(np.eye(2), np.array([np.nan, 0.0]), np.ones(2))
+        bfgs_inverse_update(np.eye(2)[None], np.array([[np.nan, 0.0]]), np.ones((1, 2)))
 
 
 def test_bfgs_update_with_bounding_keeps_minimum_eigenvalue():
@@ -147,7 +147,7 @@ def test_bfgs_update_with_bounding_keeps_minimum_eigenvalue():
         s = x_new - x
         q = H_true @ s
         if q @ s > 0:
-            B = bfgs_inverse_update(B, s, q, psi=psi)
+            B = bfgs_inverse_update(B[None], s[None], q[None], psi=psi)[0]
             assert np.linalg.eigvalsh(B)[0] >= 1.0 / psi - 1e-12
         x = x_new
 
@@ -160,7 +160,7 @@ def test_bfgs_stays_positive_definite_over_many_updates():
     for k in range(1000):
         x_new = rng.normal(size=3)
         s = x_new - x
-        B = bfgs_inverse_update(B, s, H_true @ s)
+        B = bfgs_inverse_update(B[None], s[None], (H_true @ s)[None])[0]
         x = x_new
         if k % 50 == 0:
             assert np.linalg.eigvalsh(B)[0] > 0
@@ -238,7 +238,8 @@ def test_bfgs_update_stacked_equals_per_row(psi):
         for k in range(len(B)):
             expected = product_form_update(B[k], s[k], q[k], psi)
             assert np.abs(out[k] - expected).max() <= 1e-12 * max(1.0, np.abs(expected).max())
-            assert np.array_equal(out[k], bfgs_inverse_update(B[k], s[k], q[k], psi=psi))
+            row = slice(k, k + 1)
+            assert np.array_equal(out[k], bfgs_inverse_update(B[row], s[row], q[row], psi=psi)[0])
             if k % 3:  # zero step or negative curvature: skipped, bit for bit
                 assert np.array_equal(out[k], B[k])
             assert np.array_equal(out[k], out[k].T)

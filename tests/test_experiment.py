@@ -5,7 +5,7 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -209,8 +209,8 @@ def test_default_epsilon_resolved_from_measured_smoothness(tmp_path):
                       output=str(tmp_path / "default_eps.csv"))
     rows = read_rows(run_experiment(cfg))
     assert rows[-1][0] == "5"
-    with pytest.raises(ConfigurationError):
-        cfg.hyperparams()  # unresolvable without a measured constant
+    assert cfg.hyperparams(2.0).epsilon == 0.55 * 2.0
+    assert replace(cfg, epsilon=0.3).hyperparams(2.0).epsilon == 0.3
 
 
 def test_leader_cost_iterate_variant(tmp_path):
@@ -295,6 +295,7 @@ def test_cli_reports_errors_with_nonzero_exit(tmp_path, capsys):
     ("activation_count", True), ("ref_max_iter", 1e6), ("graph_seed", -1),
     ("partition_seed", 1.0), ("activation_seed", -2), ("mu_z", "1"), ("gamma", True),
     ("epsilon", "2"), ("bfgs_bounding", 1), ("dataset", 0), ("output", 3),
+    ("dataset", "data\0.txt"), ("output", "trace\0.csv"),
 ])
 def test_config_rejects_bad_values_before_reading_data(tmp_path, field, value):
     # activation_count only applies to fixed-count activation (agents=10 by default)
@@ -349,6 +350,15 @@ def test_dataset_or_config_that_is_missing_or_a_directory_is_named(tmp_path, cap
     assert capsys.readouterr().err == f"error: dataset {message}\n"
     assert main(["run", "--config", str(path)]) == 1
     assert capsys.readouterr().err == f"error: config {message}\n"
+
+
+def test_config_path_with_a_nul_byte_is_named(tmp_path, capsys):
+    path = str(tmp_path / "config\0.json")
+    message = f"config file {path!r} cannot be read: its path holds a NUL byte"
+    with pytest.raises(ConfigurationError, match=re.escape(message)):
+        load_config(path)
+    assert main(["run", "--config", path]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("valid_lines", [0, 40, 1000])   # 1000 lines fill the first read block

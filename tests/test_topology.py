@@ -58,6 +58,10 @@ def test_generation_rejects_bad_parameters():
         random_connected_graph(5, 0.0, seed=0)
     with pytest.raises(ValueError):
         random_connected_graph(5, 1.5, seed=0)
+    for seed in (-3, 1.5, "7", True):
+        with pytest.raises(ValueError, match=r"seed must be a nonnegative integer"):
+            random_connected_graph(5, 0.9, seed=seed)
+    assert random_connected_graph(3, 1.0, seed=np.int64(4)).n == 3
 
 
 def test_generation_redraw_cap():

@@ -1,16 +1,19 @@
-"""Print the sha256 of every benchmark workload's trace; compare two checkouts.
+"""Print the sha256 of every workload's trace; compare two checkouts.
 
 Usage, from the root of a checkout:
 
     python3 tools/trace_hashes.py
     python3 tools/trace_hashes.py --workloads gradient-ridge-async --seeds 0 1
+    python3 tools/trace_hashes.py --workloads kernel-newton-logistic-sync
     git archive <parent-commit> | (mkdir -p ../parent && tar -x -C ../parent)
     python3 tools/trace_hashes.py --against ../parent
 
-For each workload of ``perfbench/workloads.py`` and each seed (default 0-4),
-the workload's dataset is written and ``run_experiment`` runs on it in a
-temporary directory, with BLAS pinned to one thread; one line
-``<workload> <seed> <sha256>`` is printed per trace.  ``--checkout DIR``
+The workloads are the benchmark's, from ``perfbench/workloads.py``, and the
+twelve small ``KERNEL_CONFIGS``, which reach every kernel in both modes.
+For each workload and each seed (default 0-4), the workload's dataset is
+written and ``run_experiment`` runs on it in a temporary directory, with
+BLAS pinned to one thread; one line ``<workload> <seed> <sha256>`` is
+printed per trace.  ``--checkout DIR``
 runs the library and the workloads of another checkout.  ``--against DIR``
 also computes the hashes of ``DIR`` in a subprocess, lists every trace whose
 hash differs and exits with code 1 if any does.  Nothing is written inside
@@ -34,6 +37,18 @@ sys.dont_write_bytecode = True   # no __pycache__ under src/ or perfbench/
 ROOT = Path(__file__).resolve().parent.parent
 RUN_TIMEOUT_S = 900
 
+#: ``Workload`` arguments of the configs named ``kernel-<scheme>-<lasso|logistic>-<sync|async>``:
+#: every scheme on a constant (lasso) and a non-constant (logistic) Hessian, synchronous and
+#: under Bernoulli 0.6 activation, recorded every step.  The benchmark's workloads run
+#: neither Newton on a non-constant Hessian, nor gradient or BFGS in sync, nor lasso async.
+KERNEL_CONFIGS = {
+    f"kernel-{scheme}-{problem.split('_')[0]}-{mode}": dict(
+        problem=problem, scheme=scheme, agents=12, d=6, rows_per_agent=8, edge_prob=0.4,
+        gamma=0.1, iterations=100, cadence=1, mode=mode, activation_p=0.6)
+    for problem in ("lasso", "logistic_l1") for scheme in ("gradient", "newton", "bfgs")
+    for mode in ("sync", "async")
+}
+
 
 def checkout_dir(path: str) -> Path:
     """``path`` resolved, if it holds the library and the benchmark workloads."""
@@ -48,15 +63,17 @@ def trace_hashes(root: Path, names: list | None, seeds: list) -> dict:
     the workloads ``names`` (None: every workload)."""
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
     from druid.experiment import ExperimentConfig, run_experiment
-    from workloads import WORKLOADS, write_dataset
+    from workloads import WORKLOADS, Workload, write_dataset
 
-    names = list(WORKLOADS) if names is None else names
-    unknown = sorted(set(names) - set(WORKLOADS))
+    workloads = {**WORKLOADS, **{name: Workload(name=name, **kwargs)
+                                 for name, kwargs in KERNEL_CONFIGS.items()}}
+    names = list(workloads) if names is None else names
+    unknown = sorted(set(names) - set(workloads))
     if unknown:
-        raise SystemExit(f"unknown workloads {unknown}; known: {sorted(WORKLOADS)}")
+        raise SystemExit(f"unknown workloads {unknown}; known: {sorted(workloads)}")
     hashes = {}
     for name in names:
-        workload = WORKLOADS[name]
+        workload = workloads[name]
         for seed in seeds:
             with tempfile.TemporaryDirectory() as tmp:
                 dataset, output = Path(tmp) / "data.txt", Path(tmp) / "trace.csv"
