@@ -19,7 +19,6 @@ from .problems import (
     SQUARED_L2,
     ZERO,
     ConsensusProblem,
-    LocalObjective,
     Regularizer,
     SmoothnessConstants,
     prox,
@@ -40,7 +39,7 @@ __all__ = [
     "BFGS", "GRADIENT", "NEWTON", "SCHEMES", "Hyperparams",
     "NetworkState", "init_network", "local_gradient", "sync_step",
     "L1", "LEAST_SQUARES", "LOGISTIC", "SQUARED_L2", "ZERO",
-    "ConsensusProblem", "LocalObjective", "Regularizer", "SmoothnessConstants",
+    "ConsensusProblem", "Regularizer", "SmoothnessConstants",
     "prox", "subgradient_membership",
     "ReferenceSolution", "centralized_reference",
     "Graph", "SpectralConstants", "random_connected_graph", "read_edge_list",

@@ -1,15 +1,23 @@
 """Verification oracles and convergence diagnostics.
 
-This module provides independent routes to check the reduced network
-iteration: stationarity/consensus residuals, a literal three-block ADMM
-recursion over the network's own shapes ((m, d) iterates x, (n, d) edge
-variables z and edge duals alpha, beta, and the leader's theta, lambda)
-whose state owns its inputs, curvature shifts and BFGS models and whose
-edge terms gather and scatter over the graph's endpoints, least-squares recovery of the unique dual pair in the
-column space of the stacked constraint matrix, the edge duals the network
-iteration does not store, the weighted Lyapunov distance of a network state
-to an optimum, and the inexactness of a network step with its per-scheme
-bound.  Each reads the problem, graph and hyperparameters from its state.
+These are independent routes to check the reduced network iteration:
+
+* stationarity, consensus and regularizer residuals;
+* a literal three-block ADMM recursion on the network's own shapes: (m, d)
+  iterates x, (n, d) edge variables z and edge duals alpha, beta, and the
+  leader's theta, lambda.  Its state owns its inputs, curvature shifts and
+  BFGS models, and its edge terms gather and scatter over the graph's
+  endpoints;
+* recovery of the unique dual pair in the column space of the stacked
+  constraint matrix;
+* the edge duals the network iteration does not store, and the weighted
+  Lyapunov distance of a network state to an optimum;
+* the inexactness of a network step, with its per-scheme bound.
+
+Each diagnostic reads the problem, graph and hyperparameters from its state.
+The gradients and Hessians come from the problem's stacked evaluations; the
+curvature updates are this module's own, so the oracles do not share the
+run path's kernels.
 """
 
 from __future__ import annotations
@@ -90,21 +98,21 @@ def full_admm_oracle_step(st: FullAdmmState) -> FullAdmmState:
 
     The primal minimization is replaced by the identical one-step
     curvature update as the network iteration: one stacked operation per
-    scheme on the (m, d) arrays, around the gradients and Hessians of each
-    agent's ``LocalObjective``.  The edge variable solve is closed-form;
+    scheme on the (m, d) arrays, around the problem's stacked gradients and
+    Hessians of every agent.  The edge variable solve is closed-form;
     both edge duals and the leader's multiplier ascend explicitly.  Each
     BFGS pair spans the step, from the iterate and gradient it starts at.
     """
     problem, graph, hp = st.problem, st.graph, st.hp
-    shift, leader, x = st.shift, hp.leader, st.x
-    grad_f = np.stack([obj.gradient(x[i]) for i, obj in enumerate(problem.objectives)])
+    shift, leader, x, agents = st.shift, hp.leader, st.x, range(problem.m)
+    grad_f = problem.gradients(x, agents)
     grad_l = grad_f + edge_scatter(graph, st.alpha + hp.mu_z * (x[graph.src] - st.z),
                                    st.beta + hp.mu_z * (x[graph.dst] - st.z))
     grad_l[leader] += st.lam + hp.mu_theta * (x[leader] - st.theta)
     if hp.scheme == cv.GRADIENT:
         u = grad_l / shift[:, None]
     elif hp.scheme == cv.NEWTON:
-        blocks = np.stack([obj.hessian(x[i]) for i, obj in enumerate(problem.objectives)])
+        blocks = problem.hessians(x, agents)
         diag = np.arange(problem.d)
         blocks[:, diag, diag] += shift[:, None]
         u = np.linalg.solve(blocks, grad_l[..., None])[..., 0]
@@ -119,9 +127,8 @@ def full_admm_oracle_step(st: FullAdmmState) -> FullAdmmState:
     lam_new = st.lam + hp.mu_theta * (x_new[leader] - theta_new)
     models = None
     if hp.scheme == cv.BFGS:
-        grad_new = np.stack([obj.gradient(x_new[i]) for i, obj in enumerate(problem.objectives)])
         s = x_new - x
-        q = grad_new - grad_f + shift[:, None] * s
+        q = problem.gradients(x_new, agents) - grad_f + shift[:, None] * s
         models = cv.bfgs_inverse_update(
             st.models, s, q, psi=hp.psi if hp.bfgs_bounding else None
         )
@@ -141,7 +148,7 @@ def project_dual(x_hat_star: np.ndarray, problem: ConsensusProblem, graph: Graph
     ``STATIONARITY_TOL`` and the subgradient inclusion of the returned
     multiplier to ``MEMBERSHIP_TOL``; a failure signals a bad reference point.
     """
-    grads = np.stack([obj.gradient(x_hat_star) for obj in problem.objectives])
+    grads = problem.gradients(np.broadcast_to(x_hat_star, (problem.m, problem.d)), range(problem.m))
     gram = np.diag(graph.degrees) - graph.adjacency
     gram[leader, leader] += 1.0
     r = np.linalg.solve(gram, -grads)
@@ -216,19 +223,16 @@ def error_term(ns: NetworkState, x_prev: np.ndarray, bfgs_prev=None) -> ErrorRep
     minus its constant diagonal ``ns.shift`` for BFGS (reconstructed from
     the (m, d, d) inverse estimates ``bfgs_prev`` and ``ns.B``).
     """
-    problem, graph, hp = ns.problem, ns.graph, ns.hp
-    m, d = graph.m, problem.d
+    problem, hp = ns.problem, ns.hp
+    d, agents = problem.d, range(problem.m)
     sm = problem.smoothness
     dx = ns.X - x_prev
-    grads_t = np.stack([problem.objectives[i].gradient(x_prev[i]) for i in range(m)])
-    grads_t1 = np.stack([problem.objectives[i].gradient(ns.X[i]) for i in range(m)])
-    e = grads_t - grads_t1
+    e = problem.gradients(x_prev, agents) - problem.gradients(ns.X, agents)
     norm_dx = float(np.linalg.norm(dx))
     if hp.scheme == cv.GRADIENT:
         tau = THEORY[hp.scheme].tau(hp, sm)
     elif hp.scheme == cv.NEWTON:
-        hessians = np.stack([obj.hessian(x_prev[i]) for i, obj in enumerate(problem.objectives)])
-        e += (hessians @ dx[..., None])[..., 0]
+        e += (problem.hessians(x_prev, agents) @ dx[..., None])[..., 0]
         tau = min(THEORY[hp.scheme].tau(hp, sm), 0.5 * sm.L_f * norm_dx)
     else:
         if bfgs_prev is None:

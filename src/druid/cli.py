@@ -8,7 +8,8 @@ from dataclasses import MISSING, fields
 
 from .activation import BERNOULLI
 from .errors import ConfigurationError
-from .experiment import ExperimentConfig, config_from_dict, describe, load_config, run_experiment
+from .experiment import (ExperimentConfig, config_from_dict, describe, load_config, output_path,
+                         run_experiment)
 from .topology import random_connected_graph, write_edge_list
 
 #: annotated type of a config field -> argparse type of its flag (bool: --x/--no-x)
@@ -55,9 +56,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "graph":
+            out = output_path(args.output) if args.output else None
             g = random_connected_graph(args.agents, args.edge_prob, args.seed)
-            if args.output:
-                with open(args.output, "w") as fh:
+            if out:
+                with open(out, "w") as fh:
                     write_edge_list(g, fh)
             else:
                 write_edge_list(g, sys.stdout)

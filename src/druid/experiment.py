@@ -176,6 +176,20 @@ def load_config(path, overrides: dict = None) -> ExperimentConfig:
     return config_from_dict(data)
 
 
+def output_path(output: str) -> Path:
+    """``output`` as the path of a file to write, or a ``ConfigurationError``
+    naming ``--output`` and the path if it holds a NUL byte, its directory
+    does not exist or it is a directory.  Checked before any work is done."""
+    if "\0" in output:
+        raise ConfigurationError(f"--output {output!r} holds a NUL byte")
+    out = Path(output)
+    if not out.parent.is_dir():
+        raise ConfigurationError(f"--output {output!r}: directory {str(out.parent)!r} does not exist")
+    if out.is_dir():
+        raise ConfigurationError(f"--output {output!r} is a directory, not a file")
+    return out
+
+
 def build_problem(cfg: ExperimentConfig, ds: Dataset) -> ConsensusProblem:
     """The problem of a seeded even partition of the dataset: the rows are
     gathered once, in agent order, and become the problem's stacks."""
@@ -207,11 +221,7 @@ def _metrics(ns: NetworkState, cfg: ExperimentConfig, ref, cost0: float,
 
 def run_experiment(cfg: ExperimentConfig) -> Path:
     """Execute one configured run and write its trace; returns the path."""
-    out = Path(cfg.output)
-    if not out.parent.is_dir():
-        raise ConfigurationError(f"output {cfg.output!r}: directory {str(out.parent)!r} does not exist")
-    if out.is_dir():
-        raise ConfigurationError(f"output {cfg.output!r} is a directory, not a trace file")
+    out = output_path(cfg.output)
     try:
         with open(cfg.dataset, encoding="utf-8") as fh:
             ds = parse_libsvm(fh)

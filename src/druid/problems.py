@@ -9,7 +9,9 @@ Two smooth local objectives are supported:
 and three regularizers: zero, gamma * ||x||_1, and gamma * ||x||^2.
 A ``ConsensusProblem`` holds every agent's data as stacked rows and the shared
 regularizer; ``STACKED`` says how it evaluates the objectives of one kind
-together.  A ``LocalObjective`` is one agent's cost, for the oracles.
+together.  A ``LocalObjective`` is one agent's cost, evaluated on its own: the
+per-agent reference that the stacked forms are tested against.  The library
+itself builds none.
 """
 
 from __future__ import annotations
@@ -61,9 +63,8 @@ class LocalObjective:
         if self.kind == LOGISTIC and not np.all(np.isin(self.targets, (0.0, 1.0))):
             raise ValueError("logistic labels must be in {0, 1}")
 
-    # The least-squares Gram matrix and A^T b are computed on first use, for
-    # the per-objective oracles only; a ConsensusProblem derives its own
-    # stacks of them from the feature stacks and never reads these.
+    # The least-squares Gram matrix and A^T b are computed on first use, from
+    # this objective's own arrays.
     @cached_property
     def _gram(self) -> np.ndarray:
         return self.features.T @ self.features
@@ -267,8 +268,7 @@ class ConsensusProblem:
     every other per-agent array (the least-squares Gram matrices and A^T b,
     the smoothness constants) is derived from them in batched calls.  Do not
     change the data after construction.  ``gradients``, ``hessians``,
-    ``hessian_bounds`` and ``total_value`` take one batched call per group;
-    only the analysis oracles read the per-agent ``objectives``.
+    ``hessian_bounds`` and ``total_value`` take one batched call per group.
     """
 
     kind: str
@@ -303,28 +303,6 @@ class ConsensusProblem:
                       "targets": targets[at].reshape(hi - lo, counts[lo])}
             stacks.update(STACKED[self.kind].derive(**stacks))
             self._groups.append((lo, hi, stacks))
-
-    @classmethod
-    def from_objectives(cls, objectives, regularizer: Regularizer = Regularizer()):
-        """The problem of one ``LocalObjective`` per agent, in agent order."""
-        if not objectives:
-            raise ConfigurationError("need at least one local objective")
-        dims = {obj.d for obj in objectives}
-        if len(dims) != 1:
-            raise ConfigurationError(f"objective dimensions differ: {sorted(dims)}")
-        kinds = {obj.kind for obj in objectives}
-        if len(kinds) != 1:
-            raise ConfigurationError(f"objective kinds differ: {sorted(kinds)}")
-        return cls(kinds.pop(), np.concatenate([obj.features for obj in objectives]),
-                   np.concatenate([obj.targets for obj in objectives]),
-                   [len(obj.targets) for obj in objectives], regularizer)
-
-    @cached_property
-    def objectives(self) -> list:
-        """One ``LocalObjective`` per agent whose arrays are views into the
-        stacks, built on first use; only the analysis oracles read them."""
-        return [LocalObjective(self.kind, f, t) for *_, stacks in self._groups
-                for f, t in zip(stacks["features"], stacks["targets"])]
 
     @property
     def m(self) -> int:

@@ -2,7 +2,10 @@
 
 Instances are deterministic in their seeds.  The ridge builder fixes every
 agent's data spectrum to {0.5, 2, 8}, so the network-wide strong-convexity
-and smoothness constants are exactly 0.5 and 8.
+and smoothness constants are exactly 0.5 and 8.  ``problem_of`` and
+``objectives_of`` convert between a ``ConsensusProblem`` and one
+``LocalObjective`` per agent, the per-agent reference the stacked
+evaluations are checked against.
 """
 
 import numpy as np
@@ -14,11 +17,28 @@ from druid import (
     LOGISTIC,
     SQUARED_L2,
     ConsensusProblem,
-    LocalObjective,
     Regularizer,
     random_connected_graph,
 )
 from druid.curvature import block_diag_value
+from druid.problems import LocalObjective
+
+
+def problem_of(objectives, regularizer=Regularizer()):
+    """The problem of one ``LocalObjective`` per agent, in agent order; the
+    objectives share one kind."""
+    (kind,) = {obj.kind for obj in objectives}
+    return ConsensusProblem(kind, np.concatenate([obj.features for obj in objectives]),
+                            np.concatenate([obj.targets for obj in objectives]),
+                            [len(obj.targets) for obj in objectives], regularizer)
+
+
+def objectives_of(problem):
+    """One ``LocalObjective`` per agent, over the agent's own rows of the
+    problem's data."""
+    cuts = np.cumsum(problem.counts)[:-1]
+    return [LocalObjective(problem.kind, features, targets) for features, targets in
+            zip(np.split(problem.features, cuts), np.split(problem.targets, cuts))]
 
 
 def make_lasso_instance(m=5, d=3, rows=4, gamma=0.1, seed=23, edge_prob=0.7, graph_seed=3):
@@ -29,7 +49,7 @@ def make_lasso_instance(m=5, d=3, rows=4, gamma=0.1, seed=23, edge_prob=0.7, gra
         A = rng.normal(size=(rows, d)) / np.sqrt(rows)
         b = rng.normal(size=rows)
         objectives.append(LocalObjective(LEAST_SQUARES, A, b))
-    return graph, ConsensusProblem.from_objectives(objectives, Regularizer(L1, gamma))
+    return graph, problem_of(objectives, Regularizer(L1, gamma))
 
 
 def make_ridge_instance(m=10, d=3, gamma=0.02, seed=42, edge_prob=0.5, graph_seed=11):
@@ -42,7 +62,7 @@ def make_ridge_instance(m=10, d=3, gamma=0.02, seed=42, edge_prob=0.5, graph_see
         A = (Q * np.sqrt(eigs)) @ np.linalg.qr(rng.normal(size=(d, d)))[0].T
         b = rng.normal(size=d)
         objectives.append(LocalObjective(LEAST_SQUARES, A, b))
-    return graph, ConsensusProblem.from_objectives(objectives, Regularizer(SQUARED_L2, gamma))
+    return graph, problem_of(objectives, Regularizer(SQUARED_L2, gamma))
 
 
 def make_logistic_instance(m=5, d=3, rows=12, gamma=0.01, seed=7, edge_prob=0.7, graph_seed=5):
@@ -54,7 +74,7 @@ def make_logistic_instance(m=5, d=3, rows=12, gamma=0.01, seed=7, edge_prob=0.7,
         W = rng.normal(size=(rows, d))
         y = (W @ truth + 0.3 * rng.normal(size=rows) > 0).astype(float)
         objectives.append(LocalObjective(LOGISTIC, W, y))
-    return graph, ConsensusProblem.from_objectives(objectives, Regularizer(L1, gamma))
+    return graph, problem_of(objectives, Regularizer(L1, gamma))
 
 
 def make_rank_deficient_instance(m=5, d=3, gamma=0.05, seed=19, edge_prob=0.7, graph_seed=3):
@@ -66,7 +86,7 @@ def make_rank_deficient_instance(m=5, d=3, gamma=0.05, seed=19, edge_prob=0.7, g
         A = rng.normal(size=(2, d))
         b = rng.normal(size=2)
         objectives.append(LocalObjective(LEAST_SQUARES, A, b))
-    return graph, ConsensusProblem.from_objectives(objectives, Regularizer(L1, gamma))
+    return graph, problem_of(objectives, Regularizer(L1, gamma))
 
 
 def incidences(graph):
@@ -99,7 +119,7 @@ def install_fixed_point(ns, x_star, lam_star):
     duals balancing those gradients, and theta at the optimum.  The
     curvature model restarts from the kernel's ``init``."""
     problem = ns.problem
-    grads = np.stack([obj.gradient(x_star) for obj in problem.objectives])
+    grads = np.stack([obj.gradient(x_star) for obj in objectives_of(problem)])
     ns.X = np.tile(x_star, (problem.m, 1))
     ns.Phi = -grads
     ns.Phi[ns.hp.leader] -= lam_star

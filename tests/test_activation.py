@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import install_fixed_point, make_lasso_instance, make_logistic_instance
+from conftest import (install_fixed_point, make_lasso_instance, make_logistic_instance,
+                      objectives_of, problem_of)
 from druid.activation import ActivationRecord, ActivationSampler, async_step, sample_activation
 from druid.analysis import project_dual
 from druid.curvature import SCHEMES, Hyperparams
@@ -13,7 +14,6 @@ from druid.network import apply_step, init_network, local_gradient, sync_step
 from druid.problems import (
     L1,
     LEAST_SQUARES,
-    ConsensusProblem,
     LocalObjective,
     Regularizer,
 )
@@ -226,7 +226,7 @@ def networks_and_masks(draw):
         LocalObjective(LEAST_SQUARES, rng.normal(size=(3, 2)) / np.sqrt(3), rng.normal(size=3))
         for _ in range(m)
     ]
-    problem = ConsensusProblem.from_objectives(objectives, Regularizer(L1, 0.05))
+    problem = problem_of(objectives, Regularizer(L1, 0.05))
     mask = st.lists(st.booleans(), min_size=m, max_size=m).map(np.array)
     masks = draw(st.lists(mask, max_size=4)) + [np.zeros(m, bool), np.ones(m, bool)]
     return graph, problem, draw(st.permutations(masks))
@@ -234,7 +234,7 @@ def networks_and_masks(draw):
 
 def assert_gradients_cached(ns, problem):
     """The cached local gradients are exactly those recomputed at X."""
-    for i, obj in enumerate(problem.objectives):
+    for i, obj in enumerate(objectives_of(problem)):
         assert np.array_equal(ns.G[i], obj.gradient(ns.X[i]))
 
 

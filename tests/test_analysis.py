@@ -7,6 +7,8 @@ from conftest import (
     make_lasso_instance,
     make_logistic_instance,
     make_ridge_instance,
+    objectives_of,
+    problem_of,
     signed_incidence,
 )
 from druid import problems
@@ -31,7 +33,6 @@ from druid.problems import (
     L1,
     LEAST_SQUARES,
     ZERO,
-    ConsensusProblem,
     LocalObjective,
     Regularizer,
 )
@@ -51,17 +52,13 @@ def hp_for(scheme, problem, **kw):
 
 
 def test_reference_unconstrained_quadratic():
-    problem = ConsensusProblem.from_objectives(
-        [LocalObjective(LEAST_SQUARES, [[1.0]], [2.0])], Regularizer(ZERO)
-    )
+    problem = problem_of([LocalObjective(LEAST_SQUARES, [[1.0]], [2.0])], Regularizer(ZERO))
     ref = centralized_reference(problem)
     assert ref.x_star == pytest.approx([2.0], abs=1e-10)
 
 
 def test_reference_l1_kills_weak_pull():
-    problem = ConsensusProblem.from_objectives(
-        [LocalObjective(LEAST_SQUARES, [[1.0]], [0.0])], Regularizer(L1, 1.0)
-    )
+    problem = problem_of([LocalObjective(LEAST_SQUARES, [[1.0]], [0.0])], Regularizer(L1, 1.0))
     ref = centralized_reference(problem)
     assert ref.x_star == pytest.approx([0.0], abs=1e-12)
 
@@ -84,9 +81,7 @@ def test_reference_matches_coordinate_descent_on_lasso():
     A = rng.normal(size=(5, 3))
     b = rng.normal(size=5)
     gamma = 0.4
-    problem = ConsensusProblem.from_objectives(
-        [LocalObjective(LEAST_SQUARES, A, b)], Regularizer(L1, gamma)
-    )
+    problem = problem_of([LocalObjective(LEAST_SQUARES, A, b)], Regularizer(L1, gamma))
     ref = centralized_reference(problem)
     cd = coordinate_descent_lasso(A, b, gamma, iters=20_000)
     assert np.linalg.norm(ref.x_star - cd) <= 1e-8
@@ -122,7 +117,7 @@ def test_kkt_residuals_at_zero_init():
     hp = hp_for(GRADIENT, problem)
     ns = init_network(problem, graph, hp)
     r_opt, r_cons, r_reg = kkt_residuals(ns)
-    grads = np.stack([obj.gradient(np.zeros(problem.d)) for obj in problem.objectives])
+    grads = np.stack([obj.gradient(np.zeros(problem.d)) for obj in objectives_of(problem)])
     assert r_opt == pytest.approx(np.linalg.norm(grads))
     assert r_cons == 0.0 and r_reg == 0.0
 
@@ -146,7 +141,7 @@ def make_two_agent_instance():
         LocalObjective(LEAST_SQUARES, [[1.0, 0.2], [0.0, 0.5]], [1.0, -1.0]),
         LocalObjective(LEAST_SQUARES, [[0.7, 0.0], [0.1, 0.9]], [0.5, 2.0]),
     ]
-    return graph, ConsensusProblem.from_objectives(objs, Regularizer(L1, 0.1))
+    return graph, problem_of(objs, Regularizer(L1, 0.1))
 
 
 #: (instance builder, whether the last agent leads, id suffix): least squares
@@ -216,7 +211,7 @@ def test_oracle_state_holds_only_network_shapes():
 def test_project_dual_two_agent_hand_system():
     graph = Graph(2, [(0, 1)])
     objs = [LocalObjective(LEAST_SQUARES, [[1.0]], [b]) for b in (0.0, 2.0)]
-    problem = ConsensusProblem.from_objectives(objs, Regularizer(ZERO))
+    problem = problem_of(objs, Regularizer(ZERO))
     alpha, lam = project_dual(np.array([1.0]), problem, graph, leader=0)
     grads = np.array([[1.0], [-1.0]])
     stat = grads + signed_incidence(graph).T @ alpha
@@ -228,7 +223,7 @@ def test_project_dual_two_agent_hand_system():
 def test_project_dual_zero_gradients():
     graph = Graph(2, [(0, 1)])
     objs = [LocalObjective(LEAST_SQUARES, [[1.0]], [1.0]) for _ in range(2)]
-    problem = ConsensusProblem.from_objectives(objs, Regularizer(ZERO))
+    problem = problem_of(objs, Regularizer(ZERO))
     alpha, lam = project_dual(np.array([1.0]), problem, graph, leader=1)
     assert np.abs(alpha).max() <= 1e-12 and np.abs(lam).max() <= 1e-12
 
@@ -329,7 +324,7 @@ def test_error_term_gradient_on_quadratic_is_hessian_action():
     report = error_term(network_at(problem, graph, hp, x_t1), x_t)
     dx = x_t1 - x_t
     expected = -np.stack(
-        [problem.objectives[i].hessian(x_t[i]) @ dx[i] for i in range(graph.m)]
+        [obj.hessian(x) @ step for obj, x, step in zip(objectives_of(problem), x_t, dx)]
     )
     assert np.abs(report.e_t - expected).max() <= 1e-12
     assert report.norm_e <= sm.M_f * np.linalg.norm(dx) + 1e-12

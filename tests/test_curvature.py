@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from conftest import make_lasso_instance, make_logistic_instance, newton_block
+from conftest import make_lasso_instance, make_logistic_instance, newton_block, objectives_of, problem_of
 from druid.curvature import (
     BFGS,
     GRADIENT,
@@ -17,7 +17,7 @@ from druid.curvature import (
     solve_direction,
 )
 from druid.network import apply_step, init_network, local_gradient, sync_step
-from druid.problems import LEAST_SQUARES, LOGISTIC, ConsensusProblem, LocalObjective
+from druid.problems import LEAST_SQUARES, LOGISTIC, LocalObjective
 from druid.topology import Graph
 
 
@@ -198,7 +198,7 @@ def test_init_curvature_bfgs_matches_constant_inverse():
     # agent 1 of a 3-path: degree 2, not the leader, shift mu_z * 2 + epsilon = 2.0
     objs = [LocalObjective(LEAST_SQUARES, np.eye(3), np.zeros(3)) for _ in range(3)]
     hp = Hyperparams(mu_z=0.5, mu_theta=0.5, epsilon=1.0, scheme=BFGS)
-    ns = init_network(ConsensusProblem.from_objectives(objs), Graph(3, [(0, 1), (1, 2)]), hp)
+    ns = init_network(problem_of(objs), Graph(3, [(0, 1), (1, 2)]), hp)
     assert ns.shift[1] == 2.0
     assert np.allclose(ns.B[1], np.eye(3) / 2.0)
     assert np.array_equal(ns.X[1], np.zeros(3))
@@ -286,7 +286,7 @@ def test_newton_least_squares_inverts_constant_block_once(monkeypatch):
     hp = NEWTON_HP
     ns = init_network(problem, graph, hp)
     d = problem.d
-    for i, obj in enumerate(problem.objectives):
+    for i, obj in enumerate(objectives_of(problem)):
         expected = np.linalg.inv(obj.features.T @ obj.features + ns.shift[i] * np.eye(d))
         assert np.abs(ns.B[i] - expected).max() <= 1e-12 * np.abs(expected).max()
     for _ in range(3):
@@ -304,7 +304,7 @@ def test_newton_least_squares_inverts_constant_block_once(monkeypatch):
     apply_step(ns, np.arange(graph.m) % 2 == 0)
     assert np.array_equal(ns.B, B0)  # the model never changes
     monkeypatch.undo()
-    for i, obj in enumerate(problem.objectives):
+    for i, obj in enumerate(objectives_of(problem)):
         block = newton_block(obj, x_old[i], hp, graph.degrees[i], i == hp.leader)
         step = x_old[i] - scipy.linalg.cho_solve(scipy.linalg.cho_factor(block), H[i])
         assert np.abs(x_new[i] - step).max() <= 1e-12 * max(1.0, np.abs(step).max())
@@ -320,7 +320,7 @@ def test_newton_logistic_batched_solve_is_bitwise_the_per_row_loop():
         sync_step(ns)
         blocks = np.stack([
             newton_block(obj, x, hp, graph.degrees[i], i == hp.leader)
-            for i, (obj, x) in enumerate(zip(problem.objectives, ns.X))
+            for i, (obj, x) in enumerate(zip(objectives_of(problem), ns.X))
         ])
         H = rng.normal(size=ns.X.shape)
         loop = np.stack([np.linalg.solve(block, h) for block, h in zip(blocks, H)])

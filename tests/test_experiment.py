@@ -11,7 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from druid import experiment
+from conftest import objectives_of
+from druid import cli, experiment
 from druid.cli import main
 from druid.errors import ConfigurationError, DivergenceError
 from druid.datasets import parse_libsvm, partition
@@ -319,6 +320,20 @@ def test_output_that_is_a_directory_fails_before_reading_data(tmp_path):
         run_experiment(cfg)
 
 
+@pytest.mark.parametrize("case", ["nul", "missing-directory", "directory"])
+def test_graph_output_is_checked_before_the_graph_is_drawn(tmp_path, monkeypatch, capsys, case):
+    def draw(*args):
+        raise AssertionError("the graph was drawn before --output was checked")
+
+    monkeypatch.setattr(cli, "random_connected_graph", draw)
+    output = {"nul": str(tmp_path / "g\0.txt"), "missing-directory": str(tmp_path / "absent" / "g.txt"),
+              "directory": str(tmp_path)}[case]
+    assert main(["graph", "--agents", "4", "--edge-prob", "0.9", "--output", output]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: --output {output!r}") and "drawn" not in err
+    assert os.listdir(tmp_path) == []
+
+
 def test_more_agents_than_rows_fails_before_the_graph_is_drawn(tmp_path, monkeypatch):
     def draw(*args):
         raise AssertionError("the graph was drawn before the rows were checked")
@@ -436,11 +451,12 @@ def test_build_problem_binarizes_labels_over_the_whole_dataset(tmp_path):
     cfg = base_config(tmp_path, problem="logistic_l1", agents=2)
     problem = build_problem(cfg, ds)
     parts = partition(ds, 2, cfg.partition_seed)
-    for obj, rows in zip(problem.objectives, parts):
+    objectives = objectives_of(problem)
+    for obj, rows in zip(objectives, parts):
         assert obj.features[:, 0].tolist() == [r + 1.0 for r in rows]
         assert obj.targets.tolist() == [float(r > 0) for r in rows]
     # one agent holds only the label 7, which still maps to 1
-    assert [1.0, 1.0] in [obj.targets.tolist() for obj in problem.objectives]
+    assert [1.0, 1.0] in [obj.targets.tolist() for obj in objectives]
 
 
 RUN_PATH_CONFIGS = {

@@ -10,6 +10,8 @@ from conftest import (
     make_logistic_instance,
     make_ridge_instance,
     newton_block,
+    objectives_of,
+    problem_of,
 )
 from druid import curvature as cv
 from druid.activation import ActivationSampler, async_step, sample_activation
@@ -28,7 +30,6 @@ from druid.problems import (
     LEAST_SQUARES,
     LOGISTIC,
     ZERO,
-    ConsensusProblem,
     LocalObjective,
     Regularizer,
     subgradient_membership,
@@ -40,7 +41,7 @@ from druid.topology import Graph, random_connected_graph
 def scalar_problem(b_values, regularizer=Regularizer(ZERO)):
     """One-dimensional agents with f_i(x) = (x - b_i)^2 / 2."""
     objs = [LocalObjective(LEAST_SQUARES, [[1.0]], [b]) for b in b_values]
-    return ConsensusProblem.from_objectives(objs, regularizer)
+    return problem_of(objs, regularizer)
 
 
 def default_hp(scheme=GRADIENT, **kw):
@@ -59,7 +60,7 @@ def test_init_network_zero_state():
     assert not ns.theta.any() and not ns.lam.any()
     assert ns.B is None
     assert np.array_equal(ns.G, np.stack([obj.gradient(np.zeros(problem.d))
-                                          for obj in problem.objectives]))
+                                          for obj in objectives_of(problem)]))
     for i in range(graph.m):
         assert ns.shift[i] == block_diag_value(hp, graph.degrees[i], i == hp.leader)
 
@@ -90,9 +91,8 @@ def test_first_local_gradient_is_plain_gradient():
         hp = default_hp(scheme=scheme)
         ns = init_network(problem, graph, hp)
         grads = local_gradient(ns, range(graph.m))
-        for i in range(graph.m):
-            expected = problem.objectives[i].gradient(np.zeros(problem.d))
-            assert np.allclose(grads[i], expected)
+        for grad, obj in zip(grads, objectives_of(problem)):
+            assert np.allclose(grad, obj.gradient(np.zeros(problem.d)))
 
 
 def test_local_gradient_scalar_case():
@@ -119,8 +119,7 @@ def dense_augmented_lagrangian(problem, graph, hp, X, theta, alpha, lam, Z):
     """Independent evaluation from the stacked definition with explicit
     source/destination matrices; the edge variable enters as given."""
     A_s, A_d = incidences(graph)
-    m, d = graph.m, problem.d
-    value = sum(problem.objectives[i].value(X[i]) for i in range(m))
+    value = sum(obj.value(x) for obj, x in zip(objectives_of(problem), X))
     value += problem.regularizer.value(theta)
     y_top = alpha
     y_bot = -alpha
@@ -143,7 +142,7 @@ def test_local_gradient_matches_finite_differences_of_lagrangian():
     # perturb the state away from anything structured
     alpha = rng.normal(size=(graph.n, problem.d))
     ns.X = rng.normal(size=(graph.m, problem.d))
-    ns.G = np.stack([obj.gradient(x) for obj, x in zip(problem.objectives, ns.X)])
+    ns.G = np.stack([obj.gradient(x) for obj, x in zip(objectives_of(problem), ns.X)])
     A_s, A_d = incidences(graph)
     ns.Phi = (A_s - A_d).T @ alpha
     ns.theta = rng.normal(size=problem.d)
@@ -209,7 +208,7 @@ def test_dual_sum_conserved_and_inclusion_holds():
 
 def test_zero_regularizer_lambda_identity():
     graph, problem = make_lasso_instance()
-    problem = ConsensusProblem.from_objectives(problem.objectives, Regularizer(ZERO))
+    problem = dataclasses.replace(problem, regularizer=Regularizer(ZERO))
     hp = default_hp(epsilon=3.0)
     ns = init_network(problem, graph, hp)
     for _ in range(10):
@@ -223,6 +222,7 @@ def test_buffer_consistency_after_sync_step():
     graph, problem = make_lasso_instance()
     hp = default_hp(scheme=NEWTON)
     ns = init_network(problem, graph, hp)
+    objectives = objectives_of(problem)
     for _ in range(5):
         sync_step(ns)
         # every agent reads its neighbors' current iterates: the coupling
@@ -230,7 +230,7 @@ def test_buffer_consistency_after_sync_step():
         grads = local_gradient(ns, range(graph.m))
         for i in range(graph.m):
             coupling = sum(ns.X[i] - ns.X[j] for j in np.flatnonzero(graph.adjacency[i]))
-            expected = problem.objectives[i].gradient(ns.X[i]) + ns.Phi[i]
+            expected = objectives[i].gradient(ns.X[i]) + ns.Phi[i]
             expected = expected + 0.5 * hp.mu_z * coupling
             if i == hp.leader:
                 expected = expected + hp.mu_theta * (ns.X[i] - ns.theta) + ns.lam
@@ -275,7 +275,7 @@ def test_symmetric_problem_stays_symmetric():
     # symmetry at order mu_theta only
     graph = random_connected_graph(4, 1.0, seed=1)
     objs = [LocalObjective(LEAST_SQUARES, [[1.0, 0.0], [0.0, 1.0]], [1.0, -0.5]) for _ in range(4)]
-    problem = ConsensusProblem.from_objectives(objs, Regularizer(ZERO))
+    problem = problem_of(objs, Regularizer(ZERO))
     hp = default_hp(epsilon=2.0, mu_theta=1e-9)
     ns = init_network(problem, graph, hp)
     for _ in range(20):
@@ -296,30 +296,6 @@ def test_non_finite_primal_update_names_agent_and_phase(scheme):
     assert (err.value.t, err.value.agent, err.value.phase) == (2, 3, "primal")
 
 
-def test_problem_rejects_mixed_objective_kinds():
-    objs = [LocalObjective(LEAST_SQUARES, [[1.0, 0.0]], [1.0]),
-            LocalObjective(LOGISTIC, [[0.0, 1.0]], [1.0])]
-    with pytest.raises(ConfigurationError, match="least_squares.*logistic"):
-        ConsensusProblem.from_objectives(objs)
-
-
-def test_objective_without_data_names_its_agent():
-    objs = [LocalObjective(LEAST_SQUARES, [[1.0, 0.0]], [1.0]),
-            LocalObjective(LEAST_SQUARES, np.zeros((0, 2)), np.zeros(0))]
-    with pytest.raises(ConfigurationError, match="agent 1 has no data"):
-        ConsensusProblem.from_objectives(objs)
-
-
-def test_objective_arrays_are_views_into_the_stacks():
-    for make in (make_lasso_instance, make_logistic_instance):
-        _, problem = make()
-        for name in ("features", "targets"):
-            data = getattr(problem, name)
-            arrays = [getattr(obj, name) for obj in problem.objectives]
-            assert all(np.shares_memory(a, data) for a in arrays)
-            assert np.array_equal(np.concatenate(arrays), data)
-
-
 def unequal_problem(rng, kind, m=7, d=4):
     """Agents holding base or base + 1 points in a shuffled order, as
     ``datasets.partition`` splits a row count that m does not divide."""
@@ -331,7 +307,7 @@ def unequal_problem(rng, kind, m=7, d=4):
         W = rng.normal(size=(n, d))
         signal = W @ truth + rng.normal(size=n)
         objectives.append(LocalObjective(kind, W, (signal > 0) * 1.0 if kind == LOGISTIC else signal))
-    return ConsensusProblem.from_objectives(objectives, Regularizer(L1, 0.05))
+    return problem_of(objectives, Regularizer(L1, 0.05))
 
 
 def check_unequal_rows_bitwise_per_agent(kind, scheme, seed):
@@ -341,13 +317,14 @@ def check_unequal_rows_bitwise_per_agent(kind, scheme, seed):
     rng = np.random.default_rng(seed)
     problem = unequal_problem(rng, kind)
     m, d = problem.m, problem.d
-    assert len({obj.features.shape[0] for obj in problem.objectives}) == 2
+    objectives = objectives_of(problem)
+    assert len({obj.features.shape[0] for obj in objectives}) == 2
     graph = random_connected_graph(m, 0.5, seed)
     hp = default_hp(scheme=scheme, epsilon=2.0)
     ns = init_network(problem, graph, hp)
 
     def block(i, x):
-        return newton_block(problem.objectives[i], x, hp, graph.degrees[i], i == hp.leader)
+        return newton_block(objectives[i], x, hp, graph.degrees[i], i == hp.leader)
 
     if scheme == NEWTON and problem.constant_hessian:
         for i in range(m):
@@ -359,7 +336,7 @@ def check_unequal_rows_bitwise_per_agent(kind, scheme, seed):
             for built, i in zip(ns.kernel.build(ns, rows), rows):
                 assert np.array_equal(built, block(i, ns.X[i]))
         apply_step(ns, masks[k])
-        for i, obj in enumerate(problem.objectives):
+        for i, obj in enumerate(objectives):
             assert np.array_equal(ns.G[i], obj.gradient(ns.X[i]))
 
 

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import problem_of
 from druid.errors import ConfigurationError
 from druid.problems import (
     L1,
@@ -113,14 +114,14 @@ def test_least_squares_hessian_constant():
 
 def test_smoothness_least_squares_diagonal_gram():
     obj = LocalObjective(LEAST_SQUARES, [[1.0, 0.0], [0.0, 2.0]], [0.0, 0.0])
-    sm = ConsensusProblem.from_objectives([obj]).smoothness
+    sm = problem_of([obj]).smoothness
     assert sm.m_f == pytest.approx(1.0)
     assert sm.M_f == pytest.approx(4.0)
     assert sm.L_f == 0.0
 
 
 def test_smoothness_logistic_single_feature():
-    sm = ConsensusProblem.from_objectives([LocalObjective(LOGISTIC, [[2.0]], [1.0])]).smoothness
+    sm = problem_of([LocalObjective(LOGISTIC, [[2.0]], [1.0])]).smoothness
     assert sm.m_f == 0.0
     assert sm.M_f == pytest.approx(1.0)
     assert sm.L_f == pytest.approx(8.0 / (6.0 * np.sqrt(3.0)))
@@ -129,7 +130,7 @@ def test_smoothness_logistic_single_feature():
 @pytest.mark.parametrize("kind", [LEAST_SQUARES, LOGISTIC])
 def test_smoothness_bounds_gradient_differences(kind):
     obj = random_objective(kind, seed=5)
-    sm = ConsensusProblem.from_objectives([obj]).smoothness
+    sm = problem_of([obj]).smoothness
     rng = np.random.default_rng(6)
     for _ in range(100):
         x, y = rng.normal(size=obj.d), rng.normal(size=obj.d)
@@ -148,11 +149,11 @@ def test_hessian_bound_is_above_the_hessian_and_sets_M_f(kind):
         assert np.array_equal(bound, scale * g)
         assert np.linalg.eigvalsh(bound - obj.hessian(rng.normal(size=obj.d)))[0] >= -1e-12
         # scaling by a power of two is exact, so M_f is the former per-kind value bit for bit
-        assert ConsensusProblem.from_objectives([obj]).smoothness.M_f == scale * float(np.linalg.eigvalsh(g)[-1])
+        assert problem_of([obj]).smoothness.M_f == scale * float(np.linalg.eigvalsh(g)[-1])
     total = np.zeros_like(gram[0])
     for g in gram:
         total += scale * g
-    problem = ConsensusProblem.from_objectives(objs)
+    problem = problem_of(objs)
     assert total_curvature_bound(problem) == float(np.linalg.eigvalsh(total)[-1])
 
 
@@ -185,7 +186,7 @@ def test_stacked_totals_equal_the_per_objective_sums_bitwise(kind, m, d, unequal
         y = (rng.random(n) < 0.5) * 1.0 if kind == LOGISTIC else rng.normal(size=n) * (rng.random(n) < 0.7)
         objs.append(LocalObjective(kind, F, y))
     reg = [Regularizer(ZERO), Regularizer(L1, 0.3), Regularizer(SQUARED_L2, 0.2)][seed % 3]
-    problem = ConsensusProblem.from_objectives(objs, reg)
+    problem = problem_of(objs, reg)
     x = rng.normal(size=d) * (rng.random(d) < 0.7)
     # the oracle: one objective at a time, added with Python's sum in agent order
     assert same_bits(problem.total_value(x), sum(obj.value(x) for obj in objs) + reg.value(x))
@@ -207,6 +208,15 @@ def test_stacked_totals_equal_the_per_objective_sums_bitwise(kind, m, d, unequal
         for i, obj in enumerate(objs):
             assert same_bits(by_agent[i][0], obj.features.T @ obj.features)
             assert same_bits(by_agent[i][1], obj.features.T @ obj.targets)
+    # each agent's gradient and Hessian at its own point, for every agent and
+    # for a random increasing subset (each group's rows then map to its stacks)
+    X = rng.normal(size=(m, d)) * (rng.random((m, d)) < 0.7)
+    for rows in (range(m), np.flatnonzero(rng.random(m) < 0.5)):
+        grads, hessians = problem.gradients(X, rows), problem.hessians(X, rows)
+        assert grads.shape == (len(rows), d) and hessians.shape == (len(rows), d, d)
+        for i, grad, hessian in zip(rows, grads, hessians):
+            assert same_bits(grad, objs[i].gradient(X[i]))
+            assert same_bits(hessian, objs[i].hessian(X[i]))
 
 
 def test_aggregate_smoothness_extremes():
@@ -214,7 +224,7 @@ def test_aggregate_smoothness_extremes():
         LocalObjective(LEAST_SQUARES, [[1.0, 0.0], [0.0, 2.0]], [0.0, 0.0]),
         LocalObjective(LEAST_SQUARES, [[3.0, 0.0]], [0.0]),
     ]
-    sm = ConsensusProblem.from_objectives(objs).smoothness
+    sm = problem_of(objs).smoothness
     assert sm.m_f == pytest.approx(0.0)   # second Gram is singular
     assert sm.M_f == pytest.approx(9.0)
 
@@ -294,12 +304,15 @@ def test_groups_are_runs_of_equal_counts_viewing_the_rows():
         assert stacks["features"].base is not None and np.shares_memory(stacks["features"], F)
         assert np.shares_memory(stacks["targets"], y)
     rows = np.split(np.arange(len(y)), np.cumsum(counts)[:-1])
-    for obj, own in zip(problem.objectives, rows):
-        assert np.array_equal(obj.features, F[own]) and np.array_equal(obj.targets, y[own])
+    for lo, hi, stacks in problem._groups:
+        for k, own in enumerate(rows[lo:hi]):
+            assert np.array_equal(stacks["features"][k], F[own])
+            assert np.array_equal(stacks["targets"][k], y[own])
     # a partial evaluation writes each run's rows, as the agents' own objectives do
     X, active = rng.normal(size=(6, 3)), [1, 2, 4, 5]
     assert np.array_equal(problem.gradients(X, active),
-                          [problem.objectives[i].gradient(X[i]) for i in active])
+                          [LocalObjective(LEAST_SQUARES, F[rows[i]], y[rows[i]]).gradient(X[i])
+                           for i in active])
 
 
 def test_objective_validation():

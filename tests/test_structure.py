@@ -1,18 +1,23 @@
-"""Each scheme decision lives in one table: ``curvature.KERNELS`` on the run
-path, ``rates.THEORY`` on the theory side.  Only ``curvature.kernel``, which
-picks the run-path entry, and the independent oracles of ``analysis`` may
-compare a scheme name.  The network state owns its hyperparameters and
-kernel: ``init_network`` alone picks the kernel, and no step function or
-kernel callable takes the hyperparameters again; the diagnostics of a run
-read the problem, graph and hyperparameters from the state they check.  A
-``ConsensusProblem`` holds the agents' data as stacks: only ``problems``
-builds a per-agent ``LocalObjective``, and only the ``analysis`` oracles
-reach them one by one through ``.objectives``; everything else evaluates the
-stacks, so the oracles stay independent of the code they check, and
-``analysis`` calls neither the stacked evaluations nor the kernels or
-``solve_direction``.  The benchmark's probes (``perfbench/tracer.py``) still
-find the library attributes they wrap.  The library runs on numpy alone:
-importing it loads no scipy module."""
+"""Structural rules of the library, checked on its source.
+
+* Each scheme decision lives in one table: ``curvature.KERNELS`` on the run
+  path, ``rates.THEORY`` on the theory side.  Only ``curvature.kernel``,
+  which picks the run-path entry, and the independent oracles of
+  ``analysis`` may compare a scheme name.
+* The network state owns its hyperparameters and kernel: ``init_network``
+  alone picks the kernel, and no step function or kernel callable takes the
+  hyperparameters again.  The diagnostics of a run read the problem, graph
+  and hyperparameters from the state they check.
+* A ``ConsensusProblem`` holds the agents' data as stacks, and every module
+  evaluates those stacks: none builds a per-agent ``LocalObjective`` or
+  reads one through ``.objectives``.
+* The oracles of ``analysis`` compute their curvature updates on their own:
+  they call no ``KERNELS`` entry, ``solve_direction`` or ``hessian_bounds``.
+  The stacked gradients and Hessians they read are checked row by row
+  against ``LocalObjective``, bit for bit, in ``test_problems.py``.
+* The benchmark's probes (``perfbench/tracer.py``) still find the library
+  attributes they wrap.
+* The library runs on numpy alone: importing it loads no scipy module."""
 
 import ast
 import inspect
@@ -30,7 +35,6 @@ from druid.problems import LocalObjective
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "druid"
 ALLOWED = {("analysis.py", None), ("curvature.py", "kernel")}
-OBJECTIVE_READERS = {"analysis.py"}
 
 
 def _is_scheme(node):
@@ -91,11 +95,10 @@ def attribute_reads(path, attr):
             if isinstance(node, ast.Attribute) and node.attr == attr]
 
 
-def test_objectives_are_read_only_by_the_oracles():
+def test_no_module_reads_per_agent_objectives():
     stray = [f"{path.name}:{line}" for path in sorted(SRC.glob("*.py"))
-             if path.name not in OBJECTIVE_READERS
              for line in attribute_reads(path, "objectives")]
-    assert not stray, f"per-objective access outside analysis: {stray}"
+    assert not stray, f"per-objective access: {stray}"
 
 
 def calls_to(path, name):
@@ -105,11 +108,10 @@ def calls_to(path, name):
             and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))]
 
 
-def test_only_problems_builds_local_objectives():
+def test_no_module_builds_local_objectives():
     stray = [f"{path.name}:{line}" for path in sorted(SRC.glob("*.py"))
-             if path.name != "problems.py" for line in calls_to(path, "LocalObjective")]
-    assert not stray, f"per-agent objective built outside problems: {stray}"
-    assert calls_to(SRC / "problems.py", "LocalObjective")
+             for line in calls_to(path, "LocalObjective")]
+    assert not stray, f"per-agent objective built: {stray}"
 
 
 def test_finder_sees_calls(tmp_path):
@@ -119,14 +121,13 @@ def test_finder_sees_calls(tmp_path):
 
 
 def test_finder_sees_attribute_reads(tmp_path):
-    assert attribute_reads(SRC / "analysis.py", "objectives")
     module = tmp_path / "m.py"
     module.write_text("n = len(p.objectives)\ndef f(p):\n    return [o.value for o in p.objectives]\n")
     assert attribute_reads(module, "objectives") == [1, 3]
 
 
-#: What the run path evaluates with; the oracles recompute it on their own.
-CHECKED_CALLS = ("gradients", "hessians", "hessian_bounds", "solve_direction")
+#: What the run path computes its curvature with; the oracles recompute it on their own.
+CHECKED_CALLS = ("hessian_bounds", "solve_direction")
 
 
 def kernel_entry_calls(path):
@@ -148,10 +149,10 @@ def test_oracles_do_not_call_the_code_they_check():
 def test_finder_sees_checked_code_calls(tmp_path):
     module = tmp_path / "m.py"
     module.write_text("u = cv.KERNELS[s].solve(c, h)\ndef f(ns, r):\n"
-                      "    g = ns.problem.gradients(ns.X, r)\n    return KERNELS['bfgs'].build(ns, r)\n"
+                      "    b = ns.problem.hessian_bounds()\n    return KERNELS['bfgs'].build(ns, r)\n"
                       "table = KERNELS\n")
     assert kernel_entry_calls(module) == [1, 4]
-    assert calls_to(module, "gradients") == [3]
+    assert calls_to(module, "hessian_bounds") == [3]
 
 
 def test_kernel_is_picked_only_at_init():
