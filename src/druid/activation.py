@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConfigurationError, check_rules, rule
 from .network import NetworkState, apply_step
 
 BERNOULLI = "bernoulli"
@@ -42,25 +43,25 @@ class ActivationSampler:
     ``probabilities`` or ``count``, so a caller may pass both.
     """
 
-    mode: str
-    m: int
-    seed: int
+    mode: str = rule(choices=ACTIVATION_MODES)
+    m: int = rule(at_least=1)
+    seed: int = rule(at_least=0)
     probabilities: np.ndarray = None
     count: int = None
 
     def __post_init__(self):
+        check_rules(self)   # the mode's own parameter is checked against m below
         if self.mode == BERNOULLI:
             p = np.broadcast_to(np.asarray(self.probabilities, dtype=float), (self.m,)).copy()
             if not np.all((p > 0.0) & (p <= 1.0)):
-                raise ValueError(f"activation probabilities must lie in (0, 1], got {p}")
+                raise ConfigurationError(f"activation probabilities must lie in (0, 1], got {p}")
             self.probabilities, self.count = p, None
-        elif self.mode == FIXED_COUNT:
+        else:
             if isinstance(self.count, bool) or not isinstance(self.count, numbers.Integral) \
                     or not 1 <= self.count <= self.m:
-                raise ValueError(f"count must be an integer in [1, {self.m}], got {self.count!r}")
+                raise ConfigurationError(
+                    f"count must be an integer in [1, {self.m}], got {self.count!r}")
             self.probabilities, self.count = None, int(self.count)
-        else:
-            raise ValueError(f"unknown activation mode {self.mode!r}")
 
     @classmethod
     def bernoulli(cls, p, m: int, seed: int) -> "ActivationSampler":

@@ -7,9 +7,8 @@ import sys
 from dataclasses import MISSING, fields
 
 from .activation import BERNOULLI
-from .errors import ConfigurationError
-from .experiment import (ExperimentConfig, config_from_dict, describe, load_config, output_path,
-                         run_experiment)
+from .errors import ConfigurationError, describe
+from .experiment import ExperimentConfig, config_from_dict, load_config, output_path, run_experiment
 from .topology import random_connected_graph, write_edge_list
 
 #: annotated type of a config field -> argparse type of its flag (bool: --x/--no-x)

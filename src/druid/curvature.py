@@ -18,11 +18,12 @@ stacked rows of the active agents at once.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+
+from .errors import check_rules, rule
 
 GRADIENT = "gradient"
 NEWTON = "newton"
@@ -30,37 +31,6 @@ BFGS = "bfgs"
 
 #: Curvature pairs with q^T s at or below this (relative) level are skipped.
 BFGS_SKIP_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class Hyperparams:
-    """Algorithm parameters shared by every agent.
-
-    ``psi`` is the BFGS curvature bound; the additive 1/psi regularization
-    it controls is applied only when ``bfgs_bounding`` is on, but rate
-    formulas use psi whenever the scheme is BFGS.  Frozen: a network bakes
-    them into its state at init, so derive variants with
-    ``dataclasses.replace``.
-    """
-
-    mu_z: float
-    mu_theta: float
-    epsilon: float
-    scheme: str = GRADIENT
-    leader: int = 0
-    psi: float = 1.0
-    bfgs_bounding: bool = False
-
-    def __post_init__(self):
-        for name in ("mu_z", "mu_theta", "epsilon", "psi"):
-            value = getattr(self, name)
-            if not (np.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be positive and finite, got {value}")
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"unknown scheme {self.scheme!r}")
-        if isinstance(self.leader, bool) or not isinstance(self.leader, numbers.Integral) \
-                or self.leader < 0:
-            raise ValueError(f"leader must be a nonnegative integer index, got {self.leader!r}")
 
 
 def block_diag_value(hp: Hyperparams, degree, is_leader):
@@ -213,6 +183,27 @@ def kernel(hp: Hyperparams, problem) -> Kernel:
 
 
 SCHEMES = tuple(KERNELS)
+
+
+@dataclass(frozen=True)
+class Hyperparams:
+    """Algorithm parameters shared by every agent.
+
+    ``psi`` is the BFGS curvature bound; the additive 1/psi regularization
+    it controls is applied only when ``bfgs_bounding`` is on, but rate
+    formulas use psi whenever the scheme is BFGS.  Frozen: a network bakes
+    them into its state at init, so derive variants with
+    ``dataclasses.replace``.
+    """
+
+    mu_z: float = rule(above=0)
+    mu_theta: float = rule(above=0)
+    epsilon: float = rule(above=0)
+    scheme: str = rule(GRADIENT, choices=KERNELS)   # the table as it is when checked
+    leader: int = rule(0, at_least=0)
+    psi: float = rule(1.0, above=0)
+    bfgs_bounding: bool = rule(False)
+    __post_init__ = check_rules
 
 
 def solve_direction(kern: Kernel, curvature: np.ndarray, H: np.ndarray) -> np.ndarray:

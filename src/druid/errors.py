@@ -1,4 +1,11 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the field table of dataclass rules."""
+
+from __future__ import annotations
+
+import numbers
+import operator
+import sys
+from dataclasses import MISSING, field, fields
 
 
 class ConfigurationError(ValueError):
@@ -48,3 +55,40 @@ class InconsistentReferenceError(RuntimeError):
 
 class InapplicableTheoremError(ValueError):
     """Rate constants requested outside their regime of validity."""
+
+
+#: annotated type of a field (a string under ``from __future__ import
+#: annotations``) -> (what its values are called, their type); a bool is of no other kind
+KINDS = {"bool": ("true or false", bool), "int": ("an integer", numbers.Integral),
+         "float": ("a finite number", numbers.Real), "str": ("a string without NUL bytes", str)}
+#: bound of a field -> (its sign, the test of a value against it)
+BOUNDS = {"at_least": (">=", operator.ge), "above": (">", operator.gt),
+          "at_most": ("<=", operator.le)}
+
+
+def rule(default=MISSING, *, choices=None, **bounds):
+    """A dataclass field with its rule: the annotated type, the ``BOUNDS`` given and the
+    ``choices``, read when checked.  A field whose default is None also admits None."""
+    return field(default=default, metadata={"choices": choices, "bounds": bounds})
+
+
+def describe(f) -> str:
+    """The rule of field ``f`` as its errors and ``druid run --help`` state it."""
+    choices, bounds = f.metadata["choices"], f.metadata["bounds"].items()
+    words = "one of " + ", ".join(choices) if choices else KINDS[f.type][0]
+    return " ".join([words, " and ".join(f"{BOUNDS[name][0]} {b}" for name, b in bounds)]).rstrip()
+
+
+def check_rules(obj) -> None:
+    """Raise a ``ConfigurationError`` naming the first field of dataclass
+    ``obj`` whose value breaks its ``rule``; fields without one are not checked."""
+    for f in (f for f in fields(obj) if "bounds" in f.metadata):
+        value, choices = getattr(obj, f.name), f.metadata["choices"]
+        admitted = (value is None and f.default is None) or (
+            isinstance(value, KINDS[f.type][1]) and isinstance(value, bool) == (f.type == "bool")
+            and (f.type != "float" or abs(value) <= sys.float_info.max)   # no NaN or inf
+            and (f.type != "str" or "\0" not in value)   # open() takes no NUL byte
+            and (choices is None or value in choices)
+            and all(BOUNDS[name][1](value, b) for name, b in f.metadata["bounds"].items()))
+        if not admitted:
+            raise ConfigurationError(f"{f.name} must be {describe(f)}, got {value!r}")

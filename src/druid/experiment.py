@@ -12,10 +12,7 @@ from __future__ import annotations
 import json
 import logging
 import math
-import numbers
-import operator
-import sys
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +22,7 @@ from .activation import (ACTIVATION_MODES, BERNOULLI, FIXED_COUNT, ActivationSam
 from .analysis import kkt_residuals
 from .curvature import SCHEMES, Hyperparams
 from .datasets import Dataset, binarize_labels, parse_libsvm, partition
-from .errors import ConfigurationError, DivergenceError
+from .errors import ConfigurationError, DivergenceError, check_rules, rule
 from .network import NetworkState, init_network, sync_step
 from .problems import (
     L1,
@@ -50,28 +47,6 @@ logger = logging.getLogger("druid")
 
 #: the trace's columns, in the order of the rows ``_metrics`` returns
 COLUMNS = ("t", "cost_err", "dist_err", "r_opt", "r_cons", "r_reg", "comm_scalars")
-
-#: annotated type of a config field (a string under ``from __future__ import
-#: annotations``) -> (what its values are called, their type); a bool is of no other kind
-KINDS = {"bool": ("true or false", bool), "int": ("an integer", numbers.Integral),
-         "float": ("a finite number", numbers.Real), "str": ("a string without NUL bytes", str)}
-#: bound of a config field -> (its sign, the test of a value against it)
-BOUNDS = {"at_least": (">=", operator.ge), "above": (">", operator.gt),
-          "at_most": ("<=", operator.le)}
-
-
-def rule(default=MISSING, *, choices=None, **bounds):
-    """A config field with its rule: the annotated type, the ``BOUNDS`` given
-    and the ``choices``.  A field whose default is None also admits None."""
-    return field(default=default, metadata={"choices": choices, "bounds": bounds})
-
-
-def describe(f) -> str:
-    """The rule of config field ``f`` as its errors and ``druid run --help`` state it."""
-    choices, bounds = f.metadata["choices"], f.metadata["bounds"].items()
-    words = "one of " + ", ".join(choices) if choices else KINDS[f.type][0]
-    return " ".join([words, " and ".join(f"{BOUNDS[name][0]} {b}" for name, b in bounds)]).rstrip()
-
 
 @dataclass
 class ExperimentConfig:
@@ -104,16 +79,7 @@ class ExperimentConfig:
     def __post_init__(self):
         # the rules of Hyperparams, Regularizer, random_connected_graph, ActivationSampler,
         # init_network and the reference solver, checked before any data is read
-        for f in fields(self):
-            value, choices = getattr(self, f.name), f.metadata["choices"]
-            admitted = (value is None and f.default is None) or (
-                isinstance(value, KINDS[f.type][1]) and isinstance(value, bool) == (f.type == "bool")
-                and (f.type != "float" or abs(value) <= sys.float_info.max)   # no NaN or inf
-                and (f.type != "str" or "\0" not in value)   # open() takes no NUL byte
-                and (choices is None or value in choices)
-                and all(BOUNDS[name][1](value, b) for name, b in f.metadata["bounds"].items()))
-            if not admitted:
-                raise ConfigurationError(f"{f.name} must be {describe(f)}, got {value!r}")
+        check_rules(self)
         if self.leader >= self.agents:
             raise ConfigurationError(f"leader {self.leader} out of range for agents={self.agents}")
         if self.activation == FIXED_COUNT and self.activation_count > self.agents:

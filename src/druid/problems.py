@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, check_rules, rule
 
 LEAST_SQUARES = "least_squares"
 LOGISTIC = "logistic"
@@ -202,21 +202,14 @@ ZERO = "zero"
 L1 = "l1"
 SQUARED_L2 = "squared_l2"
 
-_REGULARIZER_KINDS = (ZERO, L1, SQUARED_L2)
-
 
 @dataclass(frozen=True)
 class Regularizer:
     """Convex regularizer with closed-form proximal map."""
 
-    kind: str = ZERO
-    gamma: float = 0.0
-
-    def __post_init__(self):
-        if self.kind not in _REGULARIZER_KINDS:
-            raise ValueError(f"unknown regularizer kind {self.kind!r}")
-        if not (np.isfinite(self.gamma) and self.gamma >= 0):
-            raise ValueError(f"gamma must be nonnegative and finite, got {self.gamma}")
+    kind: str = rule(ZERO, choices=(ZERO, L1, SQUARED_L2))
+    gamma: float = rule(0.0, at_least=0)
+    __post_init__ = check_rules
 
     def value(self, x: np.ndarray) -> float:
         if self.kind == ZERO:
@@ -232,8 +225,8 @@ def prox(g: Regularizer, mu: float, v: np.ndarray) -> np.ndarray:
     Soft threshold at gamma/mu for the l1 norm, shrinkage by
     mu/(mu + 2 gamma) for the squared l2 norm, identity for zero.
     """
-    if mu <= 0:
-        raise ValueError(f"prox weight must be positive, got {mu}")
+    if not 0 < mu < np.inf:
+        raise ValueError(f"prox weight must be positive and finite, got {mu}")
     v = np.asarray(v, dtype=float)
     if g.kind == ZERO:
         return v.copy()
@@ -244,8 +237,8 @@ def prox(g: Regularizer, mu: float, v: np.ndarray) -> np.ndarray:
 
 def subgradient_membership(g: Regularizer, theta: np.ndarray, lam: np.ndarray, tol: float) -> bool:
     """Whether lam lies in the subdifferential of g at theta, within tol."""
-    if tol < 0:
-        raise ValueError("tolerance must be nonnegative")
+    if not (np.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be nonnegative and finite, got {tol}")
     theta = np.asarray(theta, dtype=float)
     lam = np.asarray(lam, dtype=float)
     if g.kind == ZERO:
@@ -292,10 +285,15 @@ class ConsensusProblem:
                 f"(summing to {counts.sum()}) disagree")
         if (counts < 1).any():
             raise ConfigurationError(f"objective of agent {np.argmax(counts < 1)} has no data points")
+        ends = np.concatenate(([0], np.cumsum(counts)))
+        for name, rows in (("features", features), ("targets", targets[:, None])):
+            finite = np.isfinite(rows).all(axis=1)
+            if not finite.all():   # argmin: the first row that is not
+                agent = np.searchsorted(ends, np.argmin(finite), side="right") - 1
+                raise ConfigurationError(f"{name} of agent {agent} hold a NaN or infinite value")
         if self.kind == LOGISTIC and not np.isin(targets, (0.0, 1.0)).all():
             raise ConfigurationError("logistic targets must be 0 or 1")
         runs = np.concatenate(([0], np.flatnonzero(np.diff(counts)) + 1, [len(counts)]))
-        ends = np.concatenate(([0], np.cumsum(counts)))
         self._groups = []  # (first agent, one past the last, the run's stacks by name)
         for lo, hi in zip(runs[:-1].tolist(), runs[1:].tolist()):
             at = slice(ends[lo], ends[hi])

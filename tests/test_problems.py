@@ -241,6 +241,15 @@ def test_prox_rejects_nonpositive_weight():
         prox(Regularizer(L1, 1.0), 0.0, np.zeros(2))
 
 
+@pytest.mark.parametrize("reg, mu", [(Regularizer(L1, 0.1), np.nan),
+                                     (Regularizer(SQUARED_L2, 0.1), np.inf)],
+                         ids=["l1-nan", "squared_l2-inf"])
+def test_prox_rejects_a_non_finite_weight(reg, mu):
+    # both slipped past mu <= 0 and returned NaN
+    with pytest.raises(ValueError, match="prox weight"):
+        prox(reg, mu, np.ones(2))
+
+
 @pytest.mark.parametrize("reg", [Regularizer(ZERO), Regularizer(L1, 0.7), Regularizer(SQUARED_L2, 0.3)])
 def test_prox_is_nonexpansive(reg):
     rng = np.random.default_rng(8)
@@ -257,6 +266,15 @@ def test_subgradient_membership_hand_examples():
     assert subgradient_membership(Regularizer(ZERO), np.zeros(2), np.zeros(2), 0.0)
     g2 = Regularizer(SQUARED_L2, 0.5)
     assert subgradient_membership(g2, np.array([1.0, -2.0]), np.array([1.0, -2.0]), 1e-9)
+
+
+def test_subgradient_membership_rejects_a_non_finite_tol():
+    # at tol=nan this l1 non-member was reported as a member
+    g, theta, lam = Regularizer(L1, 0.1), np.ones(2), np.full(2, 5.0)
+    assert not subgradient_membership(g, theta, lam, 0.0)
+    for tol in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="tol"):
+            subgradient_membership(g, theta, lam, tol)
 
 
 @pytest.mark.parametrize("reg", [Regularizer(ZERO), Regularizer(L1, 0.8), Regularizer(SQUARED_L2, 0.4)])
@@ -291,6 +309,17 @@ def test_problem_validation_names_what_is_wrong():
     with pytest.raises(ConfigurationError, match="logistic targets must be 0 or 1"):
         ConsensusProblem(LOGISTIC, F, [0.0, 0.5, 1.0], [2, 1])
     assert ConsensusProblem(LOGISTIC, F, y, [2, 1]).m == 2
+
+
+@pytest.mark.parametrize("array, row, agent", [("features", 0, 0), ("features", 3, 2),
+                                               ("targets", 2, 1), ("targets", 4, 2)])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_problem_rejects_non_finite_data_naming_the_agent(array, row, agent, bad):
+    # accepted before, with a NaN smoothness
+    data = {"features": np.ones((5, 2)), "targets": np.ones(5)}
+    data[array][row] = bad
+    with pytest.raises(ConfigurationError, match=f"{array} of agent {agent} hold a NaN or infinite"):
+        ConsensusProblem(LEAST_SQUARES, data["features"], data["targets"], [2, 1, 2])
 
 
 def test_groups_are_runs_of_equal_counts_viewing_the_rows():
