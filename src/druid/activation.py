@@ -9,7 +9,6 @@ regardless of how many iterations were drawn before.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,25 +39,27 @@ class ActivationSampler:
     Bernoulli mode includes each agent i independently with probability
     p_i (possibly empty, a no-op iteration); fixed-count mode draws a
     uniform k-subset.  A sampler keeps only its mode's parameter,
-    ``probabilities`` or ``count``, so a caller may pass both.
+    ``probabilities`` (one for every agent, or one for all) or ``count``,
+    so a caller may pass both.
     """
 
     mode: str = rule(choices=ACTIVATION_MODES)
     m: int = rule(at_least=1)
     seed: int = rule(at_least=0)
     probabilities: np.ndarray = None
-    count: int = None
+    count: int = rule(None, at_least=1)
 
     def __post_init__(self):
         check_rules(self)   # the mode's own parameter is checked against m below
         if self.mode == BERNOULLI:
-            p = np.broadcast_to(np.asarray(self.probabilities, dtype=float), (self.m,)).copy()
-            if not np.all((p > 0.0) & (p <= 1.0)):
-                raise ConfigurationError(f"activation probabilities must lie in (0, 1], got {p}")
-            self.probabilities, self.count = p, None
+            p = np.asarray(self.probabilities)
+            if p.dtype.kind not in "fiu" or p.shape not in ((), (self.m,)) \
+                    or not np.all((p > 0.0) & (p <= 1.0)):
+                raise ConfigurationError(f"activation probabilities must be one number or {self.m} "
+                                         f"numbers in (0, 1], got {self.probabilities!r}")
+            self.probabilities, self.count = np.broadcast_to(p, (self.m,)).astype(float), None
         else:
-            if isinstance(self.count, bool) or not isinstance(self.count, numbers.Integral) \
-                    or not 1 <= self.count <= self.m:
+            if self.count is None or self.count > self.m:
                 raise ConfigurationError(
                     f"count must be an integer in [1, {self.m}], got {self.count!r}")
             self.probabilities, self.count = None, int(self.count)

@@ -72,6 +72,16 @@ def rule(default=MISSING, *, choices=None, **bounds):
     return field(default=default, metadata={"choices": choices, "bounds": bounds})
 
 
+def rule_of(cls, name: str, default=MISSING):
+    """A dataclass field whose rule is the very metadata of dataclass ``cls``'s
+    field ``name``, so a value that feeds that field is checked as it will be;
+    its default is ``default`` if given, else that field's."""
+    ruled = next(f for f in fields(cls) if f.name == name)
+    mirror = field(default=ruled.default if default is MISSING else default)
+    mirror.metadata = ruled.metadata   # field() would wrap it in a new proxy
+    return mirror
+
+
 def describe(f) -> str:
     """The rule of field ``f`` as its errors and ``druid run --help`` state it."""
     choices, bounds = f.metadata["choices"], f.metadata["bounds"].items()

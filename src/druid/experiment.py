@@ -17,12 +17,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .activation import (ACTIVATION_MODES, BERNOULLI, FIXED_COUNT, ActivationSampler,
-                         async_step, sample_activation)
+from .activation import (BERNOULLI, FIXED_COUNT, ActivationSampler, async_step,
+                         sample_activation)
 from .analysis import kkt_residuals
-from .curvature import SCHEMES, Hyperparams
+from .curvature import Hyperparams
 from .datasets import Dataset, binarize_labels, parse_libsvm, partition
-from .errors import ConfigurationError, DivergenceError, check_rules, rule
+from .errors import ConfigurationError, DivergenceError, check_rules, rule, rule_of
 from .network import NetworkState, init_network, sync_step
 from .problems import (
     L1,
@@ -50,25 +50,29 @@ COLUMNS = ("t", "cost_err", "dist_err", "r_opt", "r_cons", "r_reg", "comm_scalar
 
 @dataclass
 class ExperimentConfig:
+    """A run's settings.  A field that feeds a library field takes that field's
+    rule with ``rule_of``, and its default too unless the run's differs."""
+
     problem: str = rule(choices=PROBLEM_KINDS)
     dataset: str = rule()
-    gamma: float = rule(0.0, at_least=0)
+    gamma: float = rule_of(Regularizer, "gamma")
     agents: int = rule(10, at_least=2)
     edge_prob: float = rule(0.5, above=0, at_most=1)
     graph_seed: int = rule(0, at_least=0)
     partition_seed: int = rule(1, at_least=0)
-    scheme: str = rule("gradient", choices=SCHEMES)
-    mu_z: float = rule(1.0, above=0)
-    mu_theta: float = rule(0.5, above=0)
-    epsilon: float = rule(None, above=0)   # None: 0.55 * measured M_f, safely above M_f / 2
-    leader: int = rule(0, at_least=0)
-    psi: float = rule(1.0, above=0)
-    bfgs_bounding: bool = rule(False)
+    scheme: str = rule_of(Hyperparams, "scheme")
+    mu_z: float = rule_of(Hyperparams, "mu_z", 1.0)
+    mu_theta: float = rule_of(Hyperparams, "mu_theta", 0.5)
+    # None: 0.55 * measured M_f, safely above M_f / 2
+    epsilon: float = rule_of(Hyperparams, "epsilon", None)
+    leader: int = rule_of(Hyperparams, "leader")
+    psi: float = rule_of(Hyperparams, "psi")
+    bfgs_bounding: bool = rule_of(Hyperparams, "bfgs_bounding")
     mode: str = rule("sync", choices=("sync", "async"))
-    activation: str = rule(BERNOULLI, choices=ACTIVATION_MODES)
+    activation: str = rule_of(ActivationSampler, "mode", BERNOULLI)
     activation_p: float = rule(0.5, above=0, at_most=1)
-    activation_count: int = rule(1, at_least=1)
-    activation_seed: int = rule(2, at_least=0)
+    activation_count: int = rule_of(ActivationSampler, "count", 1)
+    activation_seed: int = rule_of(ActivationSampler, "seed", 2)
     iterations: int = rule(1000, at_least=1)
     cadence: int = rule(1, at_least=1)
     output: str = rule("trace.csv")

@@ -160,9 +160,13 @@ def apply_step(ns: NetworkState, active: np.ndarray) -> NetworkState:
 
     Raises ``DivergenceError`` naming the agent and the phase ("primal",
     "dual", "prox", "gradient" or "model") that first wrote a non-finite
-    value; the state is then left mid-step.
+    value; the state is then left mid-step.  A mask that is not a boolean
+    (m,) array is refused with a ``ConfigurationError`` before anything is written.
     """
-    active = np.asarray(active, dtype=bool)
+    active = np.asarray(active)
+    if active.dtype.kind != "b" or active.shape != (ns.graph.m,):
+        raise ConfigurationError(f"active must be a boolean mask of shape ({ns.graph.m},), "
+                                 f"got a {active.dtype} array of shape {active.shape}")
     rows = np.flatnonzero(active)
     # every agent active: whole arrays are replaced instead of gathered and
     # scattered, and the dual update's Laplacian term is the next coupling

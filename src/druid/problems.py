@@ -16,6 +16,7 @@ itself builds none.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
@@ -274,9 +275,16 @@ class ConsensusProblem:
     def __post_init__(self):
         if self.kind not in STACKED:
             raise ConfigurationError(f"unknown objective kind {self.kind!r}")
-        self.counts = counts = np.asarray(self.counts, dtype=np.intp)
+        if not isinstance(self.regularizer, Regularizer):
+            raise ConfigurationError(f"regularizer must be a Regularizer, got {self.regularizer!r}")
+        counts = np.asarray(self.counts)
         if counts.ndim != 1 or not len(counts):
             raise ConfigurationError("need at least one agent")
+        # the counts as given: numpy makes an integer array of [True, 2]
+        if not all(isinstance(c, numbers.Integral) and not isinstance(c, bool)
+                   for c in self.counts):
+            raise ConfigurationError(f"counts must be integers, got {self.counts!r}")
+        self.counts = counts = counts.astype(np.intp)
         self.features = features = np.ascontiguousarray(self.features, dtype=float)
         self.targets = targets = np.ascontiguousarray(self.targets, dtype=float)
         if features.ndim != 2 or targets.shape != features.shape[:1] or counts.sum() != len(targets):

@@ -10,6 +10,7 @@ from conftest import (install_fixed_point, make_lasso_instance, make_logistic_in
 from druid.activation import ActivationRecord, ActivationSampler, async_step, sample_activation
 from druid.analysis import project_dual
 from druid.curvature import SCHEMES, Hyperparams
+from druid.errors import ConfigurationError
 from druid.network import apply_step, init_network, local_gradient, sync_step
 from druid.problems import (
     L1,
@@ -109,6 +110,17 @@ def test_sampler_validation():
     for bad in (np.nan, np.inf, [0.5, np.nan, 0.5, 0.5]):
         with pytest.raises(ValueError, match="probabilities"):
             ActivationSampler.bernoulli(bad, 4, seed=0)
+
+
+@pytest.mark.parametrize("p", ["0.5", [0.5, 0.5], [0.5] * 5, [[0.5] * 4], True, None],
+                         ids=["string", "too-short", "too-long", "nested", "bool", "none"])
+def test_sampler_rejects_probabilities_of_the_wrong_type_or_shape(p):
+    # a string was converted, a list of another length raised numpy's bare broadcast error
+    with pytest.raises(ConfigurationError, match=r"^activation probabilities must be one number "
+                                                 r"or 4 numbers in \(0, 1\], got "):
+        ActivationSampler.bernoulli(p, 4, seed=0)
+    per_agent = ActivationSampler.bernoulli([0.25, 0.5, 0.75, 1], 4, seed=0).probabilities
+    assert per_agent.dtype == float and per_agent.tolist() == [0.25, 0.5, 0.75, 1.0]
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)

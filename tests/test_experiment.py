@@ -113,6 +113,17 @@ def test_async_mode_and_logistic_problem(tmp_path):
     assert int(rows[-1][6]) <= 30 * 2 * g.n * 3
 
 
+def test_a_scheme_added_to_the_kernel_table_runs_from_the_config(tmp_path, monkeypatch):
+    # the config's scheme choices were a tuple frozen at import, which refused it
+    from druid import curvature as cv
+    name = "gradient_copy"
+    monkeypatch.setitem(cv.KERNELS, name, replace(cv.KERNELS[cv.GRADIENT]))
+    cfg = base_config(tmp_path, scheme=name, iterations=5, cadence=5)
+    rows = read_rows(run_experiment(cfg))
+    same = read_rows(run_experiment(replace(cfg, scheme=cv.GRADIENT)))
+    assert rows[-1][0] == "5" and rows == same
+
+
 def test_config_validation(tmp_path):
     with pytest.raises(ConfigurationError):
         base_config(tmp_path, problem="svm")

@@ -186,6 +186,26 @@ def test_primal_update_no_move_on_zero_gradient():
         assert ns.X[0] == pytest.approx([0.0])
 
 
+@pytest.mark.parametrize("mask, shape", [
+    (np.ones(9, dtype=bool), r"\(9,\)"), (np.ones(11, dtype=bool), r"\(11,\)"),
+    (np.ones(10, dtype=int), r"\(10,\)"), (np.ones((1, 10), dtype=bool), r"\(1, 10\)"),
+    (np.True_, r"\(\)")], ids=["short", "long", "integer", "two-dimensional", "scalar"])
+def test_apply_step_refuses_a_bad_mask_before_it_writes(mask, shape):
+    # a short mask wrote rows of X and the count before numpy's bare broadcast
+    # error, with t unchanged; a long one raised an IndexError
+    graph, problem = make_ridge_instance()
+    ns = init_network(problem, graph, default_hp())
+    sync_step(ns)
+    before = {name: np.copy(getattr(ns, name)) for name in ("X", "Phi", "G", "theta", "lam")}
+    lap, comm = ns.lap, ns.comm_scalars
+    with pytest.raises(ConfigurationError, match=rf"^active must be a boolean mask of shape "
+                                                 rf"\(10,\), got .* of shape {shape}$"):
+        apply_step(ns, mask)
+    for name, value in before.items():
+        assert np.array_equal(getattr(ns, name), value), name
+    assert ns.lap is lap and ns.comm_scalars == comm and ns.t == 1
+
+
 def test_dual_updates_unchanged_at_consensus():
     graph, problem = make_lasso_instance()
     hp = default_hp()

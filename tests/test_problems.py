@@ -311,6 +311,21 @@ def test_problem_validation_names_what_is_wrong():
     assert ConsensusProblem(LOGISTIC, F, y, [2, 1]).m == 2
 
 
+@pytest.mark.parametrize("counts", [[1.5, 1.5], [1.0, 2.0], [True, 2], np.array([1.0, 2.0])],
+                         ids=["fraction", "float", "bool", "float-array"])
+def test_problem_rejects_counts_that_are_not_integers(counts):
+    # cast to integers before: [1.5, 1.5] became [1, 1], and True counted as 1
+    with pytest.raises(ConfigurationError, match=r"^counts must be integers, got "):
+        ConsensusProblem(LEAST_SQUARES, np.ones((3, 2)), np.ones(3), counts)
+    assert ConsensusProblem(LEAST_SQUARES, np.ones((3, 2)), np.ones(3), np.array([1, 2])).m == 2
+
+
+def test_problem_rejects_a_regularizer_that_is_not_one():
+    # accepted before; the first cost evaluation raised an AttributeError
+    with pytest.raises(ConfigurationError, match=r"^regularizer must be a Regularizer, got 'l1'"):
+        ConsensusProblem(LEAST_SQUARES, np.ones((3, 2)), np.ones(3), [1, 2], regularizer="l1")
+
+
 @pytest.mark.parametrize("array, row, agent", [("features", 0, 0), ("features", 3, 2),
                                                ("targets", 2, 1), ("targets", 4, 2)])
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

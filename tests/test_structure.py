@@ -17,9 +17,14 @@
   against ``LocalObjective``, bit for bit, in ``test_problems.py``.
 * The benchmark's probes (``perfbench/tracer.py``) still find the library
   attributes they wrap.
-* The library runs on numpy alone: importing it loads no scipy module."""
+* The library runs on numpy alone: importing it loads no scipy module.
+* Each field rule is stated once: an ``ExperimentConfig`` field that feeds a
+  ``Hyperparams``, ``Regularizer`` or ``ActivationSampler`` field carries that
+  field's rule object and type, so the run config and the library cannot
+  disagree on what they admit."""
 
 import ast
+import dataclasses
 import inspect
 import os
 import subprocess
@@ -30,7 +35,7 @@ import scipy.linalg
 
 from druid import activation, analysis, experiment, network
 from druid import curvature as cv
-from druid.problems import LocalObjective
+from druid.problems import LocalObjective, Regularizer
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "druid"
@@ -226,3 +231,25 @@ def test_the_library_imports_no_scipy():
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "[]\n", f"importing druid loads {done.stdout.strip()}"
+
+
+#: config field -> (library class, the field of that class it feeds)
+MIRRORED = {
+    "mu_z": (cv.Hyperparams, "mu_z"), "mu_theta": (cv.Hyperparams, "mu_theta"),
+    "epsilon": (cv.Hyperparams, "epsilon"), "leader": (cv.Hyperparams, "leader"),
+    "psi": (cv.Hyperparams, "psi"), "bfgs_bounding": (cv.Hyperparams, "bfgs_bounding"),
+    "scheme": (cv.Hyperparams, "scheme"), "gamma": (Regularizer, "gamma"),
+    "activation": (activation.ActivationSampler, "mode"),
+    "activation_seed": (activation.ActivationSampler, "seed"),
+    "activation_count": (activation.ActivationSampler, "count"),
+}
+
+
+def test_config_fields_carry_the_library_rules():
+    config = {f.name: f for f in dataclasses.fields(experiment.ExperimentConfig)}
+    restated = []
+    for name, (cls, lib_name) in MIRRORED.items():
+        lib = {f.name: f for f in dataclasses.fields(cls)}[lib_name]
+        if config[name].metadata is not lib.metadata or config[name].type != lib.type:
+            restated.append(f"{name} ({cls.__name__}.{lib_name})")
+    assert not restated, f"config fields that restate a library rule: {restated}"
