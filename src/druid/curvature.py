@@ -13,7 +13,10 @@ agent i's block is J_ii plus the constant shift
 ``KERNELS`` is the one place that maps a scheme to its behaviour, and
 ``kernel`` picks the entry a network runs; ``network.init_network`` calls it
 once and keeps the entry in the network state.  Every kernel works on the
-stacked rows of the active agents at once.
+stacked rows of the active agents at once.  The constant-Newton and BFGS
+kernels apply their inverse models as one batched matmul whose row k is
+agent k's own product ``B[k] @ H[k]``, so a row's direction does not
+depend on which other agents are active.
 """
 
 from __future__ import annotations
@@ -114,7 +117,10 @@ def _model_rows(ns, rows):
 
 
 def _apply_model(curvature, H):
-    return np.einsum("kij,kj->ki", curvature, H)
+    """Each row's model times its vector, as one batched BLAS matmul: row k
+    is agent k's own ``curvature[k] @ H[k]``, bit for bit, whichever rows
+    are stacked with it."""
+    return (curvature @ H[:, :, None])[:, :, 0]
 
 
 def _inverse_newton_blocks(problem, shift):

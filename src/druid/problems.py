@@ -273,12 +273,17 @@ class ConsensusProblem:
     _groups: list = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.kind not in STACKED:
+        if not isinstance(self.kind, str) or self.kind not in STACKED:
             raise ConfigurationError(f"unknown objective kind {self.kind!r}")
         if not isinstance(self.regularizer, Regularizer):
             raise ConfigurationError(f"regularizer must be a Regularizer, got {self.regularizer!r}")
-        counts = np.asarray(self.counts)
-        if counts.ndim != 1 or not len(counts):
+        try:
+            counts = np.asarray(self.counts)
+        except ValueError:   # numpy refuses a ragged nesting
+            counts = None
+        if counts is None or counts.ndim != 1:
+            raise ConfigurationError(f"counts must be one integer per agent, got {self.counts!r}")
+        if not len(counts):
             raise ConfigurationError("need at least one agent")
         # the counts as given: numpy makes an integer array of [True, 2]
         if not all(isinstance(c, numbers.Integral) and not isinstance(c, bool)

@@ -7,6 +7,7 @@ import scipy.linalg
 from conftest import make_lasso_instance, make_logistic_instance, newton_block, objectives_of, problem_of
 from druid.curvature import (
     BFGS,
+    CONSTANT_NEWTON,
     GRADIENT,
     KERNELS,
     NEWTON,
@@ -192,6 +193,20 @@ def test_solve_direction_bfgs_matches_newton_with_exact_inverse():
     newton = solve_direction(KERNELS[NEWTON], H[None], h[None])[0]
     bfgs = solve_direction(KERNELS[BFGS], np.linalg.inv(H)[None], h[None])[0]
     assert np.linalg.norm(bfgs - newton) <= 1e-12 * max(1.0, np.linalg.norm(newton))
+
+
+@pytest.mark.parametrize("kern", [CONSTANT_NEWTON, KERNELS[BFGS]], ids=["constant-newton", "bfgs"])
+@pytest.mark.parametrize("k, d", [(100, 50), (8, 40), (10, 3), (7, 1)])
+def test_model_rows_are_each_agents_own_product_bitwise(kern, k, d):
+    # the einsum before summed in another order than a row's own matrix-vector product
+    rng = np.random.default_rng(k * d)
+    B = rng.normal(size=(k, d, d))
+    B = B + B.transpose(0, 2, 1)
+    H = rng.normal(size=(k, d))
+    own = np.stack([B[i] @ H[i] for i in range(k)])
+    assert np.array_equal(solve_direction(kern, B, H), own)
+    rows = rng.permutation(k)[: max(1, k // 3)]   # a gathered subset, as a partial step has
+    assert np.array_equal(solve_direction(kern, B[rows], H[rows]), own[rows])
 
 
 def test_init_curvature_bfgs_matches_constant_inverse():

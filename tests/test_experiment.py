@@ -11,12 +11,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import objectives_of
+from conftest import make_lasso_instance, objectives_of
 from druid import cli, experiment
+from druid.activation import ActivationSampler
 from druid.cli import main
+from druid.curvature import Hyperparams
 from druid.errors import ConfigurationError, DivergenceError
 from druid.datasets import parse_libsvm, partition
 from druid.experiment import ExperimentConfig, build_problem, load_config, run_experiment
+from druid.network import init_network
 from druid.problems import LocalObjective
 from druid.topology import read_edge_list
 
@@ -133,6 +136,43 @@ def test_config_validation(tmp_path):
         base_config(tmp_path, mode="duplex")
     with pytest.raises(ConfigurationError):
         base_config(tmp_path, activation="poisson")
+
+
+AGENTS = 5
+
+
+def network_led_by(leader):
+    graph, problem = make_lasso_instance(m=AGENTS)
+    return init_network(problem, graph, Hyperparams(mu_z=1.0, mu_theta=0.5, epsilon=1.0, leader=leader))
+
+
+#: how the library takes each config field the config checks against ``agents`` by hand
+LIBRARY = {
+    "leader": network_led_by,
+    "activation_count": lambda v: ActivationSampler.fixed_count(v, AGENTS, 0),
+    "activation_p": lambda v: ActivationSampler.bernoulli(v, AGENTS, 0),
+}
+
+
+@pytest.mark.parametrize("name, value, accepted", [
+    ("leader", AGENTS - 1, True), ("leader", AGENTS, False),
+    ("activation_count", AGENTS, True), ("activation_count", AGENTS + 1, False),
+    ("activation_p", 1.0, True), ("activation_p", 0.0, False),
+    ("activation_p", 1.0000001, False), ("activation_p", float("nan"), False),
+])
+def test_config_and_library_agree_at_the_cross_field_boundaries(name, value, accepted):
+    # the config restates these library refusals by hand: both sides must draw the same line
+    def accepts(build):
+        try:
+            build()
+        except ConfigurationError:
+            return False
+        return True
+
+    activation = "fixed_count" if name == "activation_count" else "bernoulli"
+    config = accepts(lambda: ExperimentConfig(problem="lasso", dataset="unread.txt", agents=AGENTS,
+                                              activation=activation, **{name: value}))
+    assert config == accepts(lambda: LIBRARY[name](value)) == accepted
 
 
 def test_fixed_count_activation_mode(tmp_path):

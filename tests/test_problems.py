@@ -326,6 +326,19 @@ def test_problem_rejects_a_regularizer_that_is_not_one():
         ConsensusProblem(LEAST_SQUARES, np.ones((3, 2)), np.ones(3), [1, 2], regularizer="l1")
 
 
+@pytest.mark.parametrize("counts", [[[1], [1, 1]], [[1], [2]], 3], ids=["ragged", "nested", "scalar"])
+def test_problem_rejects_counts_that_are_not_one_per_agent(counts):
+    # a ragged nesting raised numpy's bare "inhomogeneous shape" ValueError
+    with pytest.raises(ConfigurationError, match=r"^counts must be one integer per agent, got "):
+        ConsensusProblem(LEAST_SQUARES, np.ones((3, 2)), np.ones(3), counts)
+
+
+def test_problem_rejects_an_unhashable_kind():
+    # the table lookup raised "TypeError: unhashable type: 'list'"
+    with pytest.raises(ConfigurationError, match=r"^unknown objective kind \['x'\]"):
+        ConsensusProblem(["x"], np.ones((3, 2)), np.ones(3), [3])
+
+
 @pytest.mark.parametrize("array, row, agent", [("features", 0, 0), ("features", 3, 2),
                                                ("targets", 2, 1), ("targets", 4, 2)])
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

@@ -15,16 +15,23 @@ written and ``run_experiment`` runs on it in a temporary directory, with
 BLAS pinned to one thread; one line ``<workload> <seed> <sha256>`` is
 printed per trace.  ``--checkout DIR``
 runs the library and the workloads of another checkout.  ``--against DIR``
-also computes the hashes of ``DIR`` in a subprocess, lists every trace whose
-hash differs and exits with code 1 if any does.  Nothing is written inside
-either checkout.
+also runs the traces of ``DIR`` in a subprocess and lists every trace whose
+hash differs, each followed by the largest relative deviation of each of its
+columns from ``DIR``'s.  One line then says whether every value of the
+differing traces is within the benchmark's golden tolerance, ``RTOL * |b| +
+ATOL`` of ``perfbench/worker.py`` with ``b`` the value of ``DIR``; the exit
+code is 1 if any hash differs, within the tolerance or not.  Nothing is
+written inside either checkout.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import json
+import math
 import os
+import pickle
 import subprocess
 import sys
 import tempfile
@@ -50,6 +57,10 @@ KERNEL_CONFIGS = {
 }
 
 
+def sha256(trace: bytes) -> str:
+    return hashlib.sha256(trace).hexdigest()
+
+
 def checkout_dir(path: str) -> Path:
     """``path`` resolved, if it holds the library and the benchmark workloads."""
     root = Path(path).resolve()
@@ -58,8 +69,8 @@ def checkout_dir(path: str) -> Path:
     return root
 
 
-def trace_hashes(root: Path, names: list | None, seeds: list) -> dict:
-    """(workload, seed) -> sha256 of the trace ``root``'s library writes, for
+def traces(root: Path, names: list | None, seeds: list) -> dict:
+    """(workload, seed) -> the bytes of the trace ``root``'s library writes, for
     the workloads ``names`` (None: every workload)."""
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
     from druid.experiment import ExperimentConfig, run_experiment
@@ -71,7 +82,7 @@ def trace_hashes(root: Path, names: list | None, seeds: list) -> dict:
     unknown = sorted(set(names) - set(workloads))
     if unknown:
         raise SystemExit(f"unknown workloads {unknown}; known: {sorted(workloads)}")
-    hashes = {}
+    written = {}
     for name in names:
         workload = workloads[name]
         for seed in seeds:
@@ -79,20 +90,47 @@ def trace_hashes(root: Path, names: list | None, seeds: list) -> dict:
                 dataset, output = Path(tmp) / "data.txt", Path(tmp) / "trace.csv"
                 write_dataset(dataset, *workload.generate(seed))
                 run_experiment(ExperimentConfig(**workload.config(seed, str(dataset), str(output))))
-                hashes[name, seed] = hashlib.sha256(output.read_bytes()).hexdigest()
-    return hashes
+                written[name, seed] = output.read_bytes()
+    return written
 
 
-def hashes_of(other: Path, names: list | None, seeds: list) -> dict:
-    """``trace_hashes`` of another checkout, computed by this script in a subprocess."""
-    cmd = [sys.executable, __file__, "--checkout", str(other), "--seeds", *map(str, seeds),
-           *(["--workloads", *names] if names else [])]
-    proc = subprocess.run(cmd, stdout=subprocess.PIPE, text=True, timeout=RUN_TIMEOUT_S,
-                          check=False)
-    if proc.returncode != 0:
-        raise SystemExit(f"{other}: trace hashes exited with code {proc.returncode}")
-    lines = [line.split() for line in proc.stdout.splitlines()]
-    return {(name, int(seed)): digest for name, seed, digest in lines}
+def traces_of(other: Path, names: list | None, seeds: list) -> dict:
+    """``traces`` of another checkout, run by this script in a subprocess: the
+    two libraries have the same module names, so one interpreter holds one."""
+    code = ("import json, pickle, runpy, sys; from pathlib import Path; "
+            "traces = runpy.run_path(sys.argv[1])['traces']; "
+            "written = traces(Path(sys.argv[2]), *map(json.loads, sys.argv[3:5])); "
+            "Path(sys.argv[5]).write_bytes(pickle.dumps(written))")
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "traces.pickle"
+        cmd = [sys.executable, "-c", code, __file__, str(other), json.dumps(names),
+               json.dumps(seeds), str(out)]
+        proc = subprocess.run(cmd, timeout=RUN_TIMEOUT_S, check=False)
+        if proc.returncode != 0:
+            raise SystemExit(f"{other}: its traces exited with code {proc.returncode}")
+        return pickle.loads(out.read_bytes())
+
+
+def columns(trace: bytes) -> dict:
+    """The trace's CSV as column name -> its values."""
+    header, *rows = trace.decode().splitlines()
+    return dict(zip(header.split(","), zip(*([float(v) for v in row.split(",")] for row in rows))))
+
+
+def drift(ours: bytes, theirs: bytes, rtol: float, atol: float):
+    """(column -> largest relative deviation of ``ours`` from ``theirs``, the
+    largest share of the tolerance ``rtol * |b| + atol`` that a deviation from
+    a value ``b`` of ``theirs`` uses), or None when the traces' columns or
+    lengths differ.  A share above 1 is a value outside the tolerance."""
+    a, b = columns(ours), columns(theirs)
+    if a.keys() != b.keys() or any(len(a[k]) != len(b[k]) for k in a):
+        return None
+    def relative(x, y):
+        return abs(x - y) / abs(y) if y else (0.0 if x == y else math.inf)
+    largest = {k: max(map(relative, a[k], b[k]), default=0.0) for k in a}
+    share = max((abs(x - y) / (rtol * abs(y) + atol) for k in a for x, y in zip(a[k], b[k])),
+                default=0.0)
+    return largest, share
 
 
 def main(argv=None) -> int:
@@ -106,15 +144,32 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if any(seed < 0 for seed in args.seeds):
         parser.error("--seeds must be nonnegative")
-    ours = trace_hashes(args.checkout, args.workloads, args.seeds)
-    for (name, seed), digest in ours.items():
-        print(name, seed, digest, flush=True)
+    ours = traces(args.checkout, args.workloads, args.seeds)
+    for (name, seed), trace in ours.items():
+        print(name, seed, sha256(trace), flush=True)
     if args.against is None:
         return 0
-    theirs = hashes_of(args.against, args.workloads, args.seeds)
-    differ = [key for key in ours if theirs.get(key) != ours[key]]
+    from worker import ATOL, RTOL   # the checkout's, on the path since ``traces``
+
+    theirs = traces_of(args.against, args.workloads, args.seeds)
+    differ = [key for key in ours if theirs[key] != ours[key]]
+    shares = []   # of the tolerance, one per differing trace
     for name, seed in differ:
-        print(f"differs: {name} {seed} {ours[name, seed]} against {theirs.get((name, seed))}")
+        print(f"differs: {name} {seed} {sha256(ours[name, seed])} against "
+              f"{sha256(theirs[name, seed])}")
+        found = drift(ours[name, seed], theirs[name, seed], RTOL, ATOL)
+        if found is None:
+            print("  columns or rows differ")
+        else:
+            print("  largest relative deviation:",
+                  ", ".join(f"{column} {value:.1e}" for column, value in found[0].items()))
+        shares.append(math.inf if found is None else found[1])
+    if differ:
+        tolerance = f"the golden tolerance {RTOL:g} * |b| + {ATOL:g}"
+        outside = sum(share > 1 for share in shares)
+        print(f"every value of the {len(differ)} differing traces is within {tolerance} "
+              f"(at most {max(shares):.1e} of it)" if not outside else
+              f"{outside} of the {len(differ)} differing traces are not within {tolerance}")
     print(f"{len(differ)} of {len(ours)} traces differ from {args.against}")
     return 1 if differ else 0
 
