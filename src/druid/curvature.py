@@ -71,8 +71,9 @@ def bfgs_inverse_update(B: np.ndarray, s: np.ndarray, q: np.ndarray,
     if not (np.isfinite(s).all() and np.isfinite(q).all() and np.isfinite(B).all()):
         raise FloatingPointError("non-finite input to curvature update")
     qs = np.einsum("ki,ki->k", q, s)
-    accept = (qs > BFGS_SKIP_TOL * np.linalg.norm(q, axis=1) * np.linalg.norm(s, axis=1)) \
-        & s.any(axis=1)
+    # the row norms by np.linalg.norm(., axis=1)'s own formula, bit for bit
+    q_norm, s_norm = np.sqrt(np.add.reduce(q * q, axis=1)), np.sqrt(np.add.reduce(s * s, axis=1))
+    accept = (qs > BFGS_SKIP_TOL * q_norm * s_norm) & s.any(axis=1)
     if not accept.any():
         return B
     every = accept.all()
@@ -128,10 +129,9 @@ def _inverse_newton_blocks(problem, shift):
     return np.linalg.inv(_shifted(problem.hessians(zero, range(problem.m)), shift))
 
 
-def _secant_refresh(ns, rows, x_old, g_old):
-    s, q = bfgs_pair(x_old, ns.X[rows], g_old, ns.G[rows], ns.shift[rows, None])
+def _secant_refresh(ns, rows, models, x_old, x_new, g_old, g_new):
+    s, q = bfgs_pair(x_old, x_new, g_old, g_new, ns.shift[rows, None])
     psi = ns.hp.psi if ns.hp.bfgs_bounding else None
-    models = _model_rows(ns, rows)
     new = bfgs_inverse_update(models, s, q, psi=psi)
     if new is models:  # every pair skipped
         return None
@@ -143,16 +143,19 @@ def _secant_refresh(ns, rows, x_old, g_old):
 class Kernel:
     """What the network step does differently under one scheme: ``build``
     the active rows' curvature, ``solve`` for their directions, and
-    ``refresh`` the model ``NetworkState.B`` once the rows have moved from
-    ``x_old`` (local gradients ``g_old``) and their ``G`` is current,
-    returning the refreshed rows (None when nothing changed).
+    ``refresh`` the model ``NetworkState.B`` once the rows have moved.
+    ``refresh(ns, rows, curvature, x_old, x_new, g_old, g_new)`` takes what
+    the step already holds: the ``curvature`` that ``build`` gave for
+    ``rows``, and the rows' iterates and local gradients before and after
+    the move, as written to ``X`` and ``G``.  It returns the refreshed rows
+    (None when nothing changed).
     ``init(problem, shift)`` gives the initial ``NetworkState.B``: an
     (m, d, d) stack of inverse models, or None when the scheme keeps none."""
 
     build: Callable
     solve: Callable
     init: Callable = lambda problem, shift: None
-    refresh: Callable = lambda ns, rows, x_old, g_old: None
+    refresh: Callable = lambda ns, rows, curvature, x_old, x_new, g_old, g_new: None
 
 
 KERNELS = {

@@ -143,12 +143,10 @@ def dual_updates(ns: NetworkState, active=None) -> None:
 def _require_finite(ns: NetworkState, *phases) -> None:
     """Raise ``DivergenceError`` for the first of ``phases``, each (name, rows,
     values) in step order, whose values hold a non-finite number, naming the
-    agent of its first such row; one ``isfinite`` pass when all are finite."""
-    if np.isfinite(np.concatenate([values.ravel() for _, _, values in phases])).all():
-        return
+    agent of its first such row."""
     for phase, rows, values in phases:
-        bad = ~np.isfinite(values).reshape(len(values), -1).all(axis=1)
-        if bad.any():
+        if not np.isfinite(values).all():
+            bad = ~np.isfinite(values).reshape(len(values), -1).all(axis=1)
             agent = int(rows[np.flatnonzero(bad)[0]])
             t = ns.t + 1
             raise DivergenceError(f"non-finite {phase} update at t={t}, agent {agent}",
@@ -192,7 +190,7 @@ def apply_step(ns: NetworkState, active: np.ndarray) -> NetworkState:
     # prox never enlarges its argument, so a non-finite theta shows in lam too
     _require_finite(ns, ("primal", rows, x_new), ("dual", range(ns.graph.m), ns.Phi),
                     ("prox", [ns.hp.leader], ns.lam[None]), ("gradient", rows, g_new))
-    models = ns.kernel.refresh(ns, rows, x_old, g_old)
+    models = ns.kernel.refresh(ns, rows, curvature, x_old, x_new, g_old, g_new)
     if models is not None:
         _require_finite(ns, ("model", rows, models))
     ns.t += 1

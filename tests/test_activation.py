@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from conftest import (install_fixed_point, make_lasso_instance, make_logistic_instance,
                       objectives_of, problem_of)
-from druid.activation import ActivationRecord, ActivationSampler, async_step, sample_activation
+from druid.activation import (ACTIVATION_MODES, STATE_CHUNK, ActivationRecord, ActivationSampler,
+                              async_step, pcg64_state, sample_activation)
 from druid.analysis import project_dual
 from druid.curvature import SCHEMES, Hyperparams
 from druid.errors import ConfigurationError
@@ -26,6 +27,62 @@ def hp_for(scheme, problem, leader=0):
     M_f = problem.smoothness.M_f
     return Hyperparams(mu_z=1.0, mu_theta=0.5, epsilon=0.55 * M_f,
                        scheme=scheme, leader=leader, psi=M_f)
+
+
+#: numbers on both sides of the word boundaries of numpy's entropy coercion
+WORD_EDGES = (0, 1, 2**32 - 1, 2**32, 2**64 + 5)
+
+
+def fresh_mask(sampler, t):
+    """The mask a fresh ``np.random.default_rng((seed, t))`` draws for the sampler."""
+    rng = np.random.default_rng((sampler.seed, t))
+    if sampler.mode == "bernoulli":
+        return rng.random(sampler.m) < sampler.probabilities
+    mask = np.zeros(sampler.m, dtype=bool)
+    mask[rng.choice(sampler.m, size=sampler.count, replace=False)] = True
+    return mask
+
+
+def test_derived_states_equal_those_of_fresh_generators():
+    for seed in WORD_EDGES:
+        for t in WORD_EDGES:
+            assert pcg64_state(seed, t) == np.random.default_rng((seed, t)).bit_generator.state
+
+
+def iterations():
+    """Iteration indices: near the edges of the state chunks, anywhere in the
+    first few chunks, or across the word boundaries."""
+    near_edge = st.builds(lambda k, d: max(0, k * STATE_CHUNK + d), st.integers(0, 4),
+                          st.integers(-2, 1))
+    return st.one_of(near_edge, st.integers(0, 5 * STATE_CHUNK), st.sampled_from(WORD_EDGES))
+
+
+@settings(max_examples=40, deadline=None)
+@given(mode=st.sampled_from(ACTIVATION_MODES), m=st.integers(1, 12),
+       seed=st.sampled_from(WORD_EDGES) | st.integers(0, 2**40), data=st.data())
+def test_draws_equal_those_of_fresh_generators_in_any_order(mode, m, seed, data):
+    if mode == "bernoulli":
+        sampler = ActivationSampler.bernoulli(data.draw(st.floats(0.05, 1.0)), m, seed=seed)
+    else:
+        sampler = ActivationSampler.fixed_count(data.draw(st.integers(1, m)), m, seed=seed)
+    ts = data.draw(st.lists(iterations(), min_size=1, max_size=12))
+    for t in data.draw(st.permutations(ts + ts[: len(ts) // 2])):   # with repeats
+        record = sample_activation(sampler, t)
+        assert record.t == t and np.array_equal(record.mask, fresh_mask(sampler, t))
+
+
+@pytest.mark.parametrize("t", [-1, 1.5, True], ids=["negative", "fraction", "bool"])
+def test_sample_refuses_an_iteration_that_is_not_a_non_negative_integer(t):
+    sampler = ActivationSampler.bernoulli(0.5, 4, seed=1)
+    with pytest.raises(ConfigurationError, match=rf"^t must be a non-negative integer, got {t!r}$"):
+        sample_activation(sampler, t)
+
+
+def test_samplers_compare_by_identity_without_raising():
+    a, b = ActivationSampler.bernoulli(0.5, 4, seed=1), ActivationSampler.bernoulli(0.5, 4, seed=1)
+    assert a == a and a != b
+    assert repr(a) == ("ActivationSampler(mode='bernoulli', m=4, seed=1, "
+                       "probabilities=array([0.5, 0.5, 0.5, 0.5]), count=None)")
 
 
 def test_full_probability_activates_everyone():
@@ -64,11 +121,7 @@ def test_bernoulli_empirical_frequency():
 def test_record_mask_and_active_agree(sampler):
     for t in range(40):
         record = sample_activation(sampler, t)
-        rng = np.random.default_rng((sampler.seed, t))
-        if sampler.mode == "bernoulli":
-            drawn = np.flatnonzero(rng.random(sampler.m) < sampler.probabilities)
-        else:
-            drawn = np.sort(rng.choice(sampler.m, size=sampler.count, replace=False))
+        drawn = np.flatnonzero(fresh_mask(sampler, t))
         assert record.t == t
         assert record.mask.dtype == bool and record.mask.shape == (sampler.m,)
         assert record.active == tuple(drawn.tolist())

@@ -277,8 +277,10 @@ def test_bfgs_refresh_with_every_pair_skipped_changes_nothing(every):
         sync_step(ns)
     B, before = ns.B, ns.B.copy()
     rows = np.arange(graph.m) if every else np.arange(0, graph.m, 2)
-    # no row moved since x_old: every step is zero, so every pair is skipped
-    assert KERNELS[BFGS].refresh(ns, rows, ns.X[rows], ns.G[rows]) is None
+    # no row moved: every step is zero, so every pair is skipped
+    models = KERNELS[BFGS].build(ns, rows)
+    x, g = ns.X[rows], ns.G[rows]
+    assert KERNELS[BFGS].refresh(ns, rows, models, x, x, g, g) is None
     assert ns.B is B and np.array_equal(ns.B, before)
 
 

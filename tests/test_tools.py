@@ -68,3 +68,20 @@ def test_drift_measures_each_column_against_the_golden_tolerance(monkeypatch):
     assert largest == {"t": 0.0, "r": math.inf} and share == pytest.approx(2.0)
     assert drift(b"t,r\n0,1.0\n", theirs, 1e-6, 1e-10) is None
     assert drift(b"t,s\n0,1.0\n1,0.0\n", theirs, 1e-6, 1e-10) is None
+
+
+def test_a_failing_property_test_lets_the_later_tests_run(tmp_path):
+    # a failing @given test makes hypothesis import libcst, whose import warns; under
+    # the repo's warnings-as-errors setting that warning must not abort the run
+    (tmp_path / "test_property.py").write_text(
+        "from hypothesis import given, strategies as st\n\n\n"
+        "@given(st.integers())\n"
+        "def test_fails(n):\n"
+        "    assert n < 0\n\n\n"
+        "def test_passes():\n"
+        "    pass\n")
+    cmd = [sys.executable, "-m", "pytest", "-c", str(ROOT / "pyproject.toml"), "--rootdir",
+           str(tmp_path), "-p", "no:cacheprovider", "-q", "test_property.py"]
+    proc = subprocess.run(cmd, cwd=tmp_path, capture_output=True, text=True, timeout=120, check=False)
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert "1 failed, 1 passed" in proc.stdout.splitlines()[-1]
