@@ -135,7 +135,10 @@ def _secant_refresh(ns, rows, models, x_old, x_new, g_old, g_new):
     new = bfgs_inverse_update(models, s, q, psi=psi)
     if new is models:  # every pair skipped
         return None
-    ns.B[rows] = new
+    if len(rows) == len(ns.B):  # every row active: new is a fresh stack, keep it
+        ns.B = new
+    else:
+        ns.B[rows] = new
     return new
 
 

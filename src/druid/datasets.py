@@ -31,7 +31,7 @@ from .errors import ConfigurationError, ParseError
 _BLOCK_BYTES = 1 << 16   # characters of whole lines read and converted at a time
 
 
-@dataclass
+@dataclass(eq=False)  # eq would compare the label and row arrays by truth value
 class Dataset:
     """Parsed samples: ``labels`` (n,) and dense feature ``rows`` (n, d).
 

@@ -32,7 +32,7 @@ from .problems import ConsensusProblem, prox
 from .topology import Graph
 
 
-@dataclass
+@dataclass(eq=False)  # eq would compare the state arrays by truth value
 class NetworkState:
     """Stacked state of the whole network.
 

@@ -38,15 +38,16 @@ class Graph:
 
     ``src``/``dst`` hold the edge endpoints and ``adjacency`` the dense
     symmetric 0/1 (m, m) adjacency matrix, cached at construction; the
-    agents' neighbor counts ``degrees`` (m,) derive from it.
+    agents' neighbor counts ``degrees`` (m,) derive from it.  Two graphs
+    are equal when their ``m`` and normalized ``edges`` are.
     """
 
     m: int
     edges: tuple = ()
-    src: np.ndarray = field(init=False, repr=False)
-    dst: np.ndarray = field(init=False, repr=False)
-    adjacency: np.ndarray = field(init=False, repr=False)
-    degrees: np.ndarray = field(init=False, repr=False)
+    src: np.ndarray = field(init=False, repr=False, compare=False)
+    dst: np.ndarray = field(init=False, repr=False, compare=False)
+    adjacency: np.ndarray = field(init=False, repr=False, compare=False)
+    degrees: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _check_agent_count(self.m)

@@ -6,12 +6,13 @@ from conftest import (
     install_fixed_point,
     make_lasso_instance,
     make_logistic_instance,
+    make_rank_deficient_instance,
     make_ridge_instance,
     objectives_of,
     problem_of,
     signed_incidence,
 )
-from druid import problems
+from druid import problems, reference
 from druid.analysis import (
     advance_edge_duals,
     error_term,
@@ -35,9 +36,10 @@ from druid.problems import (
     ZERO,
     LocalObjective,
     Regularizer,
+    prox,
 )
 from druid.rates import rate_constants
-from druid.reference import centralized_reference
+from druid.reference import centralized_reference, fixed_point_residual, total_curvature_bound
 from druid.topology import Graph
 
 
@@ -107,6 +109,106 @@ def test_reference_plain_descent_agrees_with_accelerated():
     fast = centralized_reference(problem, tol=1e-12)
     plain = centralized_reference(problem, tol=1e-12, accelerated=False)
     assert np.linalg.norm(fast.x_star - plain.x_star) <= 1e-10
+
+
+REFERENCE_INSTANCES = [make_lasso_instance, make_ridge_instance, make_logistic_instance,
+                       make_rank_deficient_instance]
+
+
+def count_gradients(monkeypatch):
+    """Patch the reference's summed gradient to log each call; the list of
+    calls is returned."""
+    calls, gradient = [], reference._total_gradient
+
+    def counted(problem, x):
+        calls.append(x.copy())
+        return gradient(problem, x)
+
+    monkeypatch.setattr(reference, "_total_gradient", counted)
+    return calls
+
+
+@pytest.mark.parametrize("max_iter", [2.5, 0, -1, True, None, "5"])
+def test_reference_refuses_a_budget_that_is_not_a_positive_integer(monkeypatch, max_iter):
+    _, problem = make_lasso_instance()
+    calls = count_gradients(monkeypatch)
+    with pytest.raises(ValueError, match="max_iter must be a positive integer"):
+        centralized_reference(problem, max_iter=max_iter)
+    assert not calls
+
+
+def test_reference_takes_a_numpy_integer_budget():
+    _, problem = make_lasso_instance()
+    assert centralized_reference(problem, max_iter=np.int64(10_000)).residual <= 1e-12
+
+
+@pytest.mark.parametrize("accelerated", [True, False], ids=["accelerated", "plain"])
+@pytest.mark.parametrize("tol", [1e-12, 1e-13])
+@pytest.mark.parametrize("make_instance", REFERENCE_INSTANCES)
+def test_reference_takes_one_gradient_per_iteration_and_one_to_confirm(
+        monkeypatch, make_instance, tol, accelerated):
+    _, problem = make_instance()
+    calls = count_gradients(monkeypatch)
+    ref = centralized_reference(problem, tol=tol, accelerated=accelerated)
+    assert len(calls) == ref.iterations + 1
+    # the one extra gradient is the confirmation at the returned point
+    assert np.array_equal(calls[-1], ref.x_star)
+
+
+@pytest.mark.parametrize("tol", [1e-12, 1e-13])
+@pytest.mark.parametrize("make_instance", REFERENCE_INSTANCES)
+def test_reference_residual_is_the_exact_residual_of_its_solution(make_instance, tol):
+    _, problem = make_instance()
+    ref = centralized_reference(problem, tol=tol)
+    exact = fixed_point_residual(problem, ref.x_star, total_curvature_bound(problem))
+    assert ref.residual == exact and exact <= tol
+
+
+def test_reference_matches_the_ridge_closed_form():
+    # sum_i 1/2 ||A_i x - b_i||^2 + gamma ||x||^2 is minimized where
+    # (sum_i A_i^T A_i + 2 gamma I) x = sum_i A_i^T b_i
+    _, problem = make_ridge_instance()
+    A, b, gamma = problem.features, problem.targets, problem.regularizer.gamma
+    closed = np.linalg.solve(A.T @ A + 2.0 * gamma * np.eye(problem.d), A.T @ b)
+    assert np.linalg.norm(centralized_reference(problem).x_star - closed) <= 1e-10
+
+
+def two_gradient_reference(problem, tol, accelerated):
+    """The reference loop that measures every new iterate's residual with a
+    second gradient, stopping at the first within ``tol``."""
+    lip = total_curvature_bound(problem)
+    x = np.zeros(problem.d)
+    y = x.copy()
+    t_momentum = 1.0
+    for _ in range(100_000):
+        x_new = prox(problem.regularizer, lip, y - reference._total_gradient(problem, y) / lip)
+        if not accelerated or float((y - x_new) @ (x_new - x)) > 0.0:
+            t_momentum = 1.0
+            y = x_new
+        else:
+            t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_momentum**2))
+            y = x_new + ((t_momentum - 1.0) / t_next) * (x_new - x)
+            t_momentum = t_next
+        x = x_new
+        if fixed_point_residual(problem, x, lip) <= tol:
+            return x
+    raise AssertionError("the two-gradient loop did not converge")
+
+
+@pytest.mark.parametrize("accelerated", [True, False], ids=["accelerated", "plain"])
+@pytest.mark.parametrize("make_instance", REFERENCE_INSTANCES)
+def test_reference_agrees_with_the_two_gradient_loop(make_instance, accelerated):
+    _, problem = make_instance()
+    ref = centralized_reference(problem, accelerated=accelerated)
+    oracle = two_gradient_reference(problem, 1e-12, accelerated)
+    assert np.linalg.norm(ref.x_star - oracle) <= 1e-10
+
+
+def test_reference_solutions_compare_without_raising():
+    _, problem = make_lasso_instance()
+    ref = centralized_reference(problem)
+    assert ref == ref
+    assert ref != centralized_reference(problem)  # identity: two solves are two objects
 
 
 # --- KKT residuals -----------------------------------------------------------

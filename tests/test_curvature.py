@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 
 import numpy as np
 import pytest
@@ -282,6 +283,25 @@ def test_bfgs_refresh_with_every_pair_skipped_changes_nothing(every):
     x, g = ns.X[rows], ns.G[rows]
     assert KERNELS[BFGS].refresh(ns, rows, models, x, x, g, g) is None
     assert ns.B is B and np.array_equal(ns.B, before)
+
+
+def test_full_bfgs_refresh_keeps_the_fresh_stack_and_leaves_the_old_one():
+    graph, problem = make_logistic_instance()
+    hp = Hyperparams(mu_z=1.0, mu_theta=0.5, epsilon=1.5, scheme=BFGS, leader=0)
+    ns = init_network(problem, graph, hp)
+    sync_step(ns)
+    returned = []
+
+    def spy(*args):
+        returned.append(KERNELS[BFGS].refresh(*args))
+        return returned[-1]
+
+    ns.kernel = dataclasses.replace(ns.kernel, refresh=spy)
+    B, before = ns.B, ns.B.copy()
+    sync_step(ns)
+    (new,) = returned
+    assert new is not None and ns.B is new
+    assert np.array_equal(B, before)  # the previous stack is not written
 
 
 def test_bfgs_update_stacked_rejects_non_finite_in_any_row():

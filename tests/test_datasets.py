@@ -18,6 +18,12 @@ def test_parse_single_line():
     assert ds.rows.tolist() == [[0.5, 0.0, -2.0]]
 
 
+def test_datasets_compare_by_identity_without_raising():
+    ds = parse_libsvm("1 1:0.5 3:-2\n0 2:1\n")
+    assert ds == ds
+    assert ds != Dataset(ds.labels.copy(), ds.rows.copy())
+
+
 def test_parse_skips_blanks_and_comments():
     text = "# header comment\n\n1 1:1.0  # trailing note\n\n-1 2:3.5\n"
     ds = parse_libsvm(text)

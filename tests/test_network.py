@@ -76,6 +76,14 @@ def test_network_state_owns_its_configuration():
         hp.epsilon = 2.0
 
 
+def test_network_states_compare_by_identity_without_raising():
+    graph, problem = make_lasso_instance()
+    hp = Hyperparams(mu_z=1.0, mu_theta=0.5, epsilon=1.5, leader=0)
+    ns = init_network(problem, graph, hp)
+    assert ns == ns
+    assert ns != init_network(problem, graph, hp)
+
+
 def test_init_network_validation():
     graph = random_connected_graph(4, 1.0, seed=0)
     problem = scalar_problem([1.0, 2.0, 3.0])

@@ -21,6 +21,13 @@ def path_graph():
     return Graph(3, [(0, 1), (1, 2)])
 
 
+def test_graphs_compare_by_agent_count_and_edges():
+    graph = Graph(3, [(0, 1), (1, 2)])
+    assert graph == Graph(3, [(1, 2), (0, 1)])  # edge order is normalized
+    assert graph != Graph(3, [(0, 2), (1, 2)])
+    assert graph != Graph(4, [(0, 1), (1, 2), (2, 3)])
+
+
 def test_two_agents_full_probability_gives_single_edge():
     g = random_connected_graph(2, 1.0, seed=0)
     assert g.edges == ((0, 1),)
