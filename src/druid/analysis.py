@@ -32,7 +32,7 @@ from .errors import DiagnosticError, InconsistentReferenceError
 from .network import NetworkState
 from .problems import ConsensusProblem, prox, subgradient_membership
 from .rates import THEORY
-from .topology import Graph, edge_differences, edge_scatter, edge_sums
+from .topology import Graph, constraint_gram, edge_differences, edge_scatter, edge_sums
 
 STATIONARITY_TOL = 1e-9           # project_dual's stationarity residual
 MEMBERSHIP_TOL = 1e-8             # project_dual's subgradient inclusion
@@ -142,15 +142,14 @@ def full_admm_oracle_step(st: FullAdmmState) -> FullAdmmState:
 def project_dual(x_hat_star: np.ndarray, problem: ConsensusProblem, graph: Graph, leader: int):
     """Unique dual pair supported on the constraint matrix's column space.
 
-    Solves (L_s + e_l e_l^T) r = -grad F at the replicated optimum, with
-    L_s = diag(degrees) - adjacency, and maps r through the stacked
-    constraint matrix.  Verifies stationarity to
-    ``STATIONARITY_TOL`` and the subgradient inclusion of the returned
-    multiplier to ``MEMBERSHIP_TOL``; a failure signals a bad reference point.
+    Solves ``constraint_gram(graph, leader)`` r = -grad F at the replicated
+    optimum and maps r through the stacked constraint matrix.  Verifies
+    stationarity to ``STATIONARITY_TOL`` and the subgradient inclusion of the
+    returned multiplier to ``MEMBERSHIP_TOL``; a failure signals a bad
+    reference point.  The leader is checked before any gradient is taken.
     """
+    gram = constraint_gram(graph, leader)
     grads = problem.gradients(np.broadcast_to(x_hat_star, (problem.m, problem.d)), range(problem.m))
-    gram = np.diag(graph.degrees) - graph.adjacency
-    gram[leader, leader] += 1.0
     r = np.linalg.solve(gram, -grads)
     alpha = edge_differences(graph, r)
     lam = r[leader].copy()

@@ -26,7 +26,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import check_rules, rule
+from .errors import check_rules, rule, rule_of
+from .topology import constraint_gram
 
 GRADIENT = "gradient"
 NEWTON = "newton"
@@ -212,7 +213,7 @@ class Hyperparams:
     mu_theta: float = rule(above=0)
     epsilon: float = rule(above=0)
     scheme: str = rule(GRADIENT, choices=KERNELS)   # the table as it is when checked
-    leader: int = rule(0, at_least=0)
+    leader: int = rule_of(constraint_gram, "leader", 0)
     psi: float = rule(1.0, above=0)
     bfgs_bounding: bool = rule(False)
     __post_init__ = check_rules

@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigurationError, ParseError
+from .errors import ConfigurationError, ParseError, rule, ruled
 
 _BLOCK_BYTES = 1 << 16   # characters of whole lines read and converted at a time
 
@@ -191,6 +191,7 @@ def binarize_labels(y: np.ndarray) -> np.ndarray:
     return (y > mid).astype(float)
 
 
+@ruled(m=rule(at_least=1), seed=rule(at_least=0))
 def partition(ds: Dataset, m: int, seed: int):
     """Even split of the row indices across m agents.
 

@@ -1,7 +1,10 @@
-"""Exception types shared across the package, and the field table of dataclass rules."""
+"""Exception types shared across the package, and the field table of the rules
+of dataclass fields and function arguments."""
 
 from __future__ import annotations
 
+import functools
+import inspect
 import numbers
 import operator
 import sys
@@ -72,14 +75,35 @@ def rule(default=MISSING, *, choices=None, **bounds):
     return field(default=default, metadata={"choices": choices, "bounds": bounds})
 
 
-def rule_of(cls, name: str, default=MISSING):
-    """A dataclass field whose rule is the very metadata of dataclass ``cls``'s
-    field ``name``, so a value that feeds that field is checked as it will be;
-    its default is ``default`` if given, else that field's."""
-    ruled = next(f for f in fields(cls) if f.name == name)
+def rule_of(owner, name: str, default=MISSING):
+    """A field whose rule is the very metadata of field ``name`` of dataclass ``owner``,
+    or of argument ``name`` of ``ruled`` function ``owner``, so a value that feeds it is
+    checked as it will be; its default is ``default`` if given, else ``owner``'s."""
+    ruled = next(f for f in getattr(owner, "rules", None) or fields(owner) if f.name == name)
     mirror = field(default=ruled.default if default is MISSING else default)
     mirror.metadata = ruled.metadata   # field() would wrap it in a new proxy
     return mirror
+
+
+def ruled(**rules):
+    """Check the arguments named in ``rules``, each a ``rule`` that takes the argument's
+    annotated type and default, before each call; they are the function's ``rules``."""
+    def decorate(fn):
+        signature = inspect.signature(fn)
+        for name, f in rules.items():
+            p = signature.parameters[name]
+            f.name, f.type = name, p.annotation
+            f.default = MISSING if p.default is p.empty else p.default
+
+        @functools.wraps(fn)
+        def checked(*args, **kwargs):
+            given = signature.bind(*args, **kwargs).arguments
+            for f in checked.rules:
+                check_value(f, given.get(f.name, f.default))
+            return fn(*args, **kwargs)
+        checked.rules = tuple(rules.values())
+        return checked
+    return decorate
 
 
 def describe(f) -> str:
@@ -89,16 +113,20 @@ def describe(f) -> str:
     return " ".join([words, " and ".join(f"{BOUNDS[name][0]} {b}" for name, b in bounds)]).rstrip()
 
 
+def check_value(f, value) -> None:
+    """Raise a ``ConfigurationError`` naming field ``f`` if ``value`` breaks its rule."""
+    admitted = (value is None and f.default is None) or (
+        isinstance(value, KINDS[f.type][1]) and isinstance(value, bool) == (f.type == "bool")
+        and (f.type != "float" or abs(value) <= sys.float_info.max)   # no NaN or inf
+        and (f.type != "str" or "\0" not in value)   # open() takes no NUL byte
+        and (f.metadata["choices"] is None or value in f.metadata["choices"])
+        and all(BOUNDS[name][1](value, b) for name, b in f.metadata["bounds"].items()))
+    if not admitted:
+        raise ConfigurationError(f"{f.name} must be {describe(f)}, got {value!r}")
+
+
 def check_rules(obj) -> None:
     """Raise a ``ConfigurationError`` naming the first field of dataclass
     ``obj`` whose value breaks its ``rule``; fields without one are not checked."""
     for f in (f for f in fields(obj) if "bounds" in f.metadata):
-        value, choices = getattr(obj, f.name), f.metadata["choices"]
-        admitted = (value is None and f.default is None) or (
-            isinstance(value, KINDS[f.type][1]) and isinstance(value, bool) == (f.type == "bool")
-            and (f.type != "float" or abs(value) <= sys.float_info.max)   # no NaN or inf
-            and (f.type != "str" or "\0" not in value)   # open() takes no NUL byte
-            and (choices is None or value in choices)
-            and all(BOUNDS[name][1](value, b) for name, b in f.metadata["bounds"].items()))
-        if not admitted:
-            raise ConfigurationError(f"{f.name} must be {describe(f)}, got {value!r}")
+        check_value(f, getattr(obj, f.name))

@@ -50,16 +50,17 @@ COLUMNS = ("t", "cost_err", "dist_err", "r_opt", "r_cons", "r_reg", "comm_scalar
 
 @dataclass
 class ExperimentConfig:
-    """A run's settings.  A field that feeds a library field takes that field's
-    rule with ``rule_of``, and its default too unless the run's differs."""
+    """A run's settings.  A field that feeds a library field or function
+    argument takes its rule with ``rule_of``, and its default too unless the
+    run's differs."""
 
     problem: str = rule(choices=PROBLEM_KINDS)
     dataset: str = rule()
     gamma: float = rule_of(Regularizer, "gamma")
-    agents: int = rule(10, at_least=2)
-    edge_prob: float = rule(0.5, above=0, at_most=1)
-    graph_seed: int = rule(0, at_least=0)
-    partition_seed: int = rule(1, at_least=0)
+    agents: int = rule_of(random_connected_graph, "m", 10)
+    edge_prob: float = rule_of(random_connected_graph, "p", 0.5)
+    graph_seed: int = rule_of(random_connected_graph, "seed", 0)
+    partition_seed: int = rule_of(partition, "seed", 1)
     scheme: str = rule_of(Hyperparams, "scheme")
     mu_z: float = rule_of(Hyperparams, "mu_z", 1.0)
     mu_theta: float = rule_of(Hyperparams, "mu_theta", 0.5)
@@ -76,13 +77,13 @@ class ExperimentConfig:
     iterations: int = rule(1000, at_least=1)
     cadence: int = rule(1, at_least=1)
     output: str = rule("trace.csv")
-    ref_tol: float = rule(1e-12, above=0)
-    ref_max_iter: int = rule(2_000_000, at_least=1)
+    ref_tol: float = rule_of(centralized_reference, "tol")
+    ref_max_iter: int = rule_of(centralized_reference, "max_iter", 2_000_000)
     cost_iterate: str = rule("average", choices=("average", "leader"))   # where cost_err is taken
 
     def __post_init__(self):
-        # the rules of Hyperparams, Regularizer, random_connected_graph, ActivationSampler,
-        # init_network and the reference solver, checked before any data is read
+        # the rules of Hyperparams, Regularizer, ActivationSampler, random_connected_graph,
+        # partition and centralized_reference, checked before any data is read
         check_rules(self)
         if self.leader >= self.agents:
             raise ConfigurationError(f"leader {self.leader} out of range for agents={self.agents}")

@@ -41,7 +41,7 @@ class NetworkState:
     ``X``/``Phi`` are (m, d); ``theta``/``lam`` are the leader's (d,)
     regularizer copy and multiplier; ``shift`` (m,) is the constant
     diagonal of every agent's curvature block; ``G`` (m, d) the local
-    gradients at ``X`` (refresh it when writing ``X`` by hand); ``B``
+    gradients at ``X``; ``B``
     (m, d, d) the inverse models of the curvature blocks: the BFGS
     estimates, or under Newton with constant local Hessians the exact
     inverses computed once at init; None otherwise.  ``lap`` caches the
@@ -49,8 +49,8 @@ class NetworkState:
     synchronous dual update forms it at the new iterates and the next
     synchronous step's coupling reads it.  It is valid only while that very
     array is ``X``, so assigning a new ``X`` drops it; a partial step, which
-    writes ``X`` in place, sets it to None, and so must any in-place write
-    to ``X`` outside a step.
+    writes ``X`` in place, sets it to None.  Outside a step, write the state
+    through ``set_state``, which keeps ``G`` and ``lap`` true to ``X``.
     """
 
     graph: Graph
@@ -76,17 +76,26 @@ def init_network(problem: ConsensusProblem, graph: Graph, hp: Hyperparams) -> Ne
         raise ConfigurationError(
             f"{problem.m} objectives for {graph.m} agents"
         )
-    if not (0 <= hp.leader < graph.m):
+    if hp.leader >= graph.m:   # Hyperparams' rule holds it at 0 or more
         raise ConfigurationError(f"leader {hp.leader} out of range for m={graph.m}")
-    m, d = graph.m, problem.d
-    shift = cv.block_diag_value(hp, graph.degrees, np.arange(m) == hp.leader)
-    X = np.zeros((m, d))
-    kernel = cv.kernel(hp, problem)
-    return NetworkState(
-        graph=graph, problem=problem, hp=hp, kernel=kernel, X=X, Phi=np.zeros((m, d)),
-        theta=np.zeros(d), lam=np.zeros(d), shift=shift, G=problem.gradients(X, range(m)),
-        B=kernel.init(problem, shift),
-    )
+    shift = cv.block_diag_value(hp, graph.degrees, np.arange(graph.m) == hp.leader)
+    ns = NetworkState(graph=graph, problem=problem, hp=hp, kernel=cv.kernel(hp, problem),
+                      X=None, Phi=None, theta=None, lam=None, shift=shift, G=None)
+    zeros = np.zeros((graph.m, problem.d))
+    return set_state(ns, X=zeros, Phi=zeros, theta=zeros[0], lam=zeros[0])
+
+
+def set_state(ns: NetworkState, X=None, Phi=None, theta=None, lam=None, B=None) -> NetworkState:
+    """Replace the given state arrays of ``ns`` by float copies of them: the
+    local gradients ``G`` are taken at ``X``, ``lap`` is dropped, and the
+    models ``B`` restart from the kernel's ``init`` unless given."""
+    for name, value in (("X", X), ("Phi", Phi), ("theta", theta), ("lam", lam)):
+        if value is not None:
+            setattr(ns, name, np.array(value, dtype=float))
+    ns.G = ns.problem.gradients(ns.X, range(ns.graph.m))
+    ns.B = ns.kernel.init(ns.problem, ns.shift) if B is None else np.array(B, dtype=float)
+    ns.lap = None
+    return ns
 
 
 def laplacian_term(ns: NetworkState) -> np.ndarray:

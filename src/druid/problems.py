@@ -23,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigurationError, check_rules, rule
+from .errors import ConfigurationError, check_rules, rule, ruled
 
 LEAST_SQUARES = "least_squares"
 LOGISTIC = "logistic"
@@ -236,10 +236,9 @@ def prox(g: Regularizer, mu: float, v: np.ndarray) -> np.ndarray:
     return v * (mu / (mu + 2.0 * g.gamma))
 
 
+@ruled(tol=rule(at_least=0))
 def subgradient_membership(g: Regularizer, theta: np.ndarray, lam: np.ndarray, tol: float) -> bool:
     """Whether lam lies in the subdifferential of g at theta, within tol."""
-    if not (np.isfinite(tol) and tol >= 0):
-        raise ValueError(f"tol must be nonnegative and finite, got {tol}")
     theta = np.asarray(theta, dtype=float)
     lam = np.asarray(lam, dtype=float)
     if g.kind == ZERO:

@@ -15,12 +15,11 @@ within tolerance.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError
+from .errors import ConvergenceError, rule, ruled
 from .problems import ConsensusProblem, prox, sum_over_agents
 
 
@@ -49,6 +48,7 @@ def fixed_point_residual(problem: ConsensusProblem, x: np.ndarray, lip: float) -
     return float(np.linalg.norm(x - step))
 
 
+@ruled(tol=rule(above=0), max_iter=rule(at_least=1), accelerated=rule())
 def centralized_reference(problem: ConsensusProblem, tol: float = 1e-12,
                           max_iter: int = 1_000_000, accelerated: bool = True) -> ReferenceSolution:
     """Minimize the composite cost to the given fixed-point residual.
@@ -57,10 +57,6 @@ def centralized_reference(problem: ConsensusProblem, tol: float = 1e-12,
     tested only where the free bound residual(x) <= ||y - x|| is; the
     returned ``residual`` is the exact fixed-point residual of ``x_star``.
     """
-    if not (np.isfinite(tol) and tol > 0):
-        raise ValueError(f"tol must be positive and finite, got {tol}")
-    if isinstance(max_iter, bool) or not isinstance(max_iter, numbers.Integral) or max_iter < 1:
-        raise ValueError(f"max_iter must be a positive integer, got {max_iter!r}")
     lip = total_curvature_bound(problem)
     if lip <= 0:
         raise ConvergenceError("smooth part has no curvature bound")

@@ -18,7 +18,8 @@ from typing import TextIO
 
 import numpy as np
 
-from .errors import GraphGenerationError, ParseError
+from .errors import (ConfigurationError, GraphGenerationError, ParseError, check_rules, rule,
+                     rule_of, ruled)
 
 SPECTRAL_ZERO_TOL = 1e-10  # relative level of a zero eigenvalue
 
@@ -42,7 +43,7 @@ class Graph:
     are equal when their ``m`` and normalized ``edges`` are.
     """
 
-    m: int
+    m: int = rule(at_least=2)
     edges: tuple = ()
     src: np.ndarray = field(init=False, repr=False, compare=False)
     dst: np.ndarray = field(init=False, repr=False, compare=False)
@@ -50,7 +51,7 @@ class Graph:
     degrees: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        _check_agent_count(self.m)
+        check_rules(self)
         given = [tuple(e) for e in self.edges]
         for t in {type(v) for e in given for v in e}:  # one check per endpoint type
             if t is bool or not issubclass(t, numbers.Integral):
@@ -82,13 +83,6 @@ class Graph:
         return len(self.edges)
 
 
-def _check_agent_count(m) -> None:
-    if isinstance(m, bool) or not isinstance(m, numbers.Integral):
-        raise ValueError(f"m must be an integer number of agents, got {m!r}")
-    if m < 2:
-        raise ValueError(f"need at least 2 agents, got m={m}")
-
-
 @dataclass(frozen=True)
 class SpectralConstants:
     sigma_max_Ls: float
@@ -110,6 +104,8 @@ def _connected(adjacency: np.ndarray) -> bool:
         reached = grown
 
 
+@ruled(m=rule_of(Graph, "m"), p=rule(above=0, at_most=1), seed=rule(at_least=0),
+       max_redraws=rule(at_least=1))
 def random_connected_graph(m: int, p: float, seed: int, max_redraws: int = 10_000) -> Graph:
     """Sample a connected Erdos-Renyi style graph, redrawing until connected.
 
@@ -117,11 +113,6 @@ def random_connected_graph(m: int, p: float, seed: int, max_redraws: int = 10_00
     if the draw is disconnected the whole graph is redrawn from the same
     stream.  Deterministic given (m, p, seed).
     """
-    _check_agent_count(m)
-    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
-        raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
-    if not (0.0 < p <= 1.0):
-        raise ValueError(f"edge probability must be in (0, 1], got {p}")
     src, dst = np.triu_indices(m, 1)  # the pairs (i, j), i < j, in lexicographic order
     rng = np.random.default_rng(seed)
     for _ in range(max_redraws):
@@ -135,22 +126,28 @@ def random_connected_graph(m: int, p: float, seed: int, max_redraws: int = 10_00
     )
 
 
+@ruled(leader=rule(at_least=0))
+def constraint_gram(g: Graph, leader: int) -> np.ndarray:
+    """C C^T = L_s + e_l e_l^T, with L_s = diag(degrees) - adjacency, where C
+    stacks the signed incidence over the selection row of agent ``leader``."""
+    if leader >= g.m:
+        raise ConfigurationError(f"leader {leader} out of range for m={g.m}")
+    gram = np.diag(g.degrees) - g.adjacency
+    gram[leader, leader] += 1.0
+    return gram
+
+
 def spectral_constants(g: Graph, leader: int) -> SpectralConstants:
     """Largest eigenvalues of the signed and unsigned Laplacians
     L_s, L_u = diag(degrees) -/+ adjacency, the largest degree, and the
-    smallest positive eigenvalue of C C^T = L_s + e_l e_l^T, where C stacks
-    the signed incidence over the leader-selection row; positive
+    smallest positive eigenvalue of ``constraint_gram(g, leader)``; positive
     eigenvalues below ``SPECTRAL_ZERO_TOL`` times the largest are treated
     as zero.
     """
-    if not (0 <= leader < g.m):
-        raise ValueError(f"leader {leader} out of range for m={g.m}")
+    eig_C = np.linalg.eigvalsh(constraint_gram(g, leader))
     degrees = np.diag(g.degrees)
-    gram = degrees - g.adjacency
-    eig_Ls = np.linalg.eigvalsh(gram)
+    eig_Ls = np.linalg.eigvalsh(degrees - g.adjacency)
     eig_Lu = np.linalg.eigvalsh(degrees + g.adjacency)
-    gram[leader, leader] += 1.0
-    eig_C = np.linalg.eigvalsh(gram)
     cutoff = SPECTRAL_ZERO_TOL * max(eig_C[-1], 1.0)
     return SpectralConstants(
         sigma_max_Ls=float(eig_Ls[-1]),

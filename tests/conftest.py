@@ -8,6 +8,8 @@ and smoothness constants are exactly 0.5 and 8.  ``problem_of`` and
 evaluations are checked against.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -21,7 +23,13 @@ from druid import (
     random_connected_graph,
 )
 from druid.curvature import block_diag_value
+from druid.network import set_state
 from druid.problems import LocalObjective
+
+
+def rules_of(owner):
+    """The fields of dataclass ``owner``, or the argument rules of ``ruled`` function ``owner``."""
+    return getattr(owner, "rules", None) or dataclasses.fields(owner)
 
 
 def problem_of(objectives, regularizer=Regularizer()):
@@ -119,14 +127,9 @@ def install_fixed_point(ns, x_star, lam_star):
     duals balancing those gradients, and theta at the optimum.  The
     curvature model restarts from the kernel's ``init``."""
     problem = ns.problem
-    grads = np.stack([obj.gradient(x_star) for obj in objectives_of(problem)])
-    ns.X = np.tile(x_star, (problem.m, 1))
-    ns.Phi = -grads
-    ns.Phi[ns.hp.leader] -= lam_star
-    ns.theta = x_star.copy()
-    ns.lam = lam_star.copy()
-    ns.G = grads.copy()
-    ns.B = ns.kernel.init(problem, ns.shift)
+    Phi = -np.stack([obj.gradient(x_star) for obj in objectives_of(problem)])
+    Phi[ns.hp.leader] -= lam_star
+    set_state(ns, X=np.tile(x_star, (problem.m, 1)), Phi=Phi, theta=x_star, lam=lam_star)
 
 
 @pytest.fixture(scope="session")

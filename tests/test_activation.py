@@ -12,7 +12,7 @@ from druid.activation import (ACTIVATION_MODES, STATE_CHUNK, ActivationRecord, A
 from druid.analysis import project_dual
 from druid.curvature import SCHEMES, Hyperparams
 from druid.errors import ConfigurationError
-from druid.network import apply_step, init_network, local_gradient, sync_step
+from druid.network import apply_step, init_network, local_gradient, set_state, sync_step
 from druid.problems import (
     L1,
     LEAST_SQUARES,
@@ -213,7 +213,7 @@ def test_full_activation_reproduces_sync_bitwise(scheme):
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_cached_laplacian_term_equals_the_recomputed_one_bitwise(scheme, make):
     # the twin drops the cached term before every step, so it forms the
-    # coupling afresh; None marks a hand replacement of X with G refreshed
+    # coupling afresh; None marks a replacement of X through set_state
     graph, problem = make()
     hp = hp_for(scheme, problem)
     cached, fresh = init_network(problem, graph, hp), init_network(problem, graph, hp)
@@ -225,8 +225,7 @@ def test_cached_laplacian_term_equals_the_recomputed_one_bitwise(scheme, make):
         if mask is None:
             X = rng.normal(size=cached.X.shape)
             for ns in (cached, fresh):
-                ns.X = X.copy()
-                ns.G = problem.gradients(ns.X, range(graph.m))
+                set_state(ns, X=X, B=ns.B)
             continue
         fresh.lap = None
         apply_step(cached, mask)

@@ -29,7 +29,7 @@ from druid.errors import (
     InapplicableTheoremError,
     InconsistentReferenceError,
 )
-from druid.network import init_network, sync_step
+from druid.network import init_network, set_state, sync_step
 from druid.problems import (
     L1,
     LEAST_SQUARES,
@@ -100,7 +100,7 @@ def test_reference_rejects_a_tolerance_that_is_not_positive_and_finite(tol):
     # a NaN tolerance is never reached: without the check the solver would
     # run its whole budget before failing
     _, problem = make_lasso_instance()
-    with pytest.raises(ValueError, match="tol must be positive and finite"):
+    with pytest.raises(ValueError, match=r"^tol must be a finite number > 0, got "):
         centralized_reference(problem, tol=tol, max_iter=3)
 
 
@@ -132,7 +132,7 @@ def count_gradients(monkeypatch):
 def test_reference_refuses_a_budget_that_is_not_a_positive_integer(monkeypatch, max_iter):
     _, problem = make_lasso_instance()
     calls = count_gradients(monkeypatch)
-    with pytest.raises(ValueError, match="max_iter must be a positive integer"):
+    with pytest.raises(ValueError, match=r"^max_iter must be an integer >= 1, got "):
         centralized_reference(problem, max_iter=max_iter)
     assert not calls
 
@@ -399,9 +399,7 @@ def test_tracked_edge_duals_reproduce_phi(scheme):
 
 def network_at(problem, graph, hp, X):
     """A network state moved by hand to the iterates ``X``."""
-    ns = init_network(problem, graph, hp)
-    ns.X = X
-    return ns
+    return set_state(init_network(problem, graph, hp), X=X)
 
 
 def test_error_term_zero_for_newton_on_quadratic():

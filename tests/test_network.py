@@ -23,6 +23,7 @@ from druid.network import (
     dual_updates,
     init_network,
     local_gradient,
+    set_state,
     sync_step,
 )
 from druid.problems import (
@@ -63,6 +64,40 @@ def test_init_network_zero_state():
                                           for obj in objectives_of(problem)]))
     for i in range(graph.m):
         assert ns.shift[i] == block_diag_value(hp, graph.degrees[i], i == hp.leader)
+
+
+STATE_ARRAYS = ("X", "Phi", "G", "theta", "lam", "B")
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("make", [make_lasso_instance, make_logistic_instance])
+def test_a_state_copied_through_set_state_steps_as_the_original(make, scheme):
+    graph, problem = make()
+    M_f = problem.smoothness.M_f
+    hp = default_hp(scheme=scheme, epsilon=0.55 * M_f, psi=M_f)
+    full, partial = np.ones(graph.m, dtype=bool), np.arange(graph.m) % 2 == 0
+    ns = init_network(problem, graph, hp)
+    for mask in (full, partial, full):   # mid-run, with the Laplacian term cached
+        apply_step(ns, mask)
+    twin = set_state(init_network(problem, graph, hp), X=ns.X, Phi=ns.Phi, theta=ns.theta,
+                     lam=ns.lam, B=ns.B)
+    assert twin.X is not ns.X and twin.lap is None and ns.lap is not None
+    for mask in (None, full, partial, partial, full, full):
+        if mask is not None:
+            apply_step(ns, mask)
+            apply_step(twin, mask)
+        for name in STATE_ARRAYS:
+            assert np.array_equal(getattr(twin, name), getattr(ns, name)), name
+
+
+def test_set_state_restarts_the_models_unless_given():
+    graph, problem = make_ridge_instance()
+    ns = init_network(problem, graph, default_hp(scheme=cv.BFGS))
+    sync_step(ns)
+    stepped = ns.B
+    assert not np.array_equal(stepped, set_state(ns, X=ns.X).B)
+    assert np.array_equal(ns.B, ns.kernel.init(problem, ns.shift))
+    assert np.array_equal(set_state(ns, B=stepped).B, stepped)
 
 
 def test_network_state_owns_its_configuration():
@@ -149,12 +184,9 @@ def test_local_gradient_matches_finite_differences_of_lagrangian():
         sync_step(ns)
     # perturb the state away from anything structured
     alpha = rng.normal(size=(graph.n, problem.d))
-    ns.X = rng.normal(size=(graph.m, problem.d))
-    ns.G = np.stack([obj.gradient(x) for obj, x in zip(objectives_of(problem), ns.X)])
     A_s, A_d = incidences(graph)
-    ns.Phi = (A_s - A_d).T @ alpha
-    ns.theta = rng.normal(size=problem.d)
-    ns.lam = rng.normal(size=problem.d)
+    set_state(ns, X=rng.normal(size=(graph.m, problem.d)), Phi=(A_s - A_d).T @ alpha,
+              theta=rng.normal(size=problem.d), lam=rng.normal(size=problem.d))
     X = ns.X.copy()
     Z = 0.5 * ((A_s + A_d) @ X)
     h = 1e-6
@@ -217,8 +249,7 @@ def test_apply_step_refuses_a_bad_mask_before_it_writes(mask, shape):
 def test_dual_updates_unchanged_at_consensus():
     graph, problem = make_lasso_instance()
     hp = default_hp()
-    ns = init_network(problem, graph, hp)
-    ns.X = np.full((graph.m, problem.d), 0.7)
+    ns = set_state(init_network(problem, graph, hp), X=np.full((graph.m, problem.d), 0.7))
     phis = ns.Phi.copy()
     dual_updates(ns, np.ones(graph.m, dtype=bool))
     assert np.array_equal(ns.Phi, phis)

@@ -19,12 +19,14 @@
   attributes they wrap.
 * The library runs on numpy alone: importing it loads no scipy module.
 * Each field rule is stated once: an ``ExperimentConfig`` field that feeds a
-  ``Hyperparams``, ``Regularizer`` or ``ActivationSampler`` field carries that
-  field's rule object and type, so the run config and the library cannot
-  disagree on what they admit."""
+  ``Hyperparams``, ``Regularizer`` or ``ActivationSampler`` field, or an
+  argument of ``random_connected_graph``, ``partition`` or
+  ``centralized_reference``, carries that field's or argument's rule object
+  and type, so the run config and the library cannot disagree on what they
+  admit.  The generator's agent count is ``Graph``'s, and the
+  hyperparameters' leader is ``constraint_gram``'s."""
 
 import ast
-import dataclasses
 import inspect
 import os
 import subprocess
@@ -33,9 +35,13 @@ from pathlib import Path
 
 import scipy.linalg
 
+from conftest import rules_of
 from druid import activation, analysis, experiment, network
 from druid import curvature as cv
+from druid.datasets import partition
 from druid.problems import LocalObjective, Regularizer
+from druid.reference import centralized_reference
+from druid.topology import Graph, constraint_gram, random_connected_graph
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "druid"
@@ -233,7 +239,7 @@ def test_the_library_imports_no_scipy():
     assert done.stdout == "[]\n", f"importing druid loads {done.stdout.strip()}"
 
 
-#: config field -> (library class, the field of that class it feeds)
+#: config field -> (library class or function, the field or argument it feeds)
 MIRRORED = {
     "mu_z": (cv.Hyperparams, "mu_z"), "mu_theta": (cv.Hyperparams, "mu_theta"),
     "epsilon": (cv.Hyperparams, "epsilon"), "leader": (cv.Hyperparams, "leader"),
@@ -242,14 +248,25 @@ MIRRORED = {
     "activation": (activation.ActivationSampler, "mode"),
     "activation_seed": (activation.ActivationSampler, "seed"),
     "activation_count": (activation.ActivationSampler, "count"),
+    "agents": (random_connected_graph, "m"), "edge_prob": (random_connected_graph, "p"),
+    "graph_seed": (random_connected_graph, "seed"), "partition_seed": (partition, "seed"),
+    "ref_tol": (centralized_reference, "tol"), "ref_max_iter": (centralized_reference, "max_iter"),
 }
 
 
+def ruled(owner, name):
+    return next(f for f in rules_of(owner) if f.name == name)
+
+
 def test_config_fields_carry_the_library_rules():
-    config = {f.name: f for f in dataclasses.fields(experiment.ExperimentConfig)}
     restated = []
-    for name, (cls, lib_name) in MIRRORED.items():
-        lib = {f.name: f for f in dataclasses.fields(cls)}[lib_name]
-        if config[name].metadata is not lib.metadata or config[name].type != lib.type:
-            restated.append(f"{name} ({cls.__name__}.{lib_name})")
+    for name, (owner, lib_name) in MIRRORED.items():
+        field, lib = ruled(experiment.ExperimentConfig, name), ruled(owner, lib_name)
+        if field.metadata is not lib.metadata or field.type != lib.type:
+            restated.append(f"{name} ({owner.__name__}.{lib_name})")
     assert not restated, f"config fields that restate a library rule: {restated}"
+
+
+def test_library_arguments_carry_the_rules_they_feed():
+    assert ruled(random_connected_graph, "m").metadata is ruled(Graph, "m").metadata
+    assert ruled(cv.Hyperparams, "leader").metadata is ruled(constraint_gram, "leader").metadata
