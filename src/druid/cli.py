@@ -7,13 +7,15 @@ import sys
 from dataclasses import MISSING, fields
 
 from .activation import BERNOULLI
-from .errors import ConfigurationError, describe
+from .errors import ConfigurationError, check_value, describe
 from .experiment import ExperimentConfig, config_from_dict, load_config, output_path, run_experiment
 from .topology import random_connected_graph, write_edge_list
 
 #: annotated type of a config field -> argparse type of its flag (bool: --x/--no-x)
 FLAG_TYPES = {"int": int, "float": float, "str": str}
 ALIASES = {"iterations": ["--iters"]}   # config field -> its other flags
+#: argument of ``random_connected_graph`` -> the ``druid graph`` option that sets it
+GRAPH_OPTIONS = {"m": "agents", "p": "edge_prob", "seed": "seed"}
 
 
 def _run_parser(sub):
@@ -56,6 +58,9 @@ def main(argv=None) -> int:
     try:
         if args.command == "graph":
             out = output_path(args.output) if args.output else None
+            for f in random_connected_graph.rules:   # named by the flag, not the argument
+                option = GRAPH_OPTIONS[f.name]
+                check_value(f, getattr(args, option), "--" + option.replace("_", "-"))
             g = random_connected_graph(args.agents, args.edge_prob, args.seed)
             if out:
                 with open(out, "w") as fh:

@@ -113,8 +113,9 @@ def describe(f) -> str:
     return " ".join([words, " and ".join(f"{BOUNDS[name][0]} {b}" for name, b in bounds)]).rstrip()
 
 
-def check_value(f, value) -> None:
-    """Raise a ``ConfigurationError`` naming field ``f`` if ``value`` breaks its rule."""
+def check_value(f, value, name: str | None = None) -> None:
+    """Raise a ``ConfigurationError`` naming field ``f``, or ``name`` if given, if
+    ``value`` breaks its rule."""
     admitted = (value is None and f.default is None) or (
         isinstance(value, KINDS[f.type][1]) and isinstance(value, bool) == (f.type == "bool")
         and (f.type != "float" or abs(value) <= sys.float_info.max)   # no NaN or inf
@@ -122,7 +123,7 @@ def check_value(f, value) -> None:
         and (f.metadata["choices"] is None or value in f.metadata["choices"])
         and all(BOUNDS[name][1](value, b) for name, b in f.metadata["bounds"].items()))
     if not admitted:
-        raise ConfigurationError(f"{f.name} must be {describe(f)}, got {value!r}")
+        raise ConfigurationError(f"{name or f.name} must be {describe(f)}, got {value!r}")
 
 
 def check_rules(obj) -> None:

@@ -92,13 +92,12 @@ class ExperimentConfig:
                 f"activation_count must lie in [1, {self.agents}], got {self.activation_count}")
 
     def hyperparams(self, measured_M_f: float) -> Hyperparams:
-        """The run's hyperparameters; an unset epsilon is 0.55 * ``measured_M_f``."""
-        return Hyperparams(
-            mu_z=self.mu_z, mu_theta=self.mu_theta,
-            epsilon=0.55 * measured_M_f if self.epsilon is None else self.epsilon,
-            scheme=self.scheme, leader=self.leader, psi=self.psi,
-            bfgs_bounding=self.bfgs_bounding,
-        )
+        """The run's hyperparameters, read off the config's fields of their names;
+        an unset epsilon is 0.55 * ``measured_M_f``."""
+        given = {f.name: getattr(self, f.name) for f in fields(Hyperparams)}
+        if self.epsilon is None:
+            given["epsilon"] = 0.55 * measured_M_f
+        return Hyperparams(**given)
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:

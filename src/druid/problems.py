@@ -36,76 +36,6 @@ def _sigmoid(u: np.ndarray) -> np.ndarray:
     return np.where(u >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-@dataclass
-class LocalObjective:
-    """Smooth local cost of a single agent over its data points.
-
-    Parameters
-    ----------
-    kind : str
-        "least_squares" or "logistic".
-    features : ndarray, shape (n_points, d)
-        Row j holds a_j (least squares) or w_j (logistic).
-    targets : ndarray, shape (n_points,)
-        b_j values, or labels in {0, 1} for logistic.
-    """
-
-    kind: str
-    features: np.ndarray
-    targets: np.ndarray
-
-    def __post_init__(self):
-        if self.kind not in STACKED:
-            raise ValueError(f"unknown objective kind {self.kind!r}")
-        self.features = np.atleast_2d(np.asarray(self.features, dtype=float))
-        self.targets = np.asarray(self.targets, dtype=float).ravel()
-        if self.features.shape[0] != self.targets.shape[0]:
-            raise ValueError("feature/target row counts differ")
-        if self.kind == LOGISTIC and not np.all(np.isin(self.targets, (0.0, 1.0))):
-            raise ValueError("logistic labels must be in {0, 1}")
-
-    # The least-squares Gram matrix and A^T b are computed on first use, from
-    # this objective's own arrays.
-    @cached_property
-    def _gram(self) -> np.ndarray:
-        return self.features.T @ self.features
-
-    @cached_property
-    def _atb(self) -> np.ndarray:
-        return self.features.T @ self.targets
-
-    @property
-    def d(self) -> int:
-        return self.features.shape[1]
-
-    def value(self, x: np.ndarray) -> float:
-        if self.kind == LEAST_SQUARES:
-            r = self.features @ x - self.targets
-            return 0.5 * float(r @ r)
-        u = self.features @ x
-        # ln(1 + e^{-u}) computed as logaddexp(0, -u) to avoid overflow
-        return float(np.sum(np.logaddexp(0.0, -u) + (1.0 - self.targets) * u))
-
-    def gradient(self, x: np.ndarray) -> np.ndarray:
-        if self.kind == LEAST_SQUARES:
-            return self._gram @ x - self._atb
-        u = self.features @ x
-        return self.features.T @ (_sigmoid(u) - self.targets)
-
-    def hessian(self, x: np.ndarray) -> np.ndarray:
-        if self.kind == LEAST_SQUARES:
-            return self._gram.copy()
-        s = _sigmoid(self.features @ x)
-        return (self.features * (s * (1.0 - s))[:, None]).T @ self.features
-
-    def hessian_bound(self) -> np.ndarray:
-        """A matrix above the Hessian at every point: the Gram matrix (not a
-        copy) for least squares, a quarter of the feature Gram for logistic."""
-        if self.kind == LEAST_SQUARES:
-            return self._gram
-        return 0.25 * (self.features.T @ self.features)
-
-
 # Batched forms of the ``LocalObjective`` methods for the objectives of one
 # kind and row count: ``at`` picks the objectives (``slice(None)`` for all of
 # them, an index array otherwise) from the stacks of the group, passed by name,
@@ -180,6 +110,75 @@ STACKED = {
     LOGISTIC: StackedForm(lambda features, targets: {}, _logistic_values, _logistic_gradients,
                           _logistic_hessians, _logistic_bounds),
 }
+
+
+@dataclass
+class LocalObjective:
+    """Smooth local cost of a single agent over its data points.
+
+    Parameters
+    ----------
+    kind : str
+        "least_squares" or "logistic".
+    features : ndarray, shape (n_points, d)
+        Row j holds a_j (least squares) or w_j (logistic).
+    targets : ndarray, shape (n_points,)
+        b_j values, or labels in {0, 1} for logistic.
+    """
+
+    kind: str = rule(choices=STACKED)
+    features: np.ndarray
+    targets: np.ndarray
+
+    def __post_init__(self):
+        check_rules(self)
+        self.features = np.atleast_2d(np.asarray(self.features, dtype=float))
+        self.targets = np.asarray(self.targets, dtype=float).ravel()
+        if self.features.shape[0] != self.targets.shape[0]:
+            raise ValueError("feature/target row counts differ")
+        if self.kind == LOGISTIC and not np.all(np.isin(self.targets, (0.0, 1.0))):
+            raise ValueError("logistic labels must be in {0, 1}")
+
+    # The least-squares Gram matrix and A^T b are computed on first use, from
+    # this objective's own arrays.
+    @cached_property
+    def _gram(self) -> np.ndarray:
+        return self.features.T @ self.features
+
+    @cached_property
+    def _atb(self) -> np.ndarray:
+        return self.features.T @ self.targets
+
+    @property
+    def d(self) -> int:
+        return self.features.shape[1]
+
+    def value(self, x: np.ndarray) -> float:
+        if self.kind == LEAST_SQUARES:
+            r = self.features @ x - self.targets
+            return 0.5 * float(r @ r)
+        u = self.features @ x
+        # ln(1 + e^{-u}) computed as logaddexp(0, -u) to avoid overflow
+        return float(np.sum(np.logaddexp(0.0, -u) + (1.0 - self.targets) * u))
+
+    def gradient(self, x: np.ndarray) -> np.ndarray:
+        if self.kind == LEAST_SQUARES:
+            return self._gram @ x - self._atb
+        u = self.features @ x
+        return self.features.T @ (_sigmoid(u) - self.targets)
+
+    def hessian(self, x: np.ndarray) -> np.ndarray:
+        if self.kind == LEAST_SQUARES:
+            return self._gram.copy()
+        s = _sigmoid(self.features @ x)
+        return (self.features * (s * (1.0 - s))[:, None]).T @ self.features
+
+    def hessian_bound(self) -> np.ndarray:
+        """A matrix above the Hessian at every point: the Gram matrix (not a
+        copy) for least squares, a quarter of the feature Gram for logistic."""
+        if self.kind == LEAST_SQUARES:
+            return self._gram
+        return 0.25 * (self.features.T @ self.features)
 
 
 def sum_over_agents(stack: np.ndarray) -> np.ndarray:
@@ -264,7 +263,7 @@ class ConsensusProblem:
     ``hessian_bounds`` and ``total_value`` take one batched call per group.
     """
 
-    kind: str
+    kind: str = rule(choices=STACKED)
     features: np.ndarray
     targets: np.ndarray
     counts: np.ndarray
@@ -272,8 +271,7 @@ class ConsensusProblem:
     _groups: list = field(init=False, repr=False)
 
     def __post_init__(self):
-        if not isinstance(self.kind, str) or self.kind not in STACKED:
-            raise ConfigurationError(f"unknown objective kind {self.kind!r}")
+        check_rules(self)
         if not isinstance(self.regularizer, Regularizer):
             raise ConfigurationError(f"regularizer must be a Regularizer, got {self.regularizer!r}")
         try:

@@ -48,9 +48,9 @@ def fixed_point_residual(problem: ConsensusProblem, x: np.ndarray, lip: float) -
     return float(np.linalg.norm(x - step))
 
 
-@ruled(tol=rule(above=0), max_iter=rule(at_least=1), accelerated=rule())
+@ruled(tol=rule(above=0), max_iter=rule(at_least=1))
 def centralized_reference(problem: ConsensusProblem, tol: float = 1e-12,
-                          max_iter: int = 1_000_000, accelerated: bool = True) -> ReferenceSolution:
+                          max_iter: int = 1_000_000) -> ReferenceSolution:
     """Minimize the composite cost to the given fixed-point residual.
 
     Stops at the first iterate x = T(y) whose residual is at most ``tol``,
@@ -67,7 +67,7 @@ def centralized_reference(problem: ConsensusProblem, tol: float = 1e-12,
     for k in range(1, max_iter + 1):
         x_new = prox(g, lip, y - _total_gradient(problem, y) / lip)
         gap = float(np.linalg.norm(y - x_new))  # bounds the residual of x_new
-        if not accelerated or float((y - x_new) @ (x_new - x)) > 0.0:
+        if float((y - x_new) @ (x_new - x)) > 0.0:
             # momentum points against the step: drop it and restart
             t_momentum = 1.0
             y = x_new

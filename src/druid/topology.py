@@ -22,6 +22,7 @@ from .errors import (ConfigurationError, GraphGenerationError, ParseError, check
                      rule_of, ruled)
 
 SPECTRAL_ZERO_TOL = 1e-10  # relative level of a zero eigenvalue
+MAX_REDRAWS = 10_000  # draws ``random_connected_graph`` makes before it gives up
 
 
 @dataclass
@@ -56,16 +57,17 @@ class Graph:
         for t in {type(v) for e in given for v in e}:  # one check per endpoint type
             if t is bool or not issubclass(t, numbers.Integral):
                 bad = next(e for e in given if t in map(type, e))
-                raise ValueError(f"edge {bad!r} must have integer endpoints")
+                raise ConfigurationError(f"edges must have integer endpoints, got {bad!r}")
         edges = tuple(sorted((int(i), int(j)) for i, j in given))
         seen = set()
         for i, j in edges:
             if i == j:
-                raise ValueError(f"self loop at agent {i}")
+                raise ConfigurationError(f"edges hold a self loop at agent {i}")
             if not (0 <= i < j < self.m):
-                raise ValueError(f"edge ({i}, {j}) must satisfy 0 <= i < j < m={self.m}")
+                raise ConfigurationError(f"edges must satisfy 0 <= i < j < m={self.m}, "
+                                         f"got ({i}, {j})")
             if (i, j) in seen:
-                raise ValueError(f"duplicate edge ({i}, {j})")
+                raise ConfigurationError(f"edges repeat ({i}, {j})")
             seen.add((i, j))
         self.edges = edges
         self.src = np.array([e[0] for e in edges], dtype=np.intp)
@@ -75,7 +77,7 @@ class Graph:
         self.adjacency[self.dst, self.src] = 1.0
         self.degrees = self.adjacency.sum(axis=1).astype(int)
         if not _connected(self.adjacency):
-            raise ValueError("graph is not connected")
+            raise ConfigurationError("edges leave the graph disconnected")
 
     @property
     def n(self) -> int:
@@ -104,26 +106,23 @@ def _connected(adjacency: np.ndarray) -> bool:
         reached = grown
 
 
-@ruled(m=rule_of(Graph, "m"), p=rule(above=0, at_most=1), seed=rule(at_least=0),
-       max_redraws=rule(at_least=1))
-def random_connected_graph(m: int, p: float, seed: int, max_redraws: int = 10_000) -> Graph:
+@ruled(m=rule_of(Graph, "m"), p=rule(above=0, at_most=1), seed=rule(at_least=0))
+def random_connected_graph(m: int, p: float, seed: int) -> Graph:
     """Sample a connected Erdos-Renyi style graph, redrawing until connected.
 
     Each unordered pair is included independently with probability ``p``;
     if the draw is disconnected the whole graph is redrawn from the same
-    stream.  Deterministic given (m, p, seed).
+    stream, up to ``MAX_REDRAWS`` draws in all.  Deterministic given (m, p, seed).
     """
     src, dst = np.triu_indices(m, 1)  # the pairs (i, j), i < j, in lexicographic order
     rng = np.random.default_rng(seed)
-    for _ in range(max_redraws):
+    for _ in range(MAX_REDRAWS):
         mask = rng.random(len(src)) < p
         adjacency = np.zeros((m, m))
         adjacency[src[mask], dst[mask]] = adjacency[dst[mask], src[mask]] = 1.0
         if _connected(adjacency):
             return Graph(m, zip(src[mask], dst[mask]))
-    raise GraphGenerationError(
-        f"no connected graph with m={m}, p={p} within {max_redraws} redraws"
-    )
+    raise GraphGenerationError(f"no connected graph with m={m}, p={p} within {MAX_REDRAWS} redraws")
 
 
 @ruled(leader=rule(at_least=0))
@@ -221,7 +220,7 @@ def read_edge_list(stream: TextIO) -> Graph:
     if n >= m - 1:   # fewer edges leave m agents disconnected: no (m, m) adjacency needed
         try:
             return Graph(m, edges.keys())
-        except ValueError:   # the lines meet every other rule of Graph's: it is disconnected
+        except ConfigurationError:   # the lines meet Graph's other rules: it is disconnected
             pass
     raise ParseError(f"header 'm n' declares m={m} agents that its n={n} edges "
                      "leave disconnected", 1)

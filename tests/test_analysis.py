@@ -14,6 +14,7 @@ from conftest import (
 )
 from druid import problems, reference
 from druid.analysis import (
+    BFGS_RECONSTRUCTION_MAX_D,
     advance_edge_duals,
     error_term,
     full_admm_init,
@@ -34,6 +35,7 @@ from druid.problems import (
     L1,
     LEAST_SQUARES,
     ZERO,
+    ConsensusProblem,
     LocalObjective,
     Regularizer,
     prox,
@@ -104,13 +106,6 @@ def test_reference_rejects_a_tolerance_that_is_not_positive_and_finite(tol):
         centralized_reference(problem, tol=tol, max_iter=3)
 
 
-def test_reference_plain_descent_agrees_with_accelerated():
-    _, problem = make_lasso_instance()
-    fast = centralized_reference(problem, tol=1e-12)
-    plain = centralized_reference(problem, tol=1e-12, accelerated=False)
-    assert np.linalg.norm(fast.x_star - plain.x_star) <= 1e-10
-
-
 REFERENCE_INSTANCES = [make_lasso_instance, make_ridge_instance, make_logistic_instance,
                        make_rank_deficient_instance]
 
@@ -142,14 +137,13 @@ def test_reference_takes_a_numpy_integer_budget():
     assert centralized_reference(problem, max_iter=np.int64(10_000)).residual <= 1e-12
 
 
-@pytest.mark.parametrize("accelerated", [True, False], ids=["accelerated", "plain"])
 @pytest.mark.parametrize("tol", [1e-12, 1e-13])
 @pytest.mark.parametrize("make_instance", REFERENCE_INSTANCES)
 def test_reference_takes_one_gradient_per_iteration_and_one_to_confirm(
-        monkeypatch, make_instance, tol, accelerated):
+        monkeypatch, make_instance, tol):
     _, problem = make_instance()
     calls = count_gradients(monkeypatch)
-    ref = centralized_reference(problem, tol=tol, accelerated=accelerated)
+    ref = centralized_reference(problem, tol=tol)
     assert len(calls) == ref.iterations + 1
     # the one extra gradient is the confirmation at the returned point
     assert np.array_equal(calls[-1], ref.x_star)
@@ -175,7 +169,8 @@ def test_reference_matches_the_ridge_closed_form():
 
 def two_gradient_reference(problem, tol, accelerated):
     """The reference loop that measures every new iterate's residual with a
-    second gradient, stopping at the first within ``tol``."""
+    second gradient, stopping at the first within ``tol``; without
+    ``accelerated``, plain proximal-gradient descent."""
     lip = total_curvature_bound(problem)
     x = np.zeros(problem.d)
     y = x.copy()
@@ -198,10 +193,18 @@ def two_gradient_reference(problem, tol, accelerated):
 @pytest.mark.parametrize("accelerated", [True, False], ids=["accelerated", "plain"])
 @pytest.mark.parametrize("make_instance", REFERENCE_INSTANCES)
 def test_reference_agrees_with_the_two_gradient_loop(make_instance, accelerated):
+    # the plain loop cross-checks the solver against descent without momentum
     _, problem = make_instance()
-    ref = centralized_reference(problem, accelerated=accelerated)
+    ref = centralized_reference(problem)
     oracle = two_gradient_reference(problem, 1e-12, accelerated)
     assert np.linalg.norm(ref.x_star - oracle) <= 1e-10
+
+
+def test_reference_refuses_a_problem_without_curvature():
+    # all-zero features: every Hessian bound is 0, so there is no step 1/L
+    problem = ConsensusProblem(LEAST_SQUARES, np.zeros((4, 2)), np.ones(4), [2, 2])
+    with pytest.raises(ConvergenceError, match="^smooth part has no curvature bound$"):
+        centralized_reference(problem)
 
 
 def test_reference_solutions_compare_without_raising():
@@ -348,6 +351,14 @@ def test_project_dual_rejects_bad_reference():
         project_dual(np.full(problem.d, 37.0), problem, graph, leader=0)
 
 
+def test_project_dual_rejects_a_point_whose_solve_is_not_stationary():
+    # far from the optimum the gradients are so large that the solve's
+    # rounding alone leaves a stationarity residual above the tolerance
+    graph, problem = make_lasso_instance()
+    with pytest.raises(InconsistentReferenceError, match="^stationarity residual .* exceeds"):
+        project_dual(np.full(problem.d, 1e10), problem, graph, leader=0)
+
+
 # --- Lyapunov distances ------------------------------------------------------
 
 
@@ -436,6 +447,15 @@ def test_error_term_bfgs_needs_snapshots():
     ns = init_network(problem, graph, hp_for(BFGS, problem))
     with pytest.raises(DiagnosticError, match="inverse estimates before the step"):
         error_term(ns, ns.X.copy())
+
+
+def test_error_term_bfgs_reconstruction_is_capped():
+    d = BFGS_RECONSTRUCTION_MAX_D + 1
+    graph = Graph(2, [(0, 1)])
+    problem = ConsensusProblem(LEAST_SQUARES, np.eye(2, d), np.ones(2), [1, 1])
+    ns = init_network(problem, graph, hp_for(BFGS, problem))
+    with pytest.raises(DiagnosticError, match=f"capped at d={d - 1}, got d={d}$"):
+        error_term(ns, ns.X.copy(), bfgs_prev=ns.B.copy())
 
 
 def test_smoothness_constants_are_computed_once_per_problem(monkeypatch):

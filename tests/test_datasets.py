@@ -216,6 +216,10 @@ def test_binarize_labels():
         binarize_labels(np.array([0.0, 1.0, 2.0]))
 
 
+def test_binarize_labels_maps_a_single_label_value_to_zero():
+    assert binarize_labels(np.array([4.0, 4.0, 4.0])).tolist() == [0.0, 0.0, 0.0]
+
+
 def make_dataset(n):
     return Dataset(labels=np.arange(n, dtype=float), rows=np.arange(n, dtype=float)[:, None])
 

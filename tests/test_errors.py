@@ -28,6 +28,8 @@ PAIR = Graph(2, [(0, 1)])
 
 #: the arguments without a rule that a class or function needs to be called at all
 UNRULED = {"ActivationSampler": {"probabilities": 0.5}, "Graph": {"edges": [(0, 1)]},
+           "ConsensusProblem": {"features": np.eye(2), "targets": np.zeros(2), "counts": [1, 1]},
+           "LocalObjective": {"features": [[1.0]], "targets": [0.0]},
            "centralized_reference": {"problem": PROBLEM}, "constraint_gram": {"g": PAIR},
            "partition": {"ds": Dataset(labels=np.zeros(2), rows=np.zeros((2, 1)))},
            "subgradient_membership": {"g": Regularizer(), "theta": np.zeros(2),
@@ -92,8 +94,8 @@ def excluded(f):
 def test_the_finder_sees_every_ruled_class_and_function():
     names = {owner.__name__ for owner in ruled_owners()}
     assert {"ExperimentConfig", "Hyperparams", "Regularizer", "ActivationSampler", "Graph",
-            "random_connected_graph", "constraint_gram", "centralized_reference", "partition",
-            "subgradient_membership"} <= names
+            "ConsensusProblem", "LocalObjective", "random_connected_graph", "constraint_gram",
+            "centralized_reference", "partition", "subgradient_membership"} <= names
 
 
 @pytest.mark.parametrize("cls, f", ruled_fields(),
@@ -146,11 +148,8 @@ def no_work(monkeypatch):
     (lambda: druid.random_connected_graph(5, True, 0), "p"),
     # a string probability raised a bare TypeError at the first draw
     (lambda: druid.random_connected_graph(5, "0.5", 0), "p"),
-    # a negative budget drew nothing, then reported "within -1 redraws"
-    (lambda: druid.random_connected_graph(5, 0.5, 0, max_redraws=-1), "max_redraws"),
     # a bool tolerance ran the solve at tolerance 1.0
     (lambda: druid.centralized_reference(PROBLEM, tol=True), "tol"),
-    (lambda: druid.centralized_reference(PROBLEM, accelerated=1), "accelerated"),
     # a bool agent count split the rows for one agent
     (lambda: partition(UNRULED["partition"]["ds"], True, 1), "m"),
     # a missing tolerance raised a bare TypeError
@@ -163,10 +162,9 @@ def no_work(monkeypatch):
     # spectral_constants took True for agent 1 and raised a bare IndexError for 1.0
     (lambda: druid.spectral_constants(PAIR, True), "leader"),
     (lambda: druid.spectral_constants(PAIR, 1.0), "leader"),
-], ids=["probability-as-bool", "probability-as-string", "negative-redraws", "tol-as-bool",
-        "accelerated-as-int", "agents-as-bool", "tol-as-none", "leader-negative",
-        "leader-past-the-agents", "leader-as-bool", "spectral-leader-as-bool",
-        "spectral-leader-as-float"])
+], ids=["probability-as-bool", "probability-as-string", "tol-as-bool", "agents-as-bool",
+        "tol-as-none", "leader-negative", "leader-past-the-agents", "leader-as-bool",
+        "spectral-leader-as-bool", "spectral-leader-as-float"])
 def test_arguments_the_hand_written_checks_missed_are_refused_before_any_work(
         no_work, call, name):
     with pytest.raises(ConfigurationError, match=f"^{name} "):

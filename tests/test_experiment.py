@@ -385,6 +385,25 @@ def test_graph_output_is_checked_before_the_graph_is_drawn(tmp_path, monkeypatch
     assert os.listdir(tmp_path) == []
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--agents", "1", "--edge-prob", "0.5"], "--agents must be an integer >= 2, got 1"),
+    (["--agents", "4", "--edge-prob", "1.5"],
+     "--edge-prob must be a finite number > 0 and <= 1, got 1.5"),
+    (["--agents", "4", "--edge-prob", "0.5", "--seed", "-1"],
+     "--seed must be an integer >= 0, got -1"),
+], ids=["agents", "edge-prob", "seed"])
+def test_graph_names_the_flag_of_a_bad_value(tmp_path, capsys, flags, message):
+    # the generator's own messages name its arguments m, p and seed
+    assert main(["graph", *flags, "--output", str(tmp_path / "g.txt")]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert os.listdir(tmp_path) == []
+
+
+def test_graph_writes_to_stdout_without_an_output(capsys):
+    assert main(["graph", "--agents", "3", "--edge-prob", "1.0"]) == 0
+    assert capsys.readouterr() == ("3 3\n1 2\n1 3\n2 3\n", "")
+
+
 def test_more_agents_than_rows_fails_before_the_graph_is_drawn(tmp_path, monkeypatch):
     def draw(*args):
         raise AssertionError("the graph was drawn before the rows were checked")
@@ -468,6 +487,32 @@ def test_divergence_is_caught_on_the_step_that_causes_it(tmp_path):
     with pytest.raises(DivergenceError) as err, np.errstate(all="ignore"):
         run_experiment(cfg)
     assert (err.value.t, err.value.agent, err.value.phase) == (217, None, None)
+
+
+def test_a_dataset_whose_optimum_is_zero_is_refused(tmp_path):
+    # every label is 0, so x = 0 is optimal and there is no suboptimality to normalize by
+    data = tmp_path / "zeros.txt"
+    data.write_text("".join(f"0 1:{k}.0 2:1.0\n" for k in range(1, 11)))
+    with pytest.raises(ConfigurationError, match="^zero initial suboptimality"):
+        run_experiment(base_config(tmp_path, dataset=str(data)))
+    assert not (tmp_path / "trace.csv").exists()
+
+
+def test_a_failure_that_is_not_a_divergence_aborts_the_run_naming_the_iteration(
+        tmp_path, monkeypatch):
+    kkt_residuals = experiment.kkt_residuals
+
+    def failing(ns):
+        if ns.t == 2:
+            raise ArithmeticError("no residuals")
+        return kkt_residuals(ns)
+
+    monkeypatch.setattr(experiment, "kkt_residuals", failing)
+    with pytest.raises(RuntimeError, match="^ridge run aborted at iteration 2: no residuals$") \
+            as err:
+        run_experiment(base_config(tmp_path, cadence=1))
+    assert isinstance(err.value.__cause__, ArithmeticError)
+    assert not (tmp_path / "trace.csv").exists()
 
 
 def test_epsilon_at_or_below_half_M_f_logs_a_warning(tmp_path, caplog):

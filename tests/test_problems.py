@@ -297,7 +297,8 @@ def test_regularizer_values():
 
 def test_problem_validation_names_what_is_wrong():
     F, y = np.ones((3, 2)), np.array([0.0, 1.0, 1.0])
-    with pytest.raises(ConfigurationError, match="unknown objective kind 'huber'"):
+    with pytest.raises(ConfigurationError, match="^kind must be one of least_squares, logistic, "
+                                                 "got 'huber'$"):
         ConsensusProblem("huber", F, y, [3])
     with pytest.raises(ConfigurationError, match="at least one agent"):
         ConsensusProblem(LEAST_SQUARES, np.zeros((0, 2)), np.zeros(0), [])
@@ -335,7 +336,7 @@ def test_problem_rejects_counts_that_are_not_one_per_agent(counts):
 
 def test_problem_rejects_an_unhashable_kind():
     # the table lookup raised "TypeError: unhashable type: 'list'"
-    with pytest.raises(ConfigurationError, match=r"^unknown objective kind \['x'\]"):
+    with pytest.raises(ConfigurationError, match=r"^kind must be one of .*, got \['x'\]$"):
         ConsensusProblem(["x"], np.ones((3, 2)), np.ones(3), [3])
 
 
@@ -373,7 +374,7 @@ def test_groups_are_runs_of_equal_counts_viewing_the_rows():
 
 
 def test_objective_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigurationError, match="^kind must be one of .*, got 'huber'$"):
         LocalObjective("huber", [[1.0]], [0.0])
     with pytest.raises(ValueError):
         LocalObjective(LOGISTIC, [[1.0]], [0.5])

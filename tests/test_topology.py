@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import incidences
-from druid.errors import GraphGenerationError, ParseError
+from druid import topology
+from druid.errors import ConfigurationError, GraphGenerationError, ParseError
 from druid.topology import (
     Graph,
     edge_differences,
@@ -71,24 +72,26 @@ def test_generation_rejects_bad_parameters():
     assert random_connected_graph(3, 1.0, seed=np.int64(4)).n == 3
 
 
-def test_generation_redraw_cap():
-    with pytest.raises(GraphGenerationError):
-        random_connected_graph(8, 1e-12, seed=0, max_redraws=10)
+def test_generation_redraw_cap(monkeypatch):
+    monkeypatch.setattr(topology, "MAX_REDRAWS", 10)
+    with pytest.raises(GraphGenerationError, match="within 10 redraws$"):
+        random_connected_graph(8, 1e-12, seed=0)
 
 
 def test_graph_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigurationError, match=r"^edges hold a self loop at agent 0$"):
         Graph(3, [(0, 0)])
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigurationError, match=r"^edges repeat \(0, 1\)$"):
         Graph(3, [(0, 1), (0, 1), (1, 2)])
-    with pytest.raises(ValueError):
+    out_of_range = r"^edges must satisfy 0 <= i < j < m=3, got "
+    with pytest.raises(ConfigurationError, match=out_of_range + r"\(0, 3\)$"):
         Graph(3, [(0, 3)])
-    with pytest.raises(ValueError, match=r"edge \(2, 0\) must satisfy 0 <= i < j"):
+    with pytest.raises(ConfigurationError, match=out_of_range + r"\(2, 0\)$"):
         Graph(3, [(2, 0), (1, 2)])
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigurationError, match=r"^edges leave the graph disconnected$"):
         Graph(4, [(0, 1), (2, 3)])  # two components
     for edges in ([(0, 1.5), (1, 2.9)], [(0, True), (1, 2)], [("0", "1"), ("1", "2")]):
-        with pytest.raises(ValueError, match=r"must have integer endpoints"):
+        with pytest.raises(ConfigurationError, match=r"^edges must have integer endpoints, got "):
             Graph(3, edges)
     g = Graph(3, [(np.intp(0), np.int32(1)), (np.int64(1), 2)])
     assert g.edges == ((0, 1), (1, 2)) and all(type(v) is int for e in g.edges for v in e)
@@ -175,6 +178,13 @@ def test_smallest_positive_eigenvalue_positive_when_connected():
         g = random_connected_graph(8, 0.4, seed=seed)
         sc = spectral_constants(g, leader=2)
         assert sc.sigma_min_plus_CCt > 0
+
+
+def test_read_edge_list_refuses_enough_edges_that_leave_the_graph_disconnected():
+    # n >= m - 1 edges: Graph itself finds agent 4 unreached
+    with pytest.raises(ParseError, match="line 1: header 'm n' declares m=4 agents that its n=3 "
+                                         "edges leave disconnected"):
+        read_edge_list(io.StringIO("4 3\n1 2\n1 3\n2 3\n"))
 
 
 def test_edge_list_round_trip():
