@@ -17,7 +17,6 @@ from .problems import (
     LEAST_SQUARES,
     LOGISTIC,
     SQUARED_L2,
-    ZERO,
     ConsensusProblem,
     Regularizer,
     SmoothnessConstants,
@@ -38,7 +37,7 @@ __all__ = [
     "ActivationRecord", "ActivationSampler", "async_step", "sample_activation",
     "BFGS", "GRADIENT", "NEWTON", "SCHEMES", "Hyperparams",
     "NetworkState", "init_network", "local_gradient", "sync_step",
-    "L1", "LEAST_SQUARES", "LOGISTIC", "SQUARED_L2", "ZERO",
+    "L1", "LEAST_SQUARES", "LOGISTIC", "SQUARED_L2",
     "ConsensusProblem", "Regularizer", "SmoothnessConstants",
     "prox", "subgradient_membership",
     "ReferenceSolution", "centralized_reference",

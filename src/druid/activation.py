@@ -131,44 +131,37 @@ class ActivationRecord:
         return tuple(int(i) for i in np.flatnonzero(self.mask))
 
 
-@dataclass(eq=False)  # eq would compare the probability arrays by truth value
+@dataclass(eq=False)  # a sampler owns its generator: compare by identity
 class ActivationSampler:
     """Per-iteration activation draw.
 
-    Bernoulli mode includes each agent i independently with probability
-    p_i (possibly empty, a no-op iteration); fixed-count mode draws a
-    uniform k-subset.  A sampler keeps only its mode's parameter,
-    ``probabilities`` (one for every agent, or one for all) or ``count``,
-    so a caller may pass both.  Its one generator is re-seeded before every
-    draw, so its own seed never shows.
+    Bernoulli mode includes each agent independently with probability ``p``
+    (possibly none, a no-op iteration); fixed-count mode draws a uniform
+    ``count``-subset, and keeps ``count`` only in that mode, so a caller may
+    pass both.  Its one generator is re-seeded before every draw, so its own
+    seed never shows.
     """
 
     mode: str = rule(choices=ACTIVATION_MODES)
     m: int = rule(at_least=1)
     seed: int = rule(at_least=0)
-    probabilities: np.ndarray = None
+    p: float = rule(1.0, above=0, at_most=1)
     count: int = rule(None, at_least=1)
     _rng: np.random.Generator = field(init=False, repr=False)
 
     def __post_init__(self):
-        check_rules(self)   # the mode's own parameter is checked against m below
+        check_rules(self)   # a fixed count is checked against m below
         self._rng = np.random.Generator(np.random.PCG64())
         if self.mode == BERNOULLI:
-            p = np.asarray(self.probabilities)
-            if p.dtype.kind not in "fiu" or p.shape not in ((), (self.m,)) \
-                    or not np.all((p > 0.0) & (p <= 1.0)):
-                raise ConfigurationError(f"activation probabilities must be one number or {self.m} "
-                                         f"numbers in (0, 1], got {self.probabilities!r}")
-            self.probabilities, self.count = np.broadcast_to(p, (self.m,)).astype(float), None
+            self.count = None
+        elif self.count is None or self.count > self.m:
+            raise ConfigurationError(f"count must be an integer in [1, {self.m}], got {self.count!r}")
         else:
-            if self.count is None or self.count > self.m:
-                raise ConfigurationError(
-                    f"count must be an integer in [1, {self.m}], got {self.count!r}")
-            self.probabilities, self.count = None, int(self.count)
+            self.count = int(self.count)
 
     @classmethod
-    def bernoulli(cls, p, m: int, seed: int) -> "ActivationSampler":
-        return cls(mode=BERNOULLI, m=m, seed=seed, probabilities=p)
+    def bernoulli(cls, p: float, m: int, seed: int) -> "ActivationSampler":
+        return cls(mode=BERNOULLI, m=m, seed=seed, p=p)
 
     @classmethod
     def fixed_count(cls, k: int, m: int, seed: int) -> "ActivationSampler":
@@ -183,7 +176,7 @@ def sample_activation(sampler: ActivationSampler, t: int) -> ActivationRecord:
     rng = sampler._rng
     rng.bit_generator.state = pcg64_state(sampler.seed, t)
     if sampler.mode == BERNOULLI:
-        return ActivationRecord(t=t, mask=rng.random(sampler.m) < sampler.probabilities)
+        return ActivationRecord(t=t, mask=rng.random(sampler.m) < sampler.p)
     mask = np.zeros(sampler.m, dtype=bool)
     mask[rng.choice(sampler.m, size=sampler.count, replace=False)] = True
     return ActivationRecord(t=t, mask=mask)

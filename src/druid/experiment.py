@@ -71,7 +71,7 @@ class ExperimentConfig:
     bfgs_bounding: bool = rule_of(Hyperparams, "bfgs_bounding")
     mode: str = rule("sync", choices=("sync", "async"))
     activation: str = rule_of(ActivationSampler, "mode", BERNOULLI)
-    activation_p: float = rule(0.5, above=0, at_most=1)
+    activation_p: float = rule_of(ActivationSampler, "p", 0.5)
     activation_count: int = rule_of(ActivationSampler, "count", 1)
     activation_seed: int = rule_of(ActivationSampler, "seed", 2)
     iterations: int = rule(1000, at_least=1)
@@ -185,7 +185,8 @@ def _metrics(ns: NetworkState, cfg: ExperimentConfig, ref, cost0: float,
     row = (ns.t, (cost - ref.cost_star) / cost0, dist / dist0, *kkt_residuals(ns),
            ns.comm_scalars)
     if not all(map(math.isfinite, row[1:-1])):
-        raise DivergenceError(f"non-finite trace metric at t={ns.t}", ns.t)
+        name = next(name for name, value in zip(COLUMNS, row) if not math.isfinite(value))
+        raise DivergenceError(f"non-finite trace metric {name} at t={ns.t}", ns.t)
     return row
 
 
@@ -211,17 +212,20 @@ def run_experiment(cfg: ExperimentConfig) -> Path:
                        "epsilon > M_f/2 does not hold", cfg.epsilon, M_f / 2)
     ns = init_network(problem, graph, cfg.hyperparams(M_f))
     sampler = None if cfg.mode == "sync" else ActivationSampler(
-        cfg.activation, cfg.agents, cfg.activation_seed,
-        probabilities=cfg.activation_p, count=cfg.activation_count)
+        cfg.activation, cfg.agents, cfg.activation_seed, cfg.activation_p, cfg.activation_count)
     records = [_metrics(ns, cfg, ref, cost0, dist0)]
     try:
-        for _ in range(cfg.iterations):
-            if sampler is None:
-                sync_step(ns)
-            else:
-                async_step(ns, sample_activation(sampler, ns.t))
-            if ns.t % cfg.cadence == 0 or ns.t == cfg.iterations:
-                records.append(_metrics(ns, cfg, ref, cost0, dist0))
+        # an overflow, a division by zero or an invalid operation only yields a
+        # value that the step's and the metrics' finiteness checks turn into a
+        # DivergenceError, so numpy's warnings, which a filter may make errors, stay off
+        with np.errstate(all="ignore"):
+            for _ in range(cfg.iterations):
+                if sampler is None:
+                    sync_step(ns)
+                else:
+                    async_step(ns, sample_activation(sampler, ns.t))
+                if ns.t % cfg.cadence == 0 or ns.t == cfg.iterations:
+                    records.append(_metrics(ns, cfg, ref, cost0, dist0))
     except DivergenceError:
         raise
     except Exception as exc:

@@ -6,7 +6,8 @@ Two smooth local objectives are supported:
 * logistic loss, f(x) = sum_j [ln(1 + exp(-w_j^T x)) + (1 - y_j) w_j^T x]
   with labels y_j in {0, 1}
 
-and three regularizers: zero, gamma * ||x||_1, and gamma * ||x||^2.
+and two regularizers, gamma * ||x||_1 and gamma * ||x||^2; the default,
+squared l2 at gamma = 0, is no regularizer.
 A ``ConsensusProblem`` holds every agent's data as stacked rows and the shared
 regularizer; ``STACKED`` says how it evaluates the objectives of one kind
 together.  A ``LocalObjective`` is one agent's cost, evaluated on its own: the
@@ -135,9 +136,10 @@ class LocalObjective:
         self.features = np.atleast_2d(np.asarray(self.features, dtype=float))
         self.targets = np.asarray(self.targets, dtype=float).ravel()
         if self.features.shape[0] != self.targets.shape[0]:
-            raise ValueError("feature/target row counts differ")
+            raise ConfigurationError(f"targets {self.targets.shape} and features "
+                                     f"{self.features.shape} differ in row count")
         if self.kind == LOGISTIC and not np.all(np.isin(self.targets, (0.0, 1.0))):
-            raise ValueError("logistic labels must be in {0, 1}")
+            raise ConfigurationError("logistic targets must be 0 or 1")
 
     # The least-squares Gram matrix and A^T b are computed on first use, from
     # this objective's own arrays.
@@ -198,22 +200,19 @@ class SmoothnessConstants:
     L_f: float
 
 
-ZERO = "zero"
 L1 = "l1"
 SQUARED_L2 = "squared_l2"
 
 
 @dataclass(frozen=True)
 class Regularizer:
-    """Convex regularizer with closed-form proximal map."""
+    """Convex regularizer with closed-form proximal map; gamma = 0 is none."""
 
-    kind: str = rule(ZERO, choices=(ZERO, L1, SQUARED_L2))
+    kind: str = rule(SQUARED_L2, choices=(L1, SQUARED_L2))
     gamma: float = rule(0.0, at_least=0)
     __post_init__ = check_rules
 
     def value(self, x: np.ndarray) -> float:
-        if self.kind == ZERO:
-            return 0.0
         if self.kind == L1:
             return self.gamma * float(np.sum(np.abs(x)))
         return self.gamma * float(x @ x)
@@ -223,13 +222,11 @@ def prox(g: Regularizer, mu: float, v: np.ndarray) -> np.ndarray:
     """Proximal map argmin_theta { g(theta) + mu/2 ||theta - v||^2 }.
 
     Soft threshold at gamma/mu for the l1 norm, shrinkage by
-    mu/(mu + 2 gamma) for the squared l2 norm, identity for zero.
+    mu/(mu + 2 gamma) for the squared l2 norm (the identity at gamma = 0).
     """
     if not 0 < mu < np.inf:
         raise ValueError(f"prox weight must be positive and finite, got {mu}")
     v = np.asarray(v, dtype=float)
-    if g.kind == ZERO:
-        return v.copy()
     if g.kind == L1:
         return np.sign(v) * np.maximum(np.abs(v) - g.gamma / mu, 0.0)
     return v * (mu / (mu + 2.0 * g.gamma))
@@ -240,8 +237,6 @@ def subgradient_membership(g: Regularizer, theta: np.ndarray, lam: np.ndarray, t
     """Whether lam lies in the subdifferential of g at theta, within tol."""
     theta = np.asarray(theta, dtype=float)
     lam = np.asarray(lam, dtype=float)
-    if g.kind == ZERO:
-        return bool(np.linalg.norm(lam) <= tol)
     if g.kind == L1:
         active = theta != 0.0
         if np.any(np.abs(lam[active] - g.gamma * np.sign(theta[active])) > tol):

@@ -34,7 +34,6 @@ from druid.network import init_network, set_state, sync_step
 from druid.problems import (
     L1,
     LEAST_SQUARES,
-    ZERO,
     ConsensusProblem,
     LocalObjective,
     Regularizer,
@@ -56,7 +55,7 @@ def hp_for(scheme, problem, **kw):
 
 
 def test_reference_unconstrained_quadratic():
-    problem = problem_of([LocalObjective(LEAST_SQUARES, [[1.0]], [2.0])], Regularizer(ZERO))
+    problem = problem_of([LocalObjective(LEAST_SQUARES, [[1.0]], [2.0])], Regularizer())
     ref = centralized_reference(problem)
     assert ref.x_star == pytest.approx([2.0], abs=1e-10)
 
@@ -316,7 +315,7 @@ def test_oracle_state_holds_only_network_shapes():
 def test_project_dual_two_agent_hand_system():
     graph = Graph(2, [(0, 1)])
     objs = [LocalObjective(LEAST_SQUARES, [[1.0]], [b]) for b in (0.0, 2.0)]
-    problem = problem_of(objs, Regularizer(ZERO))
+    problem = problem_of(objs, Regularizer())
     alpha, lam = project_dual(np.array([1.0]), problem, graph, leader=0)
     grads = np.array([[1.0], [-1.0]])
     stat = grads + signed_incidence(graph).T @ alpha
@@ -328,7 +327,7 @@ def test_project_dual_two_agent_hand_system():
 def test_project_dual_zero_gradients():
     graph = Graph(2, [(0, 1)])
     objs = [LocalObjective(LEAST_SQUARES, [[1.0]], [1.0]) for _ in range(2)]
-    problem = problem_of(objs, Regularizer(ZERO))
+    problem = problem_of(objs, Regularizer())
     alpha, lam = project_dual(np.array([1.0]), problem, graph, leader=1)
     assert np.abs(alpha).max() <= 1e-12 and np.abs(lam).max() <= 1e-12
 

@@ -27,7 +27,7 @@ PROBLEM = ConsensusProblem("least_squares", np.eye(2), np.zeros(2), [1, 1], Regu
 PAIR = Graph(2, [(0, 1)])
 
 #: the arguments without a rule that a class or function needs to be called at all
-UNRULED = {"ActivationSampler": {"probabilities": 0.5}, "Graph": {"edges": [(0, 1)]},
+UNRULED = {"Graph": {"edges": [(0, 1)]},
            "ConsensusProblem": {"features": np.eye(2), "targets": np.zeros(2), "counts": [1, 1]},
            "LocalObjective": {"features": [[1.0]], "targets": [0.0]},
            "centralized_reference": {"problem": PROBLEM}, "constraint_gram": {"g": PAIR},
@@ -121,7 +121,7 @@ def test_every_rule_refuses_what_it_excludes(cls, f):
     (lambda: druid.Regularizer("l1", "0.1"), "gamma"),
     (lambda: druid.Regularizer("l1", True), "gamma"),
     # a negative seed failed only at the first draw
-    (lambda: druid.ActivationSampler("bernoulli", 4, -1, probabilities=0.5), "seed"),
+    (lambda: druid.ActivationSampler("bernoulli", 4, -1), "seed"),
 ], ids=["bool-as-string", "number-as-string", "gamma-as-string", "gamma-as-bool",
         "negative-seed"])
 def test_inputs_the_hand_written_checks_missed_are_refused(call, name):

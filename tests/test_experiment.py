@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -465,28 +466,45 @@ def test_build_problem_rejects_a_dataset_without_features(tmp_path):
         build_problem(cfg, parse_libsvm("1\n2\n3\n"))
 
 
-def test_diverging_run_raises_divergence_error(tmp_path):
+def diverging_config(tmp_path, cadence):
     # epsilon far below M_f / 2: the gradient step overshoots and blows up
-    cfg = base_config(tmp_path, scheme="gradient", epsilon=1e-3, iterations=2000, cadence=1)
-    with pytest.raises(DivergenceError) as err, np.errstate(all="ignore"):
+    return base_config(tmp_path, scheme="gradient", epsilon=1e-3, iterations=2000, cadence=cadence)
+
+
+# These run under the "error" warning filter of the test configuration: an
+# overflow warning must not stand in for the typed error.
+def test_diverging_run_raises_divergence_error(tmp_path):
+    cfg = diverging_config(tmp_path, cadence=1)
+    with pytest.raises(DivergenceError) as err:
         run_experiment(cfg)
     assert 0 < err.value.t < cfg.iterations
     assert f"t={err.value.t}" in str(err.value)
 
 
 def test_divergence_is_caught_on_the_step_that_causes_it(tmp_path):
-    # the same run with no metric step before the end: the step that first
-    # writes a non-finite value raises, naming the agent and the phase
-    cfg = base_config(tmp_path, scheme="gradient", epsilon=1e-3, iterations=2000, cadence=2000)
-    with pytest.raises(DivergenceError) as err, np.errstate(all="ignore"):
-        run_experiment(cfg)
+    # with no metric step before the end, the step that first writes a
+    # non-finite value raises, naming the agent and the phase
+    with pytest.raises(DivergenceError) as err:
+        run_experiment(diverging_config(tmp_path, cadence=2000))
     assert (err.value.t, err.value.agent, err.value.phase) == (434, 2, "gradient")
     assert "t=434" in str(err.value) and "agent 2" in str(err.value)
-    # at cadence 1 the trace metrics overflow first, long before the state does
-    cfg = base_config(tmp_path, scheme="gradient", epsilon=1e-3, iterations=2000, cadence=1)
-    with pytest.raises(DivergenceError) as err, np.errstate(all="ignore"):
-        run_experiment(cfg)
+    # at cadence 1 the trace metrics overflow first, long before the state
+    # does; the error names the first non-finite column
+    with pytest.raises(DivergenceError, match="^non-finite trace metric r_opt at t=217$") as err:
+        run_experiment(diverging_config(tmp_path, cadence=1))
     assert (err.value.t, err.value.agent, err.value.phase) == (217, None, None)
+
+
+def test_cli_reports_a_diverging_run_as_an_error(tmp_path, capsys):
+    cfg = diverging_config(tmp_path, cadence=1)
+    path = tmp_path / "diverging.json"
+    path.write_text(json.dumps({f.name: getattr(cfg, f.name) for f in fields(cfg)}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: non-finite trace metric r_opt at t=217")
+    assert "RuntimeWarning" not in err and not Path(cfg.output).exists()
 
 
 def test_a_dataset_whose_optimum_is_zero_is_refused(tmp_path):

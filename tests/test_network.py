@@ -30,7 +30,6 @@ from druid.problems import (
     L1,
     LEAST_SQUARES,
     LOGISTIC,
-    ZERO,
     LocalObjective,
     Regularizer,
     subgradient_membership,
@@ -39,7 +38,7 @@ from druid.reference import centralized_reference
 from druid.topology import Graph, random_connected_graph
 
 
-def scalar_problem(b_values, regularizer=Regularizer(ZERO)):
+def scalar_problem(b_values, regularizer=Regularizer()):
     """One-dimensional agents with f_i(x) = (x - b_i)^2 / 2."""
     objs = [LocalObjective(LEAST_SQUARES, [[1.0]], [b]) for b in b_values]
     return problem_of(objs, regularizer)
@@ -267,7 +266,7 @@ def test_dual_sum_conserved_and_inclusion_holds():
 
 def test_zero_regularizer_lambda_identity():
     graph, problem = make_lasso_instance()
-    problem = dataclasses.replace(problem, regularizer=Regularizer(ZERO))
+    problem = dataclasses.replace(problem, regularizer=Regularizer())
     hp = default_hp(epsilon=3.0)
     ns = init_network(problem, graph, hp)
     for _ in range(10):
@@ -334,7 +333,7 @@ def test_symmetric_problem_stays_symmetric():
     # symmetry at order mu_theta only
     graph = random_connected_graph(4, 1.0, seed=1)
     objs = [LocalObjective(LEAST_SQUARES, [[1.0, 0.0], [0.0, 1.0]], [1.0, -0.5]) for _ in range(4)]
-    problem = problem_of(objs, Regularizer(ZERO))
+    problem = problem_of(objs, Regularizer())
     hp = default_hp(epsilon=2.0, mu_theta=1e-9)
     ns = init_network(problem, graph, hp)
     for _ in range(20):

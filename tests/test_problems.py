@@ -10,7 +10,6 @@ from druid.problems import (
     LEAST_SQUARES,
     LOGISTIC,
     SQUARED_L2,
-    ZERO,
     ConsensusProblem,
     LocalObjective,
     Regularizer,
@@ -185,7 +184,7 @@ def test_stacked_totals_equal_the_per_objective_sums_bitwise(kind, m, d, unequal
         F = rng.normal(size=(n, d)) * (rng.random((n, d)) < 0.6)
         y = (rng.random(n) < 0.5) * 1.0 if kind == LOGISTIC else rng.normal(size=n) * (rng.random(n) < 0.7)
         objs.append(LocalObjective(kind, F, y))
-    reg = [Regularizer(ZERO), Regularizer(L1, 0.3), Regularizer(SQUARED_L2, 0.2)][seed % 3]
+    reg = [Regularizer(), Regularizer(L1, 0.3), Regularizer(SQUARED_L2, 0.2)][seed % 3]
     problem = problem_of(objs, reg)
     x = rng.normal(size=d) * (rng.random(d) < 0.7)
     # the oracle: one objective at a time, added with Python's sum in agent order
@@ -232,7 +231,7 @@ def test_aggregate_smoothness_extremes():
 def test_prox_hand_examples():
     assert prox(Regularizer(L1, 1.0), 2.0, np.array([1.0, -0.25, 0.0])) == pytest.approx([0.5, 0.0, 0.0])
     v = np.array([3.0, -1.0])
-    assert prox(Regularizer(ZERO), 5.0, v) == pytest.approx(v)
+    assert prox(Regularizer(), 5.0, v) == pytest.approx(v)
     assert prox(Regularizer(SQUARED_L2, 1.0), 2.0, np.array([4.0])) == pytest.approx([2.0])
 
 
@@ -250,7 +249,7 @@ def test_prox_rejects_a_non_finite_weight(reg, mu):
         prox(reg, mu, np.ones(2))
 
 
-@pytest.mark.parametrize("reg", [Regularizer(ZERO), Regularizer(L1, 0.7), Regularizer(SQUARED_L2, 0.3)])
+@pytest.mark.parametrize("reg", [Regularizer(), Regularizer(L1, 0.7), Regularizer(SQUARED_L2, 0.3)])
 def test_prox_is_nonexpansive(reg):
     rng = np.random.default_rng(8)
     for _ in range(50):
@@ -263,7 +262,7 @@ def test_subgradient_membership_hand_examples():
     g = Regularizer(L1, 1.0)
     assert subgradient_membership(g, np.array([2.0, 0.0]), np.array([1.0, 0.3]), 1e-9)
     assert not subgradient_membership(g, np.array([2.0]), np.array([0.5]), 1e-9)
-    assert subgradient_membership(Regularizer(ZERO), np.zeros(2), np.zeros(2), 0.0)
+    assert subgradient_membership(Regularizer(), np.zeros(2), np.zeros(2), 0.0)
     g2 = Regularizer(SQUARED_L2, 0.5)
     assert subgradient_membership(g2, np.array([1.0, -2.0]), np.array([1.0, -2.0]), 1e-9)
 
@@ -277,7 +276,7 @@ def test_subgradient_membership_rejects_a_non_finite_tol():
             subgradient_membership(g, theta, lam, tol)
 
 
-@pytest.mark.parametrize("reg", [Regularizer(ZERO), Regularizer(L1, 0.8), Regularizer(SQUARED_L2, 0.4)])
+@pytest.mark.parametrize("reg", [Regularizer(), Regularizer(L1, 0.8), Regularizer(SQUARED_L2, 0.4)])
 def test_prox_optimality_inclusion(reg):
     # theta = prox(v) implies mu (v - theta) is a subgradient at theta
     rng = np.random.default_rng(9)
@@ -290,7 +289,8 @@ def test_prox_optimality_inclusion(reg):
 
 def test_regularizer_values():
     x = np.array([1.0, -2.0])
-    assert Regularizer(ZERO).value(x) == 0.0
+    assert Regularizer() == Regularizer(SQUARED_L2, 0.0)   # no regularizer
+    assert Regularizer().value(x) == 0.0
     assert Regularizer(L1, 2.0).value(x) == pytest.approx(6.0)
     assert Regularizer(SQUARED_L2, 2.0).value(x) == pytest.approx(10.0)
 
@@ -376,9 +376,11 @@ def test_groups_are_runs_of_equal_counts_viewing_the_rows():
 def test_objective_validation():
     with pytest.raises(ConfigurationError, match="^kind must be one of .*, got 'huber'$"):
         LocalObjective("huber", [[1.0]], [0.0])
-    with pytest.raises(ValueError):
+    # the errors ConsensusProblem raises for the same data
+    with pytest.raises(ConfigurationError, match="^logistic targets must be 0 or 1$"):
         LocalObjective(LOGISTIC, [[1.0]], [0.5])
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigurationError,
+                       match=r"^targets \(1,\) and features \(2, 1\) differ in row count$"):
         LocalObjective(LEAST_SQUARES, [[1.0], [2.0]], [0.0])
     with pytest.raises(ValueError):
         Regularizer(L1, -0.1)

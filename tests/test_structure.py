@@ -246,6 +246,7 @@ MIRRORED = {
     "psi": (cv.Hyperparams, "psi"), "bfgs_bounding": (cv.Hyperparams, "bfgs_bounding"),
     "scheme": (cv.Hyperparams, "scheme"), "gamma": (Regularizer, "gamma"),
     "activation": (activation.ActivationSampler, "mode"),
+    "activation_p": (activation.ActivationSampler, "p"),
     "activation_seed": (activation.ActivationSampler, "seed"),
     "activation_count": (activation.ActivationSampler, "count"),
     "agents": (random_connected_graph, "m"), "edge_prob": (random_connected_graph, "p"),
