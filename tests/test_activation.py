@@ -165,6 +165,15 @@ def test_sampler_validation():
             ActivationSampler.bernoulli(bad, 4, seed=0)
 
 
+@pytest.mark.parametrize("p", ["0.5", [0.5, 0.5], [0.5] * 5, [[0.5] * 4], True, None],
+                         ids=["string", "too-short", "too-long", "nested", "bool", "none"])
+def test_sampler_rejects_probabilities_of_the_wrong_type_or_shape(p):
+    # a string was once converted, and a list of another length once raised
+    # numpy's bare broadcast error; p is one number, so every one is refused
+    with pytest.raises(ConfigurationError, match=r"^p must be a finite number > 0 and <= 1, got "):
+        ActivationSampler.bernoulli(p, 4, seed=0)
+
+
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_empty_activation_is_noop(scheme):
     graph, problem = make_lasso_instance()
