@@ -122,7 +122,6 @@ def pcg64_state(seed: int, t: int) -> dict:
 
 @dataclass(frozen=True, eq=False)  # eq would compare the mask arrays by truth value
 class ActivationRecord:
-    t: int
     mask: np.ndarray  # (m,) bool, True for the agents that participate
 
     @property
@@ -159,14 +158,6 @@ class ActivationSampler:
         else:
             self.count = int(self.count)
 
-    @classmethod
-    def bernoulli(cls, p: float, m: int, seed: int) -> "ActivationSampler":
-        return cls(mode=BERNOULLI, m=m, seed=seed, p=p)
-
-    @classmethod
-    def fixed_count(cls, k: int, m: int, seed: int) -> "ActivationSampler":
-        return cls(mode=FIXED_COUNT, m=m, seed=seed, count=k)
-
 
 def sample_activation(sampler: ActivationSampler, t: int) -> ActivationRecord:
     """Draw the active set for iteration t, a non-negative integer: the draw a
@@ -176,10 +167,10 @@ def sample_activation(sampler: ActivationSampler, t: int) -> ActivationRecord:
     rng = sampler._rng
     rng.bit_generator.state = pcg64_state(sampler.seed, t)
     if sampler.mode == BERNOULLI:
-        return ActivationRecord(t=t, mask=rng.random(sampler.m) < sampler.p)
+        return ActivationRecord(rng.random(sampler.m) < sampler.p)
     mask = np.zeros(sampler.m, dtype=bool)
     mask[rng.choice(sampler.m, size=sampler.count, replace=False)] = True
-    return ActivationRecord(t=t, mask=mask)
+    return ActivationRecord(mask)
 
 
 def async_step(ns: NetworkState, record: ActivationRecord) -> NetworkState:

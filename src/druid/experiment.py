@@ -41,7 +41,6 @@ PROBLEMS = {
     "logistic_l1": (LOGISTIC, L1),
     "ridge": (LEAST_SQUARES, SQUARED_L2),
 }
-PROBLEM_KINDS = tuple(PROBLEMS)
 
 logger = logging.getLogger("druid")
 
@@ -54,7 +53,7 @@ class ExperimentConfig:
     argument takes its rule with ``rule_of``, and its default too unless the
     run's differs."""
 
-    problem: str = rule(choices=PROBLEM_KINDS)
+    problem: str = rule(choices=PROBLEMS)
     dataset: str = rule()
     gamma: float = rule_of(Regularizer, "gamma")
     agents: int = rule_of(random_connected_graph, "m", 10)
@@ -79,7 +78,6 @@ class ExperimentConfig:
     output: str = rule("trace.csv")
     ref_tol: float = rule_of(centralized_reference, "tol")
     ref_max_iter: int = rule_of(centralized_reference, "max_iter", 2_000_000)
-    cost_iterate: str = rule("average", choices=("average", "leader"))   # where cost_err is taken
 
     def __post_init__(self):
         # the rules of Hyperparams, Regularizer, ActivationSampler, random_connected_graph,
@@ -177,10 +175,10 @@ def build_problem(cfg: ExperimentConfig, ds: Dataset) -> ConsensusProblem:
 
 def _metrics(ns: NetworkState, cfg: ExperimentConfig, ref, cost0: float,
              dist0: float) -> tuple:
-    """The trace row of the network's current state, in ``COLUMNS`` order."""
+    """The trace row of the network's current state, in ``COLUMNS`` order;
+    the cost error is taken at the agents' average."""
     X = ns.X
-    point = X[cfg.leader] if cfg.cost_iterate == "leader" else X.mean(axis=0)
-    cost = ns.problem.total_value(point)
+    cost = ns.problem.total_value(X.mean(axis=0))
     dist = float(np.linalg.norm(X - ref.x_star[None, :]))
     row = (ns.t, (cost - ref.cost_star) / cost0, dist / dist0, *kkt_residuals(ns),
            ns.comm_scalars)

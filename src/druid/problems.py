@@ -291,11 +291,20 @@ class ConsensusProblem:
         if (counts < 1).any():
             raise ConfigurationError(f"objective of agent {np.argmax(counts < 1)} has no data points")
         ends = np.concatenate(([0], np.cumsum(counts)))
-        for name, rows in (("features", features), ("targets", targets[:, None])):
-            finite = np.isfinite(rows).all(axis=1)
-            if not finite.all():   # argmin: the first row that is not
-                agent = np.searchsorted(ends, np.argmin(finite), side="right") - 1
-                raise ConfigurationError(f"{name} of agent {agent} hold a NaN or infinite value")
+        # an agent's sum of squared features is finite if its features are and no entry
+        # of its Gram matrix or logistic Hessian bound, which the sum bounds, overflows
+        with np.errstate(over="ignore"):
+            squares = np.add.reduceat(np.einsum("ij,ij->i", features, features), ends[:-1])
+        if not np.isfinite(squares).all():
+            agent = np.argmin(np.isfinite(squares))
+            finite = np.isfinite(features[ends[agent]:ends[agent + 1]]).all()
+            raise ConfigurationError(f"features of agent {agent} " + (
+                "are too large: their sum of squares overflows" if finite else
+                "hold a NaN or infinite value"))
+        finite = np.isfinite(targets)
+        if not finite.all():   # argmin: the first that is not
+            agent = np.searchsorted(ends, np.argmin(finite), side="right") - 1
+            raise ConfigurationError(f"targets of agent {agent} hold a NaN or infinite value")
         if self.kind == LOGISTIC and not np.isin(targets, (0.0, 1.0)).all():
             raise ConfigurationError("logistic targets must be 0 or 1")
         runs = np.concatenate(([0], np.flatnonzero(np.diff(counts)) + 1, [len(counts)]))
@@ -322,13 +331,14 @@ class ConsensusProblem:
         ``hessian_bound``.  Least squares: m_f is the smallest one, L_f = 0.
         Logistic: m_f = 0, and the Hessian's Lipschitz constant is the peak
         of the sigmoid's second derivative (1 / (6 sqrt 3)) times an agent's
-        summed cubed feature norms."""
+        summed cubed feature norms, inf if those overflow."""
         eig = np.linalg.eigvalsh(self.hessian_bounds())
         M_f = float(eig[:, -1].max())
         if self.kind == LEAST_SQUARES:
             return SmoothnessConstants(m_f=max(float(eig[:, 0].min()), 0.0), M_f=M_f, L_f=0.0)
-        cubes = max(float((np.linalg.norm(stacks["features"], axis=2) ** 3).sum(axis=1).max())
-                    for *_, stacks in self._groups)
+        with np.errstate(over="ignore"):   # cubes of huge norms: L_f is inf, still a bound
+            cubes = max(float((np.linalg.norm(stacks["features"], axis=2) ** 3).sum(axis=1).max())
+                        for *_, stacks in self._groups)
         return SmoothnessConstants(m_f=0.0, M_f=M_f, L_f=cubes / (6.0 * np.sqrt(3.0)))
 
     @property

@@ -231,7 +231,7 @@ def test_criterion_6_async_degenerate_and_expected_progress(tmp_path):
         mean_curve = np.zeros(horizon // cadence)
         for seed in range(20):
             ns = init_network(problem, graph, hp)
-            sampler = ActivationSampler.bernoulli(0.5, graph.m, seed=1000 + seed)
+            sampler = ActivationSampler("bernoulli", graph.m, 1000 + seed, p=0.5)
             for t in range(horizon):
                 async_step(ns, sample_activation(sampler, ns.t))
                 if (t + 1) % cadence == 0:

@@ -62,41 +62,41 @@ def iterations():
        seed=st.sampled_from(WORD_EDGES) | st.integers(0, 2**40), data=st.data())
 def test_draws_equal_those_of_fresh_generators_in_any_order(mode, m, seed, data):
     if mode == "bernoulli":
-        sampler = ActivationSampler.bernoulli(data.draw(st.floats(0.05, 1.0)), m, seed=seed)
+        sampler = ActivationSampler("bernoulli", m, seed, p=data.draw(st.floats(0.05, 1.0)))
     else:
-        sampler = ActivationSampler.fixed_count(data.draw(st.integers(1, m)), m, seed=seed)
+        sampler = ActivationSampler("fixed_count", m, seed, count=data.draw(st.integers(1, m)))
     ts = data.draw(st.lists(iterations(), min_size=1, max_size=12))
     for t in data.draw(st.permutations(ts + ts[: len(ts) // 2])):   # with repeats
         record = sample_activation(sampler, t)
-        assert record.t == t and np.array_equal(record.mask, fresh_mask(sampler, t))
+        assert np.array_equal(record.mask, fresh_mask(sampler, t))
 
 
 @pytest.mark.parametrize("t", [-1, 1.5, True], ids=["negative", "fraction", "bool"])
 def test_sample_refuses_an_iteration_that_is_not_a_non_negative_integer(t):
-    sampler = ActivationSampler.bernoulli(0.5, 4, seed=1)
+    sampler = ActivationSampler("bernoulli", 4, 1, p=0.5)
     with pytest.raises(ConfigurationError, match=rf"^t must be a non-negative integer, got {t!r}$"):
         sample_activation(sampler, t)
 
 
 def test_samplers_compare_by_identity_without_raising():
-    a, b = ActivationSampler.bernoulli(0.5, 4, seed=1), ActivationSampler.bernoulli(0.5, 4, seed=1)
+    a, b = (ActivationSampler("bernoulli", 4, 1, p=0.5) for _ in range(2))
     assert a == a and a != b
     assert repr(a) == "ActivationSampler(mode='bernoulli', m=4, seed=1, p=0.5, count=None)"
 
 
 def test_full_probability_activates_everyone():
-    sampler = ActivationSampler.bernoulli(1.0, 6, seed=0)
+    sampler = ActivationSampler("bernoulli", 6, 0, p=1.0)
     for t in range(20):
         assert sample_activation(sampler, t).active == tuple(range(6))
 
 
 def test_fixed_count_full_set():
-    sampler = ActivationSampler.fixed_count(5, 5, seed=0)
+    sampler = ActivationSampler("fixed_count", 5, 0, count=5)
     assert sample_activation(sampler, 3).active == tuple(range(5))
 
 
 def test_fixed_count_size_and_range():
-    sampler = ActivationSampler.fixed_count(3, 8, seed=4)
+    sampler = ActivationSampler("fixed_count", 8, 4, count=3)
     for t in range(50):
         active = sample_activation(sampler, t).active
         assert len(active) == 3 and len(set(active)) == 3
@@ -105,7 +105,7 @@ def test_fixed_count_size_and_range():
 
 
 def test_bernoulli_empirical_frequency():
-    sampler = ActivationSampler.bernoulli(0.5, 4, seed=9)
+    sampler = ActivationSampler("bernoulli", 4, 9, p=0.5)
     counts = np.zeros(4)
     draws = 10_000
     for t in range(draws):
@@ -114,21 +114,20 @@ def test_bernoulli_empirical_frequency():
     assert np.all(np.abs(counts / draws - 0.5) <= 0.02)
 
 
-@pytest.mark.parametrize("sampler", [ActivationSampler.bernoulli(0.3, 7, seed=5),
-                                     ActivationSampler.fixed_count(3, 7, seed=5)],
+@pytest.mark.parametrize("sampler", [ActivationSampler("bernoulli", 7, 5, p=0.3),
+                                     ActivationSampler("fixed_count", 7, 5, count=3)],
                          ids=["bernoulli", "fixed_count"])
 def test_record_mask_and_active_agree(sampler):
     for t in range(40):
         record = sample_activation(sampler, t)
         drawn = np.flatnonzero(fresh_mask(sampler, t))
-        assert record.t == t
         assert record.mask.dtype == bool and record.mask.shape == (sampler.m,)
         assert record.active == tuple(drawn.tolist())
         assert np.array_equal(np.flatnonzero(record.mask), drawn)
 
 
 def test_empty_draw_has_all_false_mask():
-    sampler = ActivationSampler.bernoulli(0.05, 3, seed=1)
+    sampler = ActivationSampler("bernoulli", 3, 1, p=0.05)
     records = (sample_activation(sampler, t) for t in range(100))
     record = next(r for r in records if not r.mask.any())
     assert record.active == ()
@@ -136,8 +135,8 @@ def test_empty_draw_has_all_false_mask():
 
 
 def test_sampling_deterministic_in_seed_and_iteration():
-    a = ActivationSampler.bernoulli(0.4, 10, seed=3)
-    b = ActivationSampler.bernoulli(0.4, 10, seed=3)
+    a = ActivationSampler("bernoulli", 10, 3, p=0.4)
+    b = ActivationSampler("bernoulli", 10, 3, p=0.4)
     assert [sample_activation(a, t).active for t in range(30)] == \
            [sample_activation(b, t).active for t in range(30)]
     # order of queries does not matter
@@ -146,23 +145,23 @@ def test_sampling_deterministic_in_seed_and_iteration():
 
 def test_sampler_validation():
     with pytest.raises(ValueError):
-        ActivationSampler.bernoulli(0.0, 4, seed=0)
+        ActivationSampler("bernoulli", 4, 0, p=0.0)
     with pytest.raises(ValueError):
-        ActivationSampler.bernoulli(1.2, 4, seed=0)
+        ActivationSampler("bernoulli", 4, 0, p=1.2)
     with pytest.raises(ValueError):
-        ActivationSampler.fixed_count(0, 4, seed=0)
+        ActivationSampler("fixed_count", 4, 0, count=0)
     with pytest.raises(ValueError):
-        ActivationSampler.fixed_count(5, 4, seed=0)
+        ActivationSampler("fixed_count", 4, 0, count=5)
     with pytest.raises(ValueError):
         ActivationSampler(mode="poisson", m=4, seed=0)
     for bad in (2.7, True):
         with pytest.raises(ValueError, match="count"):
-            ActivationSampler.fixed_count(bad, 4, seed=0)
-    assert ActivationSampler.fixed_count(np.int64(2), 4, seed=0).count == 2
+            ActivationSampler("fixed_count", 4, 0, count=bad)
+    assert ActivationSampler("fixed_count", 4, 0, count=np.int64(2)).count == 2
     # one probability for every agent: a list of them is refused like any non-number
     for bad in (np.nan, np.inf, [0.5, 0.5, 0.5, 0.5]):
         with pytest.raises(ConfigurationError, match="^p must be a finite number > 0 and <= 1, got "):
-            ActivationSampler.bernoulli(bad, 4, seed=0)
+            ActivationSampler("bernoulli", 4, 0, p=bad)
 
 
 @pytest.mark.parametrize("p", ["0.5", [0.5, 0.5], [0.5] * 5, [[0.5] * 4], True, None],
@@ -171,7 +170,7 @@ def test_sampler_rejects_probabilities_of_the_wrong_type_or_shape(p):
     # a string was once converted, and a list of another length once raised
     # numpy's bare broadcast error; p is one number, so every one is refused
     with pytest.raises(ConfigurationError, match=r"^p must be a finite number > 0 and <= 1, got "):
-        ActivationSampler.bernoulli(p, 4, seed=0)
+        ActivationSampler("bernoulli", 4, 0, p=p)
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
@@ -182,7 +181,7 @@ def test_empty_activation_is_noop(scheme):
     for _ in range(3):
         sync_step(ns)
     frozen = copy.deepcopy(ns)
-    async_step(ns, ActivationRecord(t=ns.t, mask=np.zeros(graph.m, dtype=bool)))
+    async_step(ns, ActivationRecord(np.zeros(graph.m, dtype=bool)))
     assert ns.t == frozen.t + 1
     assert ns.comm_scalars == frozen.comm_scalars
     for name in ("X", "Phi", "theta", "lam", "B", "G"):
@@ -195,7 +194,7 @@ def test_full_activation_reproduces_sync_bitwise(scheme):
     hp = hp_for(scheme, problem)
     ns_sync = init_network(problem, graph, hp)
     ns_async = init_network(problem, graph, hp)
-    sampler = ActivationSampler.bernoulli(1.0, graph.m, seed=2)
+    sampler = ActivationSampler("bernoulli", graph.m, 2, p=1.0)
     for _ in range(60):
         sync_step(ns_sync)
         async_step(ns_async, sample_activation(sampler, ns_async.t))
@@ -216,7 +215,7 @@ def test_cached_laplacian_term_equals_the_recomputed_one_bitwise(scheme, make):
     hp = hp_for(scheme, problem)
     cached, fresh = init_network(problem, graph, hp), init_network(problem, graph, hp)
     full = np.ones(graph.m, dtype=bool)
-    partial = sample_activation(ActivationSampler.bernoulli(0.5, graph.m, seed=4), 0).mask
+    partial = sample_activation(ActivationSampler("bernoulli", graph.m, 4, p=0.5), 0).mask
     assert 0 < partial.sum() < graph.m
     rng = np.random.default_rng(9)
     for mask in [full, full, full, partial, full, full, None, full, full]:
@@ -244,7 +243,7 @@ def test_single_active_agent_masks_everything_else():
     active_agent = 2
     assert active_agent != hp.leader
     frozen = copy.deepcopy(ns)
-    async_step(ns, ActivationRecord(t=ns.t, mask=np.arange(graph.m) == active_agent))
+    async_step(ns, ActivationRecord(np.arange(graph.m) == active_agent))
     assert np.array_equal(ns.theta, frozen.theta)
     assert np.array_equal(ns.lam, frozen.lam)
     for i in range(graph.m):
@@ -267,7 +266,7 @@ def test_partial_activation_keeps_dual_sum_zero():
     graph, problem = make_lasso_instance()
     hp = hp_for("gradient", problem)
     ns = init_network(problem, graph, hp)
-    sampler = ActivationSampler.bernoulli(0.4, graph.m, seed=6)
+    sampler = ActivationSampler("bernoulli", graph.m, 6, p=0.4)
     for _ in range(80):
         async_step(ns, sample_activation(sampler, ns.t))
         assert np.linalg.norm(ns.Phi.sum(axis=0)) <= 1e-12
@@ -318,7 +317,7 @@ def test_invariants_on_random_graphs_and_activations(case):
         # full activation reproduces the synchronous step bit for bit
         ns_async = copy.deepcopy(ns)
         sync_step(ns)
-        async_step(ns_async, ActivationRecord(t=ns_async.t, mask=np.ones(m, dtype=bool)))
+        async_step(ns_async, ActivationRecord(np.ones(m, dtype=bool)))
         for name in ("X", "Phi", "theta", "lam", "B", "G", "t", "comm_scalars"):
             assert np.array_equal(getattr(ns, name), getattr(ns_async, name))
         assert_gradients_cached(ns, problem)

@@ -150,8 +150,8 @@ def network_led_by(leader):
 #: how the library takes each config field the config checks against ``agents`` by hand
 LIBRARY = {
     "leader": network_led_by,
-    "activation_count": lambda v: ActivationSampler.fixed_count(v, AGENTS, 0),
-    "activation_p": lambda v: ActivationSampler.bernoulli(v, AGENTS, 0),
+    "activation_count": lambda v: ActivationSampler("fixed_count", AGENTS, 0, count=v),
+    "activation_p": lambda v: ActivationSampler("bernoulli", AGENTS, 0, p=v),
 }
 
 
@@ -243,7 +243,8 @@ def test_cli_run_and_graph(tmp_path, capsys):
         "output": str(out_path),
     }))
     code = main(["run", "--config", str(cfg_path), "--scheme", "newton",
-                 "--iters", "5", "--cadence", "1", "--seed", "3"])
+                 "--iterations", "5", "--cadence", "1", "--graph-seed", "3",
+                 "--partition-seed", "4", "--activation-seed", "5"])
     assert code == 0
     assert out_path.exists()
     rows = read_rows(out_path)
@@ -266,25 +267,16 @@ def test_default_epsilon_resolved_from_measured_smoothness(tmp_path):
     assert replace(cfg, epsilon=0.3).hyperparams(2.0).epsilon == 0.3
 
 
-def test_leader_cost_iterate_variant(tmp_path):
-    cfg_avg = base_config(tmp_path, iterations=10, cadence=10)
-    cfg_lead = base_config(tmp_path, iterations=10, cadence=10,
-                           cost_iterate="leader", output=str(tmp_path / "lead.csv"))
-    avg_rows = read_rows(run_experiment(cfg_avg))
-    lead_rows = read_rows(run_experiment(cfg_lead))
-    # same trajectory, different reported iterate
-    assert avg_rows[-1][2] == lead_rows[-1][2]
-    assert avg_rows[-1][1] != lead_rows[-1][1]
-
-
 def test_cli_async_flag_switches_mode(tmp_path):
     data = tmp_path / "data.txt"
     write_dataset(data)
     out = tmp_path / "async_cli.csv"
     code = main(["run", "--problem", "ridge", "--dataset", str(data),
                  "--gamma", "0.05", "--agents", "5", "--edge-prob", "0.7",
-                 "--epsilon", "2.0", "--iters", "8", "--cadence", "4",
-                 "--seed", "1", "--async-p", "0.5", "--output", str(out)])
+                 "--epsilon", "2.0", "--iterations", "8", "--cadence", "4",
+                 "--graph-seed", "1", "--partition-seed", "2", "--activation-seed", "3",
+                 "--mode", "async", "--activation", "bernoulli", "--activation-p", "0.5",
+                 "--output", str(out)])
     assert code == 0
     rows = read_rows(out)
     from druid.topology import random_connected_graph
@@ -314,24 +306,28 @@ def test_run_help_lists_a_flag_for_every_field():
     done = subprocess.run([sys.executable, "-m", "druid", "run", "--help"], env=env,
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    flags = set(re.findall(r"--[a-z-]+", done.stdout))
-    missing = [f.name for f in fields(ExperimentConfig)
-               if "--" + f.name.replace("_", "-") not in flags]
-    assert not missing, f"no flag for {missing}"
+    # no alias or shorthand: a field's flag is the only way to set it
+    fields_flags = {"--" + f.name.replace("_", "-") for f in fields(ExperimentConfig)}
+    assert set(re.findall(r"--[a-z-]+", done.stdout)) == \
+        fields_flags | {"--no-bfgs-bounding", "--config", "--help"}
 
 
-@pytest.mark.parametrize("flags, clash", [
-    (["--seed", "1", "--graph-seed", "4"], "--graph-seed"),
-    (["--seed", "1", "--activation-seed", "4"], "--activation-seed"),
-    (["--async-p", "0.5", "--mode", "sync"], "--mode"),
-    (["--async-p", "0.5", "--activation", "fixed_count"], "--activation"),
-    (["--async-p", "0.5", "--activation-p", "0.3"], "--activation-p"),
-])
-def test_cli_shorthand_with_a_flag_it_sets_is_an_error(tmp_path, capsys, flags, clash):
-    assert main(["run", "--problem", "ridge", "--dataset", str(tmp_path / "missing.txt"),
-                 *flags]) == 1
-    # named before the config is built or any data is read
-    assert capsys.readouterr().err.startswith(f"error: {flags[0]} sets {clash}")
+@pytest.mark.parametrize("flag", ["--iters", "--seed", "--async-p"])
+def test_run_takes_no_alias_shorthand_or_abbreviation(tmp_path, capsys, flag):
+    # --iters was an alias of --iterations, and argparse would take it as an abbreviation
+    with pytest.raises(SystemExit):
+        main(["run", "--problem", "ridge", "--dataset", str(tmp_path / "data.txt"), flag, "5"])
+    assert f"unrecognized arguments: {flag} 5" in capsys.readouterr().err
+
+
+def test_run_refuses_an_empty_config_path(tmp_path, capsys):
+    # an empty path was once taken for no --config, and the run went ahead on the flags
+    write_dataset(tmp_path / "data.txt")
+    out = tmp_path / "trace.csv"
+    assert main(["run", "--config", "", "--problem", "ridge", "--dataset",
+                 str(tmp_path / "data.txt"), "--output", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: config file '' cannot be read: ")
+    assert not out.exists()
 
 
 def test_cli_reports_errors_with_nonzero_exit(tmp_path, capsys):
@@ -372,17 +368,18 @@ def test_output_that_is_a_directory_fails_before_reading_data(tmp_path):
         run_experiment(cfg)
 
 
-@pytest.mark.parametrize("case", ["nul", "missing-directory", "directory"])
+@pytest.mark.parametrize("case", ["nul", "missing-directory", "directory", "empty"])
 def test_graph_output_is_checked_before_the_graph_is_drawn(tmp_path, monkeypatch, capsys, case):
     def draw(*args):
         raise AssertionError("the graph was drawn before --output was checked")
 
     monkeypatch.setattr(cli, "random_connected_graph", draw)
     output = {"nul": str(tmp_path / "g\0.txt"), "missing-directory": str(tmp_path / "absent" / "g.txt"),
-              "directory": str(tmp_path)}[case]
+              "directory": str(tmp_path), "empty": ""}[case]
     assert main(["graph", "--agents", "4", "--edge-prob", "0.9", "--output", output]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: --output {output!r}") and "drawn" not in err
+    out, err = capsys.readouterr()
+    # an empty path was once taken for no --output, and the edges went to stdout
+    assert out == "" and err.startswith(f"error: --output {output!r}") and "drawn" not in err
     assert os.listdir(tmp_path) == []
 
 
@@ -403,6 +400,30 @@ def test_graph_names_the_flag_of_a_bad_value(tmp_path, capsys, flags, message):
 def test_graph_writes_to_stdout_without_an_output(capsys):
     assert main(["graph", "--agents", "3", "--edge-prob", "1.0"]) == 0
     assert capsys.readouterr() == ("3 3\n1 2\n1 3\n2 3\n", "")
+
+
+@pytest.mark.parametrize("problem, labels", [("ridge", "1.0 2.0 0.5 1.5"),
+                                             ("logistic_l1", "1 0 1 0")])
+def test_huge_features_are_refused_before_the_reference_solve(tmp_path, monkeypatch, capsys,
+                                                             problem, labels):
+    def solve(*args, **kwargs):
+        raise AssertionError("the reference was solved before the features were checked")
+
+    def run(scale):
+        data = tmp_path / f"data-{scale}.txt"
+        data.write_text("".join(f"{label} 1:{x}\n" for label, x in
+                                zip(labels.split(), [scale, "1.0", "2.0", "0.5"])))
+        return main(["run", "--problem", problem, "--dataset", str(data), "--agents", "2",
+                     "--edge-prob", "1.0", "--scheme", "gradient", "--iterations", "5",
+                     "--output", str(tmp_path / "trace.csv")])
+
+    # 1e200 squared overflows: once numpy's overflow warning, or an inf prox weight
+    assert run("1e150") == 0
+    capsys.readouterr()
+    monkeypatch.setattr(experiment, "centralized_reference", solve)
+    assert run("1e200") == 1
+    assert capsys.readouterr().err == \
+        "error: features of agent 0 are too large: their sum of squares overflows\n"
 
 
 def test_more_agents_than_rows_fails_before_the_graph_is_drawn(tmp_path, monkeypatch):

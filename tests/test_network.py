@@ -422,7 +422,7 @@ def test_steps_evaluate_the_objectives_only_in_batches(scheme, make, monkeypatch
 
     monkeypatch.setattr(LocalObjective, "gradient", forbidden)
     monkeypatch.setattr(LocalObjective, "hessian", forbidden)
-    sampler = ActivationSampler.bernoulli(0.5, graph.m, seed=3)
+    sampler = ActivationSampler("bernoulli", graph.m, 3, p=0.5)
     for _ in range(3):
         sync_step(ns)
         async_step(ns, sample_activation(sampler, ns.t))

@@ -351,6 +351,27 @@ def test_problem_rejects_non_finite_data_naming_the_agent(array, row, agent, bad
         ConsensusProblem(LEAST_SQUARES, data["features"], data["targets"], [2, 1, 2])
 
 
+@pytest.mark.parametrize("kind", [LEAST_SQUARES, LOGISTIC])
+@pytest.mark.parametrize("rows, agent", [([0], 0), ([3], 2), ([2], 1), ([0, 1], 0)],
+                         ids=["first", "last", "single-row", "two-rows"])
+def test_problem_rejects_features_whose_squares_overflow_naming_the_agent(kind, rows, agent):
+    # finite, but the Gram matrix once overflowed in setup, under numpy's warnings
+    features = np.ones((5, 2))
+    features[rows, 0] = 1e155 if len(rows) == 1 else 1e154   # two squares of 1e308 overflow
+    with pytest.raises(ConfigurationError,
+                       match=f"^features of agent {agent} are too large: their sum of squares"):
+        ConsensusProblem(kind, features, np.ones(5), [2, 1, 2])
+
+
+@pytest.mark.parametrize("kind", [LEAST_SQUARES, LOGISTIC])
+def test_features_just_below_the_overflow_are_accepted(kind):
+    features = np.ones((5, 2))
+    features[0, 0] = 1e154
+    sm = ConsensusProblem(kind, features, np.ones(5), [2, 1, 2]).smoothness
+    assert np.isfinite(sm.M_f) and sm.M_f >= 1e307
+    assert sm.L_f == (np.inf if kind == LOGISTIC else 0.0)   # the cubed norms overflow
+
+
 def test_groups_are_runs_of_equal_counts_viewing_the_rows():
     rng = np.random.default_rng(4)
     counts = [2, 2, 1, 1, 1, 2]

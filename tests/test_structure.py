@@ -223,7 +223,7 @@ def test_benchmark_probes_find_their_targets():
     cfg = experiment.ExperimentConfig(problem="ridge", dataset="unused", agents=2, gamma=0.1)
     ref = experiment.centralized_reference(experiment.build_problem(cfg, ds))
     assert isinstance(ref.iterations, int) and ref.iterations > 0
-    record = experiment.sample_activation(activation.ActivationSampler.bernoulli(1.0, 4, 0), 0)
+    record = experiment.sample_activation(activation.ActivationSampler("bernoulli", 4, 0, p=1.0), 0)
     assert record.active == (0, 1, 2, 3)
 
 
