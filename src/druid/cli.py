@@ -29,7 +29,8 @@ def _run_parser(sub):
 
 
 def _graph_parser(sub):
-    p = sub.add_parser("graph", help="generate a connected random graph as an edge list")
+    p = sub.add_parser("graph", help="generate a connected random graph as an edge list",
+                       allow_abbrev=False)
     p.add_argument("--agents", type=int, required=True)
     p.add_argument("--edge-prob", dest="edge_prob", type=float, required=True)
     p.add_argument("--seed", type=int, default=0)

@@ -6,14 +6,17 @@ values; blank lines are skipped and ``#`` starts a comment running to the
 end of the line.  Samples are parsed straight into dense arrays.
 
 ``parse_libsvm`` reads about ``_BLOCK_BYTES`` characters of whole lines at
-a time.  Numpy converts a block's tokens (it calls Python's ``int`` and
-``float`` on each, so it accepts what the per-token loop accepts) and array
-operations check the rules; the block's arrays are appended to flat typed
-buffers, so one block's tokens are the parse's only transient Python
-objects.  A block that numpy or a rule refuses is parsed again by the
-per-token loop, which defines the grammar: it raises the ``ParseError`` of
-the block's first bad line, or returns the values numpy could not hold (an
-index of exactly 2**63, which the dense allocation then rejects).
+a time.  Each line is split once, into its label and its feature text; the
+block's feature texts are scanned as bytes, each index is read from its
+ASCII digits, and only labels and values pass through Python's ``float``
+(numpy calls it on each), so what the conversion accepts it reads as the
+per-token loop does.  Array operations check the rules, and the block's
+arrays are appended to flat typed buffers, so one block's text and values
+are the parse's only transient Python objects.  A block that the
+conversion or a rule refuses is parsed again by the per-token loop, which
+defines the grammar: it raises the ``ParseError`` of the block's first bad
+line, or reads what the conversion leaves to ``int`` (an index with a
+sign, an underscore, non-ASCII digits or more than 18 digits).
 """
 
 from __future__ import annotations
@@ -50,8 +53,8 @@ def parse_libsvm(source) -> Dataset:
     """Parse sparse text rows from a string or text stream.
 
     Whole lines are read about ``_BLOCK_BYTES`` characters at a time and each
-    block is converted by numpy; a block that numpy or a rule refuses is
-    parsed again token by token, which names its first bad line.
+    block is converted by array operations; a block that they or a rule
+    refuse is parsed again token by token, which names its first bad line.
     """
     if isinstance(source, str):
         source = io.StringIO(source)
@@ -91,32 +94,30 @@ class _Block(NamedTuple):
 
 
 def _convert_block(lines: list, first: int) -> _Block | None:
-    """The block starting at line ``first``, its tokens converted by numpy;
+    """The block starting at line ``first``, converted by array operations;
     None when a token or a rule fails."""
-    label_tokens, tokens, counts, at = [], [], [], []   # at: line offset of each sample
+    label_tokens, texts, counts, at = [], [], [], []   # at: line offset of each sample
     for k, raw in enumerate(lines):
-        fields = (raw.split("#", 1)[0] if "#" in raw else raw).split()
+        fields = (raw.split("#", 1)[0] if "#" in raw else raw).split(None, 1)
         if fields:
             label_tokens.append(fields[0])
-            tokens += fields[1:]
-            counts.append(len(fields) - 1)
+            if len(fields) > 1:
+                texts.append(fields[1].rstrip())
+            counts.append(len(fields) - 1)   # 1 for feature text: its tokens, counted below
             at.append(k)
-    joined = " ".join(tokens)
     try:
-        # the K tokens hold no whitespace, so the ":" and " " bytes alternate
-        # ": :...:" exactly when each token holds one ":"
-        text = np.frombuffer(joined.encode(), np.uint8)   # UnicodeEncodeError is a ValueError
-        seps = text[(text == 58) | (text == 32)]
-        if (len(seps) != max(2 * len(tokens) - 1, 0)
-                or not ((seps[0::2] == 58).all() and (seps[1::2] == 32).all())):
-            return None
-        parts = joined.replace(":", " ").split(" ") if tokens else []
-        idx = np.array(parts[0::2], dtype=np.int64)   # int() per token, as in the loop
-        values = np.array(parts[1::2], dtype=float)
         labels = np.array(label_tokens, dtype=float)
-    except (ValueError, OverflowError):   # OverflowError: an index beyond int64
+        joined = "\n".join(texts)
+        features = _split_features(joined) if joined.isascii() else None
+        if features is None:   # a bad token, or whitespace that single spaces can replace
+            features = _split_features("\n".join(" ".join(rest.split()) for rest in texts))
+    except ValueError:   # a value float() refuses; UnicodeEncodeError is a ValueError
         return None
+    if features is None:
+        return None
+    idx, values, per_text = features
     counts = np.array(counts, dtype=np.int64)
+    counts[counts > 0] = per_text
     starts = np.cumsum(counts) - counts   # flat position of each sample's first index
     rising = np.ones(len(idx), dtype=bool)
     rising[1:] = idx[1:] > idx[:-1]
@@ -131,6 +132,48 @@ def _convert_block(lines: list, first: int) -> _Block | None:
         top = int(tops.argmax())   # the first sample that reaches the maximum
         d, widest = int(tops[top]), first + at[filled[top]]
     return _Block(labels, counts, idx - 1, values, d, widest)
+
+
+def _split_features(joined: str) -> tuple | None:
+    """(indices, values, tokens per line) of feature texts joined by newlines,
+    each a single-space separated run of ``<idx>:<val>`` tokens; None when a
+    token does not hold exactly one ":", holds other whitespace, has no value
+    or has an index that is not 1 to 18 ASCII digits (an int64 holds 18;
+    ``int`` may still read it).  A value ``float`` refuses raises ValueError."""
+    if not joined:   # no sample of the block has a feature
+        return np.empty(0, np.int64), np.empty(0), np.empty(0, np.int64)
+    raw = bytearray(joined, "utf-8")
+    text = np.frombuffer(raw, np.uint8)   # a writable view of ``raw``
+    at_sep = np.flatnonzero((text == 58) | (text <= 32))   # ":", whitespace and control bytes
+    seps = text[at_sep]
+    colons = at_sep[0::2]
+    line_ends = seps[1::2] == 10
+    # each token holds one ":" and no other separator exactly when the
+    # separators alternate between ":" and a " " or "\n"
+    if not (len(seps) % 2 and (seps[0::2] == 58).all() and ((seps[1::2] == 32) | line_ends).all()):
+        return None
+    width = colons.copy()   # of each index: from the token's start to its ":"
+    width[1:] -= at_sep[1::2] + 1   # less the separator before the token
+    if width.min() < 1 or width.max() > 18:
+        return None
+    digits = text - 48   # uint8: an ASCII digit becomes 0-9, any other byte 10 or more
+    idx = digits[colons - 1].astype(np.int64)
+    if (idx > 9).any():
+        return None
+    text[colons] = text[colons - 1] = 32   # blank the ":" and, digit by digit, the index
+    for w in range(1, width.max()):   # the digit w places before the ":"
+        longer = width > w
+        at = colons[longer] - 1 - w
+        digit = digits[at]
+        if (digit > 9).any():
+            return None
+        idx[longer] += digit.astype(np.int64) * 10 ** w
+        text[at] = 32
+    values = np.array(raw.decode().split(), dtype=float)   # float() per value, as in the loop
+    if len(values) != len(colons):   # a token with no value
+        return None
+    last = np.flatnonzero(line_ends)   # the last token of each line but the final one
+    return idx, values, np.diff(last, prepend=-1, append=len(colons) - 1)
 
 
 def _parse_lines(lines: list, first: int) -> _Block:

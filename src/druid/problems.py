@@ -291,20 +291,18 @@ class ConsensusProblem:
         if (counts < 1).any():
             raise ConfigurationError(f"objective of agent {np.argmax(counts < 1)} has no data points")
         ends = np.concatenate(([0], np.cumsum(counts)))
-        # an agent's sum of squared features is finite if its features are and no entry
-        # of its Gram matrix or logistic Hessian bound, which the sum bounds, overflows
-        with np.errstate(over="ignore"):
-            squares = np.add.reduceat(np.einsum("ij,ij->i", features, features), ends[:-1])
-        if not np.isfinite(squares).all():
-            agent = np.argmin(np.isfinite(squares))
-            finite = np.isfinite(features[ends[agent]:ends[agent + 1]]).all()
-            raise ConfigurationError(f"features of agent {agent} " + (
-                "are too large: their sum of squares overflows" if finite else
-                "hold a NaN or infinite value"))
-        finite = np.isfinite(targets)
-        if not finite.all():   # argmin: the first that is not
-            agent = np.searchsorted(ends, np.argmin(finite), side="right") - 1
-            raise ConfigurationError(f"targets of agent {agent} hold a NaN or infinite value")
+        # an agent's sum of squared features (targets) is finite if they are and no
+        # entry of its Gram matrix or logistic Hessian bound (its least-squares cost
+        # at 0), which the sum bounds, overflows
+        for name, data in (("features", features), ("targets", targets[:, None])):
+            with np.errstate(over="ignore"):
+                squares = np.add.reduceat(np.einsum("ij,ij->i", data, data), ends[:-1])
+            if not np.isfinite(squares).all():
+                agent = np.argmin(np.isfinite(squares))
+                finite = np.isfinite(data[ends[agent]:ends[agent + 1]]).all()
+                raise ConfigurationError(f"{name} of agent {agent} " + (
+                    "are too large: their sum of squares overflows" if finite else
+                    "hold a NaN or infinite value"))
         if self.kind == LOGISTIC and not np.isin(targets, (0.0, 1.0)).all():
             raise ConfigurationError("logistic targets must be 0 or 1")
         runs = np.concatenate(([0], np.flatnonzero(np.diff(counts)) + 1, [len(counts)]))

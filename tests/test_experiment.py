@@ -320,6 +320,14 @@ def test_run_takes_no_alias_shorthand_or_abbreviation(tmp_path, capsys, flag):
     assert f"unrecognized arguments: {flag} 5" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--agent", "--edge", "--se", "--out"])
+def test_graph_takes_no_abbreviation(capsys, flag):
+    # argparse would read each as the option it abbreviates
+    with pytest.raises(SystemExit):
+        main(["graph", "--agents", "3", "--edge-prob", "1.0", flag, "1"])
+    assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+
+
 def test_run_refuses_an_empty_config_path(tmp_path, capsys):
     # an empty path was once taken for no --config, and the run went ahead on the flags
     write_dataset(tmp_path / "data.txt")
@@ -424,6 +432,26 @@ def test_huge_features_are_refused_before_the_reference_solve(tmp_path, monkeypa
     assert run("1e200") == 1
     assert capsys.readouterr().err == \
         "error: features of agent 0 are too large: their sum of squares overflows\n"
+
+
+def test_huge_targets_are_refused_before_the_reference_solve(tmp_path, monkeypatch, capsys):
+    def solve(*args, **kwargs):
+        raise AssertionError("the reference was solved before the targets were checked")
+
+    def run(label):
+        data = tmp_path / f"data-{label}.txt"
+        data.write_text(f"{label} 1:3.0\n2.0 1:1.0\n0.5 1:2.0\n1.5 1:0.5\n")
+        return main(["run", "--problem", "ridge", "--dataset", str(data), "--agents", "2",
+                     "--edge-prob", "1.0", "--scheme", "gradient", "--iterations", "5",
+                     "--output", str(tmp_path / "trace.csv")])
+
+    # 1e160 squared overflows: once numpy's overflow warning in the reference solve
+    assert run("1e150") == 0
+    capsys.readouterr()
+    monkeypatch.setattr(experiment, "centralized_reference", solve)
+    assert run("1e160") == 1
+    assert capsys.readouterr().err == \
+        "error: targets of agent 0 are too large: their sum of squares overflows\n"
 
 
 def test_more_agents_than_rows_fails_before_the_graph_is_drawn(tmp_path, monkeypatch):

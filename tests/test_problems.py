@@ -363,6 +363,17 @@ def test_problem_rejects_features_whose_squares_overflow_naming_the_agent(kind, 
         ConsensusProblem(kind, features, np.ones(5), [2, 1, 2])
 
 
+@pytest.mark.parametrize("rows, agent", [([0], 0), ([3], 2), ([2], 1), ([0, 1], 0)],
+                         ids=["first", "last", "single-row", "two-rows"])
+def test_problem_rejects_targets_whose_squares_overflow_naming_the_agent(rows, agent):
+    # finite, but the reference solve once overflowed on them, under numpy's warnings
+    targets = np.ones(5)
+    targets[rows] = 1e155 if len(rows) == 1 else 1e154   # two squares of 1e308 overflow
+    with pytest.raises(ConfigurationError,
+                       match=f"^targets of agent {agent} are too large: their sum of squares"):
+        ConsensusProblem(LEAST_SQUARES, np.ones((5, 2)), targets, [2, 1, 2])
+
+
 @pytest.mark.parametrize("kind", [LEAST_SQUARES, LOGISTIC])
 def test_features_just_below_the_overflow_are_accepted(kind):
     features = np.ones((5, 2))

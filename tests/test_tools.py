@@ -70,6 +70,22 @@ def test_drift_measures_each_column_against_the_golden_tolerance(monkeypatch):
     assert drift(b"t,s\n0,1.0\n1,0.0\n", theirs, 1e-6, 1e-10) is None
 
 
+def test_setup_phases_times_each_phase_of_a_workload():
+    cmd = [sys.executable, "tools/setup_phases.py", "--workloads", "gradient-ridge-async",
+           "--seeds", "0", "--repeats", "1"]
+    proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, timeout=60, check=False)
+    assert proc.returncode == 0, proc.stderr
+    header, row = proc.stdout.splitlines()
+    phases = ["parse", "build_problem", "graph", "reference", "smoothness", "init_network"]
+    assert header.split() == ["workload", "seed", *(f"{p}_ms" for p in phases), "setup_ms",
+                              "parse_share"]
+    name, seed, *times, total, share = row.split()
+    assert (name, seed) == ("gradient-ridge-async", "0") and len(times) == len(phases)
+    assert all(float(t) >= 0 for t in times)
+    assert float(total) == pytest.approx(sum(map(float, times)), abs=0.05)
+    assert 0 < float(share) < 1
+
+
 def test_a_failing_property_test_lets_the_later_tests_run(tmp_path):
     # a failing @given test makes hypothesis import libcst, whose import warns; under
     # the repo's warnings-as-errors setting that warning must not abort the run
