@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import argparse
+import logging
 import sys
 from dataclasses import MISSING, fields
 
 from .errors import check_value, describe
-from .experiment import ExperimentConfig, config_from_dict, load_config, output_path, run_experiment
+from .experiment import (ExperimentConfig, config_from_dict, load_config, logger, output_path,
+                         run_experiment)
 from .topology import random_connected_graph, write_edge_list
 
 #: annotated type of a config field -> argparse type of its flag (bool: --x/--no-x)
@@ -43,6 +45,10 @@ def main(argv=None) -> int:
     _run_parser(sub)
     _graph_parser(sub)
     args = parser.parse_args(argv)
+    # the library's warnings, labelled, on this call's stderr and only during it
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    logger.addHandler(handler)
     try:
         if args.command == "graph":
             out = None if args.output is None else output_path(args.output)
@@ -65,6 +71,8 @@ def main(argv=None) -> int:
     except Exception as exc:  # noqa: BLE001 - boundary: report and set exit code
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        logger.removeHandler(handler)
 
 
 if __name__ == "__main__":

@@ -77,7 +77,7 @@ class ExperimentConfig:
     cadence: int = rule(1, at_least=1)
     output: str = rule("trace.csv")
     ref_tol: float = rule_of(centralized_reference, "tol")
-    ref_max_iter: int = rule_of(centralized_reference, "max_iter", 2_000_000)
+    ref_max_iter: int = rule_of(centralized_reference, "max_iter")
 
     def __post_init__(self):
         # the rules of Hyperparams, Regularizer, ActivationSampler, random_connected_graph,
@@ -173,8 +173,7 @@ def build_problem(cfg: ExperimentConfig, ds: Dataset) -> ConsensusProblem:
                             Regularizer(regularizer, cfg.gamma))
 
 
-def _metrics(ns: NetworkState, cfg: ExperimentConfig, ref, cost0: float,
-             dist0: float) -> tuple:
+def _metrics(ns: NetworkState, ref, cost0: float, dist0: float) -> tuple:
     """The trace row of the network's current state, in ``COLUMNS`` order;
     the cost error is taken at the agents' average."""
     X = ns.X
@@ -211,7 +210,7 @@ def run_experiment(cfg: ExperimentConfig) -> Path:
     ns = init_network(problem, graph, cfg.hyperparams(M_f))
     sampler = None if cfg.mode == "sync" else ActivationSampler(
         cfg.activation, cfg.agents, cfg.activation_seed, cfg.activation_p, cfg.activation_count)
-    records = [_metrics(ns, cfg, ref, cost0, dist0)]
+    records = [_metrics(ns, ref, cost0, dist0)]
     try:
         # an overflow, a division by zero or an invalid operation only yields a
         # value that the step's and the metrics' finiteness checks turn into a
@@ -223,7 +222,7 @@ def run_experiment(cfg: ExperimentConfig) -> Path:
                 else:
                     async_step(ns, sample_activation(sampler, ns.t))
                 if ns.t % cfg.cadence == 0 or ns.t == cfg.iterations:
-                    records.append(_metrics(ns, cfg, ref, cost0, dist0))
+                    records.append(_metrics(ns, ref, cost0, dist0))
     except DivergenceError:
         raise
     except Exception as exc:

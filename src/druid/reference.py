@@ -50,7 +50,7 @@ def fixed_point_residual(problem: ConsensusProblem, x: np.ndarray, lip: float) -
 
 @ruled(tol=rule(above=0), max_iter=rule(at_least=1))
 def centralized_reference(problem: ConsensusProblem, tol: float = 1e-12,
-                          max_iter: int = 1_000_000) -> ReferenceSolution:
+                          max_iter: int = 2_000_000) -> ReferenceSolution:
     """Minimize the composite cost to the given fixed-point residual.
 
     Stops at the first iterate x = T(y) whose residual is at most ``tol``,

@@ -22,7 +22,7 @@ from druid import (
     Regularizer,
     random_connected_graph,
 )
-from druid.curvature import block_diag_value
+from druid.curvature import Hyperparams, block_diag_value
 from druid.network import set_state
 from druid.problems import LocalObjective
 
@@ -30,6 +30,23 @@ from druid.problems import LocalObjective
 def rules_of(owner):
     """The fields of dataclass ``owner``, or the argument rules of ``ruled`` function ``owner``."""
     return getattr(owner, "rules", None) or dataclasses.fields(owner)
+
+
+def certified_hp(problem, scheme, factor=1.02):
+    """Parameters satisfying the linear-rate conditions of the analysis: epsilon
+    ``factor`` times its bound, with c_max = 2 M_f."""
+    sm = problem.smoothness
+    c_max = 2.0 * sm.M_f
+    eps = factor * c_max**2 * (sm.m_f + sm.M_f) / (2.0 * sm.m_f * sm.M_f)
+    return Hyperparams(mu_z=2.0, mu_theta=1.0, epsilon=eps, scheme=scheme, psi=sm.M_f)
+
+
+def practical_hp(scheme, problem, **kw):
+    """The run's default parameters (epsilon 0.55 M_f, safely above M_f / 2) and
+    psi = M_f; ``kw`` overrides any field."""
+    M_f = problem.smoothness.M_f
+    args = dict(mu_z=1.0, mu_theta=0.5, epsilon=0.55 * M_f, scheme=scheme, psi=M_f)
+    return Hyperparams(**{**args, **kw})
 
 
 def problem_of(objectives, regularizer=Regularizer()):

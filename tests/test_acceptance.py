@@ -12,11 +12,13 @@ from contextlib import contextmanager
 import numpy as np
 
 from conftest import (
+    certified_hp,
     install_fixed_point,
     make_lasso_instance,
     make_logistic_instance,
     make_rank_deficient_instance,
     make_ridge_instance,
+    practical_hp,
     signed_incidence,
 )
 from druid.activation import ActivationSampler, async_step, sample_activation
@@ -46,19 +48,6 @@ def criterion(number, description):
         print(f"criterion {number:2d}: FAIL - {description}")
         raise
     print(f"criterion {number:2d}: PASS - {description}")
-
-
-def certified_hp(problem, scheme):
-    """Parameters satisfying the linear-rate conditions of the analysis."""
-    sm = problem.smoothness
-    eps = 1.02 * (2.0 * sm.M_f) ** 2 * (sm.m_f + sm.M_f) / (2.0 * sm.m_f * sm.M_f)
-    return Hyperparams(mu_z=2.0, mu_theta=1.0, epsilon=eps, scheme=scheme, psi=sm.M_f)
-
-
-def practical_hp(scheme, problem):
-    sm = problem.smoothness
-    return Hyperparams(mu_z=1.0, mu_theta=0.5, epsilon=0.55 * sm.M_f,
-                       scheme=scheme, psi=sm.M_f)
 
 
 def fit_line(xs, ys):

@@ -6,11 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (install_fixed_point, make_lasso_instance, make_logistic_instance,
-                      objectives_of, problem_of)
+                      objectives_of, practical_hp, problem_of)
 from druid.activation import (ACTIVATION_MODES, STATE_CHUNK, ActivationRecord, ActivationSampler,
                               async_step, pcg64_state, sample_activation)
 from druid.analysis import project_dual
-from druid.curvature import SCHEMES, Hyperparams
+from druid.curvature import SCHEMES
 from druid.errors import ConfigurationError
 from druid.network import apply_step, init_network, local_gradient, set_state, sync_step
 from druid.problems import (
@@ -21,12 +21,6 @@ from druid.problems import (
 )
 from druid.reference import centralized_reference
 from druid.topology import Graph
-
-
-def hp_for(scheme, problem, leader=0):
-    M_f = problem.smoothness.M_f
-    return Hyperparams(mu_z=1.0, mu_theta=0.5, epsilon=0.55 * M_f,
-                       scheme=scheme, leader=leader, psi=M_f)
 
 
 #: numbers on both sides of the word boundaries of numpy's entropy coercion
@@ -176,7 +170,7 @@ def test_sampler_rejects_probabilities_of_the_wrong_type_or_shape(p):
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_empty_activation_is_noop(scheme):
     graph, problem = make_lasso_instance()
-    hp = hp_for(scheme, problem)
+    hp = practical_hp(scheme, problem)
     ns = init_network(problem, graph, hp)
     for _ in range(3):
         sync_step(ns)
@@ -191,7 +185,7 @@ def test_empty_activation_is_noop(scheme):
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_full_activation_reproduces_sync_bitwise(scheme):
     graph, problem = make_lasso_instance()
-    hp = hp_for(scheme, problem)
+    hp = practical_hp(scheme, problem)
     ns_sync = init_network(problem, graph, hp)
     ns_async = init_network(problem, graph, hp)
     sampler = ActivationSampler("bernoulli", graph.m, 2, p=1.0)
@@ -212,7 +206,7 @@ def test_cached_laplacian_term_equals_the_recomputed_one_bitwise(scheme, make):
     # the twin drops the cached term before every step, so it forms the
     # coupling afresh; None marks a replacement of X through set_state
     graph, problem = make()
-    hp = hp_for(scheme, problem)
+    hp = practical_hp(scheme, problem)
     cached, fresh = init_network(problem, graph, hp), init_network(problem, graph, hp)
     full = np.ones(graph.m, dtype=bool)
     partial = sample_activation(ActivationSampler("bernoulli", graph.m, 4, p=0.5), 0).mask
@@ -236,7 +230,7 @@ def test_cached_laplacian_term_equals_the_recomputed_one_bitwise(scheme, make):
 
 def test_single_active_agent_masks_everything_else():
     graph, problem = make_lasso_instance()
-    hp = hp_for("gradient", problem, leader=0)
+    hp = practical_hp("gradient", problem, leader=0)
     ns = init_network(problem, graph, hp)
     for _ in range(4):
         sync_step(ns)
@@ -264,7 +258,7 @@ def test_single_active_agent_masks_everything_else():
 
 def test_partial_activation_keeps_dual_sum_zero():
     graph, problem = make_lasso_instance()
-    hp = hp_for("gradient", problem)
+    hp = practical_hp("gradient", problem)
     ns = init_network(problem, graph, hp)
     sampler = ActivationSampler("bernoulli", graph.m, 6, p=0.4)
     for _ in range(80):
@@ -307,7 +301,7 @@ def test_invariants_on_random_graphs_and_activations(case):
     ref = centralized_reference(problem, tol=1e-13)
     _, lam = project_dual(ref.x_star, problem, graph, leader=0)
     for scheme in SCHEMES:
-        hp = hp_for(scheme, problem)
+        hp = practical_hp(scheme, problem)
         ns = init_network(problem, graph, hp)
         assert_gradients_cached(ns, problem)
         for active in masks:

@@ -9,6 +9,7 @@ from conftest import (
     make_rank_deficient_instance,
     make_ridge_instance,
     objectives_of,
+    practical_hp,
     problem_of,
     signed_incidence,
 )
@@ -42,13 +43,6 @@ from druid.problems import (
 from druid.rates import rate_constants
 from druid.reference import centralized_reference, fixed_point_residual, total_curvature_bound
 from druid.topology import Graph
-
-
-def hp_for(scheme, problem, **kw):
-    M_f = problem.smoothness.M_f
-    args = dict(mu_z=1.0, mu_theta=0.5, epsilon=0.55 * M_f, scheme=scheme, leader=0, psi=M_f)
-    args.update(kw)
-    return Hyperparams(**args)
 
 
 # --- centralized reference ---------------------------------------------------
@@ -218,7 +212,7 @@ def test_reference_solutions_compare_without_raising():
 
 def test_kkt_residuals_at_zero_init():
     graph, problem = make_lasso_instance()
-    hp = hp_for(GRADIENT, problem)
+    hp = practical_hp(GRADIENT, problem)
     ns = init_network(problem, graph, hp)
     r_opt, r_cons, r_reg = kkt_residuals(ns)
     grads = np.stack([obj.gradient(np.zeros(problem.d)) for obj in objectives_of(problem)])
@@ -228,7 +222,7 @@ def test_kkt_residuals_at_zero_init():
 
 def test_kkt_residuals_vanish_at_fixed_point():
     graph, problem = make_lasso_instance()
-    hp = hp_for(GRADIENT, problem)
+    hp = practical_hp(GRADIENT, problem)
     ns = init_network(problem, graph, hp)
     ref = centralized_reference(problem, tol=1e-13)
     alpha, lam = project_dual(ref.x_star, problem, graph, hp.leader)
@@ -270,7 +264,7 @@ ORACLE_CASES = [
 def test_oracle_matches_network_on_two_agents(scheme, extra, make_instance, leader_last):
     graph, problem = make_instance()
     leader = graph.m - 1 if leader_last else 0
-    hp = hp_for(scheme, problem, epsilon=2.0, leader=leader, **extra)
+    hp = practical_hp(scheme, problem, epsilon=2.0, leader=leader, **extra)
     ns = init_network(problem, graph, hp)
     st = full_admm_init(problem, graph, hp)
     E_s = signed_incidence(graph)
@@ -285,7 +279,7 @@ def test_oracle_matches_network_on_two_agents(scheme, extra, make_instance, lead
 
 def test_oracle_invariants_over_long_run():
     graph, problem = make_lasso_instance()
-    hp = hp_for(GRADIENT, problem)
+    hp = practical_hp(GRADIENT, problem)
     st = full_admm_init(problem, graph, hp)
     A_s, A_d = incidences(graph)
     for _ in range(100):
@@ -297,7 +291,7 @@ def test_oracle_invariants_over_long_run():
 
 def test_oracle_state_holds_only_network_shapes():
     graph, problem = make_lasso_instance()
-    hp = hp_for(BFGS, problem)
+    hp = practical_hp(BFGS, problem)
     st = full_admm_init(problem, graph, hp)
     for _ in range(100):
         st = full_admm_oracle_step(st)
@@ -365,14 +359,14 @@ def test_lyapunov_zero_at_reference():
     graph, problem = make_lasso_instance()
     ref = centralized_reference(problem, tol=1e-13)
     alpha, lam = project_dual(ref.x_star, problem, graph, leader=0)
-    ns = init_network(problem, graph, hp_for(GRADIENT, problem))
+    ns = init_network(problem, graph, practical_hp(GRADIENT, problem))
     install_fixed_point(ns, ref.x_star, lam)
     assert lyapunov_distance(ns, alpha, ref.x_star, alpha, lam) == 0.0
 
 
 def test_lyapunov_is_weighted_sum_of_block_distances():
     graph, problem = make_lasso_instance()
-    hp = hp_for(GRADIENT, problem, mu_z=2.0, mu_theta=0.25)
+    hp = practical_hp(GRADIENT, problem, mu_z=2.0, mu_theta=0.25)
     ns = init_network(problem, graph, hp)
     sync_step(ns)
     edge_duals = advance_edge_duals(ns, np.zeros((graph.n, problem.d)))
@@ -394,7 +388,7 @@ def test_lyapunov_is_weighted_sum_of_block_distances():
 def test_tracked_edge_duals_reproduce_phi(scheme):
     # the per-agent duals are exactly the signed scatter of the edge duals
     graph, problem = make_lasso_instance()
-    hp = hp_for(scheme, problem)
+    hp = practical_hp(scheme, problem)
     ns = init_network(problem, graph, hp)
     alpha = np.zeros((graph.n, problem.d))
     E_s = signed_incidence(graph)
@@ -414,7 +408,7 @@ def network_at(problem, graph, hp, X):
 
 def test_error_term_zero_for_newton_on_quadratic():
     graph, problem = make_ridge_instance()
-    hp = hp_for(NEWTON, problem)
+    hp = practical_hp(NEWTON, problem)
     rng = np.random.default_rng(0)
     x_t = rng.normal(size=(graph.m, problem.d))
     x_t1 = rng.normal(size=(graph.m, problem.d))
@@ -426,7 +420,7 @@ def test_error_term_zero_for_newton_on_quadratic():
 
 def test_error_term_gradient_on_quadratic_is_hessian_action():
     graph, problem = make_ridge_instance()
-    hp = hp_for(GRADIENT, problem)
+    hp = practical_hp(GRADIENT, problem)
     sm = problem.smoothness
     rng = np.random.default_rng(1)
     x_t = rng.normal(size=(graph.m, problem.d))
@@ -443,7 +437,7 @@ def test_error_term_gradient_on_quadratic_is_hessian_action():
 
 def test_error_term_bfgs_needs_snapshots():
     graph, problem = make_ridge_instance()
-    ns = init_network(problem, graph, hp_for(BFGS, problem))
+    ns = init_network(problem, graph, practical_hp(BFGS, problem))
     with pytest.raises(DiagnosticError, match="inverse estimates before the step"):
         error_term(ns, ns.X.copy())
 
@@ -452,7 +446,7 @@ def test_error_term_bfgs_reconstruction_is_capped():
     d = BFGS_RECONSTRUCTION_MAX_D + 1
     graph = Graph(2, [(0, 1)])
     problem = ConsensusProblem(LEAST_SQUARES, np.eye(2, d), np.ones(2), [1, 1])
-    ns = init_network(problem, graph, hp_for(BFGS, problem))
+    ns = init_network(problem, graph, practical_hp(BFGS, problem))
     with pytest.raises(DiagnosticError, match=f"capped at d={d - 1}, got d={d}$"):
         error_term(ns, ns.X.copy(), bfgs_prev=ns.B.copy())
 

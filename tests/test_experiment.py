@@ -6,7 +6,7 @@ import re
 import subprocess
 import sys
 import warnings
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -552,7 +552,9 @@ def test_cli_reports_a_diverging_run_as_an_error(tmp_path, capsys):
         warnings.simplefilter("error")
         assert main(["run", "--config", str(path)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: non-finite trace metric r_opt at t=217")
+    warning, error = err.splitlines()   # its epsilon of 0.001 lies below M_f/2
+    assert warning.startswith("WARNING druid: epsilon=0.001 is at or below M_f/2=")
+    assert error.startswith("error: non-finite trace metric r_opt at t=217")
     assert "RuntimeWarning" not in err and not Path(cfg.output).exists()
 
 
@@ -607,6 +609,19 @@ def test_epsilon_at_or_below_half_M_f_logs_a_warning(tmp_path, caplog):
     assert not records
     _, records = run(None, logging.WARNING, "derived.csv")  # 0.55 M_f
     assert not records
+
+
+def test_cli_prints_the_epsilon_warning_labelled_once_per_call(tmp_path, capsys):
+    cfg = base_config(tmp_path, iterations=3, cadence=1)
+    with open(cfg.dataset) as fh:
+        half = build_problem(cfg, parse_libsvm(fh)).smoothness.M_f / 2
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(asdict(cfg)))
+    for _ in range(2):   # one call's handler is gone before the next call
+        assert main(["run", "--config", str(cfg_path), "--epsilon", repr(half / 2)]) == 0
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("WARNING druid: epsilon=")
+        assert read_rows(Path(cfg.output))[-1][0] == "3"
 
 
 def test_build_problem_binarizes_labels_over_the_whole_dataset(tmp_path):

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import make_rank_deficient_instance, make_ridge_instance
+from conftest import certified_hp, make_rank_deficient_instance, make_ridge_instance
 from druid import curvature as cv
 from druid.curvature import BFGS, GRADIENT, NEWTON, Hyperparams
 from druid.errors import InapplicableTheoremError
@@ -11,13 +11,6 @@ from druid.network import init_network, sync_step
 from druid.problems import SmoothnessConstants
 from druid.rates import THEORY, linear_rate, rate_constants
 from druid.topology import spectral_constants
-
-
-def certified_hp(problem, scheme, factor=1.02):
-    sm = problem.smoothness
-    c_max = 2.0 * sm.M_f
-    eps = factor * c_max**2 * (sm.m_f + sm.M_f) / (2.0 * sm.m_f * sm.M_f)
-    return Hyperparams(mu_z=2.0, mu_theta=1.0, epsilon=eps, scheme=scheme, psi=sm.M_f)
 
 
 def test_theory_table_covers_every_scheme():

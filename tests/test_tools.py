@@ -1,5 +1,7 @@
 """The tools under ``tools/`` run as their docstrings describe."""
 
+import ast
+import inspect
 import math
 import os
 import re
@@ -11,7 +13,29 @@ from pathlib import Path
 
 import pytest
 
+import druid
+
 ROOT = Path(__file__).resolve().parent.parent
+
+
+def load_trace_hashes(monkeypatch):
+    """The names of ``tools/trace_hashes.py``, run with ``runpy``; the BLAS threads and
+    the bytecode writing that loading it pins are kept out of this process."""
+    monkeypatch.setattr(os, "environ", os.environ.copy())
+    monkeypatch.setattr(sys, "dont_write_bytecode", sys.dont_write_bytecode)
+    return runpy.run_path(str(ROOT / "tools" / "trace_hashes.py"))
+
+
+def einsum_copy(root):
+    """A copy of this checkout at ``root`` whose models are applied by the einsum
+    they were before: the BFGS traces move in the last bits."""
+    for part in ("src", "perfbench"):
+        shutil.copytree(ROOT / part, root / part, ignore=shutil.ignore_patterns("__pycache__", "out"))
+    curvature = root / "src" / "druid" / "curvature.py"
+    text = curvature.read_text()
+    matmul = "return (curvature @ H[:, :, None])[:, :, 0]"
+    assert matmul in text
+    curvature.write_text(text.replace(matmul, 'return np.einsum("kij,kj->ki", curvature, H)'))
 
 
 def hashes_against_this_checkout(workload):
@@ -34,15 +58,8 @@ def test_trace_hashes_run_the_kernel_configs():
 
 
 def test_trace_hashes_report_the_drift_of_a_differing_checkout(tmp_path):
-    # a copy of this checkout whose models are applied by the einsum they were before:
-    # the BFGS traces move in the last bits and stay within the golden tolerance
-    for part in ("src", "perfbench"):
-        shutil.copytree(ROOT / part, tmp_path / part, ignore=shutil.ignore_patterns("__pycache__", "out"))
-    curvature = tmp_path / "src" / "druid" / "curvature.py"
-    text = curvature.read_text()
-    matmul = "return (curvature @ H[:, :, None])[:, :, 0]"
-    assert matmul in text
-    curvature.write_text(text.replace(matmul, 'return np.einsum("kij,kj->ki", curvature, H)'))
+    # the einsum copy's BFGS traces stay within the golden tolerance
+    einsum_copy(tmp_path)
     cmd = [sys.executable, "tools/trace_hashes.py", "--workloads", "kernel-bfgs-lasso-sync",
            "--seeds", "0", "--against", str(tmp_path)]
     proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, timeout=120, check=False)
@@ -57,10 +74,7 @@ def test_trace_hashes_report_the_drift_of_a_differing_checkout(tmp_path):
 
 
 def test_drift_measures_each_column_against_the_golden_tolerance(monkeypatch):
-    # loading the script pins the BLAS threads and bytecode writing; keep that out of this process
-    monkeypatch.setattr(os, "environ", os.environ.copy())
-    monkeypatch.setattr(sys, "dont_write_bytecode", sys.dont_write_bytecode)
-    drift = runpy.run_path(str(ROOT / "tools" / "trace_hashes.py"))["drift"]
+    drift = load_trace_hashes(monkeypatch)["drift"]
     theirs = b"t,r\n0,1.0\n1,0.0\n"
     largest, share = drift(b"t,r\n0,1.000001\n1,0.0\n", theirs, 1e-6, 1e-10)
     assert largest == {"t": 0.0, "r": pytest.approx(1e-6)} and 0.99 < share <= 1.0
@@ -68,6 +82,48 @@ def test_drift_measures_each_column_against_the_golden_tolerance(monkeypatch):
     assert largest == {"t": 0.0, "r": math.inf} and share == pytest.approx(2.0)
     assert drift(b"t,r\n0,1.0\n", theirs, 1e-6, 1e-10) is None
     assert drift(b"t,s\n0,1.0\n1,0.0\n", theirs, 1e-6, 1e-10) is None
+
+
+def test_trace_hashes_compare_two_checkouts_in_one_process(monkeypatch, capsys):
+    def start(*args, **kwargs):
+        raise AssertionError("trace_hashes started a process")
+
+    monkeypatch.setattr(subprocess, "run", start)
+    monkeypatch.setattr(subprocess, "Popen", start)
+    main = load_trace_hashes(monkeypatch)["main"]
+    assert main(["--workloads", "kernel-gradient-lasso-async", "--seeds", "0",
+                 "--against", str(ROOT)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == f"0 of 1 traces differ from {ROOT}"
+
+
+def test_two_checkouts_load_side_by_side(tmp_path, monkeypatch):
+    einsum_copy(tmp_path)
+    load_checkout = load_trace_hashes(monkeypatch)["load_checkout"]
+    ours, theirs = (load_checkout(root)[0] for root in (ROOT, tmp_path))
+    assert ours.__name__ != theirs.__name__
+    apply_model = {name: sys.modules[f"{module.__package__}.curvature"]._apply_model
+                   for name, module in (("ours", ours), ("theirs", theirs))}
+    assert "np.einsum" in inspect.getsource(apply_model["theirs"])
+    assert "np.einsum" not in inspect.getsource(apply_model["ours"])
+    assert sys.modules["druid"] is druid
+
+
+@pytest.mark.parametrize("tool", ["trace_hashes.py", "setup_phases.py"])
+def test_tools_start_no_interpreter_and_leave_sys_path_alone(tool):
+    # each checkout is loaded in this process under a package name of its own, never as the
+    # ``druid`` that sys.path finds, so the tools need neither a second interpreter nor the path
+    tree = ast.parse((ROOT / "tools" / tool).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {alias.name.partition(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            imported |= {module.partition(".")[0], *(f"{module}.{a.name}" for a in node.names)}
+    assert not imported & {"subprocess", "pickle", "sys.path"}
+    assert not [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+                and node.attr == "path" and isinstance(node.value, ast.Name)
+                and node.value.id == "sys"]
 
 
 def test_setup_phases_times_each_phase_of_a_workload():

@@ -18,25 +18,18 @@ in milliseconds, then the parse's share of the sum.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import tempfile
 import time
 from pathlib import Path
 
-# Before numpy is imported, as perfbench/run.py does for its runs.
-os.environ.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-sys.dont_write_bytecode = True   # no __pycache__ under src/ or perfbench/
+sys.dont_write_bytecode = True   # no __pycache__ under tools/, src/ or perfbench/
+# pins BLAS to one thread as it is imported, before numpy is, as perfbench/run.py does
+from trace_hashes import ROOT, load_checkout  # noqa: E402
 
-ROOT = Path(__file__).resolve().parent.parent
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
-
-from druid.datasets import parse_libsvm  # noqa: E402
-from druid.experiment import ExperimentConfig, build_problem  # noqa: E402
-from druid.network import init_network  # noqa: E402
-from druid.reference import centralized_reference  # noqa: E402
-from druid.topology import random_connected_graph  # noqa: E402
-from workloads import WORKLOADS, write_dataset  # noqa: E402
+# each phase calls what ``run_experiment`` calls: the names its module holds
+experiment, workloads, _, _ = load_checkout(ROOT)
+WORKLOADS = workloads.WORKLOADS
 
 PHASES = ("parse", "build_problem", "graph", "reference", "smoothness", "init_network")
 
@@ -53,7 +46,7 @@ def best_of(repeats: int, phase):
 
 def parse(path: str):
     with open(path, encoding="utf-8") as fh:
-        return parse_libsvm(fh)
+        return experiment.parse_libsvm(fh)
 
 
 def smoothness(problem):
@@ -61,18 +54,19 @@ def smoothness(problem):
     return problem.smoothness
 
 
-def phase_seconds(cfg: ExperimentConfig, repeats: int) -> dict:
+def phase_seconds(cfg: experiment.ExperimentConfig, repeats: int) -> dict:
     """Phase name -> the best of ``repeats`` timings of that phase of ``cfg``'s setup."""
     seconds = {}
     seconds["parse"], ds = best_of(repeats, lambda: parse(cfg.dataset))
-    seconds["build_problem"], problem = best_of(repeats, lambda: build_problem(cfg, ds))
-    seconds["graph"], graph = best_of(
-        repeats, lambda: random_connected_graph(cfg.agents, cfg.edge_prob, cfg.graph_seed))
-    seconds["reference"], _ = best_of(repeats, lambda: centralized_reference(
+    seconds["build_problem"], problem = best_of(
+        repeats, lambda: experiment.build_problem(cfg, ds))
+    seconds["graph"], graph = best_of(repeats, lambda: experiment.random_connected_graph(
+        cfg.agents, cfg.edge_prob, cfg.graph_seed))
+    seconds["reference"], _ = best_of(repeats, lambda: experiment.centralized_reference(
         problem, tol=cfg.ref_tol, max_iter=cfg.ref_max_iter))
     seconds["smoothness"], sm = best_of(repeats, lambda: smoothness(problem))
     seconds["init_network"], _ = best_of(
-        repeats, lambda: init_network(problem, graph, cfg.hyperparams(sm.M_f)))
+        repeats, lambda: experiment.init_network(problem, graph, cfg.hyperparams(sm.M_f)))
     return seconds
 
 
@@ -92,9 +86,9 @@ def main(argv=None) -> int:
         for seed in args.seeds:
             with tempfile.TemporaryDirectory() as tmp:
                 dataset = Path(tmp) / "data.txt"
-                write_dataset(dataset, *WORKLOADS[name].generate(seed))
-                cfg = ExperimentConfig(**WORKLOADS[name].config(seed, str(dataset),
-                                                                str(Path(tmp) / "trace.csv")))
+                workloads.write_dataset(dataset, *WORKLOADS[name].generate(seed))
+                cfg = experiment.ExperimentConfig(**WORKLOADS[name].config(
+                    seed, str(dataset), str(Path(tmp) / "trace.csv")))
                 seconds = phase_seconds(cfg, args.repeats)
             total = sum(seconds.values())
             print(name, seed, *(f"{1e3 * seconds[p]:.2f}" for p in PHASES),

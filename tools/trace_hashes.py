@@ -13,26 +13,26 @@ twelve small ``KERNEL_CONFIGS``, which reach every kernel in both modes.
 For each workload and each seed (default 0-4), the workload's dataset is
 written and ``run_experiment`` runs on it in a temporary directory, with
 BLAS pinned to one thread; one line ``<workload> <seed> <sha256>`` is
-printed per trace.  ``--checkout DIR``
-runs the library and the workloads of another checkout.  ``--against DIR``
-also runs the traces of ``DIR`` in a subprocess and lists every trace whose
-hash differs, each followed by the largest relative deviation of each of its
-columns from ``DIR``'s.  One line then says whether every value of the
-differing traces is within the benchmark's golden tolerance, ``RTOL * |b| +
-ATOL`` of ``perfbench/worker.py`` with ``b`` the value of ``DIR``; the exit
-code is 1 if any hash differs, within the tolerance or not.  Nothing is
-written inside either checkout.
+printed per trace.  ``--checkout DIR`` runs the library and the workloads
+of another checkout.  ``--against DIR`` also runs the traces of ``DIR`` and
+lists every trace whose hash differs, each followed by the largest relative
+deviation of each of its columns from ``DIR``'s.  One line then says whether
+every value of the differing traces is within the benchmark's golden
+tolerance, ``RTOL * |b| + ATOL`` of the checkout's ``perfbench/worker.py``
+with ``b`` the value of ``DIR``; the exit code is 1 if any hash differs,
+within the tolerance or not.  Both checkouts run in this process, each
+library as a package of its own name (``load_checkout``); nothing is put on
+``sys.path`` and nothing is written inside either checkout.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
-import json
+import importlib.util
 import math
 import os
-import pickle
-import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -42,7 +42,6 @@ os.environ.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS
 sys.dont_write_bytecode = True   # no __pycache__ under src/ or perfbench/
 
 ROOT = Path(__file__).resolve().parent.parent
-RUN_TIMEOUT_S = 900
 
 #: ``Workload`` arguments of the configs named ``kernel-<scheme>-<lasso|logistic>-<sync|async>``:
 #: every scheme on a constant (lasso) and a non-constant (logistic) Hessian, synchronous and
@@ -69,15 +68,33 @@ def checkout_dir(path: str) -> Path:
     return root
 
 
+def load_module(name: str, path: Path, package: list | None = None):
+    """The module (``package``: its search path) of the file ``path``, run under ``name``."""
+    spec = importlib.util.spec_from_file_location(name, path, submodule_search_locations=package)
+    sys.modules[name] = module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@functools.cache
+def load_checkout(root: Path) -> tuple:
+    """(``root``'s ``druid.experiment``, its ``perfbench/workloads.py``, its golden
+    ``RTOL`` and ``ATOL``), run in this process.  The library is loaded as a
+    package of a name of its own, which its relative imports follow, so two
+    checkouts' libraries sit side by side and neither is the ``druid`` of ``import``."""
+    name = "druid_" + hashlib.sha256(str(root).encode()).hexdigest()[:12]
+    load_module(name, root / "src" / "druid" / "__init__.py", [str(root / "src" / "druid")])
+    workloads = load_module(f"{name}_workloads", root / "perfbench" / "workloads.py")
+    worker = load_module(f"{name}_worker", root / "perfbench" / "worker.py")
+    return importlib.import_module(f"{name}.experiment"), workloads, worker.RTOL, worker.ATOL
+
+
 def traces(root: Path, names: list | None, seeds: list) -> dict:
     """(workload, seed) -> the bytes of the trace ``root``'s library writes, for
     the workloads ``names`` (None: every workload)."""
-    sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
-    from druid.experiment import ExperimentConfig, run_experiment
-    from workloads import WORKLOADS, Workload, write_dataset
-
-    workloads = {**WORKLOADS, **{name: Workload(name=name, **kwargs)
-                                 for name, kwargs in KERNEL_CONFIGS.items()}}
+    experiment, bench, _, _ = load_checkout(root)
+    workloads = {**bench.WORKLOADS, **{name: bench.Workload(name=name, **kwargs)
+                                       for name, kwargs in KERNEL_CONFIGS.items()}}
     names = list(workloads) if names is None else names
     unknown = sorted(set(names) - set(workloads))
     if unknown:
@@ -88,27 +105,11 @@ def traces(root: Path, names: list | None, seeds: list) -> dict:
         for seed in seeds:
             with tempfile.TemporaryDirectory() as tmp:
                 dataset, output = Path(tmp) / "data.txt", Path(tmp) / "trace.csv"
-                write_dataset(dataset, *workload.generate(seed))
-                run_experiment(ExperimentConfig(**workload.config(seed, str(dataset), str(output))))
+                bench.write_dataset(dataset, *workload.generate(seed))
+                experiment.run_experiment(experiment.ExperimentConfig(
+                    **workload.config(seed, str(dataset), str(output))))
                 written[name, seed] = output.read_bytes()
     return written
-
-
-def traces_of(other: Path, names: list | None, seeds: list) -> dict:
-    """``traces`` of another checkout, run by this script in a subprocess: the
-    two libraries have the same module names, so one interpreter holds one."""
-    code = ("import json, pickle, runpy, sys; from pathlib import Path; "
-            "traces = runpy.run_path(sys.argv[1])['traces']; "
-            "written = traces(Path(sys.argv[2]), *map(json.loads, sys.argv[3:5])); "
-            "Path(sys.argv[5]).write_bytes(pickle.dumps(written))")
-    with tempfile.TemporaryDirectory() as tmp:
-        out = Path(tmp) / "traces.pickle"
-        cmd = [sys.executable, "-c", code, __file__, str(other), json.dumps(names),
-               json.dumps(seeds), str(out)]
-        proc = subprocess.run(cmd, timeout=RUN_TIMEOUT_S, check=False)
-        if proc.returncode != 0:
-            raise SystemExit(f"{other}: its traces exited with code {proc.returncode}")
-        return pickle.loads(out.read_bytes())
 
 
 def columns(trace: bytes) -> dict:
@@ -149,9 +150,8 @@ def main(argv=None) -> int:
         print(name, seed, sha256(trace), flush=True)
     if args.against is None:
         return 0
-    from worker import ATOL, RTOL   # the checkout's, on the path since ``traces``
-
-    theirs = traces_of(args.against, args.workloads, args.seeds)
+    _, _, RTOL, ATOL = load_checkout(args.checkout)
+    theirs = traces(args.against, args.workloads, args.seeds)
     differ = [key for key in ours if theirs[key] != ours[key]]
     shares = []   # of the tolerance, one per differing trace
     for name, seed in differ:
