@@ -9,9 +9,10 @@ iterations were drawn before: the draw for iteration t is the one a fresh
 
 A sampler keeps one PCG64 generator for its whole run and re-seeds it before
 each draw with the state ``default_rng((seed, t))`` starts from.  Those
-states are derived for a chunk of consecutive t at once, by one vectorized
-pass of numpy's ``SeedSequence`` algorithm and PCG64's seeding, so no
-generator is built per draw.
+states are derived for a chunk of consecutive t at once: one vectorized pass
+of numpy's ``SeedSequence`` algorithm gives each t's four 64-bit seed words,
+and PCG64's seeding turns them into its 128-bit state with Python integers,
+so no generator is built per draw.
 """
 
 from __future__ import annotations
@@ -31,11 +32,11 @@ ACTIVATION_MODES = (BERNOULLI, FIXED_COUNT)
 
 
 # numpy's SeedSequence constants (numpy/random/bit_generator.pyx) and the
-# 128-bit PCG64 multiplier, high and low halves
-_MASK32 = 0xFFFFFFFF
+# 128-bit PCG64 multiplier
+_MASK32, _MASK128 = 0xFFFFFFFF, (1 << 128) - 1
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_PCG_MULT_HI, _PCG_MULT_LO = 0x2360ED051FC65DA4, 0x4385DF649FCCF645
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 #: iterations whose generator states are derived at once; a power of two, so
 #: every t of a chunk has as many 32-bit words as the chunk's first
 STATE_CHUNK = 1024
@@ -68,20 +69,11 @@ def _mix(x, y):
     return result ^ (result >> np.uint32(16))
 
 
-def _mul_high(a, b: int):
-    """The high 64 bits of the 128-bit products of a uint64 array ``a`` and a 64-bit ``b``."""
-    a0, a1, b0, b1 = a & _MASK32, a >> 32, b & _MASK32, b >> 32
-    p01, p10 = a0 * b1, a1 * b0
-    middle = (a0 * b0 >> 32) + (p01 & _MASK32) + (p10 & _MASK32)
-    return a1 * b1 + (p01 >> 32) + (p10 >> 32) + (middle >> 32)
-
-
 @lru_cache(maxsize=2)   # one chunk per sampler in use; two samplers may interleave
 def _chunk_states(seed: int, first: int) -> tuple:
-    """PCG64 ``state`` and ``inc`` of ``default_rng((seed, t))`` for the
-    ``STATE_CHUNK`` iterations t from ``first`` on, as lists of their high
-    and low 64-bit halves: (state_hi, state_lo, inc_hi, inc_lo).  The cache
-    hands the same lists to every caller, so they are read only."""
+    """The PCG64 ``(state, inc)`` of ``default_rng((seed, t))``, as Python
+    integers, for each of the ``STATE_CHUNK`` iterations t from ``first`` on,
+    in order; a tuple, since the cache hands it to every caller."""
     n, t_words = STATE_CHUNK, _words(first)
     entropy = [np.full(n, w, dtype=np.uint32) for w in _words(seed) + t_words]
     entropy[len(entropy) - len(t_words)] += np.arange(n, dtype=np.uint32)   # t's low word
@@ -98,25 +90,22 @@ def _chunk_states(seed: int, first: int) -> tuple:
     # generate_state(4, uint64): 8 words from the cycled pool, paired little-endian
     hashmix = _hashmix(_INIT_B, _MULT_B)
     out = [hashmix(pool[i % 4]).astype(np.uint64) for i in range(8)]
-    v0, v1, v2, v3 = (out[2 * j] | out[2 * j + 1] << np.uint64(32) for j in range(4))
+    words = [(out[2 * j] | out[2 * j + 1] << np.uint64(32)).tolist() for j in range(4)]
     # PCG64 seeding, initstate = v0:v1 and initseq = v2:v3 (high half first):
     # inc = 2 initseq + 1, state = (initstate + inc) MULT + inc, mod 2^128
-    inc_hi, inc_lo = v2 << np.uint64(1) | v3 >> np.uint64(63), v3 << np.uint64(1) | np.uint64(1)
-    lo = v1 + inc_lo
-    hi = v0 + inc_hi + (lo < inc_lo)
-    hi = _mul_high(lo, _PCG_MULT_LO) + lo * np.uint64(_PCG_MULT_HI) + hi * np.uint64(_PCG_MULT_LO)
-    lo = lo * np.uint64(_PCG_MULT_LO) + inc_lo
-    hi = hi + inc_hi + (lo < inc_lo)
-    return hi.tolist(), lo.tolist(), inc_hi.tolist(), inc_lo.tolist()
+    states = []
+    for v0, v1, v2, v3 in zip(*words):
+        inc = (v2 << 65 | v3 << 1 | 1) & _MASK128
+        states.append(((((v0 << 64 | v1) + inc) * _PCG_MULT + inc) & _MASK128, inc))
+    return tuple(states)
 
 
 def pcg64_state(seed: int, t: int) -> dict:
     """``np.random.default_rng((seed, t)).bit_generator.state``, for
     non-negative integers ``seed`` and ``t``, read from the chunk of t."""
     k = t % STATE_CHUNK
-    state_hi, state_lo, inc_hi, inc_lo = _chunk_states(int(seed), int(t - k))
-    return {"bit_generator": "PCG64",
-            "state": {"state": state_hi[k] << 64 | state_lo[k], "inc": inc_hi[k] << 64 | inc_lo[k]},
+    state, inc = _chunk_states(int(seed), int(t - k))[k]
+    return {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
             "has_uint32": 0, "uinteger": 0}
 
 

@@ -25,10 +25,6 @@ from .topology import Graph, SpectralConstants, spectral_constants
 
 @dataclass(frozen=True)
 class RateConstants:
-    m_f: float
-    M_f: float
-    L_f: float
-    kappa: float
     M_bar: float
     rho: float
     tau_bound: float
@@ -126,7 +122,6 @@ def rate_constants(problem: ConsensusProblem, graph: Graph, hp: Hyperparams) -> 
     eta = linear_rate(sm.m_f, sm.M_f, hp.mu_theta, hp.epsilon, tau, zeta, spectra)
     eta_exact = linear_rate(sm.m_f, sm.M_f, hp.mu_theta, 0.0, 0.0, np.inf, spectra)
     return RateConstants(
-        m_f=sm.m_f, M_f=sm.M_f, L_f=sm.L_f, kappa=sm.M_f / sm.m_f,
         M_bar=M_bar, rho=rho, tau_bound=tau, c_max=c_max, zeta=zeta,
         eta=eta, eta_exact=eta_exact, spectra=spectra,
         cond_epsilon_sublinear=bool(hp.epsilon > sm.M_f / 2.0),

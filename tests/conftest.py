@@ -32,12 +32,12 @@ def rules_of(owner):
     return getattr(owner, "rules", None) or dataclasses.fields(owner)
 
 
-def certified_hp(problem, scheme, factor=1.02):
+def certified_hp(problem, scheme):
     """Parameters satisfying the linear-rate conditions of the analysis: epsilon
-    ``factor`` times its bound, with c_max = 2 M_f."""
+    1.02 times its bound, with c_max = 2 M_f."""
     sm = problem.smoothness
     c_max = 2.0 * sm.M_f
-    eps = factor * c_max**2 * (sm.m_f + sm.M_f) / (2.0 * sm.m_f * sm.M_f)
+    eps = 1.02 * c_max**2 * (sm.m_f + sm.M_f) / (2.0 * sm.m_f * sm.M_f)
     return Hyperparams(mu_z=2.0, mu_theta=1.0, epsilon=eps, scheme=scheme, psi=sm.M_f)
 
 

@@ -91,17 +91,14 @@ def test_rate_constants_report_conditions():
             assert rc.cond_muz_eps_psi is not None
         else:
             assert rc.cond_muz_eps_psi is None
-    # kappa is the plain curvature ratio
-    sm = problem.smoothness
-    rc = rate_constants(problem, graph, certified_hp(problem, GRADIENT))
-    assert rc.kappa == pytest.approx(sm.M_f / sm.m_f)
 
 
 def test_rate_constants_zeta_midpoint_is_admissible():
     graph, problem = make_ridge_instance()
     hp = certified_hp(problem, GRADIENT)
     rc = rate_constants(problem, graph, hp)
-    zeta_lo = (rc.m_f + rc.M_f) / (2.0 * rc.m_f * rc.M_f)
+    sm = problem.smoothness
+    zeta_lo = (sm.m_f + sm.M_f) / (2.0 * sm.m_f * sm.M_f)
     assert zeta_lo < rc.zeta < hp.epsilon / rc.tau_bound**2
 
 

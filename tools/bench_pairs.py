@@ -15,7 +15,10 @@ pair, so an interrupted comparison keeps the pairs it finished.
 For every end-to-end metric of ``BENCHMARK.json`` and every workload, the
 summary gives each side's median and quartiles, the change in percent, the
 pairs the change won (ties count for neither side), and whether the
-change's median is within the metric's bound of the parent's.  With
+change's median is within the metric's bound of the parent's.  A metric is
+unresolved when the distance between the parent's quartiles exceeds the
+bound, times the parent's median, unless every run of the change reads
+better than every run of the parent.  With
 ``--claim-metric`` it also says whether the claim holds: the change wins at
 least nine tenths of the pairs and its median is better than the parent's
 by more than the distance between the parent's quartiles.
@@ -25,20 +28,17 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
 
-# Before numpy is imported, as perfbench/run.py does for its runs, so the
-# machine record shows the setting the runs used.
-os.environ.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+# pins BLAS to one thread as it is imported, before numpy is, as perfbench/run.py does
+# for its runs, so the machine record shows the setting the runs used
+from trace_hashes import ROOT, load_module
 
-import numpy as np  # noqa: E402
+import numpy as np
 
-ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "perfbench"))
-from worker import machine_info  # noqa: E402
+machine_info = load_module("bench_pairs_worker", ROOT / "perfbench" / "worker.py").machine_info
 
 RUN_TIMEOUT_S = 900
 
@@ -56,7 +56,8 @@ def run_benchmark(checkout: Path, seed: int, seconds: float) -> dict:
 
 
 def summarize(pairs: list, metrics: dict, claim_metric: str | None) -> dict:
-    """Per ``<workload>/<metric>``: medians, quartiles, wins and the bound check."""
+    """Per ``<workload>/<metric>``: medians, quartiles, wins, the bound check and
+    whether the metric is unresolved."""
     summary = {}
     for key in pairs[0]["parent"]["metrics"]:
         spec = metrics[key.rsplit("/", 1)[1]]
@@ -72,6 +73,9 @@ def summarize(pairs: list, metrics: dict, claim_metric: str | None) -> dict:
             "parent_q1": p_q1, "parent_q3": p_q3, "change_q1": c_q1, "change_q3": c_q3,
             "bound": spec["bound"],
             "within_bound": bool(sign * (c_med - p_med) <= spec["bound"] * abs(p_med)),
+            # the parent's own spread exceeds the bound, and the runs do not all separate
+            "unresolved": bool(p_q3 - p_q1 > spec["bound"] * abs(p_med)
+                               and (sign * change).max() >= (sign * parent).min()),
         }
         if key == claim_metric:
             row["claim_met"] = bool(10 * row["change_wins"] >= 9 * len(pairs)
